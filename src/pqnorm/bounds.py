@@ -24,15 +24,11 @@ import numpy as np
 from .core import ExtIndex, IndexLike, as_index, conjugate, sign_between, vector_norm
 from .induced_norms import (
     Certainty,
-    DimensionError,
     MatrixLike,
-    MatrixValue,
     NormResult,
     as_matrix,
     best_norm,
-    norm_closed_form,
     svd,
-    weaker_certainty,
 )
 
 __all__ = [
@@ -141,13 +137,21 @@ class NormBracket:
 def bracket_norm(
     A: MatrixLike, p: IndexLike, q: IndexLike, *, seed: int = 0
 ) -> NormBracket:
-    """Enclose ||A||_{p,q}: exact routes collapse the bracket to a point."""
+    """Enclose ||A||_{p,q}: exact routes collapse the bracket to a point.
+
+    An estimate that exceeds the certified bound by rounding alone (at most
+    1e-12 relative) means both sit on the norm, so the upper end is raised
+    to the estimate instead of inverting the bracket.
+    """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     res = best_norm(M, pi, qi, seed=seed)
     if res.certainty.is_exact:
         return NormBracket(res.value, res.value, res)
-    return NormBracket(res.value, norm_upper_bound(M, pi, qi), res)
+    upper = norm_upper_bound(M, pi, qi)
+    if upper < res.value <= upper * (1.0 + 1e-12):
+        upper = res.value
+    return NormBracket(res.value, upper, res)
 
 
 @dataclass(frozen=True)
@@ -242,12 +246,6 @@ def duality_check(
     return abs(a.value - b.value) <= t * scale
 
 
-def _norm_seq(
-    M: MatrixValue, pairs: Sequence, seed: int
-) -> list:
-    return [best_norm(M, p_, q_, seed=seed) for (p_, q_) in pairs]
-
-
 def monotonicity_check(
     A: MatrixLike,
     s_fixed: IndexLike,
@@ -263,7 +261,7 @@ def monotonicity_check(
     grid = [as_index(r) for r in r_grid]
     if any(grid[i].value > grid[i + 1].value for i in range(len(grid) - 1)):
         raise ValueError("r_grid must be sorted ascending")
-    results = _norm_seq(M, [(r, si) for r in grid], seed)
+    results = [best_norm(M, r, si, seed=seed) for r in grid]
     m = M.m
     for i in range(len(grid) - 1):
         a, b = results[i], results[i + 1]
@@ -296,7 +294,7 @@ def monotonicity_check_in_s(
     grid = [as_index(s) for s in s_grid]
     if any(grid[i].value > grid[i + 1].value for i in range(len(grid) - 1)):
         raise ValueError("s_grid must be sorted ascending")
-    results = _norm_seq(M, [(ri, s) for s in grid], seed)
+    results = [best_norm(M, ri, s, seed=seed) for s in grid]
     n = M.n
     for i in range(len(grid) - 1):
         a, b = results[i], results[i + 1]

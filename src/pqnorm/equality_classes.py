@@ -14,9 +14,16 @@ characterization for its class:
   E_{inf,1}: a unimodular eigenvector of A*A maps to a constant-modulus
              image with the right amplitude.
 
+Over the real field the unimodular candidates are enumerated exhaustively
+as sign vectors.  Over the complex field, a degenerate eigenspace (or a
+degenerate top singular subspace in the SVD characterization) is searched
+by one batched kernel, _unimodular_in_subspace: every start vector is a
+column of one matrix, advanced by alternating phase projection and
+stopped column by column.
+
 Verdicts are yes / no / undetermined; undetermined appears only when a
 needed norm is available solely as an estimate whose bracket straddles the
-decision line, or when a heuristic subspace search is inconclusive.
+decision line, or when that heuristic subspace search is inconclusive.
 """
 
 from __future__ import annotations
@@ -44,11 +51,13 @@ from .core import (
     vector_norm,
 )
 from .induced_norms import (
-    COMPLEX,
+    BLOCK,
     DimensionError,
     MatrixLike,
     MatrixValue,
     SvdFactors,
+    _phase_block,
+    _sign_block,
     as_matrix,
     svd,
 )
@@ -672,130 +681,92 @@ def _resolve_amplitude(
     return ab.le(ratio, _bracket_tol(ab, tol))
 
 
-def _k1_in_subspace(
-    Q: np.ndarray, rng: np.random.Generator, tries: int = 24, iters: int = 400
-) -> list:
-    """Heuristic search for unit-modulus vectors inside span(Q).
-
-    Alternating projection between the constant-modulus torus and the
-    subspace; returns de-duplicated converged candidates (entries of
-    modulus 1, in-subspace residual below 1e-8)."""
-    m, k = Q.shape
-    starts = [Q[:, j] for j in range(k)]
-    starts.append(Q @ Q.conj().T @ np.ones(m, dtype=complex))
-    for _ in range(tries):
-        starts.append(Q @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)))
-    if m <= 4:
-        g = 8 if m >= 4 else 16
-        phases = np.exp(2j * np.pi * np.arange(g) / g)
-        mesh = np.meshgrid(*([phases] * (m - 1)), indexing="ij")
-        Xg = np.ones((m, mesh[0].size), dtype=complex)
-        for t, gt in enumerate(mesh):
-            Xg[t + 1, :] = gt.reshape(-1)
-        proj = Q @ (Q.conj().T @ Xg)
-        fit = np.linalg.norm(proj - Xg, axis=0)
-        for idx in np.argsort(fit, kind="stable")[:8]:
-            starts.append(Xg[:, idx])
-    out = []
-    P = Q @ Q.conj().T
-    for x0 in starts:
-        x = x0.astype(complex)
-        if np.linalg.norm(x) == 0:
-            continue
-        for _ in range(iters):
-            a = np.abs(x)
-            y = np.where(a > 0, x / np.where(a > 0, a, 1.0), 1.0)
-            xn = P @ y
-            if np.linalg.norm(xn - x) <= 1e-14 * max(np.linalg.norm(x), 1e-300):
-                x = xn
-                break
-            x = xn
-        a = np.abs(x)
-        if a.min() <= 1e-8:
-            continue
-        w = x / a
-        if np.linalg.norm(P @ w - w) > 1e-8 * math.sqrt(m):
-            continue
-        duplicate = any(
-            abs(np.vdot(u, w)) >= (1.0 - 1e-8) * m for u in out
-        )
-        if not duplicate:
-            out.append(w)
-    return out
+def _unit_phase(Z: np.ndarray, floor: float) -> np.ndarray:
+    """Z / |Z| entrywise, with 1 wherever |Z| <= floor."""
+    a = np.abs(Z)
+    return np.where(a > floor, Z / np.where(a > 0, a, 1.0), 1.0)
 
 
-def _biunimodular_in_subspace(
+def _unimodular_in_subspace(
     Q: np.ndarray,
-    W: np.ndarray,
     rng: np.random.Generator,
+    W: Optional[np.ndarray] = None,
     tries: int = 24,
     iters: int = 400,
 ) -> list:
-    """Heuristic search for x in span(Q) with constant-modulus entries whose
-    image coordinates W (Q* x) also have constant modulus.
+    """Heuristic search for unit-modulus vectors x inside span(Q).
 
-    Q has orthonormal columns; W is an isometry on the same coefficient
-    space (the matrix restricted to the eigenspace, divided by its singular
-    value).  Alternating phase projection through both tori; returns
-    de-duplicated unit-modulus candidates with in-subspace residual below
-    1e-8.  The single-torus search cannot see the image constraint, so it
-    stalls on fully degenerate eigenspaces where span(Q) is everything."""
+    Q has orthonormal columns.  When W is given (an isometry on the same
+    coefficient space: the matrix restricted to an eigenspace, divided by
+    its singular value), the image coordinates W (Q* x) must have constant
+    modulus too; a search through the first torus alone cannot see that
+    constraint, so it stalls on fully degenerate eigenspaces where span(Q)
+    is everything.
+
+    Every start is a column of one batch, advanced together by alternating
+    phase projection between the constant-modulus torus (both tori when W
+    is given) and the subspace.  A column stops on its own: without W when
+    its step falls below 1e-14 relative, with W when both moduli are
+    constant to 1e-12 or it dies.  Returns the candidates with entries of
+    modulus 1 and in-subspace residual below 1e-8, de-duplicated in start
+    order.
+    """
     m, k = Q.shape
-    starts = [Q[:, j] for j in range(k)]
-    starts.append(Q @ (Q.conj().T @ np.ones(m, dtype=complex)))
-    for _ in range(tries):
-        starts.append(Q @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)))
+    Qh = Q.conj().T
+    draws = rng.standard_normal((tries, 2, k))
+    starts = [
+        Q,
+        Q @ (Qh @ np.ones((m, 1), dtype=complex)),
+        Q @ (draws[:, 0] + 1j * draws[:, 1]).T,
+    ]
     if m <= 4:
-        # 24 is divisible by 2, 3 and 4, so roots of unity of those orders
-        # (the phases of small structured maximizers) sit on the grid
-        g = 8 if m >= 4 else 24
-        phases = np.exp(2j * np.pi * np.arange(g) / g)
-        mesh = np.meshgrid(*([phases] * (m - 1)), indexing="ij")
-        Xg = np.ones((m, mesh[0].size), dtype=complex)
-        for t, gt in enumerate(mesh):
-            Xg[t + 1, :] = gt.reshape(-1)
-        proj = Q @ (Q.conj().T @ Xg)
-        fit = np.linalg.norm(proj - Xg, axis=0)
-        for idx in np.argsort(fit, kind="stable")[:12]:
-            starts.append(Xg[:, idx])
+        # with W, 24 phases: 24 is divisible by 2, 3 and 4, so roots of unity
+        # of those orders (the phases of small structured maximizers) sit on
+        # the grid
+        g = 8 if m >= 4 else (16 if W is None else 24)
+        Xg = _phase_block(0, g ** (m - 1), m, g)
+        fit = np.linalg.norm(Q @ (Qh @ Xg) - Xg, axis=0)
+        starts.append(Xg[:, np.argsort(fit, kind="stable")[: 8 if W is None else 12]])
+    X = np.hstack(starts).astype(complex)
+    live = np.linalg.norm(X, axis=0) > 0
+    ok = live.copy() if W is None else np.zeros(X.shape[1], dtype=bool)
+    act = np.flatnonzero(live)
+    C = Qh @ X  # subspace coordinates, advanced only when W is given
+    for _ in range(iters):
+        if act.size == 0:
+            break
+        if W is None:
+            Xa = X[:, act]
+            Xn = Q @ (Qh @ _unit_phase(Xa, 0.0))
+            step = np.linalg.norm(Xn - Xa, axis=0)
+            X[:, act] = Xn
+            act = act[step > 1e-14 * np.maximum(np.linalg.norm(Xa, axis=0), 1e-300)]
+            continue
+        Ca = Qh @ _unit_phase(Q @ C[:, act], 1e-14)
+        Y = W @ Ca
+        ty = np.abs(Y).mean(axis=0)
+        Ca = np.where(ty > 0, W.conj().T @ (_unit_phase(Y, 1e-14) * ty), Ca)
+        Xa = Q @ Ca
+        a = np.abs(Xa)
+        b = np.abs(W @ Ca)
+        amax, bmax = a.max(axis=0), b.max(axis=0)
+        dead = amax <= 1e-300
+        x_dev = (amax - a.min(axis=0)) / np.where(dead, 1.0, amax)
+        y_dev = np.where(bmax > 0, (bmax - b.min(axis=0)) / np.where(bmax > 0, bmax, 1.0), 0.0)
+        done = ~dead & (x_dev <= 1e-12) & (y_dev <= 1e-12)
+        C[:, act] = Ca
+        X[:, act] = Xa
+        ok[act[done]] = True
+        act = act[~(dead | done)]
     out = []
-    for x0 in starts:
-        if np.linalg.norm(x0) == 0:
-            continue
-        c = Q.conj().T @ x0.astype(complex)
-        ok = False
-        for _ in range(iters):
-            x = Q @ c
-            a = np.abs(x)
-            x = np.where(a > 1e-14, x / np.where(a > 0, a, 1.0), 1.0)
-            c = Q.conj().T @ x
-            y = W @ c
-            b = np.abs(y)
-            ty = float(b.mean())
-            if ty > 0:
-                y = np.where(b > 1e-14, y / np.where(b > 0, b, 1.0), 1.0) * ty
-                c = W.conj().T @ y
-            x = Q @ c
-            a = np.abs(x)
-            if a.max() <= 1e-300:
-                break
-            y = W @ c
-            b = np.abs(y)
-            x_dev = (a.max() - a.min()) / a.max()
-            y_dev = 0.0 if b.max() <= 0 else (b.max() - b.min()) / b.max()
-            if x_dev <= 1e-12 and y_dev <= 1e-12:
-                ok = True
-                break
-        if not ok:
-            continue
+    for x in X[:, ok].T:
         a = np.abs(x)
         if a.min() <= 1e-8:
             continue
         w = x / a
-        if np.linalg.norm(Q @ (Q.conj().T @ w) - w) > 1e-8 * math.sqrt(m):
+        if np.linalg.norm(Q @ (Qh @ w) - w) > 1e-8 * math.sqrt(m):
             continue
-        duplicate = any(abs(np.vdot(u, w)) >= (1.0 - 1e-8) * m for u in out)
-        if not duplicate:
+        if not any(abs(np.vdot(u, w)) >= (1.0 - 1e-8) * m for u in out):
             out.append(w)
     return out
 
@@ -836,15 +807,10 @@ def check_Einf1(
             )
         candidates = []
         total = 1 << (m - 1)
-        chunk = 1 << 14
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-            X = np.ones((m, idx.size))
-            for bit in range(m - 1):
-                X[bit + 1, :] = 1.0 - 2.0 * (
-                    (idx >> np.uint64(bit)) & np.uint64(1)
-                ).astype(float)
-            W = np.abs(arr @ X)
+        for start in range(0, total, BLOCK):
+            X = _sign_block(start, min(start + BLOCK, total), m)
+            W = arr @ X
+            np.abs(W, out=W)  # in place: these blocks set the peak memory
             peaks = W.max(axis=0)
             spread = peaks - W.min(axis=0)
             ok = (peaks > 0) & (spread <= tol * np.maximum(peaks, 1e-300))
@@ -928,7 +894,7 @@ def check_Einf1(
             # within one eigengroup the matrix acts as sval times an
             # isometry, so both modulus constraints can be phase-projected
             W = (arr @ Q) / sval if sval > 0 else arr @ Q
-            cand_list = _biunimodular_in_subspace(Q, W, rng)
+            cand_list = _unimodular_in_subspace(Q, rng, W)
             if not cand_list:
                 heuristic_miss = True
                 continue
@@ -978,15 +944,6 @@ def _in_span(Q: np.ndarray, e: np.ndarray, tol: float = 1e-8) -> bool:
     return float(np.linalg.norm(proj - e)) <= tol
 
 
-def _sign_block(start: int, stop: int, m: int) -> np.ndarray:
-    """Columns are the sign vectors (first entry +1) indexed start..stop-1."""
-    idx = np.arange(start, stop, dtype=np.uint64)
-    X = np.ones((m, idx.size))
-    for bit in range(m - 1):
-        X[bit + 1, :] = 1.0 - 2.0 * ((idx >> np.uint64(bit)) & np.uint64(1)).astype(float)
-    return X
-
-
 def _sign_vectors_in_span(Q: np.ndarray, cap: int = 24) -> Optional[list]:
     """All unit sign vectors inside span(Q), or None when the dimension
     exceeds the enumeration cap.  For real matrices these are exactly the
@@ -997,9 +954,8 @@ def _sign_vectors_in_span(Q: np.ndarray, cap: int = 24) -> Optional[list]:
     out = []
     P = Q @ Q.T
     total = 1 << (m - 1)
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        X = _sign_block(start, min(start + chunk, total), m)
+    for start in range(0, total, BLOCK):
+        X = _sign_block(start, min(start + BLOCK, total), m)
         resid = np.linalg.norm(P @ X - X, axis=0)
         for j in np.nonzero(resid <= 1e-8 * math.sqrt(m))[0]:
             out.append(X[:, j] / math.sqrt(m))
@@ -1119,7 +1075,7 @@ def check_svd_equality(
                 return signs
         exhaustive = False
         cands = []
-        for w in _k1_in_subspace(Q.astype(complex), rng):
+        for w in _unimodular_in_subspace(Q.astype(complex), rng):
             x = w / np.linalg.norm(w)
             if not M.is_complex:
                 if np.abs(x.imag).max() > 1e-10:

@@ -135,11 +135,6 @@ class Certainty(str, enum.Enum):
         return self is not Certainty.ESTIMATE
 
 
-def weaker_certainty(a: Certainty, b: Certainty) -> Certainty:
-    order = [Certainty.CLOSED_FORM, Certainty.ENUMERATION, Certainty.ESTIMATE]
-    return max(a, b, key=order.index)
-
-
 @dataclass(frozen=True)
 class NormResult:
     """A norm value with the witness vector that (nearly) attains it.
@@ -358,6 +353,32 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
     return None
 
 
+BLOCK = 1 << 14  # columns per block of an exhaustive enumeration
+
+
+def _sign_block(start: int, stop: int, m: int) -> np.ndarray:
+    """Columns are the sign vectors (first entry +1) indexed start..stop-1;
+    bit b of the index sets the sign of entry b + 1."""
+    idx = np.arange(start, stop, dtype=np.uint64)
+    X = np.ones((m, idx.size))
+    for bit in range(m - 1):
+        X[bit + 1, :] = 1.0 - 2.0 * ((idx >> np.uint64(bit)) & np.uint64(1)).astype(float)
+    return X
+
+
+def _phase_block(start: int, stop: int, m: int, g: int) -> np.ndarray:
+    """Columns start..stop-1 of the grid of g-th roots of unity with first
+    entry 1.  Base-g digit t of the index, most significant first, picks
+    entry t + 1 (the column order of np.meshgrid with indexing="ij")."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    phases = np.exp(2j * np.pi * np.arange(g) / g)
+    X = np.ones((m, idx.size), dtype=complex)
+    for t in range(m - 1, 0, -1):
+        X[t, :] = phases[idx % g]
+        idx //= g
+    return X
+
+
 def norm_infty_one_exact(
     A: MatrixLike,
     *,
@@ -382,13 +403,10 @@ def norm_infty_one_exact(
         best = -math.inf
         best_x = None
         total = 1 << (m - 1)
-        chunk = 1 << 14
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-            X = np.ones((m, idx.size))
-            for bit in range(m - 1):
-                X[bit + 1, :] = 1.0 - 2.0 * ((idx >> np.uint64(bit)) & np.uint64(1)).astype(float)
-            vals = np.abs(arr @ X).sum(axis=0)
+        for start in range(0, total, BLOCK):
+            X = _sign_block(start, min(start + BLOCK, total), m)
+            Y = arr @ X
+            vals = np.abs(Y, out=Y).sum(axis=0)
             j = int(vals.argmax())
             if vals[j] > best:
                 best = float(vals[j])
@@ -402,17 +420,31 @@ def norm_infty_one_exact(
     if m == 1:
         x = np.ones(1, dtype=complex)
         return NormResult(float(np.abs(arr @ x).sum()), x, Certainty.ESTIMATE)
-    phases = np.exp(2j * np.pi * np.arange(g) / g)
-    grids = np.meshgrid(*([phases] * (m - 1)), indexing="ij")
-    X = np.ones((m, grids[0].size), dtype=complex)
-    for k, gk in enumerate(grids):
-        X[k + 1, :] = gk.reshape(-1)
-    vals = np.abs(arr @ X).sum(axis=0)
-    order = np.argsort(-vals, kind="stable")[:8]
-    val, vec, _, _ = _ascent(arr, as_index("inf"), as_index(1), X[:, order], 100, 1e-12)
-    if vals[order[0]] >= val:
-        val, vec = float(vals[order[0]]), X[:, order[0]].copy()
+    # running stable top 8 over the grid blocks: earlier columns win ties,
+    # exactly as one argsort over the whole grid would order them
+    top_vals = np.zeros(0)
+    top_X = np.zeros((m, 0), dtype=complex)
+    total = g ** (m - 1)
+    for start in range(0, total, BLOCK):
+        X = np.hstack([top_X, _phase_block(start, min(start + BLOCK, total), m, g)])
+        vals = np.concatenate([top_vals, np.abs(arr @ X[:, top_vals.size :]).sum(axis=0)])
+        order = np.argsort(-vals, kind="stable")[:8]
+        top_vals, top_X = vals[order], X[:, order]
+    val, vec, _, _ = _ascent(arr, as_index("inf"), as_index(1), top_X, 100, 1e-12)
+    if top_vals[0] >= val:
+        val, vec = float(top_vals[0]), top_X[:, 0].copy()
     return NormResult(float(val), vec, Certainty.ESTIMATE)
+
+
+def _lattice_side(m: int, budget: int) -> int:
+    """Points per axis of the real brute-force lattice (at most 9), or 0 to
+    skip it when even its 2^m corners would exceed half the budget."""
+    if 2**m > budget // 2:
+        return 0
+    k = 2
+    while (k + 1) ** m <= budget // 2 and k < 9:
+        k += 1
+    return k
 
 
 def norm_bruteforce(
@@ -425,8 +457,9 @@ def norm_bruteforce(
     """Sampled lower bound on ||A||_{p,q}, independent of the closed forms.
 
     Spends the budget on structured candidates (coordinate vectors, sign or
-    phase patterns, a coarse lattice) plus random directions, then polishes
-    the ten best by ascent.  Deterministic for a fixed seed.
+    phase patterns, a coarse lattice while its 2^m corners fit in half the
+    budget) plus random directions, then polishes the ten best by ascent.
+    Deterministic for a fixed seed.
     """
     if budget < 100:
         raise ValueError("budget too small to be meaningful")
@@ -438,14 +471,13 @@ def norm_bruteforce(
     rng = np.random.default_rng(seed)
     blocks = [np.eye(m, dtype=dtype), np.ones((m, 1), dtype=dtype)]
     if not M.is_complex:
-        k = 2
-        while (k + 1) ** m <= budget // 2 and k < 9:
-            k += 1
-        axis = np.linspace(-1.0, 1.0, k)
-        mesh = np.meshgrid(*([axis] * m), indexing="ij")
-        lattice = np.stack([g.reshape(-1) for g in mesh])
-        lattice = lattice[:, np.abs(lattice).sum(axis=0) > 0]
-        blocks.append(lattice)
+        k = _lattice_side(m, budget)
+        if k:
+            axis = np.linspace(-1.0, 1.0, k)
+            mesh = np.meshgrid(*([axis] * m), indexing="ij")
+            lattice = np.stack([g.reshape(-1) for g in mesh])
+            lattice = lattice[:, np.abs(lattice).sum(axis=0) > 0]
+            blocks.append(lattice)
     else:
         if 4 ** m <= budget // 4:
             phases = np.array([1, -1, 1j, -1j], dtype=complex)

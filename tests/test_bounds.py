@@ -17,6 +17,7 @@ from pqnorm import (
     check_inequality,
     decide_equality,
     duality_check,
+    gen_tensor_product,
     monotonicity_check,
     monotonicity_check_in_s,
     norm_upper_bound,
@@ -92,6 +93,15 @@ class TestNormBracket:
                 assert br.lower <= val * (1 + 1e-12)
                 assert br.upper >= val * (1 - 1e-12)
                 assert br.lower <= br.upper * (1 + 1e-12)
+
+    def test_rank_one_tensor_never_inverts(self):
+        # ||c b^T||_{r,s} = ||b||_{r*} ||c||_s: the ascent reaches it to the
+        # last ulp, one ulp above the rounded certified bound at (3,3)
+        T = gen_tensor_product(np.ones(8) / math.sqrt(8), np.ones(5) / math.sqrt(5))
+        for p, q in [(3, 3), (3, 1.5), (1.5, 3)]:
+            br = bracket_norm(T, p, q)
+            assert not br.is_exact
+            assert br.lower <= br.upper
 
     def test_bracket_exact_pair_collapses(self):
         br = bracket_norm(np.diag([3.0, 1.0]), 2, 2)

@@ -41,6 +41,7 @@ from pqnorm import (
     sufficient_einfinf,
     svd,
 )
+from pqnorm import equality_classes
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 BC = as_matrix(B, field="complex")
@@ -184,6 +185,125 @@ class TestEinf1:
     def test_single_entry_no(self):
         SE = gen_single_entry(2, 2, 0, 0, 3.0)
         assert check_Einf1(as_matrix(SE.entries, field="complex"), 2, 2).member == "no"
+
+
+def _complex(A):
+    return as_matrix(A.entries, field="complex")
+
+
+def _reference_search(Q, rng, W=None, tries=24, iters=400):
+    """The unbatched search, one start at a time: the reference the batched
+    kernel must reproduce up to rounding."""
+    m, k = Q.shape
+    P = Q @ Q.conj().T
+    starts = [Q[:, j] for j in range(k)] + [P @ np.ones(m, dtype=complex)]
+    starts += [Q @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)) for _ in range(tries)]
+    if m <= 4:
+        g = 8 if m >= 4 else (16 if W is None else 24)
+        phases = np.exp(2j * np.pi * np.arange(g) / g)
+        mesh = np.meshgrid(*([phases] * (m - 1)), indexing="ij")
+        Xg = np.vstack([np.ones(g ** (m - 1))] + [t.reshape(-1) for t in mesh])
+        fit = np.linalg.norm(Q @ (Q.conj().T @ Xg) - Xg, axis=0)
+        starts += [Xg[:, j] for j in np.argsort(fit, kind="stable")[: 8 if W is None else 12]]
+    out = []
+    for x in starts:
+        if np.linalg.norm(x) == 0:
+            continue
+        c = Q.conj().T @ x
+        ok = W is None
+        for _ in range(iters):
+            if W is None:
+                xn = P @ equality_classes._unit_phase(x, 0.0)
+                step = np.linalg.norm(xn - x)
+                small = step <= 1e-14 * max(np.linalg.norm(x), 1e-300)
+                x = xn
+                if small:
+                    break
+                continue
+            c = Q.conj().T @ equality_classes._unit_phase(Q @ c, 1e-14)
+            y = W @ c
+            ty = np.abs(y).mean()
+            if ty > 0:
+                c = W.conj().T @ (equality_classes._unit_phase(y, 1e-14) * ty)
+            x = Q @ c
+            a, b = np.abs(x), np.abs(W @ c)
+            if a.max() <= 1e-300:
+                break
+            y_dev = 0.0 if b.max() <= 0 else (b.max() - b.min()) / b.max()
+            if (a.max() - a.min()) / a.max() <= 1e-12 and y_dev <= 1e-12:
+                ok = True
+                break
+        a = np.abs(x)
+        if not ok or a.min() <= 1e-8:
+            continue
+        w = x / a
+        if np.linalg.norm(P @ w - w) > 1e-8 * math.sqrt(m):
+            continue
+        if not any(abs(np.vdot(u, w)) >= (1.0 - 1e-8) * m for u in out):
+            out.append(w)
+    return out
+
+
+class TestUnimodularSearch:
+    """The batched phase-projection search behind degenerate eigenspaces."""
+
+    @pytest.mark.parametrize(
+        "A", [gen_dft(3), gen_dft(6), _complex(gen_hadamard(4))], ids=["dft3", "dft6", "hadamard4"]
+    )
+    def test_matches_unbatched_reference(self, A):
+        arr = A.entries
+        Q = svd(arr).v.astype(complex)
+        for W in (arr @ Q / math.sqrt(A.m), None):
+            got = equality_classes._unimodular_in_subspace(Q, np.random.default_rng(5), W)
+            want = _reference_search(Q, np.random.default_rng(5), W)
+            assert len(got) == len(want) > 0
+            for u, v in zip(got, want):
+                assert np.abs(u - v).max() <= 1e-9
+
+    def test_same_seed_same_candidates(self):
+        A = gen_dft(6).entries
+        Q = svd(A).v.astype(complex)
+        for W in (A @ Q / math.sqrt(6), None):
+            a = equality_classes._unimodular_in_subspace(Q, np.random.default_rng(3), W)
+            b = equality_classes._unimodular_in_subspace(Q, np.random.default_rng(3), W)
+            assert len(a) > 0 and len(a) == len(b)
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    @pytest.mark.parametrize(
+        "A",
+        [gen_dft(k) for k in range(2, 9)] + [_complex(gen_hadamard(k)) for k in (2, 4, 8)],
+        ids=[f"dft{k}" for k in range(2, 9)] + [f"hadamard{k}" for k in (2, 4, 8)],
+    )
+    def test_biunimodular_einf1_certificate(self, A):
+        # every singular value is equal, so the eigenspace is searched whole
+        verdict = check_Einf1(A, 2, 2)
+        assert verdict.member == "yes"
+        v = verdict.certificate["v"]
+        arr = A.entries
+        assert np.abs(np.abs(v) - 1.0).max() <= 1e-9
+        z = arr.conj().T @ (arr @ v)
+        lam = np.vdot(v, z).real / np.vdot(v, v).real
+        assert np.linalg.norm(z - lam * v) <= 1e-7 * np.linalg.norm(z)
+        image = np.abs(arr @ v)
+        assert image.max() - image.min() <= 1e-9 * image.max()
+
+    def test_svd_equality_degenerate_complex(self, monkeypatch):
+        # the top subspace of a diagonal unitary is everything and its
+        # computed leading vector e_1 is not in K_1, so (inf,2) needs the
+        # search without an image constraint; it finds (1,1,1)/sqrt3
+        image_maps = []
+        search = equality_classes._unimodular_in_subspace
+
+        def spy(Q, rng, W=None):
+            image_maps.append(W)
+            return search(Q, rng, W)
+
+        monkeypatch.setattr(equality_classes, "_unimodular_in_subspace", spy)
+        verdict = check_svd_equality(as_matrix(np.diag([1.0, 1j, -1.0])), "inf", 2)
+        assert verdict.member == "yes"
+        assert image_maps == [None]
+        lead = verdict.certificate.v[:, 0]
+        assert np.allclose(np.abs(lead), 1.0 / math.sqrt(3.0))
 
 
 class TestSvdEquality:

@@ -30,6 +30,7 @@ from pqnorm import (
     svd,
     vector_norm,
 )
+from pqnorm.induced_norms import _ascent, _lattice_side, _phase_block
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 GRID = [1, 1.5, 2, 3, "inf"]
@@ -186,6 +187,25 @@ class TestInftyOneExact:
         with pytest.raises(DimensionError):
             norm_infty_one_exact(M, max_real_cols=3)
 
+    def test_phase_blocks_match_full_grid(self):
+        # 16^4 columns span four blocks; the running top 8 must pick the
+        # columns one stable argsort over the whole grid would pick
+        g, m = 16, 5
+        phases = np.exp(2j * np.pi * np.arange(g) / g)
+        mesh = np.meshgrid(*([phases] * (m - 1)), indexing="ij")
+        full = np.vstack([np.ones(g ** (m - 1))] + [t.reshape(-1) for t in mesh])
+        assert np.array_equal(_phase_block(0, full.shape[1], m, g), full)
+        assert np.array_equal(_phase_block(20000, 20100, m, g), full[:, 20000:20100])
+        for A in (np.ones((3, m), dtype=complex), rand_matrix(7, 4, m, complex_=True).entries):
+            vals = np.abs(A @ full).sum(axis=0)
+            top = np.argsort(-vals, kind="stable")[:8]
+            val, vec, _, _ = _ascent(A, as_index("inf"), as_index(1), full[:, top], 100, 1e-12)
+            if vals[top[0]] >= val:
+                val, vec = vals[top[0]], full[:, top[0]]
+            res = norm_infty_one_exact(A)
+            assert res.value == val
+            assert np.array_equal(res.witness, vec)
+
     def test_matches_oracle(self):
         for i in range(6):
             M = rand_matrix(400 + i, 2, 3, complex_=False)
@@ -199,6 +219,14 @@ class TestBruteforceOracle:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             norm_bruteforce(np.eye(2), 2, 2, budget=10)
+
+    def test_lattice_bounded_by_budget(self):
+        # the real lattice has at least 2^m points; it is planned, not built,
+        # here: at m = 32 it would hold 2^32 columns
+        assert _lattice_side(32, 10_000) == 0
+        assert _lattice_side(13, 10_000) == 0
+        assert [_lattice_side(m, 10_000) for m in (1, 2, 4, 12)] == [9, 9, 8, 2]
+        assert _lattice_side(8, 200) == 0
 
     def test_never_exceeds_exact_value(self):
         # the oracle is a max over feasible points: always a valid lower bound
