@@ -15,17 +15,15 @@ Exit codes: 0 success / member yes; 1 usage or I/O error; 2 --exact-only
 requested but only an estimate is available; 3 member no; 4 member
 undetermined; 5 a verify property failed.
 
-The optional THREADS environment variable caps sweep parallelism; output
-row order is fixed by the grid regardless.
+Sweeps run in one thread, in grid order; the THREADS environment variable
+is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import enum
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import is_dataclass, fields as dc_fields
 from typing import List, Optional
 
@@ -275,16 +273,6 @@ def _sweep_rows(M: MatrixValue, p, q, r_grid, s_grid, seed: int) -> List[str]:
             ]
         )
 
-    workers = 0
-    env = os.environ.get("THREADS", "")
-    if env.strip():
-        try:
-            workers = max(0, int(env))
-        except ValueError:
-            workers = 0
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(one, points))
     return [one(pt) for pt in points]
 
 

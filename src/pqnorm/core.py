@@ -165,8 +165,6 @@ def vector_norm(x, p: IndexLike = 2) -> float:
     v = q.value
     if v == 1.0:
         return float(a.sum())
-    if v == 2.0:
-        return float(np.sqrt((a * a).sum()))
     peak = float(a.max())
     if peak == 0.0:
         return 0.0

@@ -9,9 +9,10 @@ callers can tell exact values from estimates.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -56,7 +57,7 @@ class DimensionError(ValueError):
 
 
 class SvdConvergenceError(RuntimeError):
-    """Raised when Jacobi sweeps fail to orthogonalize the columns."""
+    """Raised when the LAPACK singular value decomposition does not converge."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,16 @@ class MatrixValue:
     The field marker decides which vectors x compete in max ||Ax||_q / ||x||_p:
     a real-entried matrix may still be treated over the complex field, where
     some norms (notably (inf, 1)) are strictly larger.
+
+    Results that depend only on the matrix (its SVD, best_norm per
+    arguments) are memoised on the value itself, so they live exactly as
+    long as the matrix does.
     """
 
     entries: np.ndarray
     field: str = REAL
+    # the class attribute ``field`` shadows dataclasses.field in this body
+    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, copy=True)
@@ -178,8 +185,6 @@ def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
     v = p.value
     if v == 1.0:
         return a.sum(axis=0)
-    if v == 2.0:
-        return np.sqrt((a * a).sum(axis=0))
     peak = a.max(axis=0)
     safe = np.where(peak > 0, peak, 1.0)
     return safe * ((a / safe) ** v).sum(axis=0) ** (1.0 / v)
@@ -224,16 +229,22 @@ def _ascent(
 
     Each step replaces x by the p-unit maximizer of Re <A* phi_q(Ax), x>,
     which never decreases ||Ax||_q / ||x||_p at the exact fixed points and in
-    practice climbs to a local maximum quickly.  Returns the best (value,
-    witness) seen plus the terminal iterates of every column.
+    practice climbs to a local maximum quickly.  A column freezes the first
+    time its value moves by at most tol (relative), keeping that iterate and
+    value; only the columns still active are stepped.  Returns the best
+    (value, witness) seen plus the terminal values and iterates of every
+    column.
     """
     pstar = conjugate(p)
-    X = _normalize_cols(X0.copy(), p)
+    adj = arr.conj().T
+    X_out = _normalize_cols(X0.copy(), p)
+    vals = vals_out = np.zeros(X_out.shape[1])
     best_val = -math.inf
-    best_vec = X[:, 0].copy()
+    best_vec = X_out[:, 0].copy()
+    live = np.arange(X_out.shape[1])
+    X = X_out
     prev = None
-    vals = np.zeros(X.shape[1])
-    for it in range(max_iter):
+    for _ in range(max_iter):
         Y = arr @ X
         vals = _lp_cols(Y, q)
         j = int(vals.argmax())
@@ -241,19 +252,26 @@ def _ascent(
             best_val = float(vals[j])
             best_vec = X[:, j].copy()
         if prev is not None:
-            if np.all(np.abs(vals - prev) <= tol * np.maximum(vals, _TINY)):
-                break
+            done = np.abs(vals - prev) <= tol * np.maximum(vals, _TINY)
+            if done.any():
+                X_out[:, live[done]] = X[:, done]
+                vals_out[live[done]] = vals[done]
+                keep = ~done
+                live, X, Y, vals = live[keep], X[:, keep], Y[:, keep], vals[keep]
+                if not live.size:
+                    break
         prev = vals
         U = _phi_cols(Y, q)
-        Z = arr.conj().T @ U
-        Xn = _phi_cols(Z, pstar)
+        Xn = _phi_cols(adj @ U, pstar)
         norms = _lp_cols(Xn, p)
         dead = norms <= _TINY
         if dead.any():
             Xn[:, dead] = X[:, dead]
             norms = np.where(dead, 1.0, norms)
         X = Xn / norms
-    return best_val, best_vec, vals, X
+    X_out[:, live] = X
+    vals_out[live] = vals
+    return best_val, best_vec, vals_out, X_out
 
 
 def _random_cols(rng: np.random.Generator, m: int, count: int, field: str) -> np.ndarray:
@@ -515,24 +533,29 @@ def best_norm(
 
     Closed form when one exists, sign enumeration for real (inf, 1) within
     the dimension cap, otherwise the ascent estimate (optionally topped up
-    with a brute-force pass when a budget is given).
+    with a brute-force pass when a budget is given).  Memoised on the
+    matrix per (p, q, seed, settings, budget); the witness is read-only.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
-    res = norm_closed_form(M, pi, qi)
+    key = (pi, qi, seed, settings, budget)
+    res = M._memo.get(key)
     if res is not None:
         return res
-    if pi.is_inf and qi.value == 1.0:
+    res = norm_closed_form(M, pi, qi)
+    if res is None and pi.is_inf and qi.value == 1.0:
         try:
-            return norm_infty_one_exact(M, seed=seed)
+            res = norm_infty_one_exact(M, seed=seed)
         except DimensionError:
             pass
-    cfg = settings or EstimatorSettings(seed=seed)
-    res = norm_estimate(M, pi, qi, cfg)
-    if budget is not None:
-        other = norm_bruteforce(M, pi, qi, budget=budget, seed=seed)
-        if other.value > res.value:
-            res = other
+    if res is None:
+        res = norm_estimate(M, pi, qi, settings or EstimatorSettings(seed=seed))
+        if budget is not None:
+            other = norm_bruteforce(M, pi, qi, budget=budget, seed=seed)
+            if other.value > res.value:
+                res = other
+    res.witness.setflags(write=False)
+    M._memo[key] = res
     return res
 
 
@@ -606,96 +629,21 @@ class SvdFactors:
         return self.u @ self.sigma_matrix() @ self.v.conj().T
 
 
-def _complete_unitary(U: np.ndarray, filled: np.ndarray) -> None:
-    """Fill the unset columns of U (marked by filled) with an orthonormal
-    completion drawn from coordinate directions."""
-    n = U.shape[0]
-    have = [j for j in range(U.shape[1]) if filled[j]]
-    for j in range(U.shape[1]):
-        if filled[j]:
-            continue
-        best_res = None
-        best_norm_sq = -1.0
-        for i in range(n):
-            cand = np.zeros(n, dtype=U.dtype)
-            cand[i] = 1.0
-            for k in have:
-                cand -= U[:, k] * np.vdot(U[:, k], cand)
-            nrm = float(np.linalg.norm(cand))
-            if nrm > best_norm_sq:
-                best_norm_sq = nrm
-                best_res = cand
-        U[:, j] = best_res / best_norm_sq
-        have.append(j)
-        filled[j] = True
+def svd(A: MatrixLike) -> SvdFactors:
+    """Full singular value decomposition by LAPACK (numpy.linalg.svd).
 
-
-def svd(A: MatrixLike, *, max_sweeps: int = 30, rel_tol: float = 1e-12) -> SvdFactors:
-    """Singular value decomposition by one-sided Jacobi rotations.
-
-    Columns of A are orthogonalized by right multiplications with 2x2
-    unitaries until every off-diagonal Gram entry is below rel_tol times the
-    geometric mean of the corresponding column norms.  Simple, accurate at
-    the sizes this package targets, and complex-capable.
+    Computed once per matrix and memoised on it, so the factors are
+    read-only.  The top singular value leads; complex-capable.
     """
     M = as_matrix(A)
-    arr = M.entries
-    n, m = arr.shape
-    if n < m:
-        f = svd(M.adjoint(), max_sweeps=max_sweeps, rel_tol=rel_tol)
-        return SvdFactors(u=f.v, s=f.s, v=f.u)
-    B = arr.copy()
-    dtype = B.dtype
-    V = np.eye(m, dtype=dtype)
-    for _ in range(max_sweeps):
-        rotated = False
-        for j in range(m - 1):
-            for k in range(j + 1, m):
-                bj = B[:, j]
-                bk = B[:, k]
-                ajj = float(np.vdot(bj, bj).real)
-                akk = float(np.vdot(bk, bk).real)
-                ajk = np.vdot(bj, bk)
-                den = math.sqrt(ajj * akk)
-                if den <= _TINY or abs(ajk) <= rel_tol * den:
-                    continue
-                rotated = True
-                gamma = abs(ajk)
-                ph = ajk / gamma
-                tau = (akk - ajj) / (2.0 * gamma)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = t * cs
-                # 2x2 unitary [[cs, sn], [-sn*conj(ph), cs*conj(ph)]] kills the
-                # (j, k) Gram entry
-                colj = B[:, j].copy()
-                colk = B[:, k].copy()
-                B[:, j] = cs * colj - sn * np.conj(ph) * colk
-                B[:, k] = sn * colj + cs * np.conj(ph) * colk
-                vj = V[:, j].copy()
-                vk = V[:, k].copy()
-                V[:, j] = cs * vj - sn * np.conj(ph) * vk
-                V[:, k] = sn * vj + cs * np.conj(ph) * vk
-        if not rotated:
-            break
-    else:
-        norms_chk = np.sqrt((np.abs(B) ** 2).sum(axis=0))
-        gram = np.abs(B.conj().T @ B)
-        np.fill_diagonal(gram, 0.0)
-        scale = np.outer(norms_chk, norms_chk)
-        if np.any(gram > 1e-8 * np.maximum(scale, _TINY)):
-            raise SvdConvergenceError("Jacobi sweeps did not converge")
-    norms = np.sqrt((np.abs(B) ** 2).sum(axis=0))
-    order = np.argsort(-norms, kind="stable")
-    B = B[:, order]
-    V = V[:, order]
-    s = norms[order]
-    cutoff = s[0] * 1e-13 if s[0] > 0 else 0.0
-    U = np.zeros((n, n), dtype=dtype)
-    filled = np.zeros(n, dtype=bool)
-    for j in range(m):
-        if s[j] > cutoff:
-            U[:, j] = B[:, j] / s[j]
-            filled[j] = True
-    _complete_unitary(U, filled)
-    return SvdFactors(u=U, s=s[: min(n, m)].astype(float), v=V)
+    f = M._memo.get("svd")
+    if f is None:
+        try:
+            u, s, vh = np.linalg.svd(M.entries)
+        except np.linalg.LinAlgError as e:
+            raise SvdConvergenceError(str(e)) from e
+        f = SvdFactors(u=u, s=s, v=vh.conj().T)
+        for a in (f.u, f.s, f.v):
+            a.setflags(write=False)
+        M._memo["svd"] = f
+    return f

@@ -103,6 +103,30 @@ class TestNormBracket:
             assert not br.is_exact
             assert br.lower <= br.upper
 
+    @pytest.mark.parametrize("k", [-1000, -669, 669, 1000])
+    def test_exact_power_of_two_scaling(self, k):
+        # 2^k A is exact in floating point, so every exact route must return
+        # 2^k times the unscaled value, and no bracket may overflow,
+        # underflow or invert
+        for i in range(8):
+            r = np.random.default_rng(980 + i)
+            n, m = int(r.integers(1, 5)), int(r.integers(1, 5))
+            A0 = r.standard_normal((n, m))
+            field = "real"
+            if i % 2:
+                A0 = A0 + 1j * r.standard_normal((n, m))
+                field = "complex"
+            M0 = as_matrix(A0, field=field)
+            M = as_matrix(np.ldexp(A0.real, k) + 1j * np.ldexp(A0.imag, k), field=field)
+            for p in GRID:
+                for q in GRID:
+                    br = bracket_norm(M, p, q)
+                    assert math.isfinite(br.lower) and math.isfinite(br.upper), (i, p, q)
+                    assert 0.0 < br.lower <= br.upper, (i, p, q)
+                    if br.is_exact:
+                        want = math.ldexp(best_norm(M0, p, q).value, k)
+                        assert abs(br.lower - want) <= 1e-12 * want, (i, p, q)
+
     def test_bracket_exact_pair_collapses(self):
         br = bracket_norm(np.diag([3.0, 1.0]), 2, 2)
         assert math.isclose(br.lower, br.upper, rel_tol=1e-12)

@@ -21,6 +21,7 @@ from pqnorm import (
     as_matrix,
     best_norm,
     conjugate,
+    gen_svd_extremal,
     maximizer_set_probe,
     norm_bruteforce,
     norm_closed_form,
@@ -30,7 +31,16 @@ from pqnorm import (
     svd,
     vector_norm,
 )
-from pqnorm.induced_norms import _ascent, _lattice_side, _phase_block
+from pqnorm.induced_norms import (
+    _TINY,
+    _ascent,
+    _default_starts,
+    _lattice_side,
+    _lp_cols,
+    _normalize_cols,
+    _phase_block,
+    _phi_cols,
+)
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 GRID = [1, 1.5, 2, 3, "inf"]
@@ -111,6 +121,49 @@ class TestSvd:
         f = svd(M)
         assert f.u.shape == (2, 2) and f.v.shape == (5, 5)
         assert np.allclose(f.reconstruct(), M.entries, atol=1e-12)
+
+
+    def test_rank_deficient_generated(self):
+        # rank-one outputs of gen_svd_extremal on which one-sided Jacobi
+        # sweeps never converged
+        cases = [
+            (2, 4, "inf", "inf", 126, "complex"),
+            (5, 6, "inf", 1, 87, "real"),
+            (4, 5, "inf", 1, 103, "real"),
+        ]
+        for m, n, r, s, seed, field in cases:
+            E = gen_svd_extremal(m, n, r, s, [2.0], seed=seed, field_tag=field)
+            f = svd(E)
+            assert np.allclose(f.s, [2.0] + [0.0] * (min(m, n) - 1), atol=1e-12)
+            assert np.allclose(f.u.conj().T @ f.u, np.eye(n), atol=1e-12)
+            assert np.allclose(f.v.conj().T @ f.v, np.eye(m), atol=1e-12)
+            assert np.allclose(f.reconstruct(), E.entries, atol=1e-12)
+
+
+class TestMemo:
+    def test_repeat_call_hits(self):
+        M = rand_matrix(12, 3, 3, complex_=True)
+        a = best_norm(M, 1.7, 2.3, seed=1)
+        assert best_norm(M, 1.7, 2.3, seed=1) is a
+        assert best_norm(M, as_index(1.7), "2.3", seed=1) is a
+        assert svd(M) is svd(M)
+
+    def test_other_arguments_miss(self):
+        M = rand_matrix(13, 3, 3)
+        a = best_norm(M, 1.7, 2.3, seed=1)
+        assert best_norm(M, 1.7, 2.3, seed=2) is not a
+        assert best_norm(M, 1.7, 2.3, seed=1, budget=500) is not a
+        assert best_norm(M, 1.7, 2.3, seed=1, settings=EstimatorSettings(seed=1)) is not a
+        C = as_matrix(M, field="complex")
+        assert best_norm(C, 1.7, 2.3, seed=1) is not a
+        assert svd(C) is not svd(M)
+
+    def test_cached_arrays_read_only(self):
+        M = rand_matrix(14, 3, 2)
+        f = svd(M)
+        for arr in (best_norm(M, 1.7, 2.3).witness, best_norm(M, 2, 2).witness, f.u, f.s, f.v):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestClosedForms:
@@ -281,6 +334,50 @@ class TestEstimator:
         plain = best_norm(B, 1.7, 2.3)
         topped = best_norm(B, 1.7, 2.3, budget=2000)
         assert topped.value >= plain.value
+
+
+def _ascent_all_columns(arr, p, q, X0, max_iter, tol):
+    """The ascent that steps every column until all have converged: the
+    reference for per-column stopping."""
+    pstar = conjugate(p)
+    X = _normalize_cols(X0.copy(), p)
+    best_val = -math.inf
+    prev = None
+    for _ in range(max_iter):
+        Y = arr @ X
+        vals = _lp_cols(Y, q)
+        best_val = max(best_val, float(vals.max()))
+        if prev is not None and np.all(np.abs(vals - prev) <= tol * np.maximum(vals, _TINY)):
+            break
+        prev = vals
+        Xn = _phi_cols(arr.conj().T @ _phi_cols(Y, q), pstar)
+        norms = _lp_cols(Xn, p)
+        dead = norms <= _TINY
+        if dead.any():
+            Xn[:, dead] = X[:, dead]
+            norms = np.where(dead, 1.0, norms)
+        X = Xn / norms
+    return best_val
+
+
+class TestAscent:
+    PAIRS = [(1.5, 1.5), (1.5, 3), (3, 1.5), (4, 1.2), ("inf", 3), (3, 1)]
+
+    def test_per_column_stopping_matches_all_columns(self):
+        # freezing a column once its value moves by at most tol changes the
+        # best value by a few tol at most
+        for i in range(24):
+            r = np.random.default_rng(1000 + i)
+            n, m = int(r.integers(1, 9)), int(r.integers(1, 9))
+            M = rand_matrix(1000 + i, n, m, complex_=bool(i % 2))
+            for p, q in self.PAIRS:
+                pi, qi = as_index(p), as_index(q)
+                X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
+                want = _ascent_all_columns(M.entries, pi, qi, X0, 200, 1e-10)
+                got, vec, vals, X = _ascent(M.entries, pi, qi, X0, 200, 1e-10)
+                assert abs(got - want) <= 1e-8 * want, (i, p, q)
+                assert math.isclose(norm_ratio(M, vec, p, q), got, rel_tol=1e-9)
+                assert vals.max() <= got and X.shape == X0.shape
 
 
 class TestWorkedExample:
