@@ -51,13 +51,12 @@ from .core import (
     vector_norm,
 )
 from .induced_norms import (
-    BLOCK,
     DimensionError,
     MatrixLike,
     MatrixValue,
     SvdFactors,
     _phase_block,
-    _sign_block,
+    _sign_images,
     as_matrix,
     svd,
 )
@@ -372,12 +371,21 @@ def sufficient_e1inf(
 # ---------------------------------------------------------------------------
 
 
+def _pow2_normalized(arr: np.ndarray) -> tuple:
+    """(arr / 2^e, e) for e the exponent of the largest modulus: exact, and
+    safe to square or multiply at any scale of arr."""
+    e = int(np.frexp(np.abs(arr).max())[1])
+    if np.iscomplexobj(arr):
+        return np.ldexp(arr.real, -e) + 1j * np.ldexp(arr.imag, -e), e
+    return np.ldexp(arr, -e), e
+
+
 def _column_conditions(arr: np.ndarray, tol: float):
     """Extremal-column structure: (cond_i_ok, cond_ii_ok, sigma, mask)."""
+    arr, e = _pow2_normalized(arr)
     a = np.abs(arr)
     col_l1 = a.sum(axis=0)
-    sigma = float(col_l1.max())
-    mask = col_l1 >= sigma * (1.0 - tol)
+    mask = col_l1 >= col_l1.max() * (1.0 - tol)
     ok_i = True
     for j in np.nonzero(mask)[0]:
         col = a[:, j]
@@ -396,7 +404,8 @@ def _column_conditions(arr: np.ndarray, tol: float):
                 break
         if not ok_ii:
             break
-    return ok_i, ok_ii, sigma, mask
+    with np.errstate(over="ignore"):  # sigma may pass the float range: inf
+        return ok_i, ok_ii, float(np.ldexp(col_l1.max(), e)), mask
 
 
 def _check_11_columns(
@@ -655,14 +664,17 @@ def _constant_modulus(w: np.ndarray, tol: float) -> Optional[float]:
     return None
 
 
-def _eigen_residual_ok(arr: np.ndarray, v: np.ndarray, tol: float) -> tuple:
+def _eigen_residual_ok(arr: np.ndarray, e: int, v: np.ndarray, tol: float) -> tuple:
+    """(v is an eigenvector of A*A to relative residual tol, its eigenvalue),
+    for arr = A / 2^e from _pow2_normalized."""
     z = arr.conj().T @ (arr @ v)
     nz = float(np.linalg.norm(z))
     if nz == 0.0:
         return True, 0.0
     lam = float((np.vdot(v, z) / np.vdot(v, v)).real)
     resid = float(np.linalg.norm(z - lam * v))
-    return resid <= tol * nz, lam
+    with np.errstate(over="ignore"):
+        return resid <= tol * nz, float(np.ldexp(lam, 2 * e))
 
 def _resolve_amplitude(
     M: MatrixValue,
@@ -798,6 +810,7 @@ def check_Einf1(
         return early
     arr = M.entries
     n, m = arr.shape
+    scaled, e = _pow2_normalized(arr)
     ab = bracket_norm(M, pi, qi, seed=seed)
     certainty = "exact" if ab.is_exact else "estimate-backed"
     if not M.is_complex:
@@ -806,28 +819,24 @@ def check_Einf1(
                 f"sign enumeration capped at {max_real_cols} columns, got {m}"
             )
         candidates = []
-        total = 1 << (m - 1)
-        for start in range(0, total, BLOCK):
-            X = _sign_block(start, min(start + BLOCK, total), m)
-            W = arr @ X
+        for W, cols in _sign_images(arr):
             np.abs(W, out=W)  # in place: these blocks set the peak memory
             peaks = W.max(axis=0)
             spread = peaks - W.min(axis=0)
             ok = (peaks > 0) & (spread <= tol * np.maximum(peaks, 1e-300))
-            for j in np.nonzero(ok)[0]:
-                candidates.append(X[:, j].copy())
+            candidates.extend(cols(np.flatnonzero(ok)).T)
         conds = [
             Condition(
                 "unimodular-constant-image-vectors",
                 bool(candidates),
-                {"count": len(candidates), "searched": int(total)},
+                {"count": len(candidates), "searched": 1 << (m - 1)},
             )
         ]
         if not candidates:
             return _verdict("no", conds, certainty="exact")
         unresolved = False
         for v in candidates:
-            ok_eig, lam = _eigen_residual_ok(arr, v, tol)
+            ok_eig, lam = _eigen_residual_ok(scaled, e, v, tol)
             if not ok_eig:
                 continue
             res = _resolve_amplitude(M, v, pi, qi, ab, tol)
@@ -903,7 +912,7 @@ def check_Einf1(
             tau = _constant_modulus(arr @ w, tol)
             if tau is None:
                 continue
-            ok_eig, lam = _eigen_residual_ok(arr, w, max(tol, 1e-7))
+            ok_eig, lam = _eigen_residual_ok(scaled, e, w, max(tol, 1e-7))
             if not ok_eig:
                 continue
             res = _resolve_amplitude(M, w, pi, qi, ab, tol)
@@ -952,13 +961,9 @@ def _sign_vectors_in_span(Q: np.ndarray, cap: int = 24) -> Optional[list]:
     if m - 1 > cap:
         return None
     out = []
-    P = Q @ Q.T
-    total = 1 << (m - 1)
-    for start in range(0, total, BLOCK):
-        X = _sign_block(start, min(start + BLOCK, total), m)
-        resid = np.linalg.norm(P @ X - X, axis=0)
-        for j in np.nonzero(resid <= 1e-8 * math.sqrt(m))[0]:
-            out.append(X[:, j] / math.sqrt(m))
+    for R, cols in _sign_images(Q @ Q.T - np.eye(m)):
+        resid = np.linalg.norm(R, axis=0)
+        out.extend(cols(np.flatnonzero(resid <= 1e-8 * math.sqrt(m))).T / math.sqrt(m))
     return out
 
 

@@ -2,9 +2,9 @@
 
 Exact routes exist for p = 1 (column maximum), q = inf (row maximum via the
 dual exponent), (p, q) = (2, 2) (largest singular value) and, over the real
-field, (inf, 1) by sign enumeration.  Everything else is estimated from below
-by a duality-map ascent with restarts; results carry a certainty tag so
-callers can tell exact values from estimates.
+field, (inf, 1) by incremental sign enumeration.  Everything else is estimated
+from below by a duality-map ascent with restarts, one fused pass per half-step;
+results carry a certainty tag so callers can tell exact values from estimates.
 """
 
 from __future__ import annotations
@@ -166,15 +166,13 @@ def norm_ratio(A: MatrixLike, x, p: IndexLike, q: IndexLike) -> float:
     return vector_norm(M.entries @ vec, q) / den
 
 
-def _phase(w: np.ndarray) -> np.ndarray:
-    """w / |w| entrywise, 0 mapped to 0; sign() for real input."""
-    if np.iscomplexobj(w):
-        a = np.abs(w)
-        out = np.zeros_like(w)
-        nz = a > 0
-        out[nz] = w[nz] / a[nz]
-        return out
-    return np.sign(w)
+def _phase(w: np.ndarray, a: Optional[np.ndarray] = None) -> np.ndarray:
+    """w / |w| entrywise, 0 mapped to 0; sign() for real input.  a, when
+    given, is |w|."""
+    if not np.iscomplexobj(w):
+        return np.sign(w)
+    a = np.abs(w) if a is None else a
+    return w / np.where(a > 0, a, 1.0)
 
 
 def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
@@ -190,25 +188,25 @@ def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
     return safe * ((a / safe) ** v).sum(axis=0) ** (1.0 / v)
 
 
-def _phi_cols(W: np.ndarray, t: ExtIndex) -> np.ndarray:
-    """Column-wise duality map |w|^(t-1) * phase(w).
-
-    At the boundary exponents the map degenerates: t = 1 yields the phase
-    vector, t = inf selects the lowest-index entry of maximal modulus.
-    """
-    if t.value == 1.0:
-        return _phase(W)
-    if t.is_inf:
-        a = np.abs(W)
-        idx = a.argmax(axis=0)
-        cols = np.arange(W.shape[1])
-        out = np.zeros_like(W)
-        out[idx, cols] = _phase(W[idx, cols])
-        return out
+def _dual_step(W: np.ndarray, t: ExtIndex):
+    """Column t-norms of W, the duality map r^(t-1) * phase(w) for r = |w| /
+    peak, and that map's t*-norm s^(1-1/t), s = sum r^(t-1) * r: one abs, one
+    power.  The map degenerates at t = 1 to the phase vector and at t = inf
+    to the lowest-index entry of maximal modulus."""
     a = np.abs(W)
     peak = a.max(axis=0)
+    if t.value == 1.0:
+        return a.sum(axis=0), _phase(W, a), (peak > 0).astype(float)
+    if t.is_inf:
+        top = (a.argmax(axis=0), np.arange(W.shape[1]))
+        phi = np.zeros_like(W)
+        phi[top] = _phase(W[top], peak)
+        return peak, phi, (peak > 0).astype(float)
     safe = np.where(peak > 0, peak, 1.0)
-    return ((a / safe) ** (t.value - 1.0)) * _phase(W)
+    r = a / safe
+    rp = r ** (t.value - 1.0)
+    s = (rp * r).sum(axis=0)
+    return safe * s ** (1.0 / t.value), rp * _phase(W, a), s ** (1.0 - 1.0 / t.value)
 
 
 def _normalize_cols(X: np.ndarray, p: ExtIndex) -> np.ndarray:
@@ -245,8 +243,7 @@ def _ascent(
     X = X_out
     prev = None
     for _ in range(max_iter):
-        Y = arr @ X
-        vals = _lp_cols(Y, q)
+        vals, U, _ = _dual_step(arr @ X, q)
         j = int(vals.argmax())
         if vals[j] > best_val:
             best_val = float(vals[j])
@@ -257,13 +254,11 @@ def _ascent(
                 X_out[:, live[done]] = X[:, done]
                 vals_out[live[done]] = vals[done]
                 keep = ~done
-                live, X, Y, vals = live[keep], X[:, keep], Y[:, keep], vals[keep]
+                live, X, U, vals = live[keep], X[:, keep], U[:, keep], vals[keep]
                 if not live.size:
                     break
         prev = vals
-        U = _phi_cols(Y, q)
-        Xn = _phi_cols(adj @ U, pstar)
-        norms = _lp_cols(Xn, p)
+        _, Xn, norms = _dual_step(adj @ U, pstar)
         dead = norms <= _TINY
         if dead.any():
             Xn[:, dead] = X[:, dead]
@@ -374,14 +369,43 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
 BLOCK = 1 << 14  # columns per block of an exhaustive enumeration
 
 
-def _sign_block(start: int, stop: int, m: int) -> np.ndarray:
-    """Columns are the sign vectors (first entry +1) indexed start..stop-1;
-    bit b of the index sets the sign of entry b + 1."""
-    idx = np.arange(start, stop, dtype=np.uint64)
-    X = np.ones((m, idx.size))
+def _sign_cols(idx, m: int) -> np.ndarray:
+    """The sign vectors (first entry +1) with the indices idx, one per
+    column (a vector for a scalar idx); bit b of an index sets the sign of
+    entry b + 1."""
+    idx = np.asarray(idx, dtype=np.uint64)
+    X = np.ones((m,) + idx.shape)
     for bit in range(m - 1):
-        X[bit + 1, :] = 1.0 - 2.0 * ((idx >> np.uint64(bit)) & np.uint64(1)).astype(float)
+        X[bit + 1] = 1.0 - 2.0 * ((idx >> np.uint64(bit)) & np.uint64(1)).astype(float)
     return X
+
+
+def _sign_images(B: np.ndarray):
+    """Yield (Y, cols) over the blocks X of the 2^(m-1) sign vectors in
+    index order, m = B.shape[1]: Y = B @ X and cols(j) = X[:, j].  Past one
+    block the low 14 bits repeat, so the image of the 15 leading entries is
+    formed once, each block adds that of its high signs into the reused Y,
+    and cols rebuilds only the columns asked for."""
+    m = B.shape[1]
+    total = 1 << (m - 1)
+    if total <= BLOCK:
+        X = _sign_cols(np.arange(total), m)
+        yield B @ X, lambda j: X[:, j]
+        return
+    low = BLOCK.bit_length()
+    base = B[:, :low] @ _sign_cols(np.arange(BLOCK), low)
+    Y = np.empty_like(base)
+    for start in range(0, total, BLOCK):
+        shift = B[:, low:] @ _sign_cols(start, m)[low:]
+        yield np.add(base, shift[:, None], out=Y), lambda j, s=start: _sign_cols(s + j, m)
+
+
+def _top8(vals: np.ndarray) -> np.ndarray:
+    """np.argsort(-vals, kind="stable")[:8] from a stable sort of only the
+    values at or above the 8th largest, kept in index order (ties match)."""
+    k = max(vals.size - 8, 0)
+    cand = np.flatnonzero(vals >= np.partition(vals, k)[k])
+    return cand[np.argsort(-vals[cand], kind="stable")[:8]]
 
 
 def _phase_block(start: int, stop: int, m: int, g: int) -> np.ndarray:
@@ -418,18 +442,14 @@ def norm_infty_one_exact(
     if not M.is_complex:
         if m > max_real_cols:
             raise DimensionError(f"sign enumeration capped at {max_real_cols} columns, got {m}")
-        best = -math.inf
-        best_x = None
-        total = 1 << (m - 1)
-        for start in range(0, total, BLOCK):
-            X = _sign_block(start, min(start + BLOCK, total), m)
-            Y = arr @ X
+        best, pick = -math.inf, None
+        for Y, cols in _sign_images(arr):
             vals = np.abs(Y, out=Y).sum(axis=0)
             j = int(vals.argmax())
             if vals[j] > best:
-                best = float(vals[j])
-                best_x = X[:, j].copy()
-        return NormResult(best, best_x, Certainty.ENUMERATION)
+                best, pick = float(vals[j]), (cols, j)
+        cols, j = pick
+        return NormResult(best, cols(j).copy(), Certainty.ENUMERATION)
     if m > max_complex_cols:
         raise DimensionError(f"phase grid capped at {max_complex_cols} columns, got {m}")
     g = phase_grid
@@ -446,7 +466,7 @@ def norm_infty_one_exact(
     for start in range(0, total, BLOCK):
         X = np.hstack([top_X, _phase_block(start, min(start + BLOCK, total), m, g)])
         vals = np.concatenate([top_vals, np.abs(arr @ X[:, top_vals.size :]).sum(axis=0)])
-        order = np.argsort(-vals, kind="stable")[:8]
+        order = _top8(vals)
         top_vals, top_X = vals[order], X[:, order]
     val, vec, _, _ = _ascent(arr, as_index("inf"), as_index(1), top_X, 100, 1e-12)
     if top_vals[0] >= val:

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from pqnorm import (
     BoundReport,
+    ClassId,
     NormBracket,
     as_index,
     as_matrix,
     best_norm,
     bound_factor,
     bracket_norm,
+    check_class,
     check_inequality,
     decide_equality,
     duality_check,
@@ -126,6 +128,35 @@ class TestNormBracket:
                     if br.is_exact:
                         want = math.ldexp(best_norm(M0, p, q).value, k)
                         assert abs(br.lower - want) <= 1e-12 * want, (i, p, q)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-1000, 1000),
+        complex_=st.booleans(),
+        p=st.sampled_from(GRID),
+        q=st.sampled_from(GRID),
+    )
+    def test_power_of_two_scaling_property(self, seed, k, complex_, p, q):
+        # any k in [-1000, 1000]: exact values scale by 2^k, brackets stay
+        # finite and ordered, and no class verdict changes
+        r = np.random.default_rng(seed)
+        n, m = int(r.integers(1, 4)), int(r.integers(1, 4))
+        A0 = r.standard_normal((n, m)) + (1j * r.standard_normal((n, m)) if complex_ else 0.0)
+        field = "complex" if complex_ else "real"
+        M0 = as_matrix(A0, field=field)
+        M = as_matrix(np.ldexp(A0.real, k) + 1j * np.ldexp(A0.imag, k), field=field)
+        for pp in GRID:
+            for qq in GRID:
+                br = bracket_norm(M, pp, qq)
+                assert math.isfinite(br.lower) and math.isfinite(br.upper), (pp, qq)
+                assert 0.0 < br.lower <= br.upper, (pp, qq)
+                res = best_norm(M, pp, qq)
+                if res.certainty.is_exact:
+                    want = math.ldexp(best_norm(M0, pp, qq).value, k)
+                    assert abs(res.value - want) <= 1e-12 * want, (pp, qq)
+        for cls in ClassId:
+            assert check_class(M, cls, p, q).member == check_class(M0, cls, p, q).member, cls
 
     def test_bracket_exact_pair_collapses(self):
         br = bracket_norm(np.diag([3.0, 1.0]), 2, 2)

@@ -42,6 +42,8 @@ from pqnorm import (
     svd,
 )
 from pqnorm import equality_classes
+from pqnorm.core import DEFAULT_TOL
+from pqnorm.induced_norms import BLOCK, _sign_cols
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 BC = as_matrix(B, field="complex")
@@ -160,6 +162,53 @@ class TestE11:
         A = np.array([[2.0, 0.0], [1.0, 0.0]])  # col 0 extremal, moduli differ
         assert check_E11(A, 2, 2).member == "no"
 
+    def test_column_conditions_power_of_two_scaling(self):
+        # a +-2 column on a Gaussian 3x3: unscaled squared norms and Gram
+        # entries overflow or underflow at 2^(+-1000), and sample 5 then
+        # read "undetermined" at (1.5, 1.5) where the unscaled matrix reads "no"
+        rng = np.random.default_rng(0)
+        samples = []
+        for _ in range(8):
+            A = rng.standard_normal((3, 3))
+            A[:, 0] = rng.choice([-2.0, 2.0], size=3)
+            samples.append(A)
+        Ac = samples[1] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, 3)))
+        for A in samples + [Ac]:
+            for arr in (A, A.conj().T):
+                want = equality_classes._column_conditions(arr, DEFAULT_TOL)
+                for k in (-1000, 1000):
+                    S = np.ldexp(arr.real, k) + 1j * np.ldexp(arr.imag, k)
+                    got = equality_classes._column_conditions(
+                        S if np.iscomplexobj(arr) else S.real, DEFAULT_TOL
+                    )
+                    assert got[:2] == want[:2] and np.array_equal(got[3], want[3])
+                    assert got[2] == math.ldexp(want[2], k)
+        A = samples[5]
+        for check in (check_E11, check_Einfinf):
+            for p in [1, 1.5, 2, 3, "inf"]:
+                for q in [1, 1.5, 2, 3, "inf"]:
+                    v0 = check(A, p, q)
+                    for k in (-1000, 1000):
+                        v = check(np.ldexp(A, k), p, q)
+                        assert v.member == v0.member, (check.__name__, p, q, k)
+                        assert [(c.name, c.satisfied) for c in v.conditions] == [
+                            (c.name, c.satisfied) for c in v0.conditions
+                        ]
+
+    def test_column_sum_past_float_max(self):
+        # the largest modulus has exponent 1024, so the column sum sigma
+        # passes the float range: a verdict, not an OverflowError
+        for A in (np.array([[1e308], [1e308]]), np.array([[1e308, 1e308]])):
+            S = np.ldexp(A, -1024)
+            for check in (check_E11, check_Einfinf):
+                v, v0 = check(A, 1.5, 1.5), check(S, 1.5, 1.5)
+                assert v.member == v0.member, (A.shape, check.__name__)
+                assert [(c.name, c.satisfied) for c in v.conditions] == [
+                    (c.name, c.satisfied) for c in v0.conditions
+                ]
+            for suff in (sufficient_e11, sufficient_einfinf):
+                assert suff(A, 1.5, 1.5) == suff(S, 1.5, 1.5), (A.shape, suff.__name__)
+
 
 class TestEinf1:
     def test_worked_complex_vs_real(self):
@@ -185,6 +234,80 @@ class TestEinf1:
     def test_single_entry_no(self):
         SE = gen_single_entry(2, 2, 0, 0, 3.0)
         assert check_Einf1(as_matrix(SE.entries, field="complex"), 2, 2).member == "no"
+
+    def test_power_of_two_scaling(self):
+        # the eigen-residual test formed A*A v unscaled, which overflowed at
+        # 2^1000 and turned both members into "no" or "undetermined"
+        for k in (-1000, 1000):
+            for A, field in ((J.entries, "real"), (B, "complex")):
+                assert check_Einf1(as_matrix(np.ldexp(A, k), field=field), 2, 2).member == "yes"
+
+
+def _blockwise_constant_image_signs(arr, tol):
+    """The real E_inf1 candidates (sign vectors with a constant-modulus
+    image) from materialised blocks of sign vectors: the reference for the
+    incremental enumeration."""
+    m = arr.shape[1]
+    total = 1 << (m - 1)
+    out = []
+    for start in range(0, total, BLOCK):
+        X = _sign_cols(np.arange(start, min(start + BLOCK, total)), m)
+        W = np.abs(arr @ X)
+        peaks = W.max(axis=0)
+        ok = (peaks > 0) & (peaks - W.min(axis=0) <= tol * np.maximum(peaks, 1e-300))
+        out += [X[:, j].copy() for j in np.nonzero(ok)[0]]
+    return out
+
+
+def _blockwise_signs_in_span(Q):
+    """Unit sign vectors in span(Q) from materialised blocks: the reference
+    for _sign_vectors_in_span."""
+    m = Q.shape[0]
+    P = Q @ Q.T
+    total = 1 << (m - 1)
+    out = []
+    for start in range(0, total, BLOCK):
+        X = _sign_cols(np.arange(start, min(start + BLOCK, total)), m)
+        resid = np.linalg.norm(P @ X - X, axis=0)
+        out += [X[:, j] / math.sqrt(m) for j in np.nonzero(resid <= 1e-8 * math.sqrt(m))[0]]
+    return out
+
+
+def _same_vectors(got, want):
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestSignEnumerationSites:
+    # (m, entry range) of integer 3 x m matrices with 7 to 3165 candidates;
+    # m = 2 uses a hand-made matrix with two
+    CASES = [(2, 0), (8, 2), (15, 1), (16, 2), (17, 2), (20, 5)]
+
+    def test_einf1_real_candidates(self, monkeypatch):
+        seen = []
+
+        def record(arr, e, v, tol):
+            seen.append(np.array(v))
+            return False, 0.0
+
+        monkeypatch.setattr(equality_classes, "_eigen_residual_ok", record)
+        for m, k in self.CASES:
+            if m == 2:
+                A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+            else:
+                A = np.random.default_rng(m).integers(-k, k + 1, size=(3, m)).astype(float)
+            seen.clear()
+            check_Einf1(as_matrix(A, field="real"), 2, 2)
+            want = _blockwise_constant_image_signs(A, DEFAULT_TOL)
+            assert want and _same_vectors(seen, want), m
+
+    def test_sign_vectors_in_span(self):
+        for m, _ in self.CASES:
+            r = np.random.default_rng(m)
+            S = _sign_cols(r.integers(0, 1 << (m - 1), size=3), m)
+            Q, _ = np.linalg.qr(np.hstack([S, r.standard_normal((m, 1))]))
+            got = equality_classes._sign_vectors_in_span(Q)
+            want = _blockwise_signs_in_span(Q)
+            assert want and _same_vectors(got, want), m
 
 
 def _complex(A):

@@ -32,14 +32,18 @@ from pqnorm import (
     vector_norm,
 )
 from pqnorm.induced_norms import (
+    BLOCK,
     _TINY,
     _ascent,
     _default_starts,
+    _dual_step,
     _lattice_side,
-    _lp_cols,
     _normalize_cols,
+    _phase,
     _phase_block,
-    _phi_cols,
+    _sign_cols,
+    _sign_images,
+    _top8,
 )
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -336,6 +340,55 @@ class TestEstimator:
         assert topped.value >= plain.value
 
 
+# The column helpers the ascent used before its step was fused into
+# _dual_step, kept verbatim as the reference for it.
+
+
+def _phase_masked(w: np.ndarray) -> np.ndarray:
+    """w / |w| entrywise, 0 mapped to 0; sign() for real input."""
+    if np.iscomplexobj(w):
+        a = np.abs(w)
+        out = np.zeros_like(w)
+        nz = a > 0
+        out[nz] = w[nz] / a[nz]
+        return out
+    return np.sign(w)
+
+
+def _lp_cols(W, p):
+    """Column-wise p-norms with overflow-safe rescaling."""
+    a = np.abs(W)
+    if p.is_inf:
+        return a.max(axis=0)
+    v = p.value
+    if v == 1.0:
+        return a.sum(axis=0)
+    peak = a.max(axis=0)
+    safe = np.where(peak > 0, peak, 1.0)
+    return safe * ((a / safe) ** v).sum(axis=0) ** (1.0 / v)
+
+
+def _phi_cols(W, t):
+    """Column-wise duality map |w|^(t-1) * phase(w).
+
+    At the boundary exponents the map degenerates: t = 1 yields the phase
+    vector, t = inf selects the lowest-index entry of maximal modulus.
+    """
+    if t.value == 1.0:
+        return _phase_masked(W)
+    if t.is_inf:
+        a = np.abs(W)
+        idx = a.argmax(axis=0)
+        cols = np.arange(W.shape[1])
+        out = np.zeros_like(W)
+        out[idx, cols] = _phase_masked(W[idx, cols])
+        return out
+    a = np.abs(W)
+    peak = a.max(axis=0)
+    safe = np.where(peak > 0, peak, 1.0)
+    return ((a / safe) ** (t.value - 1.0)) * _phase_masked(W)
+
+
 def _ascent_all_columns(arr, p, q, X0, max_iter, tol):
     """The ascent that steps every column until all have converged: the
     reference for per-column stopping."""
@@ -378,6 +431,23 @@ class TestAscent:
                 assert abs(got - want) <= 1e-8 * want, (i, p, q)
                 assert math.isclose(norm_ratio(M, vec, p, q), got, rel_tol=1e-9)
                 assert vals.max() <= got and X.shape == X0.shape
+
+    def test_fused_step_matches_old_helpers(self):
+        # every pair on the grid plus (4, 1.2), both fields, a zero column,
+        # the zero matrix and 2^(+-1000): the fused step climbs like the
+        # separate norm and duality-map helpers did
+        pairs = [(p, q) for p in GRID for q in GRID] + [(4, 1.2)]
+        for i in range(2):
+            A = rand_matrix(1100 + i, 4, 5, complex_=bool(i)).entries.copy()
+            A[:, 1] = 0.0
+            scaled = [np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k) for k in (-1000, 1000)]
+            for arr in [A, np.zeros_like(A)] + [S if i else S.real for S in scaled]:
+                X0 = _default_starts(as_matrix(arr), 37, np.random.default_rng(0))
+                for p, q in pairs:
+                    pi, qi = as_index(p), as_index(q)
+                    want = _ascent_all_columns(arr, pi, qi, X0, 200, 1e-10)
+                    got, _, _, _ = _ascent(arr, pi, qi, X0, 200, 1e-10)
+                    assert abs(got - want) <= 1e-8 * want, (i, p, q)
 
 
 class TestWorkedExample:
@@ -444,3 +514,106 @@ def test_ratio_never_exceeds_norm(seed, p, q):
     x = r.standard_normal(2) + (1j * r.standard_normal(2) if M.is_complex else 0)
     val = best_norm(M, p, q, seed=0).value
     assert norm_ratio(M, x, p, q) <= val * (1.0 + 1e-7)
+
+
+def _dual_step_samples():
+    r = np.random.default_rng(2024)
+    for complex_ in (False, True):
+        W = r.standard_normal((5, 6)) + (1j * r.standard_normal((5, 6)) if complex_ else 0.0)
+        W[:, 2] = 0.0
+        W[1, 4] = 0.0
+        yield W
+        yield np.zeros_like(W)
+        for k in (-1000, 1000):
+            S = np.ldexp(W.real, k) + 1j * np.ldexp(W.imag, k)
+            yield S if complex_ else S.real
+
+
+class TestDualStep:
+    EXPONENTS = [1, 1.5, 2, 3, "inf", 4, 1.2]
+
+    def test_phase_matches_masked_form(self):
+        for W in _dual_step_samples():
+            assert np.array_equal(_phase(W), _phase_masked(W))
+
+    def test_matches_old_helpers(self):
+        # the map itself is bit-identical; the two norms agree to rounding
+        for W in _dual_step_samples():
+            for t in self.EXPONENTS:
+                ti = as_index(t)
+                norms, phi, dual = _dual_step(W, ti)
+                ref = _phi_cols(W, ti)
+                assert np.array_equal(phi, ref), t
+                np.testing.assert_allclose(norms, _lp_cols(W, ti), rtol=1e-14, atol=0)
+                np.testing.assert_allclose(
+                    dual, _lp_cols(ref, conjugate(ti)), rtol=1e-14, atol=0
+                )
+
+
+def _sign_block(start, stop, m):
+    """The sign vectors (first entry +1) indexed start..stop-1; bit b of the
+    index sets the sign of entry b + 1."""
+    idx = np.arange(start, stop)
+    bits = (idx[None, :] >> np.arange(m - 1)[:, None]) & 1
+    return np.vstack([np.ones((1, idx.size)), 1.0 - 2.0 * bits])
+
+
+def _blockwise_infty_one(arr):
+    """Real (inf, 1) by enumerating one block of materialised sign vectors
+    at a time: the reference for the incremental enumeration."""
+    m = arr.shape[1]
+    best, best_x = -math.inf, None
+    total = 1 << (m - 1)
+    for start in range(0, total, BLOCK):
+        X = _sign_block(start, min(start + BLOCK, total), m)
+        vals = np.abs(arr @ X).sum(axis=0)
+        j = int(vals.argmax())
+        if vals[j] > best:
+            best, best_x = float(vals[j]), X[:, j].copy()
+    return best, best_x
+
+
+class TestSignEnumeration:
+    SIZES = [2, 8, 15, 16, 17, 20]
+
+    def test_sign_cols_order(self):
+        for m in (1, 2, 5, 17):
+            total = 1 << (m - 1)
+            assert np.array_equal(_sign_cols(np.arange(total), m), _sign_block(0, total, m))
+        want = np.hstack([_sign_block(70000, 70001, 18), _sign_block(3, 4, 18)])
+        assert np.array_equal(_sign_cols([70000, 3], 18), want)
+        assert np.array_equal(_sign_cols(70000, 18), want[:, 0])
+
+    def test_images_match_materialised_blocks(self):
+        # one block is formed directly; past it the shared low-bit image
+        # plus each block's high-sign image agrees to a few ulps per entry
+        for m in self.SIZES:
+            Bm = np.random.default_rng(m).standard_normal((3, m))
+            scale = 8 * np.finfo(float).eps * np.abs(Bm).sum(axis=1)[:, None]
+            start = 0
+            for Y, cols in _sign_images(Bm):
+                X = _sign_block(start, start + Y.shape[1], m)
+                if m <= 15:
+                    assert np.array_equal(Y, Bm @ X)
+                assert np.all(np.abs(Y - Bm @ X) <= scale), m
+                js = np.array([0, Y.shape[1] // 2, Y.shape[1] - 1])
+                assert np.array_equal(cols(js), X[:, js])
+                assert np.array_equal(cols(1), X[:, 1])
+                start += Y.shape[1]
+            assert start == 1 << (m - 1)
+
+    def test_norm_matches_blockwise_reference(self):
+        for m in self.SIZES:
+            A = rand_matrix(1200 + m, 3, m).entries
+            want, want_x = _blockwise_infty_one(A)
+            res = norm_infty_one_exact(A)
+            assert np.array_equal(res.witness, want_x), m
+            assert abs(res.value - want) <= 4 * np.spacing(want), m
+
+    def test_top8_matches_stable_argsort(self):
+        # many exact ties, and sizes at and below 8
+        r = np.random.default_rng(7)
+        for size in (1, 2, 7, 8, 9, 64, 65, 300, BLOCK + 8):
+            for hi in (1, 3, 50):
+                vals = r.integers(0, hi, size).astype(float)
+                assert np.array_equal(_top8(vals), np.argsort(-vals, kind="stable")[:8])
