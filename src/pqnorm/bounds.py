@@ -10,7 +10,10 @@ carries to every (r2,s2) with the same signs of p-r and q-s).
 
 Norm values may be exact or lower-bound estimates; NormBracket pairs an
 estimate with a certified upper bound so that equality questions can be
-answered soundly (yes / no / undetermined) even on estimated paths.
+answered soundly (yes / no / undetermined) even on estimated paths.  The
+duality and monotonicity checks use the same upper bounds: two lower
+bounds that disagree give None (undetermined), and only a lower bound
+above a certified upper bound gives False.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .induced_norms import (
     NormResult,
     as_matrix,
     best_norm,
+    best_norms,
     svd,
 )
 
@@ -219,6 +223,34 @@ def check_inequality(
     )
 
 
+def _not_above(t: float, lhs: tuple, rhs: tuple, seed: int) -> Optional[bool]:
+    """Three-state c1 ||A1||_{p1,q1} <= c2 ||A2||_{p2,q2}, each side given as
+    (c, A, p, q), up to slack t relative to the larger side.
+
+    True when the two lower bounds already satisfy it.  False only when the
+    left lower bound exceeds even the right certified upper bound, which no
+    pair of true norms can do; otherwise None (undetermined).
+    """
+    (c1, A1, p1, q1), (c2, A2, p2, q2) = lhs, rhs
+    x = c1 * best_norm(A1, p1, q1, seed=seed).value
+
+    def within(y: float) -> bool:
+        return x <= y + t * max(x, y, 1e-300)
+
+    if within(c2 * best_norm(A2, p2, q2, seed=seed).value):
+        return True
+    if within(c2 * bracket_norm(A2, p2, q2, seed=seed).upper):
+        return None
+    return False
+
+
+def _all(verdicts: list) -> Optional[bool]:
+    """False if any verdict is False, else None if any is None, else True."""
+    if False in verdicts:
+        return False
+    return None if None in verdicts else True
+
+
 def duality_check(
     A: MatrixLike,
     p: IndexLike,
@@ -226,24 +258,51 @@ def duality_check(
     tol: Optional[float] = None,
     *,
     seed: int = 0,
-) -> bool:
+) -> Optional[bool]:
     """Does ||A*||_{q*,p*} match ||A||_{p,q}?
 
-    Exact on both sides: agreement within tol (default 1e-9).  With an
-    estimate involved, both values are lower bounds of the same quantity, so
-    only agreement within tol (default 1e-3) plus one-sided slack is
-    required.
+    True when the two values agree within tol (default 1e-9 when both are
+    exact, 1e-3 with an estimate involved).  False only when one side's
+    value exceeds the other side's certified upper bound by more than that;
+    two lower bounds that merely disagree give None (undetermined).
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
-    a = best_norm(M, pi, qi, seed=seed)
-    b = best_norm(M.adjoint(), conjugate(qi), conjugate(pi), seed=seed)
-    scale = max(a.value, b.value, 1e-300)
-    if a.certainty.is_exact and b.certainty.is_exact:
-        t = 1e-9 if tol is None else tol
-        return abs(a.value - b.value) <= t * scale
-    t = 1e-3 if tol is None else tol
-    return abs(a.value - b.value) <= t * scale
+    adj = (M.adjoint(), conjugate(qi), conjugate(pi))
+    exact = best_norm(M, pi, qi, seed=seed).certainty.is_exact and (
+        best_norm(*adj, seed=seed).certainty.is_exact
+    )
+    t = tol if tol is not None else (1e-9 if exact else 1e-3)
+    a, b = (1.0, M, pi, qi), (1.0, *adj)
+    return _all([_not_above(t, a, b, seed), _not_above(t, b, a, seed)])
+
+
+def _monotone(
+    M, points: list, weights: list, tol: Optional[float], seed: int
+) -> Optional[bool]:
+    """Along the (p, q) points in order, each norm is at most the next and
+    each weighted norm at least the next weighted one, up to one-sided slack
+    (tol, default 1e-6 between exact values and 1e-3 otherwise).  The
+    points are estimated together; a violation is False only when certified
+    (see _not_above)."""
+    results = best_norms(M, points, seed=seed)
+    verdicts = []
+    for i in range(len(points) - 1):
+        a, b = results[i], results[i + 1]
+        t = tol if tol is not None else (
+            1e-6 if a.certainty.is_exact and b.certainty.is_exact else 1e-3
+        )
+        u, v = (M, *points[i]), (M, *points[i + 1])
+        verdicts.append(_not_above(t, (1.0, *u), (1.0, *v), seed))
+        verdicts.append(_not_above(t, (weights[i + 1], *v), (weights[i], *u), seed))
+    return _all(verdicts)
+
+
+def _ascending(grid: Sequence[IndexLike], name: str) -> list:
+    grid = [as_index(r) for r in grid]
+    if any(grid[i].value > grid[i + 1].value for i in range(len(grid) - 1)):
+        raise ValueError(f"{name} must be sorted ascending")
+    return grid
 
 
 def monotonicity_check(
@@ -253,30 +312,15 @@ def monotonicity_check(
     tol: Optional[float] = None,
     *,
     seed: int = 0,
-) -> bool:
+) -> Optional[bool]:
     """For fixed s and r ascending: ||A||_{r,s} must not decrease and
-    m^{1/r}*||A||_{r,s} must not increase, up to one-sided slack."""
+    m^{1/r}*||A||_{r,s} must not increase, up to one-sided slack.  None when
+    only lower bounds disagree (see duality_check)."""
     M = as_matrix(A)
     si = as_index(s_fixed)
-    grid = [as_index(r) for r in r_grid]
-    if any(grid[i].value > grid[i + 1].value for i in range(len(grid) - 1)):
-        raise ValueError("r_grid must be sorted ascending")
-    results = [best_norm(M, r, si, seed=seed) for r in grid]
-    m = M.m
-    for i in range(len(grid) - 1):
-        a, b = results[i], results[i + 1]
-        t = tol if tol is not None else (
-            1e-6 if a.certainty.is_exact and b.certainty.is_exact else 1e-3
-        )
-        scale = max(a.value, b.value, 1e-300)
-        if b.value < a.value - t * scale:
-            return False
-        wa = float(m) ** grid[i].inv * a.value
-        wb = float(m) ** grid[i + 1].inv * b.value
-        wscale = max(wa, wb, 1e-300)
-        if wb > wa + t * wscale:
-            return False
-    return True
+    grid = _ascending(r_grid, "r_grid")
+    weights = [float(M.m) ** r.inv for r in grid]
+    return _monotone(M, [(r, si) for r in grid], weights, tol, seed)
 
 
 def monotonicity_check_in_s(
@@ -286,30 +330,15 @@ def monotonicity_check_in_s(
     tol: Optional[float] = None,
     *,
     seed: int = 0,
-) -> bool:
+) -> Optional[bool]:
     """For fixed r and s ascending: ||A||_{r,s} must not increase and
-    n^{-1/s}*||A||_{r,s} must not decrease, up to one-sided slack."""
+    n^{-1/s}*||A||_{r,s} must not decrease, up to one-sided slack.  None
+    when only lower bounds disagree (see duality_check)."""
     M = as_matrix(A)
     ri = as_index(r_fixed)
-    grid = [as_index(s) for s in s_grid]
-    if any(grid[i].value > grid[i + 1].value for i in range(len(grid) - 1)):
-        raise ValueError("s_grid must be sorted ascending")
-    results = [best_norm(M, ri, s, seed=seed) for s in grid]
-    n = M.n
-    for i in range(len(grid) - 1):
-        a, b = results[i], results[i + 1]
-        t = tol if tol is not None else (
-            1e-6 if a.certainty.is_exact and b.certainty.is_exact else 1e-3
-        )
-        scale = max(a.value, b.value, 1e-300)
-        if b.value > a.value + t * scale:
-            return False
-        wa = float(n) ** (-grid[i].inv) * a.value
-        wb = float(n) ** (-grid[i + 1].inv) * b.value
-        wscale = max(wa, wb, 1e-300)
-        if wb < wa - t * wscale:
-            return False
-    return True
+    grid = _ascending(s_grid, "s_grid")[::-1]
+    weights = [float(M.n) ** (-s.inv) for s in grid]
+    return _monotone(M, [(ri, s) for s in grid], weights, tol, seed)
 
 
 def transfer_equality(

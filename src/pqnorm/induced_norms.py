@@ -5,6 +5,10 @@ dual exponent), (p, q) = (2, 2) (largest singular value) and, over the real
 field, (inf, 1) by incremental sign enumeration.  Everything else is estimated
 from below by a duality-map ascent with restarts, one fused pass per half-step;
 results carry a certainty tag so callers can tell exact values from estimates.
+
+The ascent kernel takes one exponent pair per column, so best_norms stacks
+the restarts of every (p, q) point it has to estimate into a few chunked
+ascents instead of one ascent per point; best_norm is its one-pair case.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +47,7 @@ __all__ = [
     "norm_estimate",
     "norm_bruteforce",
     "best_norm",
+    "best_norms",
     "maximizer_set_probe",
     "norm_ratio",
 ]
@@ -112,7 +118,17 @@ class MatrixValue:
         return self.field == COMPLEX
 
     def adjoint(self) -> "MatrixValue":
-        return MatrixValue(self.entries.conj().T, self.field)
+        """The conjugate transpose, built once and memoised; its adjoint is
+        self.  The link back is weak, so the pair forms no reference cycle
+        and both memos go as soon as this matrix does."""
+        adj = self._memo.get("adjoint")
+        if isinstance(adj, weakref.ref):
+            adj = adj()
+        if adj is None:
+            adj = MatrixValue(self.entries.conj().T, self.field)
+            adj._memo["adjoint"] = weakref.ref(self)
+            self._memo["adjoint"] = adj
+        return adj
 
 
 MatrixLike = Union[MatrixValue, np.ndarray, list]
@@ -188,66 +204,104 @@ def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
     return safe * ((a / safe) ** v).sum(axis=0) ** (1.0 / v)
 
 
-def _dual_step(W: np.ndarray, t: ExtIndex):
+Exponent = Union[ExtIndex, np.ndarray]  # one for all columns, or one per column
+
+
+def _dual_step(W: np.ndarray, t: Exponent):
     """Column t-norms of W, the duality map r^(t-1) * phase(w) for r = |w| /
     peak, and that map's t*-norm s^(1-1/t), s = sum r^(t-1) * r: one abs, one
     power.  The map degenerates at t = 1 to the phase vector and at t = inf
-    to the lowest-index entry of maximal modulus."""
+    to the lowest-index entry of maximal modulus.  t may also be an array of
+    finite exponents, one per column: r^(t-1) is exactly 1 at t = 1, so the
+    general form covers those columns too (zero columns get dual norm 0)."""
     a = np.abs(W)
     peak = a.max(axis=0)
-    if t.value == 1.0:
-        return a.sum(axis=0), _phase(W, a), (peak > 0).astype(float)
-    if t.is_inf:
-        top = (a.argmax(axis=0), np.arange(W.shape[1]))
-        phi = np.zeros_like(W)
-        phi[top] = _phase(W[top], peak)
-        return peak, phi, (peak > 0).astype(float)
+    if isinstance(t, ExtIndex):
+        if t.value == 1.0:
+            return a.sum(axis=0), _phase(W, a), (peak > 0).astype(float)
+        if t.is_inf:
+            top = (a.argmax(axis=0), np.arange(W.shape[1]))
+            phi = np.zeros_like(W)
+            phi[top] = _phase(W[top], peak)
+            return peak, phi, (peak > 0).astype(float)
+        t = t.value
     safe = np.where(peak > 0, peak, 1.0)
-    r = a / safe
-    rp = r ** (t.value - 1.0)
+    phi = _phase(W, a)
+    r = np.divide(a, safe, out=a)
+    rp = r ** (t - 1.0)
     s = (rp * r).sum(axis=0)
-    return safe * s ** (1.0 / t.value), rp * _phase(W, a), s ** (1.0 - 1.0 / t.value)
+    phi *= rp
+    dual = s ** (1.0 - 1.0 / t)
+    if not isinstance(t, float):
+        dual *= peak > 0
+    return safe * s ** (1.0 / t), phi, dual
 
 
-def _normalize_cols(X: np.ndarray, p: ExtIndex) -> np.ndarray:
+def _normalize_cols(X: np.ndarray, p: Exponent) -> np.ndarray:
+    if not isinstance(p, ExtIndex):
+        out = np.empty_like(X)
+        for v in set(p.tolist()):
+            cols = p == v
+            out[:, cols] = _normalize_cols(X[:, cols], as_index(v))
+        return out
     norms = _lp_cols(X, p)
     safe = np.where(norms > _TINY, norms, 1.0)
     return X / safe
 
 
+class _Ascent(NamedTuple):
+    """Outcome of one ascent: for each block of columns, the best (value,
+    witness) seen; and the terminal values and iterates of every column."""
+
+    best: list
+    vals: np.ndarray
+    X: np.ndarray
+
+
 def _ascent(
     arr: np.ndarray,
-    p: ExtIndex,
-    q: ExtIndex,
+    p: Exponent,
+    q: Exponent,
     X0: np.ndarray,
     max_iter: int,
     tol: float,
-):
+    block: Optional[int] = None,
+) -> _Ascent:
     """Batched duality-map ascent on the columns of X0.
 
     Each step replaces x by the p-unit maximizer of Re <A* phi_q(Ax), x>,
     which never decreases ||Ax||_q / ||x||_p at the exact fixed points and in
     practice climbs to a local maximum quickly.  A column freezes the first
     time its value moves by at most tol (relative), keeping that iterate and
-    value; only the columns still active are stepped.  Returns the best
-    (value, witness) seen plus the terminal values and iterates of every
-    column.
+    value; only the columns still active are stepped.  p and q are both
+    one exponent for every column, or both arrays with one per column (q
+    finite, p > 1), which lets several (p, q) points share each iteration.
+    The best value and its iterate are kept per block of `block` columns
+    (one block by default): first seen wins, then the lowest column.
     """
-    pstar = conjugate(p)
+    if isinstance(p, ExtIndex):
+        pstar = conjugate(p)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pstar = np.where(np.isinf(p), 1.0, p / (p - 1.0))
     adj = arr.conj().T
-    X_out = _normalize_cols(X0.copy(), p)
+    X_out = _normalize_cols(X0, p)
     vals = vals_out = np.zeros(X_out.shape[1])
-    best_val = -math.inf
-    best_vec = X_out[:, 0].copy()
+    block = block or X_out.shape[1]
+    nblocks = X_out.shape[1] // block
+    best_val = [-math.inf] * nblocks
+    best_vec = [X_out[:, b * block].copy() for b in range(nblocks)]
     live = np.arange(X_out.shape[1])
+    segments = _segments(live, block, nblocks)
     X = X_out
     prev = None
     for _ in range(max_iter):
         vals, U, _ = _dual_step(arr @ X, q)
-        j = int(vals.argmax())
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_vec = X[:, j].copy()
+        for b, lo, hi in segments:
+            j = lo + int(vals[lo:hi].argmax())
+            if vals[j] > best_val[b]:
+                best_val[b] = float(vals[j])
+                best_vec[b] = X[:, j].copy()
         if prev is not None:
             done = np.abs(vals - prev) <= tol * np.maximum(vals, _TINY)
             if done.any():
@@ -257,16 +311,28 @@ def _ascent(
                 live, X, U, vals = live[keep], X[:, keep], U[:, keep], vals[keep]
                 if not live.size:
                     break
+                if not isinstance(q, ExtIndex):
+                    q, pstar = q[keep], pstar[keep]
+                segments = _segments(live, block, nblocks)
         prev = vals
         _, Xn, norms = _dual_step(adj @ U, pstar)
         dead = norms <= _TINY
         if dead.any():
             Xn[:, dead] = X[:, dead]
             norms = np.where(dead, 1.0, norms)
-        X = Xn / norms
+        X = np.divide(Xn, norms, out=Xn)
     X_out[:, live] = X
     vals_out[live] = vals
-    return best_val, best_vec, vals_out, X_out
+    return _Ascent(list(zip(best_val, best_vec)), vals_out, X_out)
+
+
+def _segments(live: np.ndarray, block: int, nblocks: int) -> list:
+    """(b, lo, hi) for each block b with live columns: live[lo:hi] are its
+    columns, live being ascending."""
+    if nblocks == 1:
+        return [(0, 0, live.size)]
+    cuts = np.searchsorted(live, np.arange(nblocks + 1) * block).tolist()
+    return [(b, lo, hi) for b, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
 
 
 def _random_cols(rng: np.random.Generator, m: int, count: int, field: str) -> np.ndarray:
@@ -315,12 +381,35 @@ def norm_estimate(
     closed = norm_closed_form(M, pi, qi)
     if closed is not None:
         return closed
-    cfg = settings or EstimatorSettings()
+    return _estimates(M, [(pi, qi)], settings or EstimatorSettings())[0]
+
+
+STACK = 1 << 13  # elements (rows x columns) per stacked ascent of several points
+
+
+def _estimates(M: MatrixValue, pairs: list, cfg: EstimatorSettings) -> list:
+    """Ascent estimates of ||M||_{p,q} for pairs without a closed form.
+
+    Every point starts from the same block of restarts.  Points are stacked
+    side by side into one ascent with per-column exponents, in chunks of at
+    most STACK elements; a chunk of one point runs on scalar exponents.
+    """
     restarts = cfg.restarts if cfg.restarts is not None else 32 + M.m
-    rng = np.random.default_rng(cfg.seed)
-    X0 = _default_starts(M, restarts, rng)
-    val, vec, _, _ = _ascent(M.entries, pi, qi, X0, cfg.max_iter, cfg.tol)
-    return NormResult(float(val), vec, Certainty.ESTIMATE)
+    X0 = _default_starts(M, restarts, np.random.default_rng(cfg.seed))
+    k = X0.shape[1]
+    per = max(1, STACK // (max(M.n, M.m) * k))
+    out = []
+    for c in range(0, len(pairs), per):
+        chunk = pairs[c : c + per]
+        if len(chunk) == 1:
+            (p, q), X = chunk[0], X0
+        else:
+            p = np.repeat([pi.value for pi, _ in chunk], k)
+            q = np.repeat([qi.value for _, qi in chunk], k)
+            X = np.tile(X0, len(chunk))
+        for val, vec in _ascent(M.entries, p, q, X, cfg.max_iter, cfg.tol, k).best:
+            out.append(NormResult(val, vec, Certainty.ESTIMATE))
+    return out
 
 
 def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[NormResult]:
@@ -468,7 +557,7 @@ def norm_infty_one_exact(
         vals = np.concatenate([top_vals, np.abs(arr @ X[:, top_vals.size :]).sum(axis=0)])
         order = _top8(vals)
         top_vals, top_X = vals[order], X[:, order]
-    val, vec, _, _ = _ascent(arr, as_index("inf"), as_index(1), top_X, 100, 1e-12)
+    [(val, vec)] = _ascent(arr, as_index("inf"), as_index(1), top_X, 100, 1e-12).best
     if top_vals[0] >= val:
         val, vec = float(top_vals[0]), top_X[:, 0].copy()
     return NormResult(float(val), vec, Certainty.ESTIMATE)
@@ -534,7 +623,7 @@ def norm_bruteforce(
     order = np.argsort(-vals, kind="stable")[:10]
     best = float(vals[order[0]])
     best_x = X[:, order[0]].copy()
-    val, vec, _, _ = _ascent(arr, pi, qi, X[:, order], 100, 1e-12)
+    [(val, vec)] = _ascent(arr, pi, qi, X[:, order], 100, 1e-12).best
     if val > best:
         best, best_x = float(val), vec
     return NormResult(best, best_x, Certainty.ESTIMATE)
@@ -556,27 +645,53 @@ def best_norm(
     with a brute-force pass when a budget is given).  Memoised on the
     matrix per (p, q, seed, settings, budget); the witness is read-only.
     """
+    return best_norms(A, [(p, q)], seed=seed, settings=settings, budget=budget)[0]
+
+
+def best_norms(
+    A: MatrixLike,
+    pairs: Sequence,
+    *,
+    seed: int = 0,
+    settings: Optional[EstimatorSettings] = None,
+    budget: Optional[int] = None,
+) -> list:
+    """best_norm for each (p, q) in pairs, one NormResult per pair.
+
+    Routes are chosen per pair as best_norm does, and results share its
+    memo.  The pairs left to the ascent are estimated together: their
+    restarts are stacked into as few ascents as the element cap allows, so
+    each iteration's fixed cost is paid once for all of them.
+    """
     M = as_matrix(A)
-    pi, qi = as_index(p), as_index(q)
-    key = (pi, qi, seed, settings, budget)
-    res = M._memo.get(key)
-    if res is not None:
-        return res
-    res = norm_closed_form(M, pi, qi)
-    if res is None and pi.is_inf and qi.value == 1.0:
-        try:
-            res = norm_infty_one_exact(M, seed=seed)
-        except DimensionError:
-            pass
-    if res is None:
-        res = norm_estimate(M, pi, qi, settings or EstimatorSettings(seed=seed))
-        if budget is not None:
-            other = norm_bruteforce(M, pi, qi, budget=budget, seed=seed)
-            if other.value > res.value:
-                res = other
-    res.witness.setflags(write=False)
-    M._memo[key] = res
-    return res
+    keys = [(as_index(p), as_index(q), seed, settings, budget) for p, q in pairs]
+    found, todo = {}, {}
+    for key in keys:
+        if key in M._memo or key in found or key in todo:
+            continue
+        pi, qi = key[:2]
+        res = norm_closed_form(M, pi, qi)
+        if res is None and pi.is_inf and qi.value == 1.0:
+            try:
+                res = norm_infty_one_exact(M, seed=seed)
+            except DimensionError:
+                pass
+        if res is None:
+            todo[key] = (pi, qi)
+        else:
+            found[key] = res
+    if todo:
+        estimates = _estimates(M, list(todo.values()), settings or EstimatorSettings(seed=seed))
+        for (key, (pi, qi)), res in zip(todo.items(), estimates):
+            if budget is not None:
+                other = norm_bruteforce(M, pi, qi, budget=budget, seed=seed)
+                if other.value > res.value:
+                    res = other
+            found[key] = res
+    for key, res in found.items():
+        res.witness.setflags(write=False)
+        M._memo[key] = res
+    return [M._memo[key] for key in keys]
 
 
 def maximizer_set_probe(
@@ -602,7 +717,8 @@ def maximizer_set_probe(
     closed = norm_closed_form(M, pi, qi)
     if closed is not None and vector_norm(closed.witness, pi) > 0:
         X0 = np.hstack([closed.witness.reshape(-1, 1).astype(X0.dtype), X0])
-    _, _, vals, X = _ascent(M.entries, pi, qi, X0, 300, 1e-12)
+    run = _ascent(M.entries, pi, qi, X0, 300, 1e-12)
+    vals, X = run.vals, run.X
     best = float(vals.max())
     if closed is not None:
         best = max(best, closed.value)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from pqnorm import (
     BoundReport,
+    Certainty,
+    NormResult,
     ClassId,
     NormBracket,
     as_index,
@@ -208,6 +210,61 @@ class TestDuality:
         r = np.random.default_rng(1200)
         M = as_matrix(r.standard_normal((3, 3)))
         assert duality_check(M, 1.5, 3)
+
+
+def _plant(M, p, q, value):
+    """Replace the memoised best_norm(M, p, q) by an estimate of value."""
+    res = best_norm(M, p, q)
+    M._memo[(as_index(p), as_index(q), 0, None, None)] = NormResult(
+        value, res.witness, Certainty.ESTIMATE
+    )
+
+
+class TestCertifiedDisagreement:
+    # two lower bounds that disagree are undetermined; a lower bound above
+    # the other side's certified upper bound is a contradiction
+
+    def test_false_verify_fail_cleared(self):
+        # real 32x32 Gaussians on which both (inf,1) estimates fall short of
+        # each other by more than 1e-3, yet below the certified upper bound
+        for seed in (3, 5):
+            M = as_matrix(np.random.default_rng(seed).standard_normal((32, 32)))
+            a = best_norm(M, "inf", 1)
+            b = best_norm(M.adjoint(), "inf", 1)
+            assert abs(a.value - b.value) > 1e-3 * max(a.value, b.value)
+            assert max(a.value, b.value) < norm_upper_bound(M, "inf", 1)
+            assert duality_check(M, "inf", 1) is None
+
+    def test_planted_duality_contradiction(self):
+        r = np.random.default_rng(1250)
+        M = as_matrix(r.standard_normal((3, 3)))
+        assert duality_check(M, 1.5, 3) is True
+        upper = max(norm_upper_bound(M, 1.5, 3), norm_upper_bound(M.adjoint(), 1.5, 3))
+        _plant(M.adjoint(), 1.5, 3, 1.01 * best_norm(M, 1.5, 3).value)
+        assert duality_check(M, 1.5, 3) is None
+        _plant(M.adjoint(), 1.5, 3, 10.0 * upper)
+        assert duality_check(M, 1.5, 3) is False
+
+    def test_estimate_above_exact_value(self):
+        M = as_matrix(np.random.default_rng(1260).standard_normal((3, 2)))
+        _plant(M.adjoint(), 2, 2, 1.5 * best_norm(M, 2, 2).value)
+        assert duality_check(M, 2, 2) is False
+
+    def test_planted_monotonicity_contradiction(self):
+        r = np.random.default_rng(1270)
+        M = as_matrix(r.standard_normal((3, 3)))
+        assert monotonicity_check(M, 2, GRID) is True
+        # (3, 2) below the exact (2, 2): the lower bounds disagree, but the
+        # certified upper bound of (3, 2) does not
+        _plant(M, 3, 2, 0.99 * best_norm(M, 2, 2).value)
+        assert monotonicity_check(M, 2, GRID) is None
+        # (1.5, 2) above the exact (2, 2): a contradiction
+        _plant(M, 1.5, 2, 2.0 * best_norm(M, 2, 2).value)
+        assert monotonicity_check(M, 2, GRID) is False
+        M = as_matrix(r.standard_normal((3, 3)))
+        assert monotonicity_check_in_s(M, 2, GRID) is True
+        _plant(M, 2, 3, 2.0 * best_norm(M, 2, 2).value)
+        assert monotonicity_check_in_s(M, 2, GRID) is False
 
 
 class TestMonotonicity:

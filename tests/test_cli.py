@@ -146,6 +146,27 @@ class TestSweepCommand:
         assert main(["sweep", b_complex, str(b)] + self.ARGS) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rows_match_norm_command(self, tmp_path, capsys):
+        # the sweep estimates its points together; each row still carries
+        # the value `pqnorm norm` reports for that point
+        grid = "1,1.5,2,3,inf"
+        r = np.random.default_rng(7)
+        for field, A in (
+            ("real", r.standard_normal((4, 5))),
+            ("complex", r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3))),
+        ):
+            path = str(tmp_path / f"{field}.json")
+            save_matrix(as_matrix(A, field=field), path)
+            args = ["-p", "2", "-q", "2", "--r-grid", grid, "--s-grid", grid]
+            assert main(["sweep", path, "-"] + args) == EXIT_OK
+            rows = capsys.readouterr().out.strip().splitlines()[1:]
+            assert len(rows) == 25
+            for row in rows:
+                rr, ss, value, *_ = row.split(",")
+                assert main(["norm", path, "-p", rr, "-q", ss]) == EXIT_OK
+                single = float(capsys.readouterr().out.split()[0])
+                assert abs(float(value) - single) <= 1e-12 * single, (field, rr, ss)
+
     def test_bad_grid(self, b_real, tmp_path):
         rc = main(
             ["sweep", b_real, str(tmp_path / "x.csv"), "-p", "2", "-q", "2",
@@ -221,6 +242,34 @@ class TestVerifyCommand:
         rc = main(["verify", b_real, "--assert-norm", "2,2,99"])
         assert rc == EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+    def test_disagreeing_estimates_are_not_a_failure(self, tmp_path, capsys):
+        # real 32x32 Gaussians whose two (inf,1) estimates differ by more
+        # than 1e-3 while both lie below the certified upper bound
+        for seed in (3, 5):
+            path = str(tmp_path / f"g{seed}.json")
+            A = np.random.default_rng(seed).standard_normal((32, 32))
+            save_matrix(as_matrix(A, field="real"), path)
+            assert main(["verify", path]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "UNDETERMINED adjoint-norm-identity" in out
+            assert "FAIL" not in out
+
+    def test_planted_contradiction_fails(self, b_real, monkeypatch, capsys):
+        # an adjoint estimate above its certified upper bound is a real
+        # contradiction: FAIL, exit 5
+        import pqnorm.cli as cli
+        from pqnorm import Certainty, NormResult, as_index, load_matrix, norm_upper_bound
+
+        M = load_matrix(b_real)
+        adj = M.adjoint()
+        key = (as_index(1.5), as_index(3), 0, None, None)
+        adj._memo[key] = NormResult(
+            2.0 * norm_upper_bound(adj, 1.5, 3), np.ones(2), Certainty.ESTIMATE
+        )
+        monkeypatch.setattr(cli, "load_matrix", lambda path: M)
+        assert main(["verify", b_real]) == EXIT_VERIFY_FAILED
+        assert "FAIL adjoint-norm-identity" in capsys.readouterr().out
 
     def test_malformed_assertion(self, b_real):
         assert main(["verify", b_real, "--assert-norm", "2,2"]) == EXIT_ERROR

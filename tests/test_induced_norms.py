@@ -33,6 +33,7 @@ from pqnorm import (
 )
 from pqnorm.induced_norms import (
     BLOCK,
+    STACK,
     _TINY,
     _ascent,
     _default_starts,
@@ -44,6 +45,7 @@ from pqnorm.induced_norms import (
     _sign_cols,
     _sign_images,
     _top8,
+    best_norms,
 )
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -92,6 +94,22 @@ class TestMatrixValue:
         back = M.adjoint().adjoint()
         assert np.array_equal(back.entries, M.entries)
         assert M.adjoint().n == M.m and M.adjoint().m == M.n
+
+    def test_adjoint_memoised(self):
+        # one adjoint per matrix, so its memo (SVD, norms) is shared too;
+        # no reference cycle keeps the pair alive past the matrix
+        import weakref
+
+        M = rand_matrix(6, 3, 2, complex_=True)
+        adj = M.adjoint()
+        assert M.adjoint() is adj and adj.adjoint() is M
+        assert np.array_equal(adj.entries, M.entries.conj().T)
+        entries, alive = M.entries.copy(), weakref.ref(M)
+        del M
+        assert alive() is None
+        assert np.array_equal(adj.adjoint().entries, entries)
+        gone = weakref.ref(rand_matrix(7, 2, 2).adjoint())
+        assert gone() is None
 
 
 class TestSvd:
@@ -256,7 +274,7 @@ class TestInftyOneExact:
         for A in (np.ones((3, m), dtype=complex), rand_matrix(7, 4, m, complex_=True).entries):
             vals = np.abs(A @ full).sum(axis=0)
             top = np.argsort(-vals, kind="stable")[:8]
-            val, vec, _, _ = _ascent(A, as_index("inf"), as_index(1), full[:, top], 100, 1e-12)
+            [(val, vec)] = _ascent(A, as_index("inf"), as_index(1), full[:, top], 100, 1e-12).best
             if vals[top[0]] >= val:
                 val, vec = vals[top[0]], full[:, top[0]]
             res = norm_infty_one_exact(A)
@@ -427,7 +445,7 @@ class TestAscent:
                 pi, qi = as_index(p), as_index(q)
                 X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
                 want = _ascent_all_columns(M.entries, pi, qi, X0, 200, 1e-10)
-                got, vec, vals, X = _ascent(M.entries, pi, qi, X0, 200, 1e-10)
+                [(got, vec)], vals, X = _ascent(M.entries, pi, qi, X0, 200, 1e-10)
                 assert abs(got - want) <= 1e-8 * want, (i, p, q)
                 assert math.isclose(norm_ratio(M, vec, p, q), got, rel_tol=1e-9)
                 assert vals.max() <= got and X.shape == X0.shape
@@ -446,7 +464,7 @@ class TestAscent:
                 for p, q in pairs:
                     pi, qi = as_index(p), as_index(q)
                     want = _ascent_all_columns(arr, pi, qi, X0, 200, 1e-10)
-                    got, _, _, _ = _ascent(arr, pi, qi, X0, 200, 1e-10)
+                    [(got, _)] = _ascent(arr, pi, qi, X0, 200, 1e-10).best
                     assert abs(got - want) <= 1e-8 * want, (i, p, q)
 
 
@@ -548,6 +566,144 @@ class TestDualStep:
                 np.testing.assert_allclose(
                     dual, _lp_cols(ref, conjugate(ti)), rtol=1e-14, atol=0
                 )
+
+
+def _stacked_samples():
+    """Matrices for the stacked-ascent checks: Gaussians in both fields with
+    a zero column, the zero matrix, one row, one column, and 2^(+-1000)."""
+    for i, complex_ in enumerate((False, True)):
+        A = rand_matrix(1400 + i, 4, 5, complex_=complex_).entries.copy()
+        A[:, 1] = 0.0
+        yield A
+        yield np.zeros_like(A)
+        yield rand_matrix(1410 + i, 1, 4, complex_=complex_).entries
+        yield rand_matrix(1420 + i, 5, 1, complex_=complex_).entries
+        for k in (-1000, 1000):
+            yield np.ldexp(A.real, k) + (1j * np.ldexp(A.imag, k) if complex_ else 0.0)
+
+
+# best_norm values and witness digests (sha256 of the witness bytes, first
+# 16 hex digits), frozen from the one-point ascent before the kernel took
+# per-column exponents; the samples are those of _frozen_matrices
+FROZEN_SINGLE_POINT = {
+    ("r4x4", 1.5, 3): ("0x1.834692bee60eap+1", "f6e65f6ddc1e2d0f"),
+    ("r4x4", 3, 1.5): ("0x1.7c8130e75ba8cp+2", "6fe69135b8fe5531"),
+    ("r4x4", 4, 1.2): ("0x1.ff46820b6f9e4p+2", "5a443a315f0a7bf8"),
+    ("r4x4", "inf", 2): ("0x1.d6d4f4a830e88p+2", "76a449f8269ad0c3"),
+    ("r4x4", 2, 1): ("0x1.d9ed408da1386p+2", "a7e62df56573a635"),
+    ("r4x4", "inf", 1.5): ("0x1.1ca23512d0a37p+3", "76a449f8269ad0c3"),
+    ("r4x4", 1.5, 1.5): ("0x1.100abb9ee83fbp+2", "05a13fe61594605d"),
+    ("c5x3", 1.5, 3): ("0x1.09fb48dc3b9bfp+2", "8b6670eed4ac64c1"),
+    ("c5x3", 3, 1.5): ("0x1.178b27ccc458ep+3", "b751e1b3605a38a9"),
+    ("c5x3", 4, 1.2): ("0x1.88d1d16f5dc4ap+3", "d03e94a4e368d133"),
+    ("c5x3", "inf", 2): ("0x1.353ab03402935p+3", "067a396f4c2a3448"),
+    ("c5x3", 2, 1): ("0x1.8c68a0f5f10fcp+3", "18277e45143c8145"),
+    ("c5x3", "inf", 1.5): ("0x1.8c475d24e0033p+3", "88b6b5ddf319e21f"),
+    ("c5x3", 1.5, 1.5): ("0x1.9f4add2c15026p+2", "05725ce0f76db6ff"),
+    ("r3x6", 1.5, 3): ("0x1.3a7cd6310dcc9p+1", "244abe6f1b77cbc9"),
+    ("r3x6", 3, 1.5): ("0x1.2f24b197c3571p+2", "d3412ccc9c97272b"),
+    ("r3x6", 4, 1.2): ("0x1.97722f68520cap+2", "3a0745e0e02bed26"),
+    ("r3x6", "inf", 2): ("0x1.c0924c19e068ap+2", "436979213dbbbdb1"),
+    ("r3x6", 2, 1): ("0x1.4883a8ab5f828p+2", "e90498534d0a6256"),
+    ("r3x6", "inf", 1.5): ("0x1.0599ba7bddc88p+3", "436979213dbbbdb1"),
+    ("r3x6", 1.5, 1.5): ("0x1.7dd1af262e962p+1", "c2f5f90ffacb3f40"),
+    ("c8x8", 1.5, 3): ("0x1.223ce8c263f04p+2", "09e22707f9564ab2"),
+    ("c8x8", 3, 1.5): ("0x1.a8800516248cbp+3", "a5ab8ebc916fb8ff"),
+    ("c8x8", 4, 1.2): ("0x1.5ace5c94c0552p+4", "12f0b1359a5abe4e"),
+    ("c8x8", "inf", 2): ("0x1.2a82af0bc91a9p+4", "808297aff94be2dd"),
+    ("c8x8", 2, 1): ("0x1.38babd9a1de3ep+4", "bfd28c3373116343"),
+    ("c8x8", "inf", 1.5): ("0x1.96227e8d57b64p+4", "59b125e1b8db6a58"),
+    ("c8x8", 1.5, 1.5): ("0x1.fcc8bd1f011f4p+2", "56a0f2092486b671"),
+    ("c8x8", "inf", 1): ("0x1.8a89969abb132p+5", "2646679626689555"),
+    ("r12x10", 1.5, 3): ("0x1.fadf1b1ae5b22p+1", "2c763f6c68c71c5f"),
+    ("r12x10", 3, 1.5): ("0x1.8dda22e23f81cp+3", "b10bcc35c43af737"),
+    ("r12x10", 4, 1.2): ("0x1.563699588b7a4p+4", "620fbfc66c41a187"),
+    ("r12x10", "inf", 2): ("0x1.182165059f904p+4", "2f4b693cbb42a713"),
+    ("r12x10", 2, 1): ("0x1.3f16451cce0e7p+4", "3a9f1921eb1ba830"),
+    ("r12x10", "inf", 1.5): ("0x1.8fbcfd798b382p+4", "2f4b693cbb42a713"),
+    ("r12x10", 1.5, 1.5): ("0x1.c84f1cf9a0ec0p+2", "df4aab1514227a3a"),
+}
+
+
+def _frozen_matrices():
+    r = np.random.default_rng(20261018)
+    yield "r4x4", MatrixValue(r.standard_normal((4, 4)))
+    yield "c5x3", MatrixValue(r.standard_normal((5, 3)) + 1j * r.standard_normal((5, 3)), "complex")
+    yield "r3x6", MatrixValue(r.standard_normal((3, 6)))
+    yield "c8x8", MatrixValue(r.standard_normal((8, 8)) + 1j * r.standard_normal((8, 8)), "complex")
+    yield "r12x10", MatrixValue(r.standard_normal((12, 10)))
+
+
+class TestStackedAscent:
+    PAIRS = [(p, q) for p in GRID for q in GRID] + [(4, 1.2)]
+
+    def test_dual_step_per_column_exponents(self):
+        # an exponent array runs the general form on every column, t = 1
+        # included: the same map, norms and dual norms as one exponent each
+        ts = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 1.2])
+        for W in _dual_step_samples():
+            norms, phi, dual = _dual_step(W, ts)
+            for j, t in enumerate(ts):
+                n1, phi1, dual1 = _dual_step(W[:, [j]], as_index(t))
+                np.testing.assert_allclose(phi[:, [j]], phi1, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(norms[j], n1[0], rtol=1e-14, atol=0)
+                np.testing.assert_allclose(dual[j], dual1[0], rtol=1e-14, atol=0)
+
+    def test_matches_single_points(self):
+        # every grid pair plus (4, 1.2) in one best_norms call against one
+        # best_norm per pair on a fresh copy: same routes, values within
+        # 1e-12 relative and never lower by more, witnesses that certify them
+        for arr in _stacked_samples():
+            field = "complex" if np.iscomplexobj(arr) else "real"
+            one, many = MatrixValue(arr, field), MatrixValue(arr, field)
+            stacked = best_norms(many, self.PAIRS)
+            for (p, q), got in zip(self.PAIRS, stacked):
+                want = best_norm(one, p, q)
+                assert got.certainty is want.certainty, (p, q)
+                if want.certainty.is_exact:
+                    assert got.value == want.value and np.array_equal(got.witness, want.witness)
+                    continue
+                assert abs(got.value - want.value) <= 1e-12 * want.value, (arr.shape, p, q)
+                ratio = norm_ratio(many, got.witness, p, q)
+                assert math.isclose(ratio, got.value, rel_tol=1e-9), (arr.shape, p, q)
+
+    def test_single_point_frozen(self):
+        import hashlib
+
+        for name, M in _frozen_matrices():
+            for (label, p, q), (value, digest) in FROZEN_SINGLE_POINT.items():
+                if label != name:
+                    continue
+                res = best_norm(M, p, q)
+                assert res.value == float.fromhex(value), (name, p, q)
+                got = hashlib.sha256(np.ascontiguousarray(res.witness).tobytes()).hexdigest()
+                assert got[:16] == digest, (name, p, q)
+
+    def test_fills_best_norm_memo(self):
+        M = rand_matrix(1430, 5, 4, complex_=True)
+        results = best_norms(M, self.PAIRS + self.PAIRS[:3], seed=3)
+        assert len(results) == len(self.PAIRS) + 3
+        for (p, q), res in zip(self.PAIRS, results):
+            assert M._memo[(as_index(p), as_index(q), 3, None, None)] is res
+            assert best_norm(M, p, q, seed=3) is res
+            assert not res.witness.flags.writeable
+
+    def test_chunks_within_element_cap(self, monkeypatch):
+        import pqnorm.induced_norms as mod
+
+        shapes = []
+
+        def recording(arr, p, q, X0, *args):
+            shapes.append((arr.shape, X0.shape, not isinstance(p, mod.ExtIndex)))
+            return _ascent(arr, p, q, X0, *args)
+
+        monkeypatch.setattr(mod, "_ascent", recording)
+        for n, m in [(32, 32), (20, 12), (3, 3)]:
+            best_norms(rand_matrix(1440 + n, n, m, complex_=True), self.PAIRS)
+        assert any(stacked for _, _, stacked in shapes)
+        for (n, m), (_, cols), stacked in shapes:
+            if stacked:
+                assert max(n, m) * cols <= STACK
 
 
 def _sign_block(start, stop, m):
