@@ -11,6 +11,10 @@ reused):
   grid_stacked      the same grid in one best_norms call
   sweep             `pqnorm sweep FILE - -p 2 -q 2` over that grid, in-process
   verify            `pqnorm verify FILE`, in-process
+  check_einf1_P_Q   check_Einf1 at (2, 2) and (1.5, 3) on a matrix whose
+                    norm bracket and SVD are already memoised (the decider's
+                    own work), median of 5 x reps runs; also for the
+                    Sylvester Hadamard matrix of order 16 (row h16)
 
 Run from the root of a source checkout (pqnorm is imported from ./src):
 
@@ -41,13 +45,14 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from pqnorm import MatrixValue, best_norm, save_matrix  # noqa: E402
+from pqnorm import MatrixValue, best_norm, check_Einf1, gen_hadamard, save_matrix  # noqa: E402
 from pqnorm.cli import main as cli_main  # noqa: E402
 from pqnorm.induced_norms import best_norms  # noqa: E402
 
 SHAPES = [(kind, n) for n in (4, 8, 16, 32) for kind in ("real", "complex")]
 GRID = [1, 1.5, 2, 3, "inf"]
 GRID_ARG = "1,1.5,2,3,inf"
+EINF1_PAIRS = [(2, 2), (1.5, 3)]
 
 
 def _matrix(kind: str, n: int) -> np.ndarray:
@@ -72,6 +77,14 @@ def _cli(argv) -> None:
         cli_main(argv)
 
 
+def _einf1_row(M: MatrixValue, reps: int) -> dict:
+    row = {}
+    for p, q in EINF1_PAIRS:
+        check_Einf1(M, p, q)  # memoises the bracket and the SVD
+        row[f"check_einf1_{p}_{q}"] = _median_s(lambda: check_Einf1(M, p, q), 5 * reps)
+    return row
+
+
 def measure(kind: str, n: int, reps: int, workdir: str) -> dict:
     A = _matrix(kind, n)
     pairs = [(p, q) for p in GRID for q in GRID]
@@ -88,6 +101,7 @@ def measure(kind: str, n: int, reps: int, workdir: str) -> dict:
         "verify": _median_s(lambda: _cli(["verify", path]), reps),
     }
     row["grid_speedup"] = row["grid_pointwise"] / row["grid_stacked"]
+    row.update(_einf1_row(MatrixValue(A, kind), reps))
     return row
 
 
@@ -125,6 +139,8 @@ def main() -> None:
             results[key] = measure(kind, n, args.reps, workdir)
             cells = "  ".join(f"{k} {v:.4g}" for k, v in results[key].items())
             print(f"{key:4s} {cells}", flush=True)
+        results["h16"] = _einf1_row(gen_hadamard(16), args.reps)
+        print("h16  " + "  ".join(f"{k} {v:.4g}" for k, v in results["h16"].items()))
     payload = {
         "unit": "s (median of reps), grid_speedup is pointwise / stacked",
         "reps": args.reps,

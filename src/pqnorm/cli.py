@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import sys
 from dataclasses import is_dataclass, fields as dc_fields
 from typing import List, Optional
@@ -54,14 +55,7 @@ from .equality_classes import (
     check_class,
     maximizer_eigencheck,
 )
-from .generators import (
-    gen_dft,
-    gen_hadamard,
-    gen_single_entry,
-    gen_svd_extremal,
-    gen_tensor_product,
-    kclass_unit_vector,
-)
+from .generators import GeneratorSpec, build_generator, kclass_unit_vector
 from .core import KClassId
 from .matrixio import (
     MatrixFileError,
@@ -308,26 +302,18 @@ _DEFAULT_CLASS_FOR_KIND = {
 
 
 def _build_generated(args) -> MatrixValue:
-    kind = args.kind
-    if kind == "hadamard":
-        return gen_hadamard(args.m)
-    if kind == "dft":
-        return gen_dft(args.m)
-    if kind == "tensor":
+    extra = {}
+    if args.kind == "tensor":
         rng = np.random.default_rng(args.seed)
-        b = kclass_unit_vector(KClassId.K1, args.m, rng, args.field)
-        c = kclass_unit_vector(KClassId.K1, args.n, rng, args.field)
-        return gen_tensor_product(c, b)
-    if kind == "single":
-        return gen_single_entry(args.m, args.n, 0, 0, args.rho)
-    if kind == "svd":
+        extra["b"] = kclass_unit_vector(KClassId.K1, args.m, rng, args.field)
+        extra["c"] = kclass_unit_vector(KClassId.K1, args.n, rng, args.field)
+    elif args.kind == "svd":
         cls = ClassId.parse(args.cls) if args.cls else ClassId.E_11
-        r, s = cls.extremal_pair
-        sigma = args.sigma if args.sigma else (2.0, 1.0)
-        return gen_svd_extremal(
-            args.m, args.n, r, s, sigma, seed=args.seed, field_tag=args.field
-        )
-    raise _UsageError(f"unknown kind {kind!r}")
+        extra.update(zip("rs", cls.extremal_pair), sigma=args.sigma or (2.0, 1.0))
+    spec = GeneratorSpec(
+        args.kind, args.m, args.n, seed=args.seed, field_tag=args.field, rho=args.rho, **extra
+    )
+    return build_generator(spec)
 
 
 def cmd_generate(args) -> int:
@@ -456,7 +442,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--exact-only", action="store_true", help="exit 2 unless an exact route exists")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=None, help="extra brute-force samples")
-    sp.set_defaults(fn=cmd_norm)
 
     sp = sub.add_parser("check", help="equality-class or pointwise equality verdict")
     sp.add_argument("file")
@@ -465,7 +450,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("sweep", help="grid sweep of the bound to CSV")
     sp.add_argument("file")
@@ -474,7 +458,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--r-grid", type=_grid_arg, required=True)
     sp.add_argument("--s-grid", type=_grid_arg, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("generate", help="construct matrices attaining the bound")
     sp.add_argument("--kind", choices=sorted(_DEFAULT_CLASS_FOR_KIND), required=True)
@@ -486,22 +469,27 @@ def build_parser() -> _Parser:
     sp.add_argument("--field", choices=[REAL, COMPLEX], default=COMPLEX)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="write the matrix file here instead of stdout")
-    sp.set_defaults(fn=cmd_generate)
 
     sp = sub.add_parser("verify", help="run the invariant battery on a matrix")
     sp.add_argument("file")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--assert-norm", default=None, help='"p,q,value" to check a claimed norm')
-    sp.set_defaults(fn=cmd_verify)
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser, built once per process: building it costs more than a
+    small command."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+        # looked up by name at each call, so a replaced cmd_* takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except _UsageError as e:
         _print_err(f"error: {e}")
         return EXIT_ERROR

@@ -14,16 +14,20 @@ characterization for its class:
   E_{inf,1}: a unimodular eigenvector of A*A maps to a constant-modulus
              image with the right amplitude.
 
-Over the real field the unimodular candidates are enumerated exhaustively
-as sign vectors.  Over the complex field, a degenerate eigenspace (or a
-degenerate top singular subspace in the SVD characterization) is searched
-by one batched kernel, _unimodular_in_subspace: every start vector is a
-column of one matrix, advanced by alternating phase projection and
-stopped column by column.
+E_{inf,1} is decided through the eigenspaces of A*A in both fields.  A
+simple eigenspace holds one candidate.  A degenerate real eigenspace (or
+a degenerate top singular subspace in the SVD characterization) is
+searched exhaustively by one sign-vector kernel, _sign_vectors, which
+enumerates 2^(k-1) sign patterns on k pivot coordinates of a
+k-dimensional span.  A degenerate complex one is searched by one batched
+kernel, _unimodular_in_subspace: every start vector is a column of one
+matrix, advanced by alternating phase projection and stopped column by
+column.
 
 Verdicts are yes / no / undetermined; undetermined appears only when a
 needed norm is available solely as an estimate whose bracket straddles the
-decision line, or when that heuristic subspace search is inconclusive.
+decision line, when that heuristic subspace search is inconclusive, or when
+a real eigenspace needs more sign patterns than the enumeration allows.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .core import (
     vector_norm,
 )
 from .induced_norms import (
-    DimensionError,
     MatrixLike,
     MatrixValue,
     SvdFactors,
@@ -519,15 +522,9 @@ def check_Einfinf(
     return ClassVerdict(dual.member, conds, dual.certificate, dual.certainty)
 
 
-def _sufficient_11_terms(
-    p: float, mm: int, nn: int, sigma: float, c11: float, n_exponent_num: Optional[float] = None
-) -> Optional[float]:
+def _sufficient_11_terms(p: float, mm: int, nn: int, sigma: float, c11: float) -> Optional[float]:
     """Left-hand side of the closeness inequality behind the E_{1,1}
-    sufficient test, or None where the p = 2 limit diverges.
-
-    n_exponent_num overrides the exponent of n in the second term (used by
-    the adjoint mirror to evaluate the alternative printed form).
-    """
+    sufficient test, or None where the p = 2 limit diverges."""
     t1 = (2.0 * mm * nn) ** (1.0 - 1.0 / p) * (c11 / sigma)
     coef = 2.0 ** (1.0 - 1.0 / p) - 1.0
     if c11 == 0.0 or coef == 0.0:
@@ -538,14 +535,9 @@ def _sufficient_11_terms(
         if g < 0.0:
             return t1
         return None  # the bracket term diverges (or is indeterminate)
-    n_exp = (
-        n_exponent_num
-        if n_exponent_num is not None
-        else (-3.0 * p * p + 2.0 * p + 4.0) / (2.0 * p * (2.0 - p))
-    )
     bracket = (
         (p / 2.0) ** (1.0 / (2.0 - p))
-        * float(nn) ** n_exp
+        * float(nn) ** ((-3.0 * p * p + 2.0 * p + 4.0) / (2.0 * p * (2.0 - p)))
         * float(mm) ** (-2.0 * (p - 1.0) / (2.0 - p))
         * ratio ** (2.0 / (2.0 - p))
     )
@@ -616,36 +608,10 @@ def sufficient_einfinf(
     seed: int = 0,
 ) -> bool:
     """Sufficient test for E_{inf,inf}(p,q): the adjoint mirror of the
-    E_{1,1} test, requiring q >= 2 and p >= q.
-
-    The mirrored inequality admits a second printed form whose n-exponent
-    differs; both are evaluated and a disagreement triggers a warning, with
-    the adjoint-derived verdict returned.
-    """
+    E_{1,1} test, requiring q >= 2 and p >= q."""
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
-    dual = sufficient_e11(M.adjoint(), conjugate(qi), conjugate(pi), tol, details, seed=seed)
-    # Alternative direct form with the n-exponent as printed: -2(q*-1)/(2 q* p)
-    arr = M.entries
-    if arr.any() and not pi.is_inf:
-        qs = conjugate(qi).value
-        ok_i, ok_ii, sigma, mask = _column_conditions(arr.conj().T, tol)
-        if ok_i and ok_ii and qs <= 2.0 and sign_between(conjugate(pi), conjugate(qi)) <= 0:
-            C = arr.copy()
-            C[mask, :] = 0.0
-            c11 = float(np.abs(C).sum(axis=1).max())
-            if qs != 2.0 and c11 > 0.0 and sigma > 0.0:
-                alt_exp = -2.0 * (qs - 1.0) / (2.0 * qs * pi.value)
-                alt = _sufficient_11_terms(qs, M.n, M.m, sigma, c11, n_exponent_num=alt_exp)
-                alt_verdict = alt is not None and alt <= 1.0
-                if alt_verdict != dual:
-                    warnings.warn(
-                        "the two printed forms of the E_infinf sufficient "
-                        "inequality disagree; returning the adjoint-derived verdict",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-    return dual
+    return sufficient_e11(M.adjoint(), conjugate(qi), conjugate(pi), tol, details, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +749,51 @@ def _unimodular_in_subspace(
     return out
 
 
+_SIGN_BITS = 24  # a real eigenspace of dimension k is enumerated when k - 1 <= _SIGN_BITS
+
+
+def _sign_vectors(
+    Q: np.ndarray, B: Optional[np.ndarray] = None, tol: float = DEFAULT_TOL
+) -> Optional[np.ndarray]:
+    """The sign vectors x in span(Q), one per column with first entry +1, in
+    the index order of the full enumeration; given B, only those whose image
+    B x has constant nonzero modulus (to relative tol).  None when the
+    dimension k of the span needs more than 2^_SIGN_BITS sign patterns.
+
+    Q is real m x k with orthonormal columns.  k pivot rows are picked
+    greedily (largest residual row, projected out in turn), so Q[piv] is
+    invertible and T = Q Q[piv]^-1 has T[piv] = I: the x in span(Q) with
+    x[piv] = s is T s.  The 2^(k-1) patterns s are enumerated on the stack
+    [T[rest]; B T], and a pattern is kept when every other entry of T s has
+    modulus 1 (to 1e-8) and its image passes the modulus test.
+    """
+    m, k = Q.shape
+    if k - 1 > _SIGN_BITS:
+        return None
+    R = Q.copy()
+    piv = []
+    for _ in range(k):
+        i = int(np.argmax(np.einsum("ij,ij->i", R, R)))
+        piv.append(i)
+        R -= np.outer(R @ R[i], R[i]) / (R[i] @ R[i])
+    T = np.linalg.solve(Q[piv].T, Q.T).T
+    rest = np.delete(T, piv, axis=0)
+    r = rest.shape[0]
+    kept = []
+    for Y, cols in _sign_images(rest if B is None else np.vstack([rest, B @ T])):
+        np.abs(Y, out=Y)
+        ok = (np.abs(Y[:r] - 1.0) <= 1e-8).all(axis=0)
+        if B is not None:
+            peaks = Y[r:].max(axis=0)
+            ok &= (peaks > 0) & (peaks - Y[r:].min(axis=0) <= tol * peaks)
+        idx = np.flatnonzero(ok)
+        if idx.size:
+            kept.append(np.sign(T @ cols(idx)))
+    X = np.hstack(kept) if kept else np.ones((m, 0))
+    X = X * X[0]
+    return X[:, np.lexsort(X < 0)]
+
+
 def check_Einf1(
     A: MatrixLike,
     p: IndexLike,
@@ -790,18 +801,21 @@ def check_Einf1(
     tol: float = DEFAULT_TOL,
     *,
     seed: int = 0,
-    max_real_cols: int = 24,
 ) -> ClassVerdict:
     """Is ||A||_{inf,1} = m^{1/p} n^{1-1/q} ||A||_{p,q} (equality for
     r > p, s < q)?
 
     Membership holds exactly when some vector v with unit-modulus entries
     is an eigenvector of A*A, has a constant-modulus image A v, and its
-    norm ratio attains ||A||_{p,q}.  Real field: full sign enumeration
-    (conclusive).  Complex field: eigen-decomposition of A*A, with each
-    amplitude-compatible eigenspace searched for a unit-modulus
-    representative; multidimensional eigenspace searches are heuristic, so
-    a failed search yields undetermined rather than no.
+    norm ratio attains ||A||_{p,q}.  Both fields search the eigenspaces of
+    A*A (singular values grouped to 1e-8 relative) for such a v: a simple
+    one holds one candidate, a real k-dimensional one is searched
+    exhaustively by _sign_vectors (undetermined past k = 25), a complex
+    one heuristically (undetermined when the search fails).  Over the
+    reals every eigenspace that could reach the exact lower bound
+    sigma_1 m^-(1/p-1/2)_+ n^-(1/2-1/q)_+ <= ||A||_{p,q} is searched, so a
+    "no" without a candidate is exact; over the complex field only those
+    whose amplitude fits the norm bracket.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
@@ -813,134 +827,89 @@ def check_Einf1(
     scaled, e = _pow2_normalized(arr)
     ab = bracket_norm(M, pi, qi, seed=seed)
     certainty = "exact" if ab.is_exact else "estimate-backed"
-    if not M.is_complex:
-        if m > max_real_cols:
-            raise DimensionError(
-                f"sign enumeration capped at {max_real_cols} columns, got {m}"
-            )
-        candidates = []
-        for W, cols in _sign_images(arr):
-            np.abs(W, out=W)  # in place: these blocks set the peak memory
-            peaks = W.max(axis=0)
-            spread = peaks - W.min(axis=0)
-            ok = (peaks > 0) & (spread <= tol * np.maximum(peaks, 1e-300))
-            candidates.extend(cols(np.flatnonzero(ok)).T)
-        conds = [
-            Condition(
-                "unimodular-constant-image-vectors",
-                bool(candidates),
-                {"count": len(candidates), "searched": 1 << (m - 1)},
-            )
-        ]
-        if not candidates:
-            return _verdict("no", conds, certainty="exact")
-        unresolved = False
-        for v in candidates:
-            ok_eig, lam = _eigen_residual_ok(scaled, e, v, tol)
-            if not ok_eig:
-                continue
-            res = _resolve_amplitude(M, v, pi, qi, ab, tol)
-            if res is True:
-                tau = _constant_modulus(arr @ v, tol)
-                conds.append(
-                    Condition(
-                        "eigenvector-with-matching-amplitude",
-                        True,
-                        {"lambda": lam, "tau": tau},
-                    )
-                )
-                cert = {"v": v, "tau": tau, "lambda": lam}
-                return _verdict("yes", conds, certificate=cert, certainty=certainty)
-            if res is None:
-                unresolved = True
-        conds.append(
-            Condition("eigenvector-with-matching-amplitude", None if unresolved else False, {})
-        )
-        if unresolved:
-            return _verdict("undetermined", conds, certainty="estimate-backed")
-        return _verdict("no", conds, certainty=certainty)
-    # complex field: eigenspaces of A*A are spanned by right singular vectors
+    btol = _bracket_tol(ab, tol)
     f = svd(M)
-    svals = f.s
-    scale_amp = float(m) ** (pi.inv - 0.5) * float(n) ** (0.5 - qi.inv)
-    lo = scale_amp * ab.lower * (1.0 - _bracket_tol(ab, tol))
-    hi = scale_amp * ab.upper * (1.0 + _bracket_tol(ab, tol))
+    svals = f.s.tolist()
+    # the ratio at a candidate of singular value s is s / amp
+    amp = float(m) ** (pi.inv - 0.5) * float(n) ** (0.5 - qi.inv)
+    lo, hi = amp * ab.lower * (1.0 - btol), amp * ab.upper * (1.0 + btol)
     groups = []
     i = 0
     while i < len(svals):
         j = i
-        while j + 1 < len(svals) and abs(svals[j + 1] - svals[i]) <= 1e-8 * max(
-            svals[0], 1e-300
-        ):
+        while j + 1 < len(svals) and abs(svals[j + 1] - svals[i]) <= 1e-8 * svals[0]:
             j += 1
-        groups.append((float(svals[i]), list(range(i, j + 1))))
+        groups.append((svals[i], list(range(i, j + 1))))
         i = j + 1
-    qualifying = [g for g in groups if lo <= g[0] <= hi and g[0] > 0]
+    fits = [g for g in groups if lo <= g[0] <= hi and g[0] > 0]
     conds = [
         Condition(
             "amplitude-compatible-eigenspaces",
-            bool(qualifying),
-            {
-                "window": (lo, hi),
-                "singular_values": [float(x) for x in svals],
-            },
+            bool(fits),
+            {"window": (lo, hi), "singular_values": svals},
         )
     ]
-    if not qualifying:
-        return _verdict("no", conds, certainty=certainty)
-    rng = np.random.default_rng(seed)
-    heuristic_miss = False
-    unresolved = False
-    for sval, idx in qualifying:
-        Q = f.v[:, idx].astype(complex)
+    if M.is_complex:
+        searched = fits
+        V = f.v.astype(complex)
+        eig_tol = max(tol, 1e-7)  # candidates carry the computed vectors' phase error
+    else:
+        # a member's ratio reaches ||A||_{p,q} >= low, an exact lower bound
+        low = svals[0] * m ** -max(pi.inv - 0.5, 0.0) * n ** -max(0.5 - qi.inv, 0.0)
+        searched = [g for g in groups if g[0] >= amp * low * (1.0 - btol)]
+        V = f.v
+        eig_tol = tol
+    # a simple eigenspace's one candidate: its vector, if of constant modulus
+    a = np.abs(V)
+    peaks = a.max(axis=0)
+    const = (peaks - a.min(axis=0) <= tol * peaks).tolist()
+    rng = None
+    count = 0
+    incomplete = unresolved = False
+    for sval, idx in searched:
         if len(idx) == 1:
-            v0 = Q[:, 0]
-            if _constant_modulus(v0, tol) is None:
-                continue  # conclusive for a 1-dimensional eigenspace
-            w = v0 / np.abs(v0)
-            cand_list = [w]
-        else:
+            if not const[idx[0]]:
+                continue
+            found = [V[:, idx[0]] / np.abs(V[:, idx[0]])]
+        elif M.is_complex:
             # within one eigengroup the matrix acts as sval times an
             # isometry, so both modulus constraints can be phase-projected
-            W = (arr @ Q) / sval if sval > 0 else arr @ Q
-            cand_list = _unimodular_in_subspace(Q, rng, W)
-            if not cand_list:
-                heuristic_miss = True
+            Q = V[:, idx]
+            rng = rng or np.random.default_rng(seed)
+            found = _unimodular_in_subspace(Q, rng, (arr @ Q) / sval)
+        else:
+            X = _sign_vectors(V[:, idx], scaled, tol)
+            if X is None:
+                incomplete = True
+                measured = {"dimension": len(idx), "max_dimension": _SIGN_BITS + 1}
+                conds.append(Condition("sign-enumeration-cap", None, measured))
                 continue
-        found_here = False
-        for w in cand_list:
+            found = X.T
+        here = count
+        for w in found:
             tau = _constant_modulus(arr @ w, tol)
-            if tau is None:
+            if not tau:
                 continue
-            ok_eig, lam = _eigen_residual_ok(scaled, e, w, max(tol, 1e-7))
+            ok_eig, lam = _eigen_residual_ok(scaled, e, w, eig_tol)
             if not ok_eig:
                 continue
             res = _resolve_amplitude(M, w, pi, qi, ab, tol)
             if res is True:
-                conds.append(
-                    Condition(
-                        "eigenvector-with-matching-amplitude",
-                        True,
-                        {"lambda": lam, "tau": tau},
-                    )
-                )
+                measured = {"lambda": lam, "tau": tau}
+                conds.append(Condition("eigenvector-with-matching-amplitude", True, measured))
                 cert = {"v": w, "tau": tau, "lambda": lam}
                 return _verdict("yes", conds, certificate=cert, certainty=certainty)
-            if res is None:
-                unresolved = True
-            found_here = True
-        if len(idx) > 1 and not found_here:
-            heuristic_miss = True
-    conds.append(
-        Condition(
-            "eigenvector-with-matching-amplitude",
-            None if (heuristic_miss or unresolved) else False,
-            {},
-        )
-    )
-    if heuristic_miss or unresolved:
+            unresolved |= res is None
+            count += 1
+            break  # every candidate of one eigenspace has the same ratio, sval / amp
+        incomplete |= M.is_complex and len(idx) > 1 and count == here
+    undecided = incomplete or unresolved
+    state = None if undecided else False
+    conds.append(Condition("eigenvector-with-matching-amplitude", state, {"eigenspaces": count}))
+    if undecided:
         return _verdict("undetermined", conds, certainty="estimate-backed")
-    return _verdict("no", conds, certainty=certainty)
+    # over the reals a "no" without a candidate used no norm estimate
+    return _verdict("no", conds, certainty=certainty if count or M.is_complex else "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -951,20 +920,6 @@ def check_Einf1(
 def _in_span(Q: np.ndarray, e: np.ndarray, tol: float = 1e-8) -> bool:
     proj = Q @ (Q.conj().T @ e)
     return float(np.linalg.norm(proj - e)) <= tol
-
-
-def _sign_vectors_in_span(Q: np.ndarray, cap: int = 24) -> Optional[list]:
-    """All unit sign vectors inside span(Q), or None when the dimension
-    exceeds the enumeration cap.  For real matrices these are exactly the
-    constant-modulus candidates, so the search is exhaustive."""
-    m = Q.shape[0]
-    if m - 1 > cap:
-        return None
-    out = []
-    for R, cols in _sign_images(Q @ Q.T - np.eye(m)):
-        resid = np.linalg.norm(R, axis=0)
-        out.extend(cols(np.flatnonzero(resid <= 1e-8 * math.sqrt(m))).T / math.sqrt(m))
-    return out
 
 
 def _svd_with_first_vector(
@@ -1075,9 +1030,9 @@ def check_svd_equality(
     def _k1_candidates(Q: np.ndarray) -> list:
         nonlocal exhaustive
         if not M.is_complex:
-            signs = _sign_vectors_in_span(Q.real.astype(float))
+            signs = _sign_vectors(Q.real.astype(float))
             if signs is not None:
-                return signs
+                return list(signs.T / math.sqrt(Q.shape[0]))
         exhaustive = False
         cands = []
         for w in _unimodular_in_subspace(Q.astype(complex), rng):

@@ -222,8 +222,8 @@ class GeneratorSpec:
     kind: str  # hadamard | dft | tensor | single | svd
     m: int = 2
     n: int = 2
-    r: Optional[str] = None
-    s: Optional[str] = None
+    r: Optional[IndexLike] = None
+    s: Optional[IndexLike] = None
     sigma: Sequence[float] = field(default_factory=lambda: (2.0, 1.0))
     seed: int = 0
     field_tag: str = COMPLEX
@@ -249,8 +249,7 @@ def build_generator(spec: GeneratorSpec) -> MatrixValue:
     if spec.kind == "svd":
         if spec.r is None or spec.s is None:
             raise ValueError("svd generation requires the extremal pair (r, s)")
-        truncated = list(spec.sigma)[: min(spec.m, spec.n)]
         return gen_svd_extremal(
-            spec.m, spec.n, spec.r, spec.s, truncated, spec.seed, spec.field_tag
+            spec.m, spec.n, spec.r, spec.s, spec.sigma, spec.seed, spec.field_tag
         )
     raise ValueError(f"unknown generator kind {spec.kind!r}")

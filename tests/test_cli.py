@@ -113,6 +113,19 @@ class TestCheckCommand:
     def test_bad_class_token(self, b_real):
         assert main(["check", b_real, "E_22", "-p", "2", "-q", "2"]) == EXIT_ERROR
 
+    def test_einf1_real_32(self, tmp_path, capsys):
+        # a real 32 x 32 Gaussian has only simple eigenspaces: a conclusive
+        # "no"; Hadamard 32 has one 32-dimensional eigenspace, past the cap
+        from pqnorm import gen_hadamard
+
+        g, h = tmp_path / "g32.json", tmp_path / "h32.json"
+        save_matrix(as_matrix(np.random.default_rng(3).standard_normal((32, 32)), field="real"), g)
+        save_matrix(gen_hadamard(32), h)
+        assert main(["check", str(g), "E_inf1", "-p", "2", "-q", "2"]) == EXIT_NO
+        assert "no (exact)" in capsys.readouterr().out
+        assert main(["check", str(h), "E_inf1", "-p", "2", "-q", "2"]) == EXIT_UNDETERMINED
+        assert "sign-enumeration-cap" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     ARGS = ["-p", "2", "-q", "2", "--r-grid", "2,3,inf", "--s-grid", "1,1.5,2"]
@@ -219,6 +232,11 @@ class TestGenerateCommand:
         )
         assert rc == EXIT_ERROR
 
+    def test_extra_singular_values(self, capsys):
+        rc = main(["generate", "--kind", "svd", "--m", "1", "--n", "1"])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == "more singular values than min(m, n)\n"
+
     def test_empty_sigma(self, tmp_path):
         rc = main(
             ["generate", "--kind", "svd", "--class", "E_11", "--sigma", "",
@@ -276,6 +294,17 @@ class TestVerifyCommand:
 
 
 class TestEntryPoint:
+    def test_repeated_main_same_bytes(self, b_real, capsys):
+        # the parser is built once per process; a second call sees no state
+        # left by the first
+        for argv in (
+            ["norm", b_real, "-p", "1.5", "-q", "3"],
+            ["check", b_real, "E_inf1", "-p", "2", "-q", "2"],
+            ["norm", b_real, "-p", "0.5", "-q", "2"],
+        ):
+            first = (main(argv), capsys.readouterr())
+            assert (main(argv), capsys.readouterr()) == first
+
     def test_installed_script(self, tmp_path):
         p = tmp_path / "m.json"
         save_matrix(as_matrix(np.eye(2)), p)

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqnorm import (
     ClassId,
@@ -21,6 +22,7 @@ from pqnorm import (
     as_matrix,
     best_norm,
     bound_factor,
+    bracket_norm,
     check_E11,
     check_E1inf,
     check_Einf1,
@@ -43,7 +45,9 @@ from pqnorm import (
 )
 from pqnorm import equality_classes
 from pqnorm.core import DEFAULT_TOL
-from pqnorm.induced_norms import BLOCK, _sign_cols
+from pqnorm.induced_norms import BLOCK, _sign_cols, _sign_images
+
+from conftest import make_corpus, make_curated
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 BC = as_matrix(B, field="complex")
@@ -244,9 +248,9 @@ class TestEinf1:
 
 
 def _blockwise_constant_image_signs(arr, tol):
-    """The real E_inf1 candidates (sign vectors with a constant-modulus
-    image) from materialised blocks of sign vectors: the reference for the
-    incremental enumeration."""
+    """The sign vectors with a constant-modulus image from materialised
+    blocks of sign vectors: the reference for the image filter of
+    _sign_vectors."""
     m = arr.shape[1]
     total = 1 << (m - 1)
     out = []
@@ -260,8 +264,8 @@ def _blockwise_constant_image_signs(arr, tol):
 
 
 def _blockwise_signs_in_span(Q):
-    """Unit sign vectors in span(Q) from materialised blocks: the reference
-    for _sign_vectors_in_span."""
+    """Sign vectors in span(Q) from materialised blocks: the reference for
+    _sign_vectors."""
     m = Q.shape[0]
     P = Q @ Q.T
     total = 1 << (m - 1)
@@ -269,7 +273,7 @@ def _blockwise_signs_in_span(Q):
     for start in range(0, total, BLOCK):
         X = _sign_cols(np.arange(start, min(start + BLOCK, total)), m)
         resid = np.linalg.norm(P @ X - X, axis=0)
-        out += [X[:, j] / math.sqrt(m) for j in np.nonzero(resid <= 1e-8 * math.sqrt(m))[0]]
+        out += [X[:, j] for j in np.nonzero(resid <= 1e-8 * math.sqrt(m))[0]]
     return out
 
 
@@ -277,37 +281,192 @@ def _same_vectors(got, want):
     return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _reference_einf1_real(M, p, q, tol=DEFAULT_TOL, seed=0):
+    """check_Einf1's former real-field decider, kept as the reference: all
+    2^(m-1) sign vectors are enumerated, and those with a constant-modulus
+    image are tested for the eigenvector and amplitude conditions.  Returns
+    (member, certainty, the candidates that passed the eigenvector test and
+    so had their amplitude compared with the norm)."""
+    pi, qi = as_index(p), as_index(q)
+    early = equality_classes._zero_or_trivial(M, pi, qi, ClassId.E_INF1)
+    if early is not None:
+        return early.member, early.certainty, []
+    arr = M.entries
+    scaled, e = equality_classes._pow2_normalized(arr)
+    ab = bracket_norm(M, pi, qi, seed=seed)
+    certainty = "exact" if ab.is_exact else "estimate-backed"
+    candidates = []
+    for W, cols in _sign_images(arr):
+        np.abs(W, out=W)
+        peaks = W.max(axis=0)
+        spread = peaks - W.min(axis=0)
+        ok = (peaks > 0) & (spread <= tol * np.maximum(peaks, 1e-300))
+        candidates.extend(cols(np.flatnonzero(ok)).T)
+    if not candidates:
+        return "no", "exact", []
+    unresolved = False
+    eigen = []
+    for v in candidates:
+        ok_eig, lam = equality_classes._eigen_residual_ok(scaled, e, v, tol)
+        if not ok_eig:
+            continue
+        eigen.append(v)
+        res = equality_classes._resolve_amplitude(M, v, pi, qi, ab, tol)
+        if res is True:
+            return "yes", certainty, eigen
+        if res is None:
+            unresolved = True
+    if unresolved:
+        return "undetermined", "estimate-backed", eigen
+    return "no", certainty, eigen
+
+
+# the (p,q) pairs of the cross-check: none leaves the E_inf1 quadrant empty
+EINF1_PAIRS = [(2, 2), (1.5, 3), (3, 1.5), (1, 2), (2, "inf"), (1, "inf"), (4, 4)]
+
+
+def _einf1_matches_reference(M, pairs=EINF1_PAIRS, tol=DEFAULT_TOL) -> int:
+    """Assert that check_Einf1 gives the reference's member at every pair,
+    and its certainty except for an exact "no" that needs no norm estimate;
+    returns the number of such certainty moves."""
+    moved = 0
+    n, m = M.entries.shape
+    for p, q in pairs:
+        want, want_cert, eigen = _reference_einf1_real(M, p, q, tol)
+        got = check_Einf1(M, p, q, tol)
+        assert got.member == want, (M.entries.tolist(), p, q)
+        if got.certainty != want_cert:
+            assert (got.member, want_cert, got.certainty) == ("no", "estimate-backed", "exact")
+            # every candidate the reference compared with the norm falls
+            # below the exact bound ||A||_{p,q} >= sigma_1 m^-(1/p-1/2)_+
+            # n^-(1/2-1/q)_+, so refuting it needs no estimate
+            pi, qi = as_index(p), as_index(q)
+            floor = svd(M).s[0] * m ** -max(pi.inv - 0.5, 0) * n ** -max(0.5 - qi.inv, 0)
+            for v in eigen:
+                ratio = np.linalg.norm(M.entries @ v, qi.value) / np.linalg.norm(v, pi.value)
+                assert ratio < floor, (M.entries.tolist(), p, q)
+            moved += 1
+    return moved
+
+
+def _structured_real_corpus():
+    """Real matrices with n, m <= 8: Gaussian, {-1,0,1} and +-1 entries,
+    Sylvester Hadamard orders 1-8 with their leading sub-blocks and
+    Kronecker products, and rank-one sign tensors."""
+    r = np.random.default_rng(2024)
+    mats = []
+    for kind in range(3):
+        for _ in range(6):
+            n, m = (int(x) for x in r.integers(1, 9, size=2))
+            if kind == 0:
+                mats.append(r.standard_normal((n, m)))
+            elif kind == 1:
+                mats.append(r.integers(-1, 2, size=(n, m)).astype(float))
+            else:
+                mats.append(r.choice([-1.0, 1.0], size=(n, m)))
+    for k in (1, 2, 4, 8):
+        H = gen_hadamard(k).entries
+        mats += [H, H[: max(k // 2, 1)], H[:, : max(k - 1, 1)]]
+    H2 = gen_hadamard(2).entries
+    mats += [np.kron(H2, np.ones((2, 2))), np.kron(gen_hadamard(4).entries, H2[:1])]
+    for n, m in ((3, 5), (6, 8)):
+        c, b = r.choice([-1.0, 1.0], size=n), r.choice([-1.0, 1.0], size=m)
+        mats.append(np.outer(c, b))
+    return [as_matrix(A, field="real") for A in mats]
+
+
 class TestSignEnumerationSites:
-    # (m, entry range) of integer 3 x m matrices with 7 to 3165 candidates;
-    # m = 2 uses a hand-made matrix with two
+    # (m, entry range) of integer 3 x m matrices with 7 to 3165 sign vectors
+    # of constant-modulus image; m = 2 uses a hand-made matrix with two
     CASES = [(2, 0), (8, 2), (15, 1), (16, 2), (17, 2), (20, 5)]
 
-    def test_einf1_real_candidates(self, monkeypatch):
-        seen = []
-
-        def record(arr, e, v, tol):
-            seen.append(np.array(v))
-            return False, 0.0
-
-        monkeypatch.setattr(equality_classes, "_eigen_residual_ok", record)
+    def test_einf1_real_candidates(self):
+        # the eigenspace path decides as the full enumeration did, on the
+        # enumeration cases, the structured corpus and the real matrices
+        # of the tier-1 corpus and curated suite (also at tol 1e-4)
         for m, k in self.CASES:
             if m == 2:
                 A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
             else:
                 A = np.random.default_rng(m).integers(-k, k + 1, size=(3, m)).astype(float)
-            seen.clear()
-            check_Einf1(as_matrix(A, field="real"), 2, 2)
-            want = _blockwise_constant_image_signs(A, DEFAULT_TOL)
-            assert want and _same_vectors(seen, want), m
+            _einf1_matches_reference(as_matrix(A, field="real"), [(2, 2), (1.5, 3)])
+        moved = sum(_einf1_matches_reference(M) for M in _structured_real_corpus())
+        assert moved > 0  # constant-image sign vectors that are no eigenvectors
+        tier1 = [M for M in make_corpus(60) if not M.is_complex]
+        tier1 += [M for _, M in make_curated() if not M.is_complex]
+        for M in tier1:
+            _einf1_matches_reference(M, [(2, 2), (3, 1.5)])
+            _einf1_matches_reference(M, [(2, 2), (1.5, 3)], tol=1e-4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gauss", "ternary", "sign", "repeated"]),
+        n=st.integers(1, 6),
+        m=st.integers(1, 16),
+        pair=st.sampled_from(EINF1_PAIRS),
+    )
+    def test_einf1_matches_enumeration_property(self, seed, kind, n, m, pair):
+        # repeated columns and small integer entries give degenerate
+        # eigenspaces, where grouping singular values to 1e-8 could split a
+        # true eigenspace
+        r = np.random.default_rng(seed)
+        if kind == "gauss":
+            A = r.standard_normal((n, m))
+        elif kind == "ternary":
+            A = r.integers(-1, 2, size=(n, m)).astype(float)
+        elif kind == "sign":
+            A = r.choice([-1.0, 1.0], size=(n, m))
+        else:
+            A = r.choice([-1.0, 1.0], size=(n, 2))[:, r.integers(0, 2, size=m)]
+        _einf1_matches_reference(as_matrix(A, field="real"), [pair])
 
     def test_sign_vectors_in_span(self):
+        def check(Q):
+            got = equality_classes._sign_vectors(Q)
+            want = _blockwise_signs_in_span(Q)
+            assert want and _same_vectors(list(got.T), want), Q.shape
+
         for m, _ in self.CASES:
+            # k = 4: three sign vectors and a Gaussian direction
             r = np.random.default_rng(m)
             S = _sign_cols(r.integers(0, 1 << (m - 1), size=3), m)
-            Q, _ = np.linalg.qr(np.hstack([S, r.standard_normal((m, 1))]))
-            got = equality_classes._sign_vectors_in_span(Q)
-            want = _blockwise_signs_in_span(Q)
-            assert want and _same_vectors(got, want), m
+            check(np.linalg.qr(np.hstack([S, r.standard_normal((m, 1))]))[0])
+        x = _sign_cols(77, 16)
+        check(x.reshape(16, 1) / 4.0)  # k = 1
+        H = gen_hadamard(16).entries
+        check(H / 4.0)  # k = m: every sign vector
+        # with an image map, k = m reproduces the full enumeration's filter
+        got = equality_classes._sign_vectors(svd(H).v, H)
+        assert _same_vectors(list(got.T), _blockwise_constant_image_signs(H, DEFAULT_TOL))
+
+    def test_cap_answers_none(self):
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((32, 26)))[0]
+        assert equality_classes._sign_vectors(Q) is None
+
+
+class TestEinf1Large:
+    def test_real_32_gaussians_exact_no(self):
+        for seed in range(3):
+            A = np.random.default_rng(seed).standard_normal((32, 32))
+            v = check_Einf1(as_matrix(A, field="real"), 2, 2)
+            assert (v.member, v.certainty) == ("no", "exact"), seed
+
+    def test_rank_deficient_skips_its_null_cluster(self):
+        # a numerically null cluster of 28 singular values sits far below any
+        # member's amplitude, so it is not enumerated (it is past the cap)
+        r = np.random.default_rng(5)
+        A = r.standard_normal((30, 2)) @ r.standard_normal((2, 30))
+        v = check_Einf1(as_matrix(A, field="real"), 2, 2)
+        assert (v.member, v.certainty) == ("no", "exact")
+        T = np.outer(r.choice([-1.0, 1.0], size=30), r.choice([-1.0, 1.0], size=30))
+        assert check_Einf1(as_matrix(T, field="real"), 1.5, 3).member == "yes"
+
+    def test_hadamard_32_past_the_cap(self):
+        v = check_Einf1(gen_hadamard(32), 2, 2)
+        assert (v.member, v.certainty) == ("undetermined", "estimate-backed")
+        cap = [c for c in v.conditions if c.name == "sign-enumeration-cap"]
+        assert cap and cap[0].measured == {"dimension": 32, "max_dimension": 25}
 
 
 def _complex(A):

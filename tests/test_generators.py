@@ -205,6 +205,11 @@ class TestBuildGenerator:
         )
         assert e.entries.shape == (3, 3)
 
+    def test_svd_rejects_extra_singular_values(self):
+        # the default sigma has two values, more than min(1, 1)
+        with pytest.raises(ValueError, match="more singular values than min"):
+            build_generator(GeneratorSpec(kind="svd", m=1, n=1, r="3", s="1.5"))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_generator(GeneratorSpec(kind="mystery"))
