@@ -885,7 +885,6 @@ def check_Einf1(
                 conds.append(Condition("sign-enumeration-cap", None, measured))
                 continue
             found = X.T
-        here = count
         for w in found:
             tau = _constant_modulus(arr @ w, tol)
             if not tau:
@@ -902,7 +901,8 @@ def check_Einf1(
             unresolved |= res is None
             count += 1
             break  # every candidate of one eigenspace has the same ratio, sval / amp
-        incomplete |= M.is_complex and len(idx) > 1 and count == here
+        else:
+            incomplete |= M.is_complex and len(idx) > 1  # the heuristic search failed
     undecided = incomplete or unresolved
     state = None if undecided else False
     conds.append(Condition("eigenvector-with-matching-amplitude", state, {"eigenspaces": count}))
