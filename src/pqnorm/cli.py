@@ -428,7 +428,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The parser, built once per process: building it costs more than a
+    small command."""
     parser = _Parser(prog="pqnorm", description="Induced matrix norms, the comparison bound, and its equality classes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -478,16 +481,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    """The parser, built once per process: building it costs more than a
-    small command."""
-    return build_parser()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         # looked up by name at each call, so a replaced cmd_* takes effect
         return globals()[f"cmd_{args.command}"](args)
     except _UsageError as e:

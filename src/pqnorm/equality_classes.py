@@ -14,15 +14,16 @@ characterization for its class:
   E_{inf,1}: a unimodular eigenvector of A*A maps to a constant-modulus
              image with the right amplitude.
 
-E_{inf,1} is decided through the eigenspaces of A*A in both fields.  A
-simple eigenspace holds one candidate.  A degenerate real eigenspace (or
-a degenerate top singular subspace in the SVD characterization) is
-searched exhaustively by one sign-vector kernel, _sign_vectors, which
-enumerates 2^(k-1) sign patterns on k pivot coordinates of a
-k-dimensional span.  A degenerate complex one is searched by one batched
-kernel, _unimodular_in_subspace: every start vector is a column of one
-matrix, advanced by alternating phase projection and stopped column by
-column.
+E_{inf,1} is decided through the eigenspaces of A*A in both fields, with
+eigenvalues grouped to a margin set by tol, so a near-member whose
+eigenspace noise has split is still found.  A simple group holds one
+candidate, its rounded vector.  A degenerate real group (or a degenerate
+top singular subspace in the SVD characterization) is searched by one
+sign-vector kernel, _sign_vectors, which enumerates 2^(k-1) sign
+patterns on k pivot coordinates of a k-dimensional span.  A degenerate
+complex one is searched by one batched kernel, _unimodular_in_subspace:
+every start vector is a column of one matrix, advanced by alternating
+phase projection and stopped column by column.
 
 Verdicts are yes / no / undetermined; undetermined appears only when a
 needed norm is available solely as an estimate whose bracket straddles the
@@ -753,19 +754,25 @@ _SIGN_BITS = 24  # a real eigenspace of dimension k is enumerated when k - 1 <= 
 
 
 def _sign_vectors(
-    Q: np.ndarray, B: Optional[np.ndarray] = None, tol: float = DEFAULT_TOL
-) -> Optional[np.ndarray]:
-    """The sign vectors x in span(Q), one per column with first entry +1, in
-    the index order of the full enumeration; given B, only those whose image
-    B x has constant nonzero modulus (to relative tol).  None when the
-    dimension k of the span needs more than 2^_SIGN_BITS sign patterns.
+    Q: np.ndarray, B: Optional[np.ndarray] = None, tol: float = DEFAULT_TOL, slack: float = 1e-8
+) -> Optional[tuple]:
+    """(X, exhaustive): sign vectors x near span(Q), every one within
+    entrywise distance slack of it when exhaustive, one per column with
+    first entry +1, in the index order of the full enumeration; given B,
+    only those whose image B x has constant nonzero modulus (to relative
+    tol).  None when the dimension k of the span needs more than
+    2^_SIGN_BITS sign patterns.
 
     Q is real m x k with orthonormal columns.  k pivot rows are picked
     greedily (largest residual row, projected out in turn), so Q[piv] is
     invertible and T = Q Q[piv]^-1 has T[piv] = I: the x in span(Q) with
     x[piv] = s is T s.  The 2^(k-1) patterns s are enumerated on the stack
-    [T[rest]; B T], and a pattern is kept when every other entry of T s has
-    modulus 1 (to 1e-8) and its image passes the modulus test.
+    [T[rest]; B T].  For x = Q c + e with |e| <= slack entrywise, T s
+    differs from x by at most rho = slack (1 + max row sum of |T[rest]|),
+    so a pattern whose other entries lie within rho of +-1 (and whose
+    image is constant up to that difference) is rounded to a sign vector
+    and tested exactly.  The search is exhaustive when rho < 1, where
+    rounding cannot flip a sign; otherwise rho is capped at 1/2.
     """
     m, k = Q.shape
     if k - 1 > _SIGN_BITS:
@@ -777,21 +784,33 @@ def _sign_vectors(
         piv.append(i)
         R -= np.outer(R @ R[i], R[i]) / (R[i] @ R[i])
     T = np.linalg.solve(Q[piv].T, Q.T).T
-    rest = np.delete(T, piv, axis=0)
-    r = rest.shape[0]
-    kept = []
+    others = np.delete(np.arange(m), piv)
+    rest = T[others]
+    r = others.size
+    rho = slack * (1.0 + np.abs(rest).sum(axis=1).max(initial=0.0))
+    exhaustive = rho < 1.0
+    rho = min(rho, 0.5)
+    # the image of T s is within delta of that of x, entrywise
+    delta = 0.0 if B is None else rho * np.abs(B[:, others]).sum(axis=1).max(initial=0.0)
+    neg = []
     for Y, cols in _sign_images(rest if B is None else np.vstack([rest, B @ T])):
         np.abs(Y, out=Y)
-        ok = (np.abs(Y[:r] - 1.0) <= 1e-8).all(axis=0)
+        ok = (np.abs(Y[:r] - 1.0) <= rho).all(axis=0)
         if B is not None:
             peaks = Y[r:].max(axis=0)
-            ok &= (peaks > 0) & (peaks - Y[r:].min(axis=0) <= tol * peaks)
+            ok &= peaks - Y[r:].min(axis=0) <= tol * peaks + (2.0 + tol) * delta
         idx = np.flatnonzero(ok)
         if idx.size:
-            kept.append(np.sign(T @ cols(idx)))
-    X = np.hstack(kept) if kept else np.ones((m, 0))
-    X = X * X[0]
-    return X[:, np.lexsort(X < 0)]
+            X = np.sign(T @ cols(idx))
+            if B is not None:
+                Z = np.abs(B @ X)
+                peaks = Z.max(axis=0)
+                X = X[:, (peaks > 0) & (peaks - Z.min(axis=0) <= tol * peaks)]
+            neg.append(X < 0)
+    # survivors are kept as sign bits: one float copy is made, in order
+    N = np.hstack(neg) if neg else np.zeros((m, 0), dtype=bool)
+    N ^= N[0]
+    return np.where(N[:, np.lexsort(N)], -1.0, 1.0), exhaustive
 
 
 def check_Einf1(
@@ -808,14 +827,20 @@ def check_Einf1(
     Membership holds exactly when some vector v with unit-modulus entries
     is an eigenvector of A*A, has a constant-modulus image A v, and its
     norm ratio attains ||A||_{p,q}.  Both fields search the eigenspaces of
-    A*A (singular values grouped to 1e-8 relative) for such a v: a simple
-    one holds one candidate, a real k-dimensional one is searched
-    exhaustively by _sign_vectors (undetermined past k = 25), a complex
-    one heuristically (undetermined when the search fails).  Over the
-    reals every eigenspace that could reach the exact lower bound
-    sigma_1 m^-(1/p-1/2)_+ n^-(1/2-1/q)_+ <= ||A||_{p,q} is searched, so a
-    "no" without a candidate is exact; over the complex field only those
-    whose amplitude fits the norm bracket.
+    A*A for such a v, with the eigenvalues sigma^2 / sigma_1^2 grouped
+    wherever neighbours lie within (1 + 2 sqrt(m)) max(tol, 1e-8).  A v
+    whose eigen-residual passes tol lies within sqrt(m) tol / (gap - tol)
+    of its group's span, entrywise, for the gap that separates the group
+    from the rest of the spectrum.  A simple group's one candidate is its
+    rounded vector, which that bound makes exhaustive; a real k-dimensional
+    group is searched by _sign_vectors with that slack (undetermined past
+    k = 25), a complex one heuristically (undetermined when the search
+    fails).  Over the reals every group that could reach the exact lower
+    bound sigma_1 m^-(1/p-1/2)_+ n^-(1/2-1/q)_+ <= ||A||_{p,q} is searched,
+    so a "no" without a candidate is exact unless a group's search was not
+    exhaustive; over the complex field only the groups whose amplitude fits
+    the norm bracket are searched.  The norm bracket is formed only when
+    needed.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
@@ -825,66 +850,69 @@ def check_Einf1(
     arr = M.entries
     n, m = arr.shape
     scaled, e = _pow2_normalized(arr)
-    ab = bracket_norm(M, pi, qi, seed=seed)
-    certainty = "exact" if ab.is_exact else "estimate-backed"
-    btol = _bracket_tol(ab, tol)
     f = svd(M)
     svals = f.s.tolist()
     # the ratio at a candidate of singular value s is s / amp
     amp = float(m) ** (pi.inv - 0.5) * float(n) ** (0.5 - qi.inv)
-    lo, hi = amp * ab.lower * (1.0 - btol), amp * ab.upper * (1.0 + btol)
-    groups = []
-    i = 0
-    while i < len(svals):
-        j = i
-        while j + 1 < len(svals) and abs(svals[j + 1] - svals[i]) <= 1e-8 * svals[0]:
-            j += 1
-        groups.append((svals[i], list(range(i, j + 1))))
-        i = j + 1
-    fits = [g for g in groups if lo <= g[0] <= hi and g[0] > 0]
-    conds = [
-        Condition(
-            "amplitude-compatible-eigenspaces",
-            bool(fits),
-            {"window": (lo, hi), "singular_values": svals},
-        )
-    ]
+    t = max(tol, 1e-8)
+    mu = np.zeros(m)  # eigenvalues of A*A over the largest, null space included
+    mu[: f.s.size] = (f.s / f.s[0]) ** 2
+    gaps = np.append(mu[:-1] - mu[1:], np.inf)
+    edges = [0, *(np.flatnonzero(gaps[:-1] > (1.0 + 2.0 * math.sqrt(m)) * t) + 1).tolist(), m]
+    groups = [(i, j, svals[i] if i < len(svals) else 0.0) for i, j in zip(edges, edges[1:])]
+    ab = None
     if M.is_complex:
-        searched = fits
+        ab = bracket_norm(M, pi, qi, seed=seed)
+        btol = _bracket_tol(ab, tol)
+        lo, hi = amp * ab.lower * (1.0 - btol), amp * ab.upper * (1.0 + btol)
+        searched = [g for g in groups if lo <= g[2] <= hi and g[2] > 0]
+        measured = {"window": (lo, hi), "singular_values": svals}
         V = f.v.astype(complex)
         eig_tol = max(tol, 1e-7)  # candidates carry the computed vectors' phase error
     else:
         # a member's ratio reaches ||A||_{p,q} >= low, an exact lower bound
         low = svals[0] * m ** -max(pi.inv - 0.5, 0.0) * n ** -max(0.5 - qi.inv, 0.0)
-        searched = [g for g in groups if g[0] >= amp * low * (1.0 - btol)]
+        low *= amp * (1.0 - max(tol, ESTIMATED_EQ_TOL))
+        searched = [g for g in groups if g[2] >= low and g[2] > 0]
+        measured = {"lower_bound": low, "singular_values": svals}
         V = f.v
         eig_tol = tol
-    # a simple eigenspace's one candidate: its vector, if of constant modulus
-    a = np.abs(V)
-    peaks = a.max(axis=0)
-    const = (peaks - a.min(axis=0) <= tol * peaks).tolist()
+    conds = [Condition("amplitude-compatible-eigenspaces", bool(searched), measured)]
+    # a simple group's one candidate: its vector rounded to unit moduli,
+    # whose images are tested all at once
+    simple = [i for i, j, _ in searched if j - i == 1]
+    W = _unit_phase(V[:, simple], 0.0)
+    if not M.is_complex:
+        W *= W[0]  # first entry +1, as the sign enumeration orders them
+    Y = np.abs(arr @ W)
+    peaks = Y.max(axis=0)
+    ok = (peaks > 0) & (peaks - Y.min(axis=0) <= tol * peaks)
+    const = {i: W[:, c] for c, i in enumerate(simple) if ok[c]}
     rng = None
     count = 0
-    incomplete = unresolved = False
-    for sval, idx in searched:
-        if len(idx) == 1:
-            if not const[idx[0]]:
-                continue
-            found = [V[:, idx[0]] / np.abs(V[:, idx[0]])]
+    incomplete = unresolved = loose = False
+    for i, j, sval in searched:
+        if j - i == 1:
+            found = [const[i]] if i in const else []
         elif M.is_complex:
             # within one eigengroup the matrix acts as sval times an
             # isometry, so both modulus constraints can be phase-projected
-            Q = V[:, idx]
+            Q = V[:, i:j]
             rng = rng or np.random.default_rng(seed)
             found = _unimodular_in_subspace(Q, rng, (arr @ Q) / sval)
         else:
-            X = _sign_vectors(V[:, idx], scaled, tol)
-            if X is None:
+            slack = math.sqrt(m) * t / (min(gaps[i - 1] if i else np.inf, gaps[j - 1]) - t)
+            out = _sign_vectors(V[:, i:j], scaled, tol, slack)
+            if out is None:
                 incomplete = True
-                measured = {"dimension": len(idx), "max_dimension": _SIGN_BITS + 1}
+                measured = {"dimension": j - i, "max_dimension": _SIGN_BITS + 1}
                 conds.append(Condition("sign-enumeration-cap", None, measured))
                 continue
-            found = X.T
+            if not out[1]:
+                loose = True
+                measured = {"dimension": j - i, "slack": slack}
+                conds.append(Condition("sign-enumeration-exhaustive", False, measured))
+            found = out[0].T
         for w in found:
             tau = _constant_modulus(arr @ w, tol)
             if not tau:
@@ -892,24 +920,27 @@ def check_Einf1(
             ok_eig, lam = _eigen_residual_ok(scaled, e, w, eig_tol)
             if not ok_eig:
                 continue
+            ab = ab or bracket_norm(M, pi, qi, seed=seed)
             res = _resolve_amplitude(M, w, pi, qi, ab, tol)
             if res is True:
                 measured = {"lambda": lam, "tau": tau}
                 conds.append(Condition("eigenvector-with-matching-amplitude", True, measured))
                 cert = {"v": w, "tau": tau, "lambda": lam}
+                certainty = "exact" if ab.is_exact else "estimate-backed"
                 return _verdict("yes", conds, certificate=cert, certainty=certainty)
             unresolved |= res is None
             count += 1
             break  # every candidate of one eigenspace has the same ratio, sval / amp
         else:
-            incomplete |= M.is_complex and len(idx) > 1  # the heuristic search failed
+            incomplete |= M.is_complex and j - i > 1  # the heuristic search failed
     undecided = incomplete or unresolved
     state = None if undecided else False
     conds.append(Condition("eigenvector-with-matching-amplitude", state, {"eigenspaces": count}))
     if undecided:
         return _verdict("undetermined", conds, certainty="estimate-backed")
     # over the reals a "no" without a candidate used no norm estimate
-    return _verdict("no", conds, certainty=certainty if count or M.is_complex else "exact")
+    exact = not loose and (ab is None or ab.is_exact)
+    return _verdict("no", conds, certainty="exact" if exact else "estimate-backed")
 
 
 # ---------------------------------------------------------------------------
@@ -1011,15 +1042,9 @@ def check_svd_equality(
         conds.append(Condition("leading-pair-in-required-classes", True, {}))
         return _verdict("yes", conds, certificate=f)
     if k == 1:
-        ok = u_ok(f.u[:, 0]) and v_ok(f.v[:, 0])
-        conds.append(
-            Condition(
-                "leading-pair-in-required-classes",
-                ok,
-                {"note": "top singular value is simple; the pair is unique up to phase"},
-            )
-        )
-        return _verdict("yes" if ok else "no", conds, certificate=f if ok else None)
+        note = {"note": "top singular value is simple; the pair is unique up to phase"}
+        conds.append(Condition("leading-pair-in-required-classes", False, note))
+        return _verdict("no", conds)
     Qv = f.v[:, top]
     Qu = f.u[:, top]
     rng = np.random.default_rng(seed)
@@ -1030,9 +1055,9 @@ def check_svd_equality(
     def _k1_candidates(Q: np.ndarray) -> list:
         nonlocal exhaustive
         if not M.is_complex:
-            signs = _sign_vectors(Q.real.astype(float))
-            if signs is not None:
-                return list(signs.T / math.sqrt(Q.shape[0]))
+            out = _sign_vectors(Q.real.astype(float))
+            if out is not None and out[1]:
+                return list(np.divide(out[0], math.sqrt(Q.shape[0]), out=out[0]).T)
         exhaustive = False
         cands = []
         for w in _unimodular_in_subspace(Q.astype(complex), rng):
@@ -1044,31 +1069,18 @@ def check_svd_equality(
             cands.append(x)
         return cands
 
-    right_candidates: list = []
-    left_candidates: list = []
-    if kv is KClassId.KMINUS1:
-        for j in range(m):
-            e = np.zeros(m, dtype=arr.dtype)
-            e[j] = 1.0
-            if _in_span(Qv, e):
-                right_candidates.append(e)
-    elif kv is KClassId.K1:
-        right_candidates = _k1_candidates(Qv)
-    if ku is KClassId.KMINUS1:
-        for i in range(n):
-            e = np.zeros(n, dtype=arr.dtype)
-            e[i] = 1.0
-            if _in_span(Qu, e):
-                left_candidates.append(e)
-    elif ku is KClassId.K1:
-        left_candidates = _k1_candidates(Qu)
-    for v in right_candidates:
+    def _candidates(kc: KClassId, Q: np.ndarray) -> list:
+        if kc is KClassId.KMINUS1:  # the coordinate vectors inside span(Q)
+            return [e for e in np.eye(Q.shape[0], dtype=arr.dtype) if _in_span(Q, e)]
+        return _k1_candidates(Q) if kc is KClassId.K1 else []
+
+    for v in _candidates(kv, Qv):
         u = arr @ v / s1
         if u_ok(u):
             cert = _svd_with_first_vector(M, f, top, v)
             conds.append(Condition("right-vector-with-valid-partner", True, {}))
             return _verdict("yes", conds, certificate=cert)
-    for u in left_candidates:
+    for u in _candidates(ku, Qu):
         v = arr.conj().T @ u / s1
         if v_ok(v):
             cert = _svd_with_first_vector(M, f, top, v)
