@@ -24,10 +24,8 @@ without crossing a certified bound prints UNDETERMINED and does not fail.
 from __future__ import annotations
 
 import argparse
-import enum
 import functools
 import sys
-from dataclasses import is_dataclass, fields as dc_fields
 from typing import List, Optional
 
 import numpy as np
@@ -111,35 +109,6 @@ def _floats_arg(tok: str) -> tuple:
     return vals
 
 
-def _jsonable(x):
-    """Recursively convert results (arrays, enums, dataclasses) to JSON-safe
-    structures; complex numbers become [re, im] pairs."""
-    if isinstance(x, enum.Enum):
-        return x.value
-    if isinstance(x, ExtIndex):
-        return index_str(x)
-    if isinstance(x, MatrixValue):
-        return _jsonable(x.entries)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()] if x.ndim else _jsonable(x.item())
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        z = complex(x)
-        return [z.real, z.imag]
-    if is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in dc_fields(x)}
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, float) or isinstance(x, int) or isinstance(x, bool) or x is None:
-        return x
-    return str(x)
-
-
 def _print_err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -161,7 +130,7 @@ def cmd_norm(args) -> int:
     tail = "" if res.certainty.is_exact else f" (seed {args.seed})"
     print(f"{format_float(res.value)} {res.certainty.value}{tail}")
     if res.witness is not None:
-        print(f"witness: {dumps_json(_jsonable(np.asarray(res.witness)))}")
+        print(f"witness: {dumps_json(np.asarray(res.witness))}")
     return EXIT_OK
 
 
@@ -197,7 +166,7 @@ def cmd_check(args) -> int:
     if token in class_tokens:
         verdict = check_class(M, ClassId.parse(token), args.p, args.q, tol, seed=args.seed)
         if args.json:
-            print(dumps_json(_jsonable(verdict)))
+            print(dumps_json(verdict))
         else:
             print(
                 f"{token} at (p,q)=({index_str(args.p)},{index_str(args.q)}): "
@@ -226,7 +195,7 @@ def cmd_check(args) -> int:
             "rhs_bracket": [rb.lower, rb.upper],
             "tol": details["tol"],
         }
-        print(dumps_json(_jsonable(payload)))
+        print(dumps_json(payload))
     else:
         print(
             f"equality at (r,s)=({index_str(r)},{index_str(s)}) against "

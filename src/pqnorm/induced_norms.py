@@ -510,27 +510,25 @@ def _phase_block(start: int, stop: int, m: int, g: int) -> np.ndarray:
     return X
 
 
-def norm_infty_one_exact(
-    A: MatrixLike,
-    *,
-    seed: int = 0,
-    max_real_cols: int = 24,
-    max_complex_cols: int = 6,
-    phase_grid: int = 16,
-) -> NormResult:
+MAX_REAL_COLS = 24  # columns of a real (inf,1) sign enumeration
+MAX_COMPLEX_COLS = 6  # columns of a complex (inf,1) phase grid
+PHASE_GRID = 16  # phases per entry of that grid, fewer where g^(m-1) passes 2^20
+
+
+def norm_infty_one_exact(A: MatrixLike) -> NormResult:
     """||A||_{inf,1} by extreme-point search over the unit inf-ball.
 
     Real field: the maximum sits at a sign vector, so enumerating
     {-1, +1}^m (first entry fixed to +1) is exact; refuses m beyond
-    max_real_cols.  Complex field: a phase grid with ascent polish, reported
-    as a lower-bound estimate; refuses m beyond max_complex_cols.
+    MAX_REAL_COLS.  Complex field: a phase grid with ascent polish, reported
+    as a lower-bound estimate; refuses m beyond MAX_COMPLEX_COLS.
     """
     M = as_matrix(A)
     arr = M.entries
     n, m = arr.shape
     if not M.is_complex:
-        if m > max_real_cols:
-            raise DimensionError(f"sign enumeration capped at {max_real_cols} columns, got {m}")
+        if m > MAX_REAL_COLS:
+            raise DimensionError(f"sign enumeration capped at {MAX_REAL_COLS} columns, got {m}")
         best, pick = -math.inf, None
         for Y, cols in _sign_images(arr):
             vals = np.abs(Y, out=Y).sum(axis=0)
@@ -539,9 +537,9 @@ def norm_infty_one_exact(
                 best, pick = float(vals[j]), (cols, j)
         cols, j = pick
         return NormResult(best, cols(j).copy(), Certainty.ENUMERATION)
-    if m > max_complex_cols:
-        raise DimensionError(f"phase grid capped at {max_complex_cols} columns, got {m}")
-    g = phase_grid
+    if m > MAX_COMPLEX_COLS:
+        raise DimensionError(f"phase grid capped at {MAX_COMPLEX_COLS} columns, got {m}")
+    g = PHASE_GRID
     while m > 1 and g ** (m - 1) > (1 << 20):
         g -= 1
     if m == 1:
@@ -673,7 +671,7 @@ def best_norms(
         res = norm_closed_form(M, pi, qi)
         if res is None and pi.is_inf and qi.value == 1.0:
             try:
-                res = norm_infty_one_exact(M, seed=seed)
+                res = norm_infty_one_exact(M)
             except DimensionError:
                 pass
         if res is None:

@@ -15,12 +15,15 @@ write/read round trip reproduces the doubles exactly.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
+from dataclasses import fields as dc_fields, is_dataclass
 from typing import IO, Union
 
 import numpy as np
 
+from .core import ExtIndex, index_str
 from .induced_norms import COMPLEX, MatrixValue, REAL, as_matrix
 
 __all__ = [
@@ -120,13 +123,32 @@ def matrix_from_obj(obj) -> MatrixValue:
     return as_matrix(arr, field=field)
 
 
+def _plain(x):
+    """The plain value a result is written as: enums by value, extended
+    indices as tokens, matrices, arrays and numpy scalars as (nested) Python
+    values, complex numbers as [re, im] pairs, dataclasses by field."""
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, ExtIndex):
+        return index_str(x)
+    if isinstance(x, MatrixValue):
+        x = x.entries
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: getattr(x, f.name) for f in dc_fields(x)}
+    return str(x)
+
+
 def _dump_value(x, out: list) -> None:
     if isinstance(x, dict):
         out.append("{")
         for t, (k, v) in enumerate(x.items()):
             if t:
                 out.append(", ")
-            out.append(json.dumps(k))
+            out.append(json.dumps(str(k)))
             out.append(": ")
             _dump_value(v, out)
         out.append("}")
@@ -143,12 +165,14 @@ def _dump_value(x, out: list) -> None:
         out.append(format_float(x))
     elif isinstance(x, int):
         out.append(str(x))
-    else:
+    elif isinstance(x, str):
         out.append(json.dumps(x))
+    else:
+        _dump_value(_plain(x), out)
 
 
 def dumps_json(obj) -> str:
-    """json.dumps with floats rendered at 17 significant digits."""
+    """JSON text of obj with floats rendered at 17 significant digits."""
     out: list = []
     _dump_value(obj, out)
     return "".join(out)

@@ -252,6 +252,17 @@ class TestVerifyCommand:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("k", [-1000, -300, 511, 1000])
+    def test_hadamard_power_of_two_scaling(self, k, tmp_path, capsys):
+        # the maximizer eigencheck formed A*A v unscaled: past 2^511 it
+        # overflowed and the battery failed
+        from pqnorm import gen_hadamard
+
+        p = tmp_path / "h4.json"
+        save_matrix(as_matrix(np.ldexp(gen_hadamard(4).entries, k), field="real"), p)
+        assert main(["verify", str(p)]) == EXIT_OK
+        assert "PASS maximizer-eigencheck" in capsys.readouterr().out
+
     def test_assert_norm_pass(self, b_real, capsys):
         rc = main(["verify", b_real, "--assert-norm", "2,2,1.4142135623730951"])
         assert rc == EXIT_OK
@@ -291,6 +302,46 @@ class TestVerifyCommand:
 
     def test_malformed_assertion(self, b_real):
         assert main(["verify", b_real, "--assert-norm", "2,2"]) == EXIT_ERROR
+
+
+# stdout of JSON-carrying outputs, frozen byte for byte: a certificate
+# array, a complex certificate and a complex witness ([re, im] pairs)
+FROZEN_JSON = [
+    (
+        ["check", "had4", "E_11", "-p", "2", "-q", "2", "--json"],
+        '{"member": "yes", "conditions": [{"name": "extremal-columns-constant-modulus", '
+        '"satisfied": true, "measured": {"sigma": 4, "extremal_columns": [0, 1, 2, 3]}}, '
+        '{"name": "extremal-columns-orthogonal", "satisfied": true, "measured": {}}, '
+        '{"name": "column-bound-tight", "satisfied": true, "measured": {"sigma": 4, '
+        '"norm_target": 2, "norm_bracket": [2, 2], "norm_exact": true}}], "certificate": '
+        '{"column_index": 0, "column": [1, 1, 1, 1]}, "certainty": "exact"}\n',
+    ),
+    (
+        ["check", "b_complex", "E_inf1", "-p", "2", "-q", "2", "--json"],
+        '{"member": "yes", "conditions": [{"name": "amplitude-compatible-eigenspaces", '
+        '"satisfied": true, "measured": {"window": [1.4142135482309595, 1.4142135765152306], '
+        '"singular_values": [1.4142135623730951, 1.4142135623730949]}}, {"name": '
+        '"eigenvector-with-matching-amplitude", "satisfied": true, "measured": {"lambda": 2, '
+        '"tau": 1.4142135623730954}}], "certificate": {"v": [[-0.41912878393923808, '
+        '-0.90792679356521677], [-0.90792679356521677, 0.41912878393923786]], "tau": '
+        '1.4142135623730954, "lambda": 2}, "certainty": "exact"}\n',
+    ),
+    (
+        ["norm", "b_complex", "-p", "3", "-q", "1.5"],
+        "1.7817974362657607 lower-bound-estimate (seed 0)\n"
+        "witness: [[-0.7842535326125466, -0.12207977129047425], "
+        "[0.12208718366992555, -0.78425677905605218]]\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, out", FROZEN_JSON, ids=["E_11-json", "E_inf1-complex-json", "norm-witness"]
+)
+def test_frozen_json_bytes(args, out, had4, b_complex, capsys):
+    files = {"had4": had4, "b_complex": b_complex}
+    assert main([files.get(a, a) for a in args]) == EXIT_OK
+    assert capsys.readouterr().out == out
 
 
 class TestEntryPoint:

@@ -250,7 +250,7 @@ class TestEinf1:
 def _blockwise_constant_image_signs(arr, tol):
     """The sign vectors with a constant-modulus image from materialised
     blocks of sign vectors: the reference for the image filter of
-    _sign_vectors."""
+    _unimodular_vectors."""
     m = arr.shape[1]
     total = 1 << (m - 1)
     out = []
@@ -265,7 +265,7 @@ def _blockwise_constant_image_signs(arr, tol):
 
 def _blockwise_signs_in_span(Q):
     """Sign vectors in span(Q) from materialised blocks: the reference for
-    _sign_vectors."""
+    _unimodular_vectors over the reals."""
     m = Q.shape[0]
     P = Q @ Q.T
     total = 1 << (m - 1)
@@ -275,10 +275,6 @@ def _blockwise_signs_in_span(Q):
         resid = np.linalg.norm(P @ X - X, axis=0)
         out += [X[:, j] for j in np.nonzero(resid <= 1e-8 * math.sqrt(m))[0]]
     return out
-
-
-def _same_vectors(got, want):
-    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _reference_einf1_real(M, p, q, tol=DEFAULT_TOL, seed=0):
@@ -462,10 +458,17 @@ class TestSignEnumerationSites:
         assert loose and loose[0].satisfied is False and loose[0].measured["dimension"] == 2
 
     def test_sign_vectors_in_span(self):
+        # the set is what is under test: past one block of patterns the
+        # order of the survivors (which only picks a certificate) may differ
+        # from the full enumeration's, so both sides are compared sorted
+        def sign_vectors(Q, B=None):
+            found, exhaustive = equality_classes._unimodular_vectors(Q, B)
+            assert exhaustive
+            return sorted(map(tuple, found))
+
         def check(Q):
-            got, exhaustive = equality_classes._sign_vectors(Q)
             want = _blockwise_signs_in_span(Q)
-            assert exhaustive and want and _same_vectors(list(got.T), want), Q.shape
+            assert want and sign_vectors(Q) == sorted(map(tuple, want)), Q.shape
 
         for m, _ in self.CASES:
             # k = 4: three sign vectors and a Gaussian direction
@@ -477,12 +480,12 @@ class TestSignEnumerationSites:
         H = gen_hadamard(16).entries
         check(H / 4.0)  # k = m: every sign vector
         # with an image map, k = m reproduces the full enumeration's filter
-        got, _ = equality_classes._sign_vectors(svd(H).v, H)
-        assert _same_vectors(list(got.T), _blockwise_constant_image_signs(H, DEFAULT_TOL))
+        want = _blockwise_constant_image_signs(H, DEFAULT_TOL)
+        assert sign_vectors(svd(H).v, H) == sorted(map(tuple, want))
 
     def test_cap_answers_none(self):
         Q = np.linalg.qr(np.random.default_rng(0).standard_normal((32, 26)))[0]
-        assert equality_classes._sign_vectors(Q) is None
+        assert equality_classes._unimodular_vectors(Q) is None
 
 
 class TestEinf1Large:
@@ -713,6 +716,160 @@ class TestSvdEquality:
         assert check_svd_equality(E, 3, 1.5).member == "yes"
 
 
+def _reference_svd_equality(A, r, s, tol=DEFAULT_TOL, seed=0):
+    """check_svd_equality's former decider, kept as the reference: both
+    sides are searched in turn, the real K_1 candidates are every sign vector
+    of the top subspace, listed before any partner is tested, and the
+    complex ones come from the phase search without an image map."""
+    from pqnorm.core import KClassId, k_class_test
+    from pqnorm.generators import extremal_pair_classes
+
+    ev = equality_classes
+    M = as_matrix(A)
+    ri, si = as_index(r), as_index(s)
+    f = svd(M)
+    if not M.entries.any():
+        return ev._verdict("yes", [ev.Condition("zero-matrix", True, {})], certificate=f)
+    ku, kv = extremal_pair_classes(ri, si)
+    arr = M.entries
+    n, m = arr.shape
+    s1 = float(f.s[0])
+    conds = []
+
+    def u_ok(u):
+        return ku is KClassId.K0 or k_class_test(u, ku, tol)
+
+    def v_ok(v):
+        return kv is KClassId.K0 or k_class_test(v, kv, tol)
+
+    top = [i for i in range(len(f.s)) if f.s[i] >= s1 * (1.0 - 1e-8)]
+    if u_ok(f.u[:, 0]) and v_ok(f.v[:, 0]):
+        return ev._verdict("yes", conds, certificate=f)
+    if len(top) == 1:
+        return ev._verdict("no", conds)
+    Qv, Qu = f.v[:, top], f.u[:, top]
+    rng = np.random.default_rng(seed)
+    exhaustive = True
+
+    def _k1_candidates(Q):
+        nonlocal exhaustive
+        if not M.is_complex:
+            out = ev._unimodular_vectors(Q.real.astype(float))
+            if out is not None and out[1]:
+                return [x / math.sqrt(Q.shape[0]) for x in out[0]]
+        exhaustive = False
+        cands = []
+        for w in ev._unimodular_in_subspace(Q.astype(complex), rng):
+            x = w / np.linalg.norm(w)
+            if not M.is_complex:
+                if np.abs(x.imag).max() > 1e-10:
+                    continue
+                x = x.real.astype(float)
+            cands.append(x)
+        return cands
+
+    def _candidates(kc, Q):
+        if kc is KClassId.KMINUS1:
+            coords = np.eye(Q.shape[0], dtype=arr.dtype)
+            return [e for e in coords if np.linalg.norm(Q @ (Q.conj().T @ e) - e) <= 1e-8]
+        return _k1_candidates(Q) if kc is KClassId.K1 else []
+
+    for v in _candidates(kv, Qv):
+        if u_ok(arr @ v / s1):
+            cert = ev._svd_with_first_vector(M, f, len(top), v)
+            return ev._verdict("yes", conds, certificate=cert)
+    for u in _candidates(ku, Qu):
+        v = arr.conj().T @ u / s1
+        if v_ok(v):
+            cert = ev._svd_with_first_vector(M, f, len(top), v)
+            return ev._verdict("yes", conds, certificate=cert)
+    if kv is KClassId.KMINUS1 or ku is KClassId.KMINUS1:
+        exhaustive = True
+    if exhaustive:
+        return ev._verdict("no", conds)
+    target = bound_factor(2, 2, ri, si, m, n) * s1
+    lb = bracket_norm(M, ri, si, seed=seed)
+    margin = 1.0 - max(tol, ev.ESTIMATED_EQ_TOL)
+    if lb.lower >= target * margin:
+        return ev._verdict("yes", conds, certainty="estimate-backed")
+    if lb.upper < target * margin:
+        return ev._verdict("no", conds, certainty="exact" if lb.is_exact else "estimate-backed")
+    return ev._verdict("undetermined", conds, certainty="estimate-backed")
+
+
+def _svd_equality_corpus():
+    """Structured and Gaussian matrices in both fields, small enough for the
+    reference's full sign listing and its bracket fallback."""
+    r = np.random.default_rng(11)
+    mats = [as_matrix(gen_hadamard(k).entries, field="real") for k in (2, 4, 8)]
+    mats += [_complex(gen_hadamard(4)), gen_dft(3)]
+    for n in (3, 5, 8):
+        mats.append(as_matrix(np.linalg.qr(r.standard_normal((n, n)))[0], field="real"))
+    Z = r.standard_normal((3, 3)) + 1j * r.standard_normal((3, 3))
+    mats.append(as_matrix(np.linalg.qr(Z)[0], field="complex"))
+    for _ in range(4):
+        n, m = (int(x) for x in r.integers(1, 6, size=2))
+        mats.append(as_matrix(r.standard_normal((n, m)), field="real"))
+        mats.append(as_matrix(r.standard_normal((n, m)) + 1j * r.standard_normal((n, m))))
+    # degenerate top values: K_1 pairs on both sides, and K_{-1} on both
+    for i, (rr, ss) in ((0, (3, 1.5)), (2, (1, 3))):
+        mats.append(gen_svd_extremal(4, 4, rr, ss, (2.0, 2.0, 0.5, 0.25), seed=i))
+    mats.append(as_matrix(np.diag([3.0, 3.0, 1.0]), field="real"))
+    mats.append(as_matrix(np.kron(gen_hadamard(2).entries, np.ones((2, 2))), field="real"))
+    return mats
+
+
+SVD_INDICES = [1, 1.5, 2, 3, "inf"]
+REAL_ORTHOGONAL_20 = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 20)))[0]
+
+
+class TestSvdEqualityOneSide:
+    """check_svd_equality searches one side of the top singular subspace
+    through the shared unimodular-vector kernel."""
+
+    def test_matches_two_sided_reference(self):
+        # no yes <-> no flip, no decided -> undetermined, no exact ->
+        # estimate-backed; estimate-backed "yes" may become exact
+        moved = 0
+        for M in _svd_equality_corpus():
+            for r in SVD_INDICES:
+                for s in SVD_INDICES:
+                    got = check_svd_equality(M, r, s)
+                    want = _reference_svd_equality(M, r, s)
+                    case = (M.entries.tolist(), r, s)
+                    if want.member != "undetermined":
+                        assert got.member == want.member, case
+                    if want.certainty == "exact":
+                        assert got.certainty == "exact", case
+                    moved += (want.certainty, got.certainty) == ("estimate-backed", "exact")
+                    if got.member == "yes" and got.certainty == "exact":
+                        assert np.allclose(got.certificate.reconstruct(), M.entries, atol=1e-8)
+        assert moved > 0  # complex K_1 pairs found with the image map
+
+    @pytest.mark.parametrize(
+        "A",
+        [gen_dft(k) for k in (3, 5, 6, 7, 8)] + [_complex(gen_hadamard(k)) for k in (8, 16)],
+        ids=[f"dft{k}" for k in (3, 5, 6, 7, 8)] + ["hadamard8", "hadamard16"],
+    )
+    def test_complex_k1_pairs_exact(self, A):
+        # every singular value is equal; the right search with the image map
+        # A / s1 finds a unimodular v whose image is unimodular too
+        for r, s in ((3, 1.5), ("inf", 1)):
+            v = check_svd_equality(A, r, s)
+            assert (v.member, v.certainty) == ("yes", "exact")
+            assert np.allclose(v.certificate.reconstruct(), A.entries, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "r, s, member",
+        [(3, 1.5, "no"), (3, 2, "yes"), (3, 3, "no"), ("inf", 1, "no")],
+    )
+    def test_real_orthogonal_20(self, r, s, member):
+        # the top subspace is everything: 2^19 sign vectors, filtered by
+        # their images block by block instead of listed
+        v = check_svd_equality(as_matrix(REAL_ORTHOGONAL_20, field="real"), r, s)
+        assert (v.member, v.certainty) == (member, "exact")
+
+
 class TestSufficientConditions:
     def test_e1inf(self):
         SE = gen_single_entry(2, 2, 0, 0, 3.0)
@@ -777,6 +934,45 @@ class TestMaximizerEigencheck:
     def test_pinf_accepts_coordinate(self):
         ok = maximizer_eigencheck(np.diag([2.0, 1.0]), np.array([1.0, 0.0]), "inf", 2)
         assert ok is True
+
+
+# A v = (1, 1, 1) for v = (1, 1, 1), a constant-modulus image, but
+# A^T A v = (1, 5, -3) is not parallel to v
+NOT_EIGEN = np.array([[0.0, 2.0, -1.0], [2.0, 1.0, -2.0], [-1.0, 2.0, 0.0]])
+SCALES = [-1000, -300, -30, 30, 511, 1000]
+
+
+class TestPowerOfTwoScaling:
+    """maximizer_eigencheck, dav_normal_form and extremal_stats work on
+    A / 2^e and scale what they report back exactly."""
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_maximizer_eigencheck(self, k):
+        # unscaled, A*A v underflowed to 0 (a false True at 2^-300) or
+        # overflowed (an error at 2^511)
+        v = np.ones(3)
+        assert maximizer_eigencheck(np.ldexp(NOT_EIGEN, k), v, 2, 2) is False
+        assert maximizer_eigencheck(np.ldexp(J.entries, k), np.ones(2), 2, 2) is True
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_dav_normal_form(self, k):
+        # the tolerance floor tol * max(tau, 1) was absolute below scale 1,
+        # so column sums off by 4 * 2^-30 passed
+        rep = dav_normal_form(np.ldexp(NOT_EIGEN, k), np.ones(3))
+        assert not rep.ok and rep.tau == math.ldexp(1.0, k)
+        assert np.array_equal(rep.col_sums, np.ldexp([1.0, 5.0, -3.0], k))
+        rep = dav_normal_form(as_matrix(np.ldexp(B, k), field="complex"), np.array([1.0, 1j]))
+        assert rep.ok and rep.tau == math.ldexp(dav_normal_form(BC, np.array([1.0, 1j])).tau, k)
+        # tau = 1/2 and column sums 1/2 +- 8e-9: within tol absolutely, not
+        # relatively (A^T A v leaves v's direction by 1.6e-8 relative)
+        A = 4e-9 * np.ones((2, 2)) + np.diag([0.5, -0.5])
+        assert not dav_normal_form(np.ldexp(A, k), np.array([1.0, -1.0])).ok
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_extremal_stats(self, k):
+        st = extremal_stats(np.ldexp(NOT_EIGEN, k), np.ones(3))
+        want = [math.ldexp(x, k) for x in (2.0, 5.0, 5.0, 1.0)]
+        assert [st.rho, st.sigma_col, st.sigma_row, st.tau] == want
 
 
 class TestDavNormalForm:

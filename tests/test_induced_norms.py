@@ -258,9 +258,10 @@ class TestInftyOneExact:
             assert math.isclose(got, res.value, rel_tol=1e-9)
 
     def test_dimension_cap(self):
-        M = rand_matrix(1, 2, 4)
+        # the cap is checked before any sign vector is formed
+        M = rand_matrix(1, 2, 25)
         with pytest.raises(DimensionError):
-            norm_infty_one_exact(M, max_real_cols=3)
+            norm_infty_one_exact(M)
 
     def test_phase_blocks_match_full_grid(self):
         # 16^4 columns span four blocks; the running top 8 must pick the
