@@ -16,6 +16,13 @@ reused):
                     own work), median of 5 x reps runs; also for the
                     Sylvester Hadamard matrix of order 16 (row h16)
 
+Two more rows time the complex extreme-point searches:
+
+  inf1_complex      norm_infty_one_exact on a fresh complex Gaussian
+                    n x m (seed 0) for 8x4, 8x5, 8x6 and 2x6
+  check_einf1_dft   check_Einf1 at (2, 2) on DFT 2, 4 and 8, memoised as
+                    check_einf1_P_Q is, median of 5 x reps runs
+
 Run from the root of a source checkout (pqnorm is imported from ./src):
 
     python3 scripts/bench_layers.py [--out BENCH_layers.json] [--reps 5]
@@ -45,7 +52,15 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from pqnorm import MatrixValue, best_norm, check_Einf1, gen_hadamard, save_matrix  # noqa: E402
+from pqnorm import (  # noqa: E402
+    MatrixValue,
+    best_norm,
+    check_Einf1,
+    gen_dft,
+    gen_hadamard,
+    norm_infty_one_exact,
+    save_matrix,
+)
 from pqnorm.cli import main as cli_main  # noqa: E402
 from pqnorm.induced_norms import best_norms  # noqa: E402
 
@@ -53,13 +68,15 @@ SHAPES = [(kind, n) for n in (4, 8, 16, 32) for kind in ("real", "complex")]
 GRID = [1, 1.5, 2, 3, "inf"]
 GRID_ARG = "1,1.5,2,3,inf"
 EINF1_PAIRS = [(2, 2), (1.5, 3)]
+INF1_COMPLEX_SHAPES = [(8, 4), (8, 5), (8, 6), (2, 6)]
+EINF1_DFT_ORDERS = [2, 4, 8]
 
 
-def _matrix(kind: str, n: int) -> np.ndarray:
+def _matrix(kind: str, n: int, m: int = 0) -> np.ndarray:
     rng = np.random.default_rng(0)
-    A = rng.standard_normal((n, n))
+    A = rng.standard_normal((n, m or n))
     if kind == "complex":
-        A = A + 1j * rng.standard_normal((n, n))
+        A = A + 1j * rng.standard_normal((n, m or n))
     return A
 
 
@@ -141,6 +158,19 @@ def main() -> None:
             print(f"{key:4s} {cells}", flush=True)
         results["h16"] = _einf1_row(gen_hadamard(16), args.reps)
         print("h16  " + "  ".join(f"{k} {v:.4g}" for k, v in results["h16"].items()))
+    results["inf1_complex"] = {
+        f"{n}x{m}": _median_s(
+            lambda: norm_infty_one_exact(MatrixValue(_matrix("complex", n, m), "complex")), args.reps
+        )
+        for n, m in INF1_COMPLEX_SHAPES
+    }
+    results["check_einf1_dft"] = {}
+    for k in EINF1_DFT_ORDERS:
+        M = gen_dft(k)
+        check_Einf1(M, 2, 2)  # memoises the bracket and the SVD
+        results["check_einf1_dft"][f"dft{k}"] = _median_s(lambda: check_Einf1(M, 2, 2), 5 * args.reps)
+    for key in ("inf1_complex", "check_einf1_dft"):
+        print(f"{key}  " + "  ".join(f"{k} {v:.4g}" for k, v in results[key].items()))
     payload = {
         "unit": "s (median of reps), grid_speedup is pointwise / stacked",
         "reps": args.reps,

@@ -26,9 +26,11 @@ import numpy as np
 
 from .core import ExtIndex, IndexLike, as_index, conjugate, sign_between, vector_norm
 from .induced_norms import (
+    MAX_COMPLEX_COLS,
     Certainty,
     MatrixLike,
     NormResult,
+    _phase_grid,
     as_matrix,
     best_norm,
     best_norms,
@@ -75,7 +77,8 @@ def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
       columns:  m^{1-1/p} * max_j ||col_j||_q   (anchor (1, q))
       rows:     n^{1/q}   * max_i ||row_i||_{p*} (anchor (p, inf))
       spectral: m^{[1/2-1/p]_+} n^{[1/q-1/2]_+} * s_1  (anchor (2, 2))
-    The minimum of the three is returned.
+    Complex (inf, 1) within the phase-grid cap adds the grid's certified
+    upper end, memoised with the grid.  The minimum is returned.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
@@ -92,6 +95,8 @@ def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
         * float(n) ** max(qi.inv - 0.5, 0.0)
         * s1
     )
+    if M.is_complex and pi.is_inf and qi.value == 1.0 and min(n, m) <= MAX_COMPLEX_COLS:
+        return min(col, row, spectral, _phase_grid(M)[-1])
     return min(col, row, spectral)
 
 

@@ -24,7 +24,8 @@ given map has constant modulus too.  Over the reals it enumerates 2^(k-1)
 sign patterns on k pivot coordinates of a k-dimensional span, one block at
 a time, so a caller stops at the first vector it accepts.  Over the complex
 field it is the batched phase projection _unimodular_in_subspace: every
-start vector is a column of one matrix, stopped column by column.
+start vector is a column of one matrix, stopped column by column and
+yielded as it stops, so the first accepted vector ends the search.
 
 Verdicts are yes / no / undetermined; undetermined appears only when a
 needed norm is available solely as an estimate whose bracket straddles the
@@ -38,7 +39,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -60,7 +61,9 @@ from .induced_norms import (
     MatrixLike,
     MatrixValue,
     SvdFactors,
+    _ldexp,
     _phase_block,
+    _pow2_normalized,
     _sign_images,
     as_matrix,
     svd,
@@ -363,20 +366,6 @@ def sufficient_e1inf(
 # ---------------------------------------------------------------------------
 
 
-def _ldexp(x, e: int):
-    """x * 2^e, exact within the float range, for real or complex x."""
-    if np.iscomplexobj(x):
-        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
-    return np.ldexp(x, e)
-
-
-def _pow2_normalized(arr: np.ndarray) -> tuple:
-    """(arr / 2^e, e) for e the exponent of the largest modulus: exact, and
-    safe to square or multiply at any scale of arr."""
-    e = int(np.frexp(np.abs(arr).max())[1])
-    return _ldexp(arr, -e), e
-
-
 def _column_conditions(arr: np.ndarray, tol: float):
     """Extremal-column structure: (cond_i_ok, cond_ii_ok, sigma, mask)."""
     arr, e = _pow2_normalized(arr)
@@ -649,8 +638,8 @@ def _unimodular_in_subspace(
     W: Optional[np.ndarray] = None,
     tries: int = 24,
     iters: int = 400,
-) -> list:
-    """Heuristic search for unit-modulus vectors x inside span(Q).
+) -> Iterator[np.ndarray]:
+    """Heuristic search for unit-modulus vectors x inside span(Q), lazily.
 
     Q has orthonormal columns.  When W is given (an isometry on the same
     coefficient space: the matrix restricted to an eigenspace, divided by
@@ -663,9 +652,12 @@ def _unimodular_in_subspace(
     phase projection between the constant-modulus torus (both tori when W
     is given) and the subspace.  A column stops on its own: without W when
     its step falls below 1e-14 relative, with W when both moduli are
-    constant to 1e-12 or it dies.  Returns the candidates with entries of
-    modulus 1 and in-subspace residual below 1e-8, de-duplicated in start
-    order.
+    constant to 1e-12 or it dies.  The columns that stop in an iteration
+    are yielded in start order (without W, those still moving after iters
+    steps come last) if their entries have modulus 1 and their in-subspace
+    residual is below 1e-8, and they are no unimodular multiple of an
+    earlier one; so a caller that stops at the first it accepts steps no
+    column further.
     """
     m, k = Q.shape
     Qh = Q.conj().T
@@ -684,19 +676,33 @@ def _unimodular_in_subspace(
         fit = np.linalg.norm(Q @ (Qh @ Xg) - Xg, axis=0)
         starts.append(Xg[:, np.argsort(fit, kind="stable")[: 8 if W is None else 12]])
     X = np.hstack(starts).astype(complex)
-    live = np.linalg.norm(X, axis=0) > 0
-    ok = live.copy() if W is None else np.zeros(X.shape[1], dtype=bool)
-    act = np.flatnonzero(live)
+    act = np.flatnonzero(np.linalg.norm(X, axis=0) > 0)
     C = Qh @ X  # subspace coordinates, advanced only when W is given
+    out = []
+
+    def fresh(cols):
+        for x in X[:, cols].T:
+            a = np.abs(x)
+            if a.min() <= 1e-8:
+                continue
+            w = x / a
+            if np.linalg.norm(Q @ (Qh @ w) - w) > 1e-8 * math.sqrt(m):
+                continue
+            if not any(abs(np.vdot(u, w)) >= (1.0 - 1e-8) * m for u in out):
+                out.append(w)
+                yield w
+
     for _ in range(iters):
         if act.size == 0:
-            break
+            return
         if W is None:
             Xa = X[:, act]
             Xn = Q @ (Qh @ _unit_phase(Xa, 0.0))
             step = np.linalg.norm(Xn - Xa, axis=0)
             X[:, act] = Xn
-            act = act[step > 1e-14 * np.maximum(np.linalg.norm(Xa, axis=0), 1e-300)]
+            moving = step > 1e-14 * np.maximum(np.linalg.norm(Xa, axis=0), 1e-300)
+            yield from fresh(act[~moving])
+            act = act[moving]
             continue
         Ca = Qh @ _unit_phase(Q @ C[:, act], 1e-14)
         Y = W @ Ca
@@ -712,19 +718,10 @@ def _unimodular_in_subspace(
         done = ~dead & (x_dev <= 1e-12) & (y_dev <= 1e-12)
         C[:, act] = Ca
         X[:, act] = Xa
-        ok[act[done]] = True
+        yield from fresh(act[done])
         act = act[~(dead | done)]
-    out = []
-    for x in X[:, ok].T:
-        a = np.abs(x)
-        if a.min() <= 1e-8:
-            continue
-        w = x / a
-        if np.linalg.norm(Q @ (Qh @ w) - w) > 1e-8 * math.sqrt(m):
-            continue
-        if not any(abs(np.vdot(u, w)) >= (1.0 - 1e-8) * m for u in out):
-            out.append(w)
-    return out
+    if W is None:
+        yield from fresh(act)
 
 
 _SIGN_BITS = 24  # a real span of dimension k is enumerated when k - 1 <= _SIGN_BITS
@@ -745,8 +742,8 @@ def _unimodular_vectors(
     more than 2^_SIGN_BITS sign patterns.
 
     Complex Q: the heuristic search _unimodular_in_subspace, with image map
-    W = B Q / sval, an isometry when B acts on span(Q) as sval times one;
-    never exhaustive.
+    W = B Q / sval, an isometry when B acts on span(Q) as sval times one,
+    yielding each candidate as its start converges; never exhaustive.
 
     Real Q (orthonormal columns): sign vectors, each within entrywise
     distance slack of span(Q) when exhaustive.  k pivot rows are picked
@@ -766,7 +763,7 @@ def _unimodular_vectors(
     """
     if np.iscomplexobj(Q):
         W = None if B is None else (B @ Q) / sval
-        return iter(_unimodular_in_subspace(Q, rng, W)), False
+        return _unimodular_in_subspace(Q, rng, W), False
     m, k = Q.shape
     if k - 1 > _SIGN_BITS:
         return None

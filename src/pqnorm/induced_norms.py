@@ -191,6 +191,20 @@ def _phase(w: np.ndarray, a: Optional[np.ndarray] = None) -> np.ndarray:
     return w / np.where(a > 0, a, 1.0)
 
 
+def _ldexp(x, e: int):
+    """x * 2^e, exact within the float range, for real or complex x."""
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+    return np.ldexp(x, e)
+
+
+def _pow2_normalized(arr: np.ndarray) -> tuple:
+    """(arr / 2^e, e) for e the exponent of the largest modulus: exact, and
+    safe to square or multiply at any scale of arr."""
+    e = int(np.frexp(np.abs(arr).max())[1])
+    return _ldexp(arr, -e), e
+
+
 def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
     """Column-wise p-norms with overflow-safe rescaling."""
     a = np.abs(W)
@@ -277,8 +291,11 @@ def _ascent(
     one exponent for every column, or both arrays with one per column (q
     finite, p > 1), which lets several (p, q) points share each iteration.
     The best value and its iterate are kept per block of `block` columns
-    (one block by default): first seen wins, then the lowest column.
+    (one block by default): first seen wins, then the lowest column.  The
+    ascent runs on A / 2^e, which moves no iterate, and the values are
+    scaled back at the end, so no scale of A overflows a step.
     """
+    arr, e = _pow2_normalized(arr)
     if isinstance(p, ExtIndex):
         pstar = conjugate(p)
     else:
@@ -323,7 +340,9 @@ def _ascent(
         X = np.divide(Xn, norms, out=Xn)
     X_out[:, live] = X
     vals_out[live] = vals
-    return _Ascent(list(zip(best_val, best_vec)), vals_out, X_out)
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        best_val = [float(np.ldexp(v, e)) for v in best_val]
+        return _Ascent(list(zip(best_val, best_vec)), np.ldexp(vals_out, e), X_out)
 
 
 def _segments(live: np.ndarray, block: int, nblocks: int) -> list:
@@ -511,8 +530,35 @@ def _phase_block(start: int, stop: int, m: int, g: int) -> np.ndarray:
 
 
 MAX_REAL_COLS = 24  # columns of a real (inf,1) sign enumeration
-MAX_COMPLEX_COLS = 6  # columns of a complex (inf,1) phase grid
-PHASE_GRID = 16  # phases per entry of that grid, fewer where g^(m-1) passes 2^20
+MAX_COMPLEX_COLS = 6  # columns of a complex (inf,1) phase grid, over A or A*
+PHASE_GRID = 8  # phases per entry of that grid
+
+
+def _phase_grid(M: MatrixValue) -> tuple:
+    """(B, e, top values, top columns, upper), memoised on M: the stable top
+    8 of the complex (inf,1) phase grid on B, which is A / 2^e or its
+    adjoint, whichever has fewer columns.  x -> ||B x||_1 is convex and
+    blind to a global phase, and the hull of the g-th roots of unity holds
+    the disc of radius cos(pi/g), so upper = grid maximum / cos(pi/g), with
+    a factor 1 + 4 (n + m) 2^-52 for rounding, bounds ||A||_{inf,1}."""
+    memo = M._memo.get("phase_grid")
+    if memo is None:
+        arr, e = _pow2_normalized(M.entries)
+        B = arr if M.m <= M.n else arr.conj().T
+        k, g = B.shape[1], PHASE_GRID
+        # running stable top 8 over the grid blocks: earlier columns win
+        # ties, exactly as one argsort over the whole grid would order them
+        top_vals, top_X, total = np.zeros(0), np.zeros((k, 0), dtype=complex), g ** (k - 1)
+        for start in range(0, total, BLOCK):
+            X = np.hstack([top_X, _phase_block(start, min(start + BLOCK, total), k, g)])
+            vals = np.concatenate([top_vals, np.abs(B @ X[:, top_vals.size :]).sum(axis=0)])
+            order = _top8(vals)
+            top_vals, top_X = vals[order], X[:, order]
+        hull = math.cos(math.pi / g) if k > 1 else 1.0
+        with np.errstate(over="ignore"):
+            upper = float(np.ldexp(top_vals[0] / hull * (1.0 + 4 * (M.n + M.m) * 2.0**-52), e))
+        memo = M._memo["phase_grid"] = (B, e, top_vals, top_X, upper)
+    return memo
 
 
 def norm_infty_one_exact(A: MatrixLike) -> NormResult:
@@ -520,8 +566,10 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
 
     Real field: the maximum sits at a sign vector, so enumerating
     {-1, +1}^m (first entry fixed to +1) is exact; refuses m beyond
-    MAX_REAL_COLS.  Complex field: a phase grid with ascent polish, reported
-    as a lower-bound estimate; refuses m beyond MAX_COMPLEX_COLS.
+    MAX_REAL_COLS.  Complex field: _phase_grid with ascent polish, reported
+    as a lower-bound estimate; refuses min(n, m) beyond MAX_COMPLEX_COLS.
+    From a maximizer y over A*, the witness is x = phase(A* y), for which
+    ||A x||_1 >= ||A* y||_1.
     """
     M = as_matrix(A)
     arr = M.entries
@@ -537,28 +585,18 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
                 best, pick = float(vals[j]), (cols, j)
         cols, j = pick
         return NormResult(best, cols(j).copy(), Certainty.ENUMERATION)
-    if m > MAX_COMPLEX_COLS:
-        raise DimensionError(f"phase grid capped at {MAX_COMPLEX_COLS} columns, got {m}")
-    g = PHASE_GRID
-    while m > 1 and g ** (m - 1) > (1 << 20):
-        g -= 1
-    if m == 1:
-        x = np.ones(1, dtype=complex)
-        return NormResult(float(np.abs(arr @ x).sum()), x, Certainty.ESTIMATE)
-    # running stable top 8 over the grid blocks: earlier columns win ties,
-    # exactly as one argsort over the whole grid would order them
-    top_vals = np.zeros(0)
-    top_X = np.zeros((m, 0), dtype=complex)
-    total = g ** (m - 1)
-    for start in range(0, total, BLOCK):
-        X = np.hstack([top_X, _phase_block(start, min(start + BLOCK, total), m, g)])
-        vals = np.concatenate([top_vals, np.abs(arr @ X[:, top_vals.size :]).sum(axis=0)])
-        order = _top8(vals)
-        top_vals, top_X = vals[order], X[:, order]
-    [(val, vec)] = _ascent(arr, as_index("inf"), as_index(1), top_X, 100, 1e-12).best
+    if min(n, m) > MAX_COMPLEX_COLS:
+        raise DimensionError(f"phase grid capped at {MAX_COMPLEX_COLS} columns, got {min(n, m)}")
+    B, e, top_vals, top_X, _ = _phase_grid(M)
+    [(val, vec)] = _ascent(B, as_index("inf"), as_index(1), top_X, 100, 1e-12).best
     if top_vals[0] >= val:
         val, vec = float(top_vals[0]), top_X[:, 0].copy()
-    return NormResult(float(val), vec, Certainty.ESTIMATE)
+    if B.shape[1] != m:
+        vec = _phase(B @ vec)
+        vec[vec == 0] = 1.0
+        val = float(np.abs(B.conj().T @ vec).sum())
+    with np.errstate(over="ignore"):
+        return NormResult(float(np.ldexp(val, e)), vec, Certainty.ESTIMATE)
 
 
 def _lattice_side(m: int, budget: int) -> int:

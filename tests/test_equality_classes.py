@@ -199,6 +199,7 @@ class TestE11:
                             (c.name, c.satisfied) for c in v0.conditions
                         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_column_sum_past_float_max(self):
         # the largest modulus has exponent 1024, so the column sum sigma
         # passes the float range: a verdict, not an OverflowError
@@ -569,8 +570,26 @@ def _reference_search(Q, rng, W=None, tries=24, iters=400):
     return out
 
 
+def _same_up_to_phase(got, want, tol=1e-9):
+    """got and want hold the same vectors, each matched to tol after its
+    best unimodular scalar, in any order."""
+    assert len(got) == len(want) > 0
+    for u in got:
+        dist = []
+        for v in want:
+            c = np.vdot(v, u)
+            dist.append(np.abs(u - c / abs(c) * v).max() if c else np.inf)
+        assert min(dist) <= tol
+
+
 class TestUnimodularSearch:
-    """The batched phase-projection search behind degenerate eigenspaces."""
+    """The batched phase-projection search behind degenerate eigenspaces.
+
+    It yields candidates in the order their columns converge, and a
+    candidate found by several starts may come from a different one than in
+    the one-start-at-a-time reference: the two lists agree as sets of
+    vectors up to a unimodular scalar, and the order only picks the
+    certificate."""
 
     @pytest.mark.parametrize(
         "A, Q",
@@ -587,11 +606,8 @@ class TestUnimodularSearch:
             Q = svd(arr).v
         Q = Q.astype(complex)
         for W in (arr @ Q / math.sqrt(A.m), None):
-            got = equality_classes._unimodular_in_subspace(Q, np.random.default_rng(5), W)
-            want = _reference_search(Q, np.random.default_rng(5), W)
-            assert len(got) == len(want) > 0
-            for u, v in zip(got, want):
-                assert np.abs(u - v).max() <= 1e-9
+            got = list(equality_classes._unimodular_in_subspace(Q, np.random.default_rng(5), W))
+            _same_up_to_phase(got, _reference_search(Q, np.random.default_rng(5), W))
 
     @pytest.mark.parametrize(
         "A", [gen_dft(3), gen_dft(6), _complex(gen_hadamard(4))], ids=["dft3", "dft6", "hadamard4"]
@@ -603,7 +619,7 @@ class TestUnimodularSearch:
         Q = svd(arr).v.astype(complex)
         m = A.m
         for W in (arr @ Q / math.sqrt(m), None):
-            got = equality_classes._unimodular_in_subspace(Q, np.random.default_rng(5), W)
+            got = list(equality_classes._unimodular_in_subspace(Q, np.random.default_rng(5), W))
             assert len(got) > 0
             for w in got:
                 assert np.abs(np.abs(w) - 1.0).max() <= 1e-9
@@ -616,10 +632,34 @@ class TestUnimodularSearch:
         A = gen_dft(6).entries
         Q = svd(A).v.astype(complex)
         for W in (A @ Q / math.sqrt(6), None):
-            a = equality_classes._unimodular_in_subspace(Q, np.random.default_rng(3), W)
-            b = equality_classes._unimodular_in_subspace(Q, np.random.default_rng(3), W)
+            a = list(equality_classes._unimodular_in_subspace(Q, np.random.default_rng(3), W))
+            b = list(equality_classes._unimodular_in_subspace(Q, np.random.default_rng(3), W))
             assert len(a) > 0 and len(a) == len(b)
             assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    def test_first_candidate_stops_early(self, monkeypatch):
+        # complexified H2 with its image map: most starts converge within a
+        # few steps and some never do.  The first candidate comes long
+        # before iters steps; only the whole list pays them.  Each step
+        # takes two phase projections, counted by a spy.
+        arr = _complex(gen_hadamard(2)).entries
+        Q = svd(arr).v.astype(complex)
+        W = arr @ Q / math.sqrt(2.0)
+        steps = []
+        unit_phase = equality_classes._unit_phase
+
+        def spy(Z, floor):
+            steps.append(Z.shape)
+            return unit_phase(Z, floor)
+
+        monkeypatch.setattr(equality_classes, "_unit_phase", spy)
+        search = equality_classes._unimodular_in_subspace(Q, np.random.default_rng(0), W)
+        w = next(search)
+        assert np.abs(np.abs(w) - 1.0).max() <= 1e-9
+        assert 0 < len(steps) // 2 <= 10
+        steps.clear()
+        list(equality_classes._unimodular_in_subspace(Q, np.random.default_rng(0), W))
+        assert len(steps) // 2 >= 100
 
     @pytest.mark.parametrize(
         "A",

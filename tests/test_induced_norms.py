@@ -20,7 +20,9 @@ from pqnorm import (
     as_index,
     as_matrix,
     best_norm,
+    bracket_norm,
     conjugate,
+    gen_dft,
     gen_svd_extremal,
     maximizer_set_probe,
     norm_bruteforce,
@@ -33,6 +35,8 @@ from pqnorm import (
 )
 from pqnorm.induced_norms import (
     BLOCK,
+    MAX_COMPLEX_COLS,
+    PHASE_GRID,
     STACK,
     _TINY,
     _ascent,
@@ -42,6 +46,7 @@ from pqnorm.induced_norms import (
     _normalize_cols,
     _phase,
     _phase_block,
+    _phase_grid,
     _sign_cols,
     _sign_images,
     _top8,
@@ -264,15 +269,16 @@ class TestInftyOneExact:
             norm_infty_one_exact(M)
 
     def test_phase_blocks_match_full_grid(self):
-        # 16^4 columns span four blocks; the running top 8 must pick the
-        # columns one stable argsort over the whole grid would pick
-        g, m = 16, 5
+        # g^(m-1) columns span several blocks; the running top 8 must pick
+        # the columns one stable argsort over the whole grid would pick
+        g, m = PHASE_GRID, MAX_COMPLEX_COLS
+        assert g ** (m - 1) > BLOCK
         phases = np.exp(2j * np.pi * np.arange(g) / g)
         mesh = np.meshgrid(*([phases] * (m - 1)), indexing="ij")
         full = np.vstack([np.ones(g ** (m - 1))] + [t.reshape(-1) for t in mesh])
         assert np.array_equal(_phase_block(0, full.shape[1], m, g), full)
         assert np.array_equal(_phase_block(20000, 20100, m, g), full[:, 20000:20100])
-        for A in (np.ones((3, m), dtype=complex), rand_matrix(7, 4, m, complex_=True).entries):
+        for A in (np.ones((m, m), dtype=complex), rand_matrix(7, m + 1, m, complex_=True).entries):
             vals = np.abs(A @ full).sum(axis=0)
             top = np.argsort(-vals, kind="stable")[:8]
             [(val, vec)] = _ascent(A, as_index("inf"), as_index(1), full[:, top], 100, 1e-12).best
@@ -281,6 +287,48 @@ class TestInftyOneExact:
             res = norm_infty_one_exact(A)
             assert res.value == val
             assert np.array_equal(res.witness, vec)
+
+    RANDOM_SHAPES = [(2, 4), (8, 4), (3, 5), (8, 5), (6, 6), (8, 6), (4, 6)]
+
+    @pytest.mark.parametrize(
+        "A",
+        [gen_dft(k) for k in (3, 5, 6)]
+        + [rand_matrix(1500 + n * m, n, m, complex_=True) for n, m in RANDOM_SHAPES],
+        ids=["dft3", "dft5", "dft6"] + [f"{n}x{m}" for n, m in RANDOM_SHAPES],
+    )
+    def test_eight_phases_match_sixteen(self, A):
+        # DFT 3, 5 and 6 have phases off the 8-point grid; after the ascent
+        # polish the 8-phase value matches a 16-phase grid over the same
+        # side (A or A*, whichever has fewer columns) to 1e-12 relative
+        M = as_matrix(A)
+        B = M.entries if M.m <= M.n else M.entries.conj().T
+        k, g = B.shape[1], 16
+        best_vals, best_X = np.zeros(0), np.zeros((k, 0), dtype=complex)
+        for start in range(0, g ** (k - 1), BLOCK):
+            X = np.hstack([best_X, _phase_block(start, min(start + BLOCK, g ** (k - 1)), k, g)])
+            vals = np.abs(B @ X).sum(axis=0)
+            top = np.argsort(-vals, kind="stable")[:8]
+            best_vals, best_X = vals[top], X[:, top]
+        [(val, _)] = _ascent(B, as_index("inf"), as_index(1), best_X, 100, 1e-12).best
+        want = max(val, best_vals[0])
+        assert abs(norm_infty_one_exact(M).value - want) <= 1e-12 * want
+
+    def test_adjoint_side(self):
+        # the grid runs over min(n, m) columns: a complex 2x6 scores 8 grid
+        # columns of A*, and a 6x8 gets the grid instead of DimensionError;
+        # the witness phase(A* y) reproduces the value on A itself
+        for n, m in [(2, 6), (6, 8), (1, 5)]:
+            M = rand_matrix(1520 + n, n, m, complex_=True)
+            B, _, top_vals, top_X, upper = _phase_grid(M)
+            assert B.shape == (m, n) and top_X.shape == (n, min(8, PHASE_GRID ** (n - 1)))
+            res = norm_infty_one_exact(M)
+            assert np.abs(np.abs(res.witness) - 1.0).max() <= 1e-12
+            assert math.isclose(norm_ratio(M, res.witness, "inf", 1), res.value, rel_tol=1e-12)
+            adj = norm_infty_one_exact(M.adjoint()).value
+            assert res.value >= adj * (1.0 - 1e-12)
+            assert res.value <= upper
+        with pytest.raises(DimensionError):
+            norm_infty_one_exact(rand_matrix(1530, 7, 9, complex_=True))
 
     def test_matches_oracle(self):
         for i in range(6):
@@ -533,6 +581,29 @@ def test_ratio_never_exceeds_norm(seed, p, q):
     x = r.standard_normal(2) + (1j * r.standard_normal(2) if M.is_complex else 0)
     val = best_norm(M, p, q, seed=0).value
     assert norm_ratio(M, x, p, q) <= val * (1.0 + 1e-7)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, MAX_COMPLEX_COLS),
+    st.integers(1, MAX_COMPLEX_COLS),
+    st.integers(-1000, 1000),
+)
+@settings(max_examples=25, deadline=None)
+def test_phase_grid_upper_end(seed, n, m, k):
+    # the grid's certified upper end lies above the polished value and the
+    # sampling oracle, on A and on 2^k A alike; both scale exactly by 2^k
+    A = rand_matrix(seed, n, m, complex_=True).entries
+    for arr in (A, np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)):
+        M = as_matrix(arr)
+        upper = _phase_grid(M)[-1]
+        assert upper >= norm_infty_one_exact(M).value
+        assert upper >= norm_bruteforce(M, "inf", 1, budget=2000).value
+        br = bracket_norm(M, "inf", 1)
+        assert br.lower <= br.upper <= upper
+    scaled = as_matrix(arr)
+    assert _phase_grid(scaled)[-1] == math.ldexp(_phase_grid(as_matrix(A))[-1], k)
+    assert norm_infty_one_exact(scaled).value == math.ldexp(norm_infty_one_exact(A).value, k)
 
 
 def _dual_step_samples():
