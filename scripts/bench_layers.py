@@ -23,6 +23,18 @@ Two more rows time the complex extreme-point searches:
   check_einf1_dft   check_Einf1 at (2, 2) on DFT 2, 4 and 8, memoised as
                     check_einf1_P_Q is, median of 5 x reps runs
 
+The reps are interleaved: each pass runs every cell once (five times for
+the check_einf1 cells) before the next pass starts, so a slow spell of a
+shared host spreads over all cells instead of landing on one.
+
+One row is a deterministic count, not a timing:
+
+  ascent_iters      per shape, the iterations of every ascent one
+                    best_norms call over the 25-point grid runs, summed
+                    over its (p, q) points, with each point's stopping
+                    rule (converged, settled, max_iter) counted; and the
+                    same sum with the settling rule off
+
 Run from the root of a source checkout (pqnorm is imported from ./src):
 
     python3 scripts/bench_layers.py [--out BENCH_layers.json] [--reps 5]
@@ -40,6 +52,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import platform
@@ -62,6 +75,7 @@ from pqnorm import (  # noqa: E402
     save_matrix,
 )
 from pqnorm.cli import main as cli_main  # noqa: E402
+from pqnorm import induced_norms  # noqa: E402
 from pqnorm.induced_norms import best_norms  # noqa: E402
 
 SHAPES = [(kind, n) for n in (4, 8, 16, 32) for kind in ("real", "complex")]
@@ -80,45 +94,76 @@ def _matrix(kind: str, n: int, m: int = 0) -> np.ndarray:
     return A
 
 
-def _median_s(fn, reps: int) -> float:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
 def _cli(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         cli_main(argv)
 
 
-def _einf1_row(M: MatrixValue, reps: int) -> dict:
-    row = {}
+def _einf1_cells(M: MatrixValue) -> dict:
+    cells = {}
     for p, q in EINF1_PAIRS:
         check_Einf1(M, p, q)  # memoises the bracket and the SVD
-        row[f"check_einf1_{p}_{q}"] = _median_s(lambda: check_Einf1(M, p, q), 5 * reps)
-    return row
+        cells[f"check_einf1_{p}_{q}"] = (lambda p=p, q=q: check_Einf1(M, p, q), 5)
+    return cells
 
 
-def measure(kind: str, n: int, reps: int, workdir: str) -> dict:
+def shape_cells(kind: str, n: int, workdir: str) -> dict:
+    """The timed cells of one shape: name -> (callable, runs per pass)."""
     A = _matrix(kind, n)
     pairs = [(p, q) for p in GRID for q in GRID]
     path = os.path.join(workdir, f"{kind}{n}.json")
     save_matrix(MatrixValue(A, kind), path)
     sweep = ["sweep", path, "-", "-p", "2", "-q", "2", "--r-grid", GRID_ARG, "--s-grid", GRID_ARG]
-    row = {
-        "best_norm_1.5_3": _median_s(lambda: best_norm(MatrixValue(A, kind), 1.5, 3), reps),
-        "grid_pointwise": _median_s(
-            lambda: [best_norm(M, p, q) for M in [MatrixValue(A, kind)] for p, q in pairs], reps
+    cells = {
+        "best_norm_1.5_3": (lambda: best_norm(MatrixValue(A, kind), 1.5, 3), 1),
+        "grid_pointwise": (
+            lambda: [best_norm(M, p, q) for M in [MatrixValue(A, kind)] for p, q in pairs],
+            1,
         ),
-        "grid_stacked": _median_s(lambda: best_norms(MatrixValue(A, kind), pairs), reps),
-        "sweep": _median_s(lambda: _cli(sweep), reps),
-        "verify": _median_s(lambda: _cli(["verify", path]), reps),
+        "grid_stacked": (lambda: best_norms(MatrixValue(A, kind), pairs), 1),
+        "sweep": (lambda: _cli(sweep), 1),
+        "verify": (lambda: _cli(["verify", path]), 1),
     }
-    row["grid_speedup"] = row["grid_pointwise"] / row["grid_stacked"]
-    row.update(_einf1_row(MatrixValue(A, kind), reps))
+    cells.update(_einf1_cells(MatrixValue(A, kind)))
+    return cells
+
+
+def interleaved_medians(rows: dict, reps: int) -> dict:
+    """{row: {cell: median seconds}} over reps passes, each pass running
+    every cell of every row (a cell `runs` times in a row)."""
+    times = {row: {cell: [] for cell in cells} for row, cells in rows.items()}
+    for _ in range(reps):
+        for row, cells in rows.items():
+            for cell, (fn, runs) in cells.items():
+                for _ in range(runs):
+                    t0 = time.perf_counter()
+                    fn()
+                    times[row][cell].append(time.perf_counter() - t0)
+    return {row: {cell: statistics.median(ts) for cell, ts in cells.items()} for row, cells in times.items()}
+
+
+def ascent_iterations(kind: str, n: int) -> dict:
+    """Iterations of the ascents of one best_norms call over the grid,
+    summed over its points, with and without the settling rule."""
+    pairs = [(p, q) for p in GRID for q in GRID]
+    ascent, runs = induced_norms._ascent, []
+
+    def recording(*args, **kwargs):
+        runs.append(ascent(*args, **kwargs))
+        return runs[-1]
+
+    row = {}
+    for label, settle in (("", True), ("_rule_off", False)):
+        runs.clear()
+        induced_norms._ascent = functools.partial(recording, settle=settle)
+        try:
+            best_norms(MatrixValue(_matrix(kind, n), kind), pairs)
+        finally:
+            induced_norms._ascent = ascent
+        row["iterations" + label] = sum(sum(run.iters) for run in runs)
+        if settle:
+            stops = [why for run in runs for why in run.stop]
+            row.update({why: stops.count(why) for why in ("converged", "settled", "max_iter")})
     return row
 
 
@@ -144,35 +189,41 @@ def environment() -> dict:
     }
 
 
+def _print_row(key: str, row: dict) -> None:
+    print(f"{key:4s} " + "  ".join(f"{k} {v:.4g}" for k, v in row.items()), flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
     ap.add_argument("--reps", type=int, default=5)
     args = ap.parse_args()
-    results = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for kind, n in SHAPES:
-            key = f"{kind[0]}{n}"
-            results[key] = measure(kind, n, args.reps, workdir)
-            cells = "  ".join(f"{k} {v:.4g}" for k, v in results[key].items())
-            print(f"{key:4s} {cells}", flush=True)
-        results["h16"] = _einf1_row(gen_hadamard(16), args.reps)
-        print("h16  " + "  ".join(f"{k} {v:.4g}" for k, v in results["h16"].items()))
-    results["inf1_complex"] = {
-        f"{n}x{m}": _median_s(
-            lambda: norm_infty_one_exact(MatrixValue(_matrix("complex", n, m), "complex")), args.reps
-        )
-        for n, m in INF1_COMPLEX_SHAPES
-    }
-    results["check_einf1_dft"] = {}
-    for k in EINF1_DFT_ORDERS:
-        M = gen_dft(k)
-        check_Einf1(M, 2, 2)  # memoises the bracket and the SVD
-        results["check_einf1_dft"][f"dft{k}"] = _median_s(lambda: check_Einf1(M, 2, 2), 5 * args.reps)
-    for key in ("inf1_complex", "check_einf1_dft"):
-        print(f"{key}  " + "  ".join(f"{k} {v:.4g}" for k, v in results[key].items()))
+        rows = {f"{kind[0]}{n}": shape_cells(kind, n, workdir) for kind, n in SHAPES}
+        rows["h16"] = _einf1_cells(gen_hadamard(16))
+        rows["inf1_complex"] = {
+            f"{n}x{m}": (
+                lambda n=n, m=m: norm_infty_one_exact(MatrixValue(_matrix("complex", n, m), "complex")),
+                1,
+            )
+            for n, m in INF1_COMPLEX_SHAPES
+        }
+        rows["check_einf1_dft"] = {}
+        for k in EINF1_DFT_ORDERS:
+            M = gen_dft(k)
+            check_Einf1(M, 2, 2)  # memoises the bracket and the SVD
+            rows["check_einf1_dft"][f"dft{k}"] = (lambda M=M: check_Einf1(M, 2, 2), 5)
+        results = interleaved_medians(rows, args.reps)
+    for kind, n in SHAPES:
+        row = results[f"{kind[0]}{n}"]
+        row["grid_speedup"] = row["grid_pointwise"] / row["grid_stacked"]
+    for key, row in results.items():
+        _print_row(key, row)
+    results["ascent_iters"] = {f"{kind[0]}{n}": ascent_iterations(kind, n) for kind, n in SHAPES}
+    for key, row in results["ascent_iters"].items():
+        _print_row(key, row)
     payload = {
-        "unit": "s (median of reps), grid_speedup is pointwise / stacked",
+        "unit": "s (median of reps), grid_speedup is pointwise / stacked; ascent_iters are counts",
         "reps": args.reps,
         "seed": 0,
         "environment": environment(),

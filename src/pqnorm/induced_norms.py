@@ -263,13 +263,21 @@ def _normalize_cols(X: np.ndarray, p: Exponent) -> np.ndarray:
     return X / safe
 
 
+SETTLE_WINDOW = 10  # iterations over which a block's best must keep rising
+SETTLE_RTOL = 1e-12  # relative rise below which a block counts as settled
+
+
 class _Ascent(NamedTuple):
     """Outcome of one ascent: for each block of columns, the best (value,
-    witness) seen; and the terminal values and iterates of every column."""
+    witness) seen, the iterations it ran and why it stopped ("converged",
+    "settled" or "max_iter"); and the terminal values and iterates of every
+    column."""
 
     best: list
     vals: np.ndarray
     X: np.ndarray
+    iters: list
+    stop: list
 
 
 def _ascent(
@@ -280,6 +288,8 @@ def _ascent(
     max_iter: int,
     tol: float,
     block: Optional[int] = None,
+    *,
+    settle: bool = True,
 ) -> _Ascent:
     """Batched duality-map ascent on the columns of X0.
 
@@ -291,9 +301,13 @@ def _ascent(
     one exponent for every column, or both arrays with one per column (q
     finite, p > 1), which lets several (p, q) points share each iteration.
     The best value and its iterate are kept per block of `block` columns
-    (one block by default): first seen wins, then the lowest column.  The
-    ascent runs on A / 2^e, which moves no iterate, and the values are
-    scaled back at the end, so no scale of A overflows a step.
+    (one block by default): first seen wins, then the lowest column.  With
+    settle, a block whose best rose by at most SETTLE_RTOL (relative) over
+    the last SETTLE_WINDOW iterations is settled: all its columns freeze at
+    once.  Every best is still attained by an iterate, so it stays a lower
+    bound; callers that read every column's terminal iterate turn settle
+    off.  The ascent runs on A / 2^e, which moves no iterate, and the
+    values are scaled back at the end, so no scale of A overflows a step.
     """
     arr, e = _pow2_normalized(arr)
     if isinstance(p, ExtIndex):
@@ -308,19 +322,31 @@ def _ascent(
     nblocks = X_out.shape[1] // block
     best_val = [-math.inf] * nblocks
     best_vec = [X_out[:, b * block].copy() for b in range(nblocks)]
+    # ring[b][t % W]: block b's best after iteration t, for the last W
+    ring = [[-math.inf] * SETTLE_WINDOW for _ in range(nblocks)]
+    iters, stop = [0] * nblocks, ["converged"] * nblocks
     live = np.arange(X_out.shape[1])
     segments = _segments(live, block, nblocks)
     X = X_out
     prev = None
-    for _ in range(max_iter):
+    for t in range(max_iter):
         vals, U, _ = _dual_step(arr @ X, q)
+        settled = []
         for b, lo, hi in segments:
             j = lo + int(vals[lo:hi].argmax())
             if vals[j] > best_val[b]:
                 best_val[b] = float(vals[j])
                 best_vec[b] = X[:, j].copy()
-        if prev is not None:
+            iters[b] = t + 1
+            if settle:
+                old, ring[b][t % SETTLE_WINDOW] = ring[b][t % SETTLE_WINDOW], best_val[b]
+                if best_val[b] - old <= SETTLE_RTOL * best_val[b]:
+                    settled.append((lo, hi))
+                    stop[b] = "settled"
+        if prev is not None:  # always set by the time a block can settle
             done = np.abs(vals - prev) <= tol * np.maximum(vals, _TINY)
+            for lo, hi in settled:
+                done[lo:hi] = True
             if done.any():
                 X_out[:, live[done]] = X[:, done]
                 vals_out[live[done]] = vals[done]
@@ -338,11 +364,14 @@ def _ascent(
             Xn[:, dead] = X[:, dead]
             norms = np.where(dead, 1.0, norms)
         X = np.divide(Xn, norms, out=Xn)
+    if live.size:
+        for b, _, _ in segments:
+            stop[b] = "max_iter"
     X_out[:, live] = X
     vals_out[live] = vals
     with np.errstate(over="ignore"):  # a norm past the float range reads inf
         best_val = [float(np.ldexp(v, e)) for v in best_val]
-        return _Ascent(list(zip(best_val, best_vec)), np.ldexp(vals_out, e), X_out)
+        return _Ascent(list(zip(best_val, best_vec)), np.ldexp(vals_out, e), X_out, iters, stop)
 
 
 def _segments(live: np.ndarray, block: int, nblocks: int) -> list:
@@ -376,7 +405,13 @@ def _default_starts(M: MatrixValue, restarts: int, rng: np.random.Generator) -> 
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    """Knobs for the ascent estimator; restarts defaults to 32 + m."""
+    """Knobs for the ascent estimator; restarts defaults to 32 + m.
+
+    A restart stops once its value moves by at most tol (relative) in one
+    step; all restarts of one (p, q) point stop together once their best
+    value rose by at most SETTLE_RTOL (relative) over the last
+    SETTLE_WINDOW iterations; nothing runs past max_iter.
+    """
 
     restarts: Optional[int] = None
     max_iter: int = 200
@@ -753,7 +788,7 @@ def maximizer_set_probe(
     closed = norm_closed_form(M, pi, qi)
     if closed is not None and vector_norm(closed.witness, pi) > 0:
         X0 = np.hstack([closed.witness.reshape(-1, 1).astype(X0.dtype), X0])
-    run = _ascent(M.entries, pi, qi, X0, 300, 1e-12)
+    run = _ascent(M.entries, pi, qi, X0, 300, 1e-12, settle=False)
     vals, X = run.vals, run.X
     best = float(vals.max())
     if closed is not None:

@@ -16,6 +16,7 @@ write/read round trip reproduces the doubles exactly.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import fields as dc_fields, is_dataclass
@@ -49,8 +50,10 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _all_of(items, kinds) -> bool:
+    """Every item is an instance of kinds, a bool never counting as a
+    number; one check per distinct type, not per item."""
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
 
 
 def matrix_to_obj(M: MatrixValue) -> dict:
@@ -61,22 +64,6 @@ def matrix_to_obj(M: MatrixValue) -> dict:
     else:
         data = [float(x) for x in arr.reshape(-1)]
     return {"field": M.field, "rows": M.n, "cols": M.m, "data": data}
-
-
-def _entry_real(x, where: str) -> float:
-    if not _is_number(x):
-        raise MatrixFileError(f"real entry expected at {where}, got {x!r}")
-    return float(x)
-
-
-def _entry_complex(x, where: str) -> complex:
-    if (
-        not isinstance(x, (list, tuple))
-        or len(x) != 2
-        or not all(_is_number(t) for t in x)
-    ):
-        raise MatrixFileError(f"complex entry expected as [re, im] at {where}, got {x!r}")
-    return complex(float(x[0]), float(x[1]))
 
 
 def matrix_from_obj(obj) -> MatrixValue:
@@ -96,31 +83,38 @@ def matrix_from_obj(obj) -> MatrixValue:
     data = obj["data"]
     if not isinstance(data, list):
         raise MatrixFileError("data must be an array")
-    entry = _entry_complex if field == COMPLEX else _entry_real
     # accept either a flat array of entries or a list of row arrays; the
     # field tag disambiguates [re, im] pairs from two-element real rows
-    nested = bool(data) and all(isinstance(rw, list) for rw in data)
+    nested = bool(data) and _all_of(data, list)
     if field == COMPLEX and nested:
-        nested = all(
-            bool(rw) and all(isinstance(e, (list, tuple)) for e in rw) for rw in data
-        )
-    if nested:
-        if len(data) != rows:
-            raise MatrixFileError(f"expected {rows} rows, got {len(data)}")
-        flat = []
-        for i, rw in enumerate(data):
-            if len(rw) != cols:
-                raise MatrixFileError(f"row {i} has {len(rw)} entries, expected {cols}")
-            flat.extend(entry(e, f"row {i}") for e in rw)
-    else:
-        if len(data) != rows * cols:
-            raise MatrixFileError(
-                f"flat data length {len(data)} != rows*cols = {rows * cols}"
-            )
-        flat = [entry(e, f"index {t}") for t, e in enumerate(data)]
-    dtype = complex if field == COMPLEX else float
-    arr = np.array(flat, dtype=dtype).reshape(rows, cols)
-    return as_matrix(arr, field=field)
+        nested = all(data) and _all_of(itertools.chain.from_iterable(data), (list, tuple))
+    shape = (rows, cols) if nested else (rows * cols,)
+    if field == COMPLEX:
+        shape += (2,)
+    if len(data) != shape[0]:
+        what = "rows" if nested else "entries"
+        raise MatrixFileError(f"expected {shape[0]} {what} in data, got {len(data)}")
+    # each level below the top holds arrays of the next length in shape and
+    # the entries are numbers; checked per distinct type and length before
+    # numpy sees the data, since it would read a bool, a numeric string or
+    # null as a number
+    level = data
+    for size in shape[1:]:
+        if not _all_of(level, (list, tuple)) or set(map(len, level)) != {size}:
+            raise MatrixFileError(f"data must be an array of shape {shape}")
+        level = list(itertools.chain.from_iterable(level))
+    if not _all_of(level, (int, float)):
+        what = "[re, im] pairs of numbers" if field == COMPLEX else "numbers"
+        raise MatrixFileError(f"{field} entries must be {what}")
+    try:
+        arr = np.array(level, dtype=float)
+    except OverflowError as e:
+        raise MatrixFileError(f"entry out of the float range: {e}") from None
+    if not np.isfinite(arr).all():
+        raise MatrixFileError("entries must be finite")
+    if field == COMPLEX:
+        arr = arr.view(complex)  # [re, im] pairs, bit for bit
+    return as_matrix(arr.reshape(rows, cols), field=field)
 
 
 def _plain(x):

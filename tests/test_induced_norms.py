@@ -23,6 +23,7 @@ from pqnorm import (
     bracket_norm,
     conjugate,
     gen_dft,
+    gen_hadamard,
     gen_svd_extremal,
     maximizer_set_probe,
     norm_bruteforce,
@@ -30,6 +31,7 @@ from pqnorm import (
     norm_estimate,
     norm_infty_one_exact,
     norm_ratio,
+    norm_upper_bound,
     svd,
     vector_norm,
 )
@@ -43,6 +45,7 @@ from pqnorm.induced_norms import (
     _default_starts,
     _dual_step,
     _lattice_side,
+    _ldexp,
     _normalize_cols,
     _phase,
     _phase_block,
@@ -494,7 +497,8 @@ class TestAscent:
                 pi, qi = as_index(p), as_index(q)
                 X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
                 want = _ascent_all_columns(M.entries, pi, qi, X0, 200, 1e-10)
-                [(got, vec)], vals, X = _ascent(M.entries, pi, qi, X0, 200, 1e-10)
+                run = _ascent(M.entries, pi, qi, X0, 200, 1e-10)
+                [(got, vec)], vals, X = run.best, run.vals, run.X
                 assert abs(got - want) <= 1e-8 * want, (i, p, q)
                 assert math.isclose(norm_ratio(M, vec, p, q), got, rel_tol=1e-9)
                 assert vals.max() <= got and X.shape == X0.shape
@@ -515,6 +519,47 @@ class TestAscent:
                     want = _ascent_all_columns(arr, pi, qi, X0, 200, 1e-10)
                     [(got, _)] = _ascent(arr, pi, qi, X0, 200, 1e-10).best
                     assert abs(got - want) <= 1e-8 * want, (i, p, q)
+
+    def test_stop_reasons(self):
+        # on a rank-one matrix one step reaches the fixed point, which the
+        # third evaluation confirms; one iteration is max_iter; DFT 11 at
+        # (3, 1.5) settles while columns still climb
+        u = np.array([[1.0], [2.0], [-1.0]])
+        M = as_matrix(u @ np.array([[1.0, -3.0, 0.5]]))
+        X0 = _default_starts(M, 35, np.random.default_rng(0))
+        p, q = as_index(1.5), as_index(3)
+        run = _ascent(M.entries, p, q, X0, 200, 1e-10)
+        assert (run.iters, run.stop) == ([3], ["converged"])
+        run = _ascent(M.entries, p, q, X0, 1, 1e-10)
+        assert (run.iters, run.stop) == ([1], ["max_iter"])
+        D = gen_dft(11)
+        X0 = _default_starts(D, 43, np.random.default_rng(0))
+        run = _ascent(D.entries, as_index(3), as_index(1.5), X0, 200, 1e-10)
+        assert run.stop == ["settled"] and run.iters[0] < 200
+        full = _ascent(D.entries, as_index(3), as_index(1.5), X0, 200, 1e-10, settle=False)
+        assert full.stop == ["max_iter"]
+
+    def test_settling_truncates_the_run(self):
+        # a settled block reports exactly what the run without the rule has
+        # seen by the same iteration; per block when points are stacked
+        for i, (n, m) in enumerate([(8, 8), (6, 3), (16, 16)]):
+            M = rand_matrix(1200 + i, n, m, complex_=bool(i % 2))
+            X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
+            for p, q in self.PAIRS:
+                pi, qi = as_index(p), as_index(q)
+                run = _ascent(M.entries, pi, qi, X0, 200, 1e-10)
+                cut = _ascent(M.entries, pi, qi, X0, run.iters[0], 1e-10, settle=False)
+                assert run.best[0][0] == cut.best[0][0], (i, p, q)
+                assert np.array_equal(run.best[0][1], cut.best[0][1])
+            k = X0.shape[1]
+            ps = np.repeat([1.5, 3.0, 4.0], k)
+            qs = np.repeat([3.0, 1.5, 1.2], k)
+            run = _ascent(M.entries, ps, qs, np.tile(X0, 3), 200, 1e-10, k)
+            assert len(run.iters) == len(run.stop) == 3
+            for b, (p, q) in enumerate([(1.5, 3), (3, 1.5), (4, 1.2)]):
+                one = _ascent(M.entries, as_index(p), as_index(q), X0, 200, 1e-10)
+                assert abs(run.best[b][0] - one.best[0][0]) <= 1e-12 * one.best[0][0]
+                assert run.stop[b] in ("converged", "settled", "max_iter")
 
 
 class TestWorkedExample:
@@ -556,6 +601,30 @@ class TestMaximizerProbe:
     def test_simple_direction_count(self):
         vs = maximizer_set_probe(np.diag([3.0, 1.0]), 2, 2)
         assert len(vs) == 1
+
+    def test_generic_complex_single_maximizer(self):
+        # a generic complex 8x4 has one (2,2) maximizer up to phase; the
+        # probe reads every column's terminal iterate, so columns frozen
+        # before they converge would count as further "distinct" maximizers
+        for seed in range(4):
+            assert len(maximizer_set_probe(rand_matrix(seed, 8, 4, complex_=True), 2, 2)) == 1
+
+    PROBE_PAIRS = [(2, 2), (1.5, 3), (3, 1.5), ("inf", 1), (3, 3)]
+    PROBE_COUNTS = {
+        "dft2": [6, 4, 2, 2, 2],
+        "dft4": [6, 6, 6, 6, 4],
+        "dft8": [6, 6, 6, 6, 6],
+        "had2": [6, 4, 4, 3, 2],
+        "had4": [6, 6, 4, 3, 4],
+        "had8": [6, 6, 6, 6, 6],
+    }
+
+    def test_dft_hadamard_counts(self):
+        for name, want in self.PROBE_COUNTS.items():
+            k = int(name[3:])
+            M = gen_dft(k) if name.startswith("dft") else gen_hadamard(k)
+            got = [len(maximizer_set_probe(M, p, q)) for p, q in self.PROBE_PAIRS]
+            assert got == want, name
 
 
 @given(
@@ -604,6 +673,35 @@ def test_phase_grid_upper_end(seed, n, m, k):
     scaled = as_matrix(arr)
     assert _phase_grid(scaled)[-1] == math.ldexp(_phase_grid(as_matrix(A))[-1], k)
     assert norm_infty_one_exact(scaled).value == math.ldexp(norm_infty_one_exact(A).value, k)
+
+
+SETTLE_PAIRS = [
+    (p, q) for p in (1.5, 2, 3, "inf") for q in (1, 1.5, 2, 3) if (p, q) not in [(2, 2), ("inf", 1)]
+]
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(-1000, 1000),
+)
+@settings(max_examples=25, deadline=None)
+def test_settled_estimates_against_full_run(seed, n, m, complex_, k):
+    # best_norms' settled ascent against one run per point without the
+    # rule: at most 1e-9 below it, below the certified upper bound (up to
+    # the 1e-12 rounding slack bracket_norm allows), and exactly 2^k times
+    # the value on 2^k A
+    M = rand_matrix(seed, n, m, complex_=complex_)
+    X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
+    got = best_norms(M, SETTLE_PAIRS)
+    scaled = best_norms(as_matrix(_ldexp(M.entries, k), M.field), SETTLE_PAIRS)
+    for (p, q), res, big in zip(SETTLE_PAIRS, got, scaled):
+        [(full, _)] = _ascent(M.entries, as_index(p), as_index(q), X0, 200, 1e-10, settle=False).best
+        assert res.value >= (1.0 - 1e-9) * full, (p, q)
+        assert res.value <= norm_upper_bound(M, p, q) * (1.0 + 1e-12), (p, q)
+        assert big.value == math.ldexp(res.value, k), (p, q)
 
 
 def _dual_step_samples():

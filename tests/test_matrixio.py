@@ -67,6 +67,41 @@ class TestObjRoundTrip:
         with pytest.raises(MatrixFileError):
             matrix_from_obj({"field": "real", "rows": 0, "cols": 1, "data": []})
 
+    @pytest.mark.parametrize(
+        "field, rows, cols, data",
+        [
+            ("real", 1, 2, [True, 1.0]),
+            ("real", 2, 2, [[1, 2], [3, True]]),  # a bool inside a nested row
+            ("complex", 1, 2, [[1, False], [0, 1]]),  # inside a flat pair
+            ("complex", 1, 2, [[[1, 0], [0, True]]]),  # inside a nested pair
+            ("real", 1, 2, ["1.5", 1]),
+            ("real", 1, 2, [None, 1]),
+            ("real", 1, 1, [{}]),
+            ("real", 1, 1, [10**400]),
+            ("real", 1, 2, [float("nan"), 1]),
+            ("complex", 1, 1, [[0.0, float("inf")]]),
+            ("real", 2, 2, [[1, 2], [3]]),
+            ("real", 2, 2, [[1, 2], [3, [4]]]),
+            ("real", 1, 1, [[]]),
+            ("complex", 1, 1, [[1, 2, 3]]),
+            ("complex", 1, 1, [1]),
+            ("complex", 1, 1, []),
+            ("complex", 1, 2, [[[1, 0]], [[0, 1]]]),
+            ("complex", 2, 1, [[[1, 0]], []]),
+        ],
+    )
+    def test_entry_errors(self, field, rows, cols, data):
+        with pytest.raises(MatrixFileError):
+            matrix_from_obj({"field": field, "rows": rows, "cols": cols, "data": data})
+
+    def test_entries_bit_for_bit(self):
+        # signed zeros survive in both parts; rows and pairs may be tuples
+        M = loads_matrix('{"field": "complex", "rows": 1, "cols": 2, "data": [[-0.0, 1.5], [2, -0.0]]}')
+        assert np.signbit(M.entries.real).tolist() == [[True, False]]
+        assert np.signbit(M.entries.imag).tolist() == [[False, True]]
+        obj = {"field": "complex", "rows": 2, "cols": 1, "data": [[(1, 2)], [[3, 4.5]]]}
+        assert matrix_from_obj(obj).entries.tolist() == [[1 + 2j], [3 + 4.5j]]
+
 
 class TestFileRoundTrip:
     def test_save_load(self, tmp_path):
