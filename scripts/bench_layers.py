@@ -23,17 +23,28 @@ Two more rows time the complex extreme-point searches:
   check_einf1_dft   check_Einf1 at (2, 2) on DFT 2, 4 and 8, memoised as
                     check_einf1_P_Q is, median of 5 x reps runs
 
+One row times the real sign enumeration and counts its page faults:
+
+  inf1_real         norm_infty_one_exact on a fresh real Gaussian m x m
+                    (seed 0) for m = 13, 16, 18, 20: seconds per call, and
+                    (key suffix _minflt) the minor page faults per call
+                    (ru_minflt), as medians over the reps
+
 The reps are interleaved: each pass runs every cell once (five times for
 the check_einf1 cells) before the next pass starts, so a slow spell of a
 shared host spreads over all cells instead of landing on one.
 
-One row is a deterministic count, not a timing:
+Two rows are deterministic figures, not timings:
 
   ascent_iters      per shape, the iterations of every ascent one
                     best_norms call over the 25-point grid runs, summed
                     over its (p, q) points, with each point's stopping
                     rule (converged, settled, max_iter) counted; and the
                     same sum with the settling rule off
+  grid_peak_mb      per shape r16, c16, r32, c32, the tracemalloc peak (MB)
+                    of one best_norms call over the 25-point grid on a
+                    fresh matrix: what the stacked ascent's element cap
+                    costs in memory, free of allocator and host noise
 
 Run from the root of a source checkout (pqnorm is imported from ./src):
 
@@ -56,9 +67,11 @@ import functools
 import io
 import json
 import platform
+import resource
 import statistics
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -83,6 +96,8 @@ GRID = [1, 1.5, 2, 3, "inf"]
 GRID_ARG = "1,1.5,2,3,inf"
 EINF1_PAIRS = [(2, 2), (1.5, 3)]
 INF1_COMPLEX_SHAPES = [(8, 4), (8, 5), (8, 6), (2, 6)]
+INF1_REAL_SIZES = [13, 16, 18, 20]
+PEAK_SHAPES = [("real", 16), ("complex", 16), ("real", 32), ("complex", 32)]
 EINF1_DFT_ORDERS = [2, 4, 8]
 
 
@@ -128,18 +143,29 @@ def shape_cells(kind: str, n: int, workdir: str) -> dict:
     return cells
 
 
-def interleaved_medians(rows: dict, reps: int) -> dict:
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def interleaved_medians(rows: dict, reps: int, faults=()) -> dict:
     """{row: {cell: median seconds}} over reps passes, each pass running
-    every cell of every row (a cell `runs` times in a row)."""
+    every cell of every row (a cell `runs` times in a row); the rows named
+    in faults also get {cell_minflt: median minor page faults per run}."""
     times = {row: {cell: [] for cell in cells} for row, cells in rows.items()}
+    flts = {row: {cell: [] for cell in rows[row]} for row in faults}
     for _ in range(reps):
         for row, cells in rows.items():
             for cell, (fn, runs) in cells.items():
                 for _ in range(runs):
-                    t0 = time.perf_counter()
+                    f0, t0 = _minflt(), time.perf_counter()
                     fn()
                     times[row][cell].append(time.perf_counter() - t0)
-    return {row: {cell: statistics.median(ts) for cell, ts in cells.items()} for row, cells in times.items()}
+                    if row in flts:
+                        flts[row][cell].append(_minflt() - f0)
+    out = {row: {cell: statistics.median(ts) for cell, ts in cells.items()} for row, cells in times.items()}
+    for row, cells in flts.items():
+        out[row].update({f"{cell}_minflt": statistics.median(fs) for cell, fs in cells.items()})
+    return out
 
 
 def ascent_iterations(kind: str, n: int) -> dict:
@@ -165,6 +191,18 @@ def ascent_iterations(kind: str, n: int) -> dict:
             stops = [why for run in runs for why in run.stop]
             row.update({why: stops.count(why) for why in ("converged", "settled", "max_iter")})
     return row
+
+
+def grid_peak_mb(kind: str, n: int) -> float:
+    """tracemalloc peak (MB) of one best_norms call over the grid."""
+    pairs = [(p, q) for p in GRID for q in GRID]
+    M = MatrixValue(_matrix(kind, n), kind)
+    tracemalloc.start()
+    try:
+        best_norms(M, pairs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _cpu_model() -> str:
@@ -208,12 +246,16 @@ def main() -> None:
             )
             for n, m in INF1_COMPLEX_SHAPES
         }
+        rows["inf1_real"] = {
+            f"m{m}": (lambda m=m: norm_infty_one_exact(MatrixValue(_matrix("real", m), "real")), 1)
+            for m in INF1_REAL_SIZES
+        }
         rows["check_einf1_dft"] = {}
         for k in EINF1_DFT_ORDERS:
             M = gen_dft(k)
             check_Einf1(M, 2, 2)  # memoises the bracket and the SVD
             rows["check_einf1_dft"][f"dft{k}"] = (lambda M=M: check_Einf1(M, 2, 2), 5)
-        results = interleaved_medians(rows, args.reps)
+        results = interleaved_medians(rows, args.reps, faults=("inf1_real",))
     for kind, n in SHAPES:
         row = results[f"{kind[0]}{n}"]
         row["grid_speedup"] = row["grid_pointwise"] / row["grid_stacked"]
@@ -222,8 +264,13 @@ def main() -> None:
     results["ascent_iters"] = {f"{kind[0]}{n}": ascent_iterations(kind, n) for kind, n in SHAPES}
     for key, row in results["ascent_iters"].items():
         _print_row(key, row)
+    results["grid_peak_mb"] = {f"{kind[0]}{n}": grid_peak_mb(kind, n) for kind, n in PEAK_SHAPES}
+    _print_row("grid_peak_mb", results["grid_peak_mb"])
     payload = {
-        "unit": "s (median of reps), grid_speedup is pointwise / stacked; ascent_iters are counts",
+        "unit": (
+            "s (median of reps), grid_speedup is pointwise / stacked; *_minflt, ascent_iters "
+            "are counts; grid_peak_mb is MB"
+        ),
         "reps": args.reps,
         "seed": 0,
         "environment": environment(),

@@ -756,7 +756,7 @@ def _unimodular_vectors(
     is constant up to that difference) is rounded to a sign vector and its
     image tested exactly.  The search is exhaustive when rho < 1, where
     rounding cannot flip a sign; otherwise rho is capped at 1/2.  Only the
-    direction of B matters here.  The survivors of each block of 2^14
+    direction of B matters here.  The survivors of each block of 2^13
     patterns are yielded with first entry +1, in the index order of the
     full enumeration, before the next block is formed: a caller that stops
     at the first vector it accepts holds one block at most.

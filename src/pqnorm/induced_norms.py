@@ -182,13 +182,23 @@ def norm_ratio(A: MatrixLike, x, p: IndexLike, q: IndexLike) -> float:
     return vector_norm(M.entries @ vec, q) / den
 
 
+def _over(z: np.ndarray, d: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """z / d for real d.  numpy divides a complex number by a real one as
+    the product with its reciprocal, so complex z takes that cheaper form
+    directly: the same bits, up to the sign of a real or imaginary part
+    that is or underflows to zero."""
+    if np.iscomplexobj(z):
+        return np.multiply(z, 1.0 / d, out=out)
+    return np.divide(z, d, out=out)
+
+
 def _phase(w: np.ndarray, a: Optional[np.ndarray] = None) -> np.ndarray:
     """w / |w| entrywise, 0 mapped to 0; sign() for real input.  a, when
-    given, is |w|."""
+    given, is |w|; without zeros in it (the common case) it needs no mask."""
     if not np.iscomplexobj(w):
         return np.sign(w)
     a = np.abs(w) if a is None else a
-    return w / np.where(a > 0, a, 1.0)
+    return _over(w, a if a.min(initial=1.0) > 0 else np.where(a > 0, a, 1.0))
 
 
 def _ldexp(x, e: int):
@@ -221,34 +231,39 @@ def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
 Exponent = Union[ExtIndex, np.ndarray]  # one for all columns, or one per column
 
 
-def _dual_step(W: np.ndarray, t: Exponent):
-    """Column t-norms of W, the duality map r^(t-1) * phase(w) for r = |w| /
-    peak, and that map's t*-norm s^(1-1/t), s = sum r^(t-1) * r: one abs, one
-    power.  The map degenerates at t = 1 to the phase vector and at t = inf
-    to the lowest-index entry of maximal modulus.  t may also be an array of
-    finite exponents, one per column: r^(t-1) is exactly 1 at t = 1, so the
-    general form covers those columns too (zero columns get dual norm 0)."""
+def _dual_step(W: np.ndarray, t: Exponent, dual: bool = False) -> tuple:
+    """(phi, norms): the duality map phi = r^(t-1) * phase(w) of each column
+    of W, r = |w| / peak, formed as phase(w) scaled by r^(t-1), with one
+    abs and one power; and the one norm the caller reads, the column
+    t-norms of W or, with dual, the t*-norms of phi, s^(1-1/t) for s = sum
+    r^(t-1) * r.  The map degenerates at t = 1 to the phase vector and at
+    t = inf to the lowest-index entry of maximal modulus.  t may also be an
+    array of finite exponents, one per column: r^(t-1) is exactly 1 at
+    t = 1, so the general form covers those columns too (zero columns get
+    dual norm 0)."""
     a = np.abs(W)
     peak = a.max(axis=0)
     if isinstance(t, ExtIndex):
         if t.value == 1.0:
-            return a.sum(axis=0), _phase(W, a), (peak > 0).astype(float)
+            return _phase(W, a), (peak > 0).astype(float) if dual else a.sum(axis=0)
         if t.is_inf:
             top = (a.argmax(axis=0), np.arange(W.shape[1]))
             phi = np.zeros_like(W)
             phi[top] = _phase(W[top], peak)
-            return peak, phi, (peak > 0).astype(float)
+            return phi, (peak > 0).astype(float) if dual else peak
         t = t.value
     safe = np.where(peak > 0, peak, 1.0)
     phi = _phase(W, a)
     r = np.divide(a, safe, out=a)
     rp = r ** (t - 1.0)
-    s = (rp * r).sum(axis=0)
+    s = np.multiply(rp, r, out=r).sum(axis=0)
     phi *= rp
-    dual = s ** (1.0 - 1.0 / t)
+    if not dual:
+        return phi, safe * s ** (1.0 / t)
+    norms = s ** (1.0 - 1.0 / t)
     if not isinstance(t, float):
-        dual *= peak > 0
-    return safe * s ** (1.0 / t), phi, dual
+        norms *= peak > 0
+    return phi, norms
 
 
 def _normalize_cols(X: np.ndarray, p: Exponent) -> np.ndarray:
@@ -270,8 +285,8 @@ SETTLE_RTOL = 1e-12  # relative rise below which a block counts as settled
 class _Ascent(NamedTuple):
     """Outcome of one ascent: for each block of columns, the best (value,
     witness) seen, the iterations it ran and why it stopped ("converged",
-    "settled" or "max_iter"); and the terminal values and iterates of every
-    column."""
+    "settled" or "max_iter"); and the terminal iterates of every column with
+    their values."""
 
     best: list
     vals: np.ndarray
@@ -330,7 +345,7 @@ def _ascent(
     X = X_out
     prev = None
     for t in range(max_iter):
-        vals, U, _ = _dual_step(arr @ X, q)
+        U, vals = _dual_step(arr @ X, q)
         settled = []
         for b, lo, hi in segments:
             j = lo + int(vals[lo:hi].argmax())
@@ -358,12 +373,14 @@ def _ascent(
                     q, pstar = q[keep], pstar[keep]
                 segments = _segments(live, block, nblocks)
         prev = vals
-        _, Xn, norms = _dual_step(adj @ U, pstar)
+        if t + 1 == max_iter:
+            break  # X stays the iterate whose values vals holds
+        Xn, norms = _dual_step(adj @ U, pstar, dual=True)
         dead = norms <= _TINY
         if dead.any():
             Xn[:, dead] = X[:, dead]
             norms = np.where(dead, 1.0, norms)
-        X = np.divide(Xn, norms, out=Xn)
+        X = _over(Xn, norms, out=Xn)
     if live.size:
         for b, _, _ in segments:
             stop[b] = "max_iter"
@@ -438,7 +455,9 @@ def norm_estimate(
     return _estimates(M, [(pi, qi)], settings or EstimatorSettings())[0]
 
 
-STACK = 1 << 13  # elements (rows x columns) per stacked ascent of several points
+# elements (rows x columns) per stacked ascent of several points: a 32 x 32
+# matrix with its 64 restarts stacks 8 points
+STACK = 1 << 14
 
 
 def _estimates(M: MatrixValue, pairs: list, cfg: EstimatorSettings) -> list:
@@ -509,7 +528,9 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
     return None
 
 
-BLOCK = 1 << 14  # columns per block of an exhaustive enumeration
+# columns per block of an exhaustive enumeration; a real one holds the shared
+# image of two blocks and the block's own image, 3.9 MB at n = 20
+BLOCK = 1 << 13
 
 
 def _sign_cols(idx, m: int) -> np.ndarray:
@@ -525,30 +546,42 @@ def _sign_cols(idx, m: int) -> np.ndarray:
 
 def _sign_images(B: np.ndarray):
     """Yield (Y, cols) over the blocks X of the 2^(m-1) sign vectors in
-    index order, m = B.shape[1]: Y = B @ X and cols(j) = X[:, j].  Past one
-    block the low 14 bits repeat, so the image of the 15 leading entries is
-    formed once, each block adds that of its high signs into the reused Y,
-    and cols rebuilds only the columns asked for."""
-    m = B.shape[1]
+    index order, m = B.shape[1]: Y = B @ X and cols(j) = X[:, j], rebuilt
+    only for the columns asked for.  No sign matrix is formed: the image of
+    the signs of the 15 leading entries (all m if fewer; two blocks' worth)
+    is built once by doubling (with w columns done, entry j fills columns w..2w-1 with
+    base - b_j, then columns 0..w-1 get + b_j), which sums each column in
+    entry order as a matrix product with two or more rows does.  Past it,
+    each pair of blocks adds the image of its high signs (one
+    matrix-vector product) to that shared image, into the reused Y."""
+    n, m = B.shape
     total = 1 << (m - 1)
-    if total <= BLOCK:
-        X = _sign_cols(np.arange(total), m)
-        yield B @ X, lambda j: X[:, j]
+    low = min(m, BLOCK.bit_length() + 1)
+    base = np.empty((n, 1 << (low - 1)))
+    base[:, 0] = B[:, 0]
+    w = 1
+    for j in range(1, low):
+        np.subtract(base[:, :w], B[:, j, None], out=base[:, w : 2 * w])
+        base[:, :w] += B[:, j, None]
+        w *= 2
+    halves = [(h, base[:, h : h + BLOCK]) for h in range(0, w, BLOCK)]
+    if m == low:
+        for h, half in halves:
+            yield half, lambda j, s=h: _sign_cols(s + j, m)
         return
-    low = BLOCK.bit_length()
-    base = B[:, :low] @ _sign_cols(np.arange(BLOCK), low)
-    Y = np.empty_like(base)
-    for start in range(0, total, BLOCK):
+    Y = np.empty((n, BLOCK))
+    for start in range(0, total, w):
         shift = B[:, low:] @ _sign_cols(start, m)[low:]
-        yield np.add(base, shift[:, None], out=Y), lambda j, s=start: _sign_cols(s + j, m)
+        for h, half in halves:
+            yield np.add(half, shift[:, None], out=Y), lambda j, s=start + h: _sign_cols(s + j, m)
 
 
-def _top8(vals: np.ndarray) -> np.ndarray:
-    """np.argsort(-vals, kind="stable")[:8] from a stable sort of only the
-    values at or above the 8th largest, kept in index order (ties match)."""
-    k = max(vals.size - 8, 0)
-    cand = np.flatnonzero(vals >= np.partition(vals, k)[k])
-    return cand[np.argsort(-vals[cand], kind="stable")[:8]]
+def _top(vals: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(-vals, kind="stable")[:k] from a stable sort of only the
+    values at or above the k-th largest, kept in index order (ties match)."""
+    c = max(vals.size - k, 0)
+    cand = np.flatnonzero(vals >= np.partition(vals, c)[c])
+    return cand[np.argsort(-vals[cand], kind="stable")[:k]]
 
 
 def _phase_block(start: int, stop: int, m: int, g: int) -> np.ndarray:
@@ -587,7 +620,7 @@ def _phase_grid(M: MatrixValue) -> tuple:
         for start in range(0, total, BLOCK):
             X = np.hstack([top_X, _phase_block(start, min(start + BLOCK, total), k, g)])
             vals = np.concatenate([top_vals, np.abs(B @ X[:, top_vals.size :]).sum(axis=0)])
-            order = _top8(vals)
+            order = _top(vals, 8)
             top_vals, top_X = vals[order], X[:, order]
         hull = math.cos(math.pi / g) if k > 1 else 1.0
         with np.errstate(over="ignore"):
@@ -691,7 +724,7 @@ def norm_bruteforce(
     X = X[:, np.abs(X).sum(axis=0) > 0]
     X = _normalize_cols(X, pi)
     vals = _lp_cols(arr @ X, qi)
-    order = np.argsort(-vals, kind="stable")[:10]
+    order = _top(vals, 10)
     best = float(vals[order[0]])
     best_x = X[:, order[0]].copy()
     [(val, vec)] = _ascent(arr, pi, qi, X[:, order], 100, 1e-12).best

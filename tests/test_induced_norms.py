@@ -52,7 +52,7 @@ from pqnorm.induced_norms import (
     _phase_grid,
     _sign_cols,
     _sign_images,
-    _top8,
+    _top,
     best_norms,
 )
 
@@ -539,6 +539,33 @@ class TestAscent:
         full = _ascent(D.entries, as_index(3), as_index(1.5), X0, 200, 1e-10, settle=False)
         assert full.stop == ["max_iter"]
 
+    def test_terminal_values_are_the_iterates_values(self):
+        # each column's terminal value is the ratio of its terminal iterate,
+        # also for the columns max_iter stops: DFT 11 at (3, 1.5) with the
+        # probe's 300 iterations and tol 1e-12 leaves most of them live, and
+        # short runs leave live columns in both fields, stacked or not
+        D = gen_dft(11)
+        X0 = _default_starts(D, 37, np.random.default_rng(0))
+        run = _ascent(D.entries, as_index(3), as_index(1.5), X0, 300, 1e-12, settle=False)
+        assert run.stop == ["max_iter"]
+        cases = [(D, 3, 1.5, run)]
+        for i, (n, m) in enumerate([(5, 4), (7, 9)]):
+            M = rand_matrix(1250 + i, n, m, complex_=bool(i % 2))
+            X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
+            k = X0.shape[1]
+            for max_iter in (1, 2, 5):
+                for p, q in self.PAIRS:
+                    run = _ascent(M.entries, as_index(p), as_index(q), X0, max_iter, 1e-12)
+                    cases.append((M, p, q, run))
+                ps, qs = np.repeat([1.5, 3.0], k), np.repeat([3.0, 1.5], k)
+                run = _ascent(M.entries, ps, qs, np.tile(X0, 2), max_iter, 1e-12, k)
+                cases += [(M, 1.5, 3, run._replace(vals=run.vals[:k], X=run.X[:, :k]))]
+                cases += [(M, 3, 1.5, run._replace(vals=run.vals[k:], X=run.X[:, k:]))]
+        for M, p, q, run in cases:
+            for j, val in enumerate(run.vals):
+                got = norm_ratio(M, run.X[:, j], p, q)
+                assert math.isclose(got, val, rel_tol=1e-12), (M.entries.shape, p, q, j)
+
     def test_settling_truncates_the_run(self):
         # a settled block reports exactly what the run without the rule has
         # seen by the same iteration; per block when points are stacked
@@ -721,15 +748,25 @@ class TestDualStep:
     EXPONENTS = [1, 1.5, 2, 3, "inf", 4, 1.2]
 
     def test_phase_matches_masked_form(self):
+        # the product w * (1 / |w|) against the masked division: bit for bit
+        # on the samples (zero entries, 2^(+-1000)); on entries whose two
+        # parts lie up to 2^2000 apart the values still agree, but a part
+        # that underflows to zero may take the other sign of zero
         for W in _dual_step_samples():
-            assert np.array_equal(_phase(W), _phase_masked(W))
+            assert _phase(W).tobytes() == _phase_masked(W).tobytes()
+        r = np.random.default_rng(11)
+        parts = [np.ldexp(r.standard_normal((6, 40)), r.integers(-1000, 1000, (6, 40))) for _ in "ri"]
+        spread = parts[0] + 1j * parts[1]
+        assert np.array_equal(_phase(spread), _phase_masked(spread))
 
     def test_matches_old_helpers(self):
         # the map itself is bit-identical; the two norms agree to rounding
         for W in _dual_step_samples():
             for t in self.EXPONENTS:
                 ti = as_index(t)
-                norms, phi, dual = _dual_step(W, ti)
+                phi, norms = _dual_step(W, ti)
+                phi_d, dual = _dual_step(W, ti, dual=True)
+                assert np.array_equal(phi_d, phi), t
                 ref = _phi_cols(W, ti)
                 assert np.array_equal(phi, ref), t
                 np.testing.assert_allclose(norms, _lp_cols(W, ti), rtol=1e-14, atol=0)
@@ -812,9 +849,11 @@ class TestStackedAscent:
         # included: the same map, norms and dual norms as one exponent each
         ts = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 1.2])
         for W in _dual_step_samples():
-            norms, phi, dual = _dual_step(W, ts)
+            phi, norms = _dual_step(W, ts)
+            _, dual = _dual_step(W, ts, dual=True)
             for j, t in enumerate(ts):
-                n1, phi1, dual1 = _dual_step(W[:, [j]], as_index(t))
+                phi1, n1 = _dual_step(W[:, [j]], as_index(t))
+                _, dual1 = _dual_step(W[:, [j]], as_index(t), dual=True)
                 np.testing.assert_allclose(phi[:, [j]], phi1, rtol=1e-14, atol=0)
                 np.testing.assert_allclose(norms[j], n1[0], rtol=1e-14, atol=0)
                 np.testing.assert_allclose(dual[j], dual1[0], rtol=1e-14, atol=0)
@@ -928,6 +967,27 @@ class TestSignEnumeration:
                 start += Y.shape[1]
             assert start == 1 << (m - 1)
 
+    def test_images_by_doubling_bit_for_bit(self):
+        # the doubled images against per-block matrix products: the first
+        # min(m, 15) entries' product (two blocks' worth of low signs) plus
+        # the image of the entries past them; products with two or more rows
+        # sum each column in entry order, so the two agree bit for bit
+        lead = BLOCK.bit_length() + 1
+        for m in (1, 2, 13, 14, 15, 20):
+            for n in (2, 17):
+                Bm = np.random.default_rng(100 * m + n).standard_normal((n, m))
+                k = min(m, lead)
+                start = 0
+                for Y, cols in _sign_images(Bm):
+                    idx = np.arange(start, start + Y.shape[1])
+                    high = Bm[:, k:] @ _sign_cols(start, m)[k:]
+                    want = Bm[:, :k] @ _sign_cols(idx % (1 << (k - 1)), k) + high[:, None]
+                    assert np.array_equal(Y, want), (m, n, start)
+                    js = np.array([0, Y.shape[1] // 3, Y.shape[1] - 1])
+                    assert np.array_equal(cols(js), _sign_cols(idx[js], m))
+                    start += Y.shape[1]
+                assert start == 1 << (m - 1)
+
     def test_norm_matches_blockwise_reference(self):
         for m in self.SIZES:
             A = rand_matrix(1200 + m, 3, m).entries
@@ -936,10 +996,12 @@ class TestSignEnumeration:
             assert np.array_equal(res.witness, want_x), m
             assert abs(res.value - want) <= 4 * np.spacing(want), m
 
-    def test_top8_matches_stable_argsort(self):
-        # many exact ties, and sizes at and below 8
+    def test_top_matches_stable_argsort(self):
+        # many exact ties, and sizes at, below and above k
         r = np.random.default_rng(7)
-        for size in (1, 2, 7, 8, 9, 64, 65, 300, BLOCK + 8):
-            for hi in (1, 3, 50):
-                vals = r.integers(0, hi, size).astype(float)
-                assert np.array_equal(_top8(vals), np.argsort(-vals, kind="stable")[:8])
+        for k in (1, 8, 10):
+            for size in (1, 2, 7, 8, 9, 10, 11, 64, 65, 300, BLOCK + 8):
+                for hi in (1, 3, 50):
+                    vals = r.integers(0, hi, size).astype(float)
+                    want = np.argsort(-vals, kind="stable")[:k]
+                    assert np.array_equal(_top(vals, k), want), (k, size, hi)
