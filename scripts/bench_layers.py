@@ -30,11 +30,17 @@ One row times the real sign enumeration and counts its page faults:
                     (key suffix _minflt) the minor page faults per call
                     (ru_minflt), as medians over the reps
 
+One row times the certified upper bound:
+
+  upper_bound       norm_upper_bound at (1.5, 3) on the Gaussian of each
+                    shape above, with its SVD already memoised, median of
+                    5 x reps runs
+
 The reps are interleaved: each pass runs every cell once (five times for
 the check_einf1 cells) before the next pass starts, so a slow spell of a
 shared host spreads over all cells instead of landing on one.
 
-Two rows are deterministic figures, not timings:
+Three rows are deterministic figures, not timings:
 
   ascent_iters      per shape, the iterations of every ascent one
                     best_norms call over the 25-point grid runs, summed
@@ -45,6 +51,8 @@ Two rows are deterministic figures, not timings:
                     of one best_norms call over the 25-point grid on a
                     fresh matrix: what the stacked ascent's element cap
                     costs in memory, free of allocator and host noise
+  verify_calls      per shape, the best_norms calls (cProfile's call
+                    count) of one in-process `pqnorm verify FILE`
 
 Run from the root of a source checkout (pqnorm is imported from ./src):
 
@@ -63,10 +71,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import cProfile
 import functools
 import io
 import json
 import platform
+import pstats
 import resource
 import statistics
 import tempfile
@@ -85,7 +95,9 @@ from pqnorm import (  # noqa: E402
     gen_dft,
     gen_hadamard,
     norm_infty_one_exact,
+    norm_upper_bound,
     save_matrix,
+    svd,
 )
 from pqnorm.cli import main as cli_main  # noqa: E402
 from pqnorm import induced_norms  # noqa: E402
@@ -141,6 +153,25 @@ def shape_cells(kind: str, n: int, workdir: str) -> dict:
     }
     cells.update(_einf1_cells(MatrixValue(A, kind)))
     return cells
+
+
+def _upper_bound_cell(kind: str, n: int) -> tuple:
+    M = MatrixValue(_matrix(kind, n), kind)
+    svd(M)  # memoised: the cell times the anchors and the comparison factors
+    return (lambda: norm_upper_bound(M, 1.5, 3), 5)
+
+
+def verify_calls(kind: str, n: int, workdir: str) -> int:
+    """best_norms calls of one in-process verify of the shape's matrix."""
+    path = os.path.join(workdir, f"calls_{kind}{n}.json")
+    save_matrix(MatrixValue(_matrix(kind, n), kind), path)
+    prof = cProfile.Profile()
+    prof.runcall(_cli, ["verify", path])
+    return sum(
+        calls
+        for (file, _, name), (_, calls, *_) in pstats.Stats(prof).stats.items()
+        if name == "best_norms" and file.endswith("induced_norms.py")
+    )
 
 
 def _minflt() -> int:
@@ -250,12 +281,16 @@ def main() -> None:
             f"m{m}": (lambda m=m: norm_infty_one_exact(MatrixValue(_matrix("real", m), "real")), 1)
             for m in INF1_REAL_SIZES
         }
+        rows["upper_bound"] = {f"{kind[0]}{n}": _upper_bound_cell(kind, n) for kind, n in SHAPES}
         rows["check_einf1_dft"] = {}
         for k in EINF1_DFT_ORDERS:
             M = gen_dft(k)
             check_Einf1(M, 2, 2)  # memoises the bracket and the SVD
             rows["check_einf1_dft"][f"dft{k}"] = (lambda M=M: check_Einf1(M, 2, 2), 5)
         results = interleaved_medians(rows, args.reps, faults=("inf1_real",))
+        results["verify_calls"] = {
+            f"{kind[0]}{n}": verify_calls(kind, n, workdir) for kind, n in SHAPES
+        }
     for kind, n in SHAPES:
         row = results[f"{kind[0]}{n}"]
         row["grid_speedup"] = row["grid_pointwise"] / row["grid_stacked"]
@@ -268,8 +303,8 @@ def main() -> None:
     _print_row("grid_peak_mb", results["grid_peak_mb"])
     payload = {
         "unit": (
-            "s (median of reps), grid_speedup is pointwise / stacked; *_minflt, ascent_iters "
-            "are counts; grid_peak_mb is MB"
+            "s (median of reps), grid_speedup is pointwise / stacked; *_minflt, ascent_iters, "
+            "verify_calls are counts; grid_peak_mb is MB"
         ),
         "reps": args.reps,
         "seed": 0,

@@ -2,29 +2,30 @@
 
 The central inequality is
     ||A||_{r,s} <= m^{[(1/p)-(1/r)]_+} * n^{[(1/s)-(1/q)]_+} * ||A||_{p,q},
-valid for all exponents in [1, inf].  This module evaluates both sides,
+valid for all exponents in [1, inf]; its factor, bound_factor, is the
+product of the vector comparisons ||x||_p <= c ||x||_r on the domain and
+||y||_s <= c ||y||_q on the codomain.  This module evaluates both sides,
 decides equality at tolerance, verifies the adjoint identity
 ||A*||_{q*,p*} = ||A||_{p,q}, checks the equivalent monotonicity statement,
 and implements the sign-signature transfer rule (equality at one (r,s)
 carries to every (r2,s2) with the same signs of p-r and q-s).
 
 Norm values may be exact or lower-bound estimates; NormBracket pairs an
-estimate with a certified upper bound so that equality questions can be
-answered soundly (yes / no / undetermined) even on estimated paths.  The
-duality and monotonicity checks use the same upper bounds: two lower
-bounds that disagree give None (undetermined), and only a lower bound
-above a certified upper bound gives False.
+estimate with a certified upper bound, the same inequality read from the
+exactly known anchors (1, q), (p, inf) and (2, 2), so that equality
+questions are answered soundly (yes / no / undetermined) even on estimated
+paths.  The duality and monotonicity checks compare a value with such a
+bracket: two lower bounds that disagree give None (undetermined), and only
+a lower bound above a certified upper bound gives False.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .core import ExtIndex, IndexLike, as_index, conjugate, sign_between, vector_norm
+from .core import INF, ONE, TWO, IndexLike, as_index, conjugate, sign_between
+from .core import vector_comparison_factor
 from .induced_norms import (
     MAX_COMPLEX_COLS,
     Certainty,
@@ -34,7 +35,7 @@ from .induced_norms import (
     as_matrix,
     best_norm,
     best_norms,
-    svd,
+    norm_closed_form,
 )
 
 __all__ = [
@@ -63,41 +64,26 @@ def bound_factor(
     """m^{[(1/p)-(1/r)]_+} * n^{[(1/s)-(1/q)]_+}, with 1/inf = 0."""
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
-    pi, qi, ri, si = as_index(p), as_index(q), as_index(r), as_index(s)
-    em = max(pi.inv - ri.inv, 0.0)
-    en = max(si.inv - qi.inv, 0.0)
-    return float(m) ** em * float(n) ** en
+    return vector_comparison_factor(p, r, m) * vector_comparison_factor(s, q, n)
 
 
 def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
     """Certified upper bound on ||A||_{p,q}.
 
-    Three exactly-known anchors each dominate the norm through the
-    comparison inequality itself:
-      columns:  m^{1-1/p} * max_j ||col_j||_q   (anchor (1, q))
-      rows:     n^{1/q}   * max_i ||row_i||_{p*} (anchor (p, inf))
-      spectral: m^{[1/2-1/p]_+} n^{[1/q-1/2]_+} * s_1  (anchor (2, 2))
-    Complex (inf, 1) within the phase-grid cap adds the grid's certified
-    upper end, memoised with the grid.  The minimum is returned.
+    The minimum over the exact anchors (p0, q0) = (1, q), (p, inf), (2, 2)
+    of bound_factor(p0, q0, p, q) * ||A||_{p0,q0}; complex (inf, 1) within
+    the phase-grid cap adds the grid's certified upper end, memoised with
+    the grid.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
-    arr = M.entries
-    n, m = arr.shape
-    col = float(m) ** (1.0 - pi.inv) * max(
-        vector_norm(arr[:, j], qi) for j in range(m)
-    )
-    pstar = conjugate(pi)
-    row = float(n) ** qi.inv * max(vector_norm(arr[i, :], pstar) for i in range(n))
-    s1 = float(svd(M).s[0])
-    spectral = (
-        float(m) ** max(0.5 - pi.inv, 0.0)
-        * float(n) ** max(qi.inv - 0.5, 0.0)
-        * s1
-    )
-    if M.is_complex and pi.is_inf and qi.value == 1.0 and min(n, m) <= MAX_COMPLEX_COLS:
-        return min(col, row, spectral, _phase_grid(M)[-1])
-    return min(col, row, spectral)
+    bounds = [
+        bound_factor(*a, pi, qi, M.m, M.n) * norm_closed_form(M, *a).value
+        for a in ((ONE, qi), (pi, INF), (TWO, TWO))
+    ]
+    if M.is_complex and pi.is_inf and qi.value == 1.0 and min(M.n, M.m) <= MAX_COMPLEX_COLS:
+        bounds.append(_phase_grid(M)[-1])
+    return min(bounds)
 
 
 @dataclass(frozen=True)
@@ -228,25 +214,21 @@ def check_inequality(
     )
 
 
-def _not_above(t: float, lhs: tuple, rhs: tuple, seed: int) -> Optional[bool]:
-    """Three-state c1 ||A1||_{p1,q1} <= c2 ||A2||_{p2,q2}, each side given as
-    (c, A, p, q), up to slack t relative to the larger side.
+def _not_above(t: float, x: float, c: float, bracket: NormBracket) -> Optional[bool]:
+    """Three-state x <= c ||A||, ||A|| enclosed by bracket, up to slack t
+    relative to the larger side.
 
-    True when the two lower bounds already satisfy it.  False only when the
-    left lower bound exceeds even the right certified upper bound, which no
-    pair of true norms can do; otherwise None (undetermined).
+    True when x is within reach of c times the lower end already.  False
+    only when x exceeds even c times the certified upper end, which no true
+    norm can give; otherwise None (undetermined).
     """
-    (c1, A1, p1, q1), (c2, A2, p2, q2) = lhs, rhs
-    x = c1 * best_norm(A1, p1, q1, seed=seed).value
 
     def within(y: float) -> bool:
         return x <= y + t * max(x, y, 1e-300)
 
-    if within(c2 * best_norm(A2, p2, q2, seed=seed).value):
+    if within(c * bracket.lower):
         return True
-    if within(c2 * bracket_norm(A2, p2, q2, seed=seed).upper):
-        return None
-    return False
+    return None if within(c * bracket.upper) else False
 
 
 def _all(verdicts: list) -> Optional[bool]:
@@ -273,13 +255,10 @@ def duality_check(
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
-    adj = (M.adjoint(), conjugate(qi), conjugate(pi))
-    exact = best_norm(M, pi, qi, seed=seed).certainty.is_exact and (
-        best_norm(*adj, seed=seed).certainty.is_exact
-    )
-    t = tol if tol is not None else (1e-9 if exact else 1e-3)
-    a, b = (1.0, M, pi, qi), (1.0, *adj)
-    return _all([_not_above(t, a, b, seed), _not_above(t, b, a, seed)])
+    a = bracket_norm(M, pi, qi, seed=seed)
+    b = bracket_norm(M.adjoint(), conjugate(qi), conjugate(pi), seed=seed)
+    t = tol if tol is not None else (1e-9 if a.is_exact and b.is_exact else 1e-3)
+    return _all([_not_above(t, a.lower, 1.0, b), _not_above(t, b.lower, 1.0, a)])
 
 
 def _monotone(
@@ -290,16 +269,14 @@ def _monotone(
     (tol, default 1e-6 between exact values and 1e-3 otherwise).  The
     points are estimated together; a violation is False only when certified
     (see _not_above)."""
-    results = best_norms(M, points, seed=seed)
+    best_norms(M, points, seed=seed)  # one stacked ascent, read back through the memo
+    brackets = [bracket_norm(M, p, q, seed=seed) for p, q in points]
     verdicts = []
     for i in range(len(points) - 1):
-        a, b = results[i], results[i + 1]
-        t = tol if tol is not None else (
-            1e-6 if a.certainty.is_exact and b.certainty.is_exact else 1e-3
-        )
-        u, v = (M, *points[i]), (M, *points[i + 1])
-        verdicts.append(_not_above(t, (1.0, *u), (1.0, *v), seed))
-        verdicts.append(_not_above(t, (weights[i + 1], *v), (weights[i], *u), seed))
+        a, b = brackets[i], brackets[i + 1]
+        t = tol if tol is not None else (1e-6 if a.is_exact and b.is_exact else 1e-3)
+        verdicts.append(_not_above(t, a.lower, 1.0, b))
+        verdicts.append(_not_above(t, weights[i + 1] * b.lower, weights[i], a))
     return _all(verdicts)
 
 

@@ -1,10 +1,11 @@
 """Induced matrix norms ||A||_{p,q} = max ||Ax||_q / ||x||_p.
 
-Exact routes exist for p = 1 (column maximum), q = inf (row maximum via the
-dual exponent), (p, q) = (2, 2) (largest singular value) and, over the real
-field, (inf, 1) by incremental sign enumeration.  Everything else is estimated
-from below by a duality-map ascent with restarts, one fused pass per half-step;
-results carry a certainty tag so callers can tell exact values from estimates.
+Exact routes exist for p = 1 or one column (column maximum), q = inf or one
+row (row maximum via the dual exponent), (p, q) = (2, 2) (largest singular
+value) and, over the real field, (inf, 1) by incremental sign enumeration.
+Everything else is estimated from below by a duality-map ascent with
+restarts, one fused pass per half-step; results carry a certainty tag so
+callers can tell exact values from estimates.
 
 The ascent kernel takes one exponent pair per column, so best_norms stacks
 the restarts of every (p, q) point it has to estimate into a few chunked
@@ -488,10 +489,12 @@ def _estimates(M: MatrixValue, pairs: list, cfg: EstimatorSettings) -> list:
 def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[NormResult]:
     """Exact ||A||_{p,q} where a closed form exists, else None.
 
-    Covered: the zero matrix; p = 1 (largest column q-norm, witness a
-    coordinate vector); q = inf (largest row p*-norm, witness the dual
-    vector of that row); p = q = 2 (largest singular value, witness the top
-    right singular vector).  Ties resolve to the lowest index.
+    Covered: the zero matrix; p = q = 2 (largest singular value, witness the
+    top right singular vector); p = 1 or one column (largest column q-norm,
+    witness a coordinate vector); q = inf or one row (largest row p*-norm,
+    as ||a x||_q = |a x| for a row a, witness the dual vector of that row,
+    formed on the row / 2^e so that subnormal entries have a phase).  Ties
+    resolve to the lowest index.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
@@ -502,17 +505,20 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
         e0 = np.zeros(m, dtype=dtype)
         e0[0] = 1.0
         return NormResult(0.0, e0, Certainty.CLOSED_FORM)
-    if pi.value == 1.0:
+    if pi.value == 2.0 and qi.value == 2.0:
+        f = svd(M)
+        return NormResult(float(f.s[0]), f.v[:, 0].copy(), Certainty.CLOSED_FORM)
+    if pi.value == 1.0 or m == 1:
         colnorms = _lp_cols(arr, qi)
         j = int(colnorms.argmax())
         witness = np.zeros(m, dtype=dtype)
         witness[j] = 1.0
         return NormResult(float(colnorms[j]), witness, Certainty.CLOSED_FORM)
-    if qi.is_inf:
+    if qi.is_inf or n == 1:
         pstar = conjugate(pi)
         rownorms = _lp_cols(arr.T, pstar)
         i = int(rownorms.argmax())
-        row = arr[i, :]
+        row = _pow2_normalized(arr[i, :])[0]
         if pi.is_inf:
             witness = np.conj(_phase(row))
             witness[np.abs(row) == 0] = 1.0
@@ -522,9 +528,6 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
             witness = np.conj(_phase(row)) * (a / peak) ** (pstar.value - 1.0)
         witness = witness / vector_norm(witness, pi)
         return NormResult(float(rownorms[i]), witness.astype(dtype), Certainty.CLOSED_FORM)
-    if pi.value == 2.0 and qi.value == 2.0:
-        f = svd(M)
-        return NormResult(float(f.s[0]), f.v[:, 0].copy(), Certainty.CLOSED_FORM)
     return None
 
 

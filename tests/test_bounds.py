@@ -24,6 +24,7 @@ from pqnorm import (
     gen_tensor_product,
     monotonicity_check,
     monotonicity_check_in_s,
+    norm_bruteforce,
     norm_upper_bound,
     transfer_equality,
 )
@@ -72,6 +73,28 @@ class TestNormUpperBound:
         assert math.isclose(norm_upper_bound(M, 1, 2), 3.0, rel_tol=1e-12)
         # q=inf: row route is exact
         assert math.isclose(norm_upper_bound(M, 2, "inf"), 3.0, rel_tol=1e-12)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_upper_bound_dominates_lower_bounds(n, m, complex_, seed):
+    # every lower bound stays below the certified bound, up to rounding, and
+    # no bracket inverts, over the whole exponent grid
+    r = np.random.default_rng(seed)
+    A = r.standard_normal((n, m)) + (1j * r.standard_normal((n, m)) if complex_ else 0.0)
+    M = as_matrix(A)
+    for p in GRID:
+        for q in GRID:
+            ub = norm_upper_bound(M, p, q)
+            assert ub >= best_norm(M, p, q).value * (1.0 - 1e-12), (p, q)
+            assert ub >= norm_bruteforce(M, p, q, budget=500).value * (1.0 - 1e-12), (p, q)
+            br = bracket_norm(M, p, q)
+            assert br.lower <= br.upper, (p, q)
 
 
 class TestNormBracket:

@@ -749,6 +749,24 @@ class TestSvdEquality:
             if "undetermined" not in (structural, numeric):
                 assert structural == numeric, (r, s)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_fallback_is_decide_equality(self, n, monkeypatch):
+        # a search that finds nothing and is not exhaustive sends every K_1
+        # side of a unitary's full top subspace to the direct-equality test
+        monkeypatch.setattr(equality_classes, "_unimodular_vectors", lambda *a, **k: ((), False))
+        r = np.random.default_rng(n)
+        Z = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
+        U = as_matrix(np.linalg.qr(Z)[0], field="complex")
+        names = {"norm-attains-spectral-bound", "constant-modulus-search"}
+        fallbacks = 0
+        for a in SVD_INDICES:
+            for b in SVD_INDICES:
+                v = check_svd_equality(U, a, b)
+                if v.conditions[-1].name in names:
+                    fallbacks += 1
+                    assert v.member == decide_equality(U, 2, 2, a, b, tol=1e-4)[0], (a, b)
+        assert fallbacks == 8  # a K_1 side is searched: r > 2 and s <= 2, or r = 2 and s < 2
+
     def test_generated_extremal_instances(self):
         E = gen_svd_extremal(3, 3, 3, 1.5, (2.0, 1.0, 0.5), seed=1)
         f = svd(E)

@@ -7,6 +7,7 @@ code paths.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,36 @@ class TestClosedForms:
                 res = norm_closed_form(M, p, q)
                 got = norm_ratio(M, res.witness, p, q)
                 assert math.isclose(got, res.value, rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_subnormal_row_witness(self):
+        # the q = inf witness is formed on the row / 2^e, so entries below
+        # 2^-1024, whose reciprocal modulus overflows, still get a phase;
+        # subnormal values carry about 16 bits, hence the loose match
+        M = as_matrix(np.array([[1 + 1j, 2 - 1j], [0.5j, 1]]) * 2.0**-1060)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in ("inf", 2):
+                res = best_norm(M, p, "inf")
+                assert np.isfinite(res.witness).all(), p
+                got = norm_ratio(M, res.witness, p, "inf")
+                assert math.isclose(got, res.value, rel_tol=1e-4), p
+            assert norm_upper_bound(M, 1.5, 3) > 0.0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_row_and_one_column(self, field):
+        # ||a x||_q = |a x| for a row a, so ||a||_{p,q} = ||a||_{p*} for every
+        # q; ||c x||_q = |x| ||c||_q for a column c, so ||c||_{p,q} = ||c||_q
+        r = np.random.default_rng(5)
+        a = r.standard_normal(20) + (1j * r.standard_normal(20) if field == "complex" else 0.0)
+        for A in (a[None, :], a[:, None]):
+            M = as_matrix(A, field)
+            res = best_norm(M, "inf", 1)
+            assert res.certainty is Certainty.CLOSED_FORM, A.shape
+            assert math.isclose(res.value, np.abs(a).sum(), rel_tol=1e-12), A.shape
+            res = best_norm(M, 1.5, 3)
+            assert res.certainty.is_exact, A.shape
+            assert math.isclose(res.value, vector_norm(a, 3), rel_tol=1e-12), A.shape
+            assert math.isclose(norm_ratio(M, res.witness, 1.5, 3), res.value, rel_tol=1e-12)
 
 
 class TestInftyOneExact:
