@@ -33,14 +33,20 @@ One row times the real sign enumeration and counts its page faults:
 One row times the certified upper bound:
 
   upper_bound       norm_upper_bound at (1.5, 3) on the Gaussian of each
-                    shape above, with its SVD already memoised, median of
-                    5 x reps runs
+                    shape above, with its SVD already memoised and the
+                    bound itself not, median of 5 x reps runs
+
+One row times an equality decision whose two sides are both estimated:
+
+  decide_equality   decide_equality(M, 3, 1.5, 1.5, 3), i.e. ||M||_{1.5,3}
+                    against the factor times ||M||_{3,1.5}, on a fresh
+                    Gaussian (seed 0) for r4, c4, r8 and c8
 
 The reps are interleaved: each pass runs every cell once (five times for
 the check_einf1 cells) before the next pass starts, so a slow spell of a
 shared host spreads over all cells instead of landing on one.
 
-Three rows are deterministic figures, not timings:
+Four rows are deterministic figures, not timings:
 
   ascent_iters      per shape, the iterations of every ascent one
                     best_norms call over the 25-point grid runs, summed
@@ -53,6 +59,8 @@ Three rows are deterministic figures, not timings:
                     costs in memory, free of allocator and host noise
   verify_calls      per shape, the best_norms calls (cProfile's call
                     count) of one in-process `pqnorm verify FILE`
+  ascent_calls      per decide_equality shape, the ascents one
+                    decide_equality call of that row runs
 
 Run from the root of a source checkout (pqnorm is imported from ./src):
 
@@ -90,8 +98,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from pqnorm import (  # noqa: E402
     MatrixValue,
+    as_index,
     best_norm,
     check_Einf1,
+    decide_equality,
     gen_dft,
     gen_hadamard,
     norm_infty_one_exact,
@@ -110,6 +120,8 @@ EINF1_PAIRS = [(2, 2), (1.5, 3)]
 INF1_COMPLEX_SHAPES = [(8, 4), (8, 5), (8, 6), (2, 6)]
 INF1_REAL_SIZES = [13, 16, 18, 20]
 PEAK_SHAPES = [("real", 16), ("complex", 16), ("real", 32), ("complex", 32)]
+DECIDE_SHAPES = [("real", 4), ("complex", 4), ("real", 8), ("complex", 8)]
+DECIDE_ARGS = (3, 1.5, 1.5, 3)  # (p, q, r, s): both sides estimated
 EINF1_DFT_ORDERS = [2, 4, 8]
 
 
@@ -158,7 +170,33 @@ def shape_cells(kind: str, n: int, workdir: str) -> dict:
 def _upper_bound_cell(kind: str, n: int) -> tuple:
     M = MatrixValue(_matrix(kind, n), kind)
     svd(M)  # memoised: the cell times the anchors and the comparison factors
-    return (lambda: norm_upper_bound(M, 1.5, 3), 5)
+
+    def bound():
+        M._memo.pop(("upper_bound", as_index(1.5), as_index(3)), None)  # the bound's own memo
+        return norm_upper_bound(M, 1.5, 3)
+
+    return (bound, 5)
+
+
+def _decide_cell(kind: str, n: int) -> tuple:
+    A = _matrix(kind, n)
+    return (lambda: decide_equality(MatrixValue(A, kind), *DECIDE_ARGS), 1)
+
+
+def ascent_calls(kind: str, n: int) -> int:
+    """Ascents run by one decide_equality call of the decide_equality row."""
+    ascent, calls = induced_norms._ascent, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ascent(*args, **kwargs)
+
+    induced_norms._ascent = counting
+    try:
+        decide_equality(MatrixValue(_matrix(kind, n), kind), *DECIDE_ARGS)
+    finally:
+        induced_norms._ascent = ascent
+    return len(calls)
 
 
 def verify_calls(kind: str, n: int, workdir: str) -> int:
@@ -282,6 +320,7 @@ def main() -> None:
             for m in INF1_REAL_SIZES
         }
         rows["upper_bound"] = {f"{kind[0]}{n}": _upper_bound_cell(kind, n) for kind, n in SHAPES}
+        rows["decide_equality"] = {f"{kind[0]}{n}": _decide_cell(kind, n) for kind, n in DECIDE_SHAPES}
         rows["check_einf1_dft"] = {}
         for k in EINF1_DFT_ORDERS:
             M = gen_dft(k)
@@ -291,6 +330,7 @@ def main() -> None:
         results["verify_calls"] = {
             f"{kind[0]}{n}": verify_calls(kind, n, workdir) for kind, n in SHAPES
         }
+        results["ascent_calls"] = {f"{kind[0]}{n}": ascent_calls(kind, n) for kind, n in DECIDE_SHAPES}
     for kind, n in SHAPES:
         row = results[f"{kind[0]}{n}"]
         row["grid_speedup"] = row["grid_pointwise"] / row["grid_stacked"]
@@ -304,7 +344,7 @@ def main() -> None:
     payload = {
         "unit": (
             "s (median of reps), grid_speedup is pointwise / stacked; *_minflt, ascent_iters, "
-            "verify_calls are counts; grid_peak_mb is MB"
+            "verify_calls, ascent_calls are counts; grid_peak_mb is MB"
         ),
         "reps": args.reps,
         "seed": 0,

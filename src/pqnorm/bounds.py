@@ -31,11 +31,12 @@ from .induced_norms import (
     Certainty,
     MatrixLike,
     NormResult,
+    _lp_cols,
     _phase_grid,
     as_matrix,
     best_norm,
     best_norms,
-    norm_closed_form,
+    svd,
 )
 
 __all__ = [
@@ -68,22 +69,26 @@ def bound_factor(
 
 
 def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
-    """Certified upper bound on ||A||_{p,q}.
+    """Certified upper bound on ||A||_{p,q}, memoised on the matrix.
 
     The minimum over the exact anchors (p0, q0) = (1, q), (p, inf), (2, 2)
-    of bound_factor(p0, q0, p, q) * ||A||_{p0,q0}; complex (inf, 1) within
-    the phase-grid cap adds the grid's certified upper end, memoised with
-    the grid.
+    of bound_factor(p0, q0, p, q) * ||A||_{p0,q0}, read as the largest
+    column q-norm, the largest row p*-norm and the top singular value;
+    complex (inf, 1) within the phase-grid cap adds the grid's certified
+    upper end, memoised with the grid.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
-    bounds = [
-        bound_factor(*a, pi, qi, M.m, M.n) * norm_closed_form(M, *a).value
-        for a in ((ONE, qi), (pi, INF), (TWO, TWO))
-    ]
-    if M.is_complex and pi.is_inf and qi.value == 1.0 and min(M.n, M.m) <= MAX_COMPLEX_COLS:
-        bounds.append(_phase_grid(M)[-1])
-    return min(bounds)
+    key = ("upper_bound", pi, qi)
+    if key not in M._memo:
+        arr = M.entries
+        values = (_lp_cols(arr, qi).max(), _lp_cols(arr.T, conjugate(pi)).max(), svd(M).s[0])
+        anchors = zip(((ONE, qi), (pi, INF), (TWO, TWO)), values)
+        bounds = [bound_factor(*a, pi, qi, M.m, M.n) * float(v) for a, v in anchors]
+        if M.is_complex and pi.is_inf and qi.value == 1.0 and min(M.n, M.m) <= MAX_COMPLEX_COLS:
+            bounds.append(_phase_grid(M)[-1])
+        M._memo[key] = min(bounds)
+    return M._memo[key]
 
 
 @dataclass(frozen=True)
@@ -357,10 +362,12 @@ def decide_equality(
     Returns (verdict, details) with verdict in {"yes", "no", "undetermined"}.
     Sound on estimated paths: the left bracket's lower bound against the
     right bracket's upper bound certifies "yes"; the reverse comparison
-    certifies "no"; anything else is undetermined.
+    certifies "no"; anything else is undetermined; (r, s) = (p, q) is "yes"
+    (factor 1).  Both sides are estimated together, in one stacked ascent.
     """
     M = as_matrix(A)
     pi, qi, ri, si = as_index(p), as_index(q), as_index(r), as_index(s)
+    best_norms(M, [(ri, si), (pi, qi)], seed=seed)  # read back through the memo
     lb = bracket_norm(M, ri, si, seed=seed)
     rb = bracket_norm(M, pi, qi, seed=seed)
     factor = bound_factor(pi, qi, ri, si, M.m, M.n)
@@ -372,6 +379,8 @@ def decide_equality(
         "rhs": rb,
         "tol": tol,
     }
+    if (ri, si) == (pi, qi):
+        return "yes", details
     bound_hi = factor * rb.upper
     bound_lo = factor * rb.lower
     scale = max(bound_hi, lb.upper, 1e-300)

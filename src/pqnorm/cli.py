@@ -146,15 +146,10 @@ def _verdict_exit(member: str) -> int:
 def _print_conditions(conds) -> None:
     for c in conds:
         state = {True: "yes", False: "no", None: "?"}[c.satisfied]
-        extra = ""
-        if c.measured:
-            parts = []
-            for k, v in c.measured.items():
-                if isinstance(v, float):
-                    parts.append(f"{k}={format_float(v)}")
-                else:
-                    parts.append(f"{k}={v}")
-            extra = "  [" + ", ".join(parts) + "]"
+        parts = [
+            f"{k}={format_float(v) if isinstance(v, float) else v}" for k, v in c.measured.items()
+        ]
+        extra = "  [" + ", ".join(parts) + "]" if parts else ""
         print(f"  {c.name:40s} {state}{extra}")
 
 
@@ -226,17 +221,8 @@ def _sweep_rows(M: MatrixValue, p, q, r_grid, s_grid, seed: int) -> List[str]:
             ratio = res.value / bound
         else:
             ratio = 1.0 if res.value == 0.0 else float("inf")
-        return ",".join(
-            [
-                index_str(r),
-                index_str(s),
-                format_float(res.value),
-                format_float(factor),
-                format_float(bound),
-                format_float(ratio),
-                res.certainty.value,
-            ]
-        )
+        numbers = map(format_float, (res.value, factor, bound, ratio))
+        return ",".join([index_str(r), index_str(s), *numbers, res.certainty.value])
 
     return [one(pt, res) for pt, res in zip(points, results)]
 
@@ -455,13 +441,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         # looked up by name at each call, so a replaced cmd_* takes effect
         return globals()[f"cmd_{args.command}"](args)
-    except _UsageError as e:
-        _print_err(f"error: {e}")
-        return EXIT_ERROR
-    except MatrixFileError as e:
-        _print_err(f"error: {e}")
-        return EXIT_ERROR
-    except (ValueError, DimensionError) as e:
+    except (_UsageError, MatrixFileError, ValueError, DimensionError) as e:
         _print_err(f"error: {e}")
         return EXIT_ERROR
 

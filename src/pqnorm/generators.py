@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import IndexLike, as_index, sign_between, KClassId
+from .core import IndexLike, KClassId, vector_equality_class
 from .induced_norms import COMPLEX, REAL, MatrixValue, as_matrix
 
 __all__ = [
@@ -91,15 +91,9 @@ def kclass_unit_vector(
 
 def extremal_pair_classes(r: IndexLike, s: IndexLike) -> tuple:
     """K-classes required of the top singular vectors for equality at (r,s)
-    against the (2,2) anchor: (class of u1, class of v1)."""
-    ri, si = as_index(r), as_index(s)
-    ku = {1: KClassId.K1, 0: KClassId.K0, -1: KClassId.KMINUS1}[
-        sign_between(as_index(2), si)
-    ]
-    kv = {1: KClassId.K1, 0: KClassId.K0, -1: KClassId.KMINUS1}[
-        -sign_between(as_index(2), ri)
-    ]
-    return ku, kv
+    against the (2,2) anchor: (class of u1, class of v1), the vectors that
+    attain ||u||_s = c ||u||_2 and ||v||_2 = c ||v||_r."""
+    return vector_equality_class(2, s), vector_equality_class(r, 2)
 
 
 def _random_unitary(dim: int, rng: np.random.Generator, field_tag: str) -> np.ndarray:

@@ -10,12 +10,15 @@ callers can tell exact values from estimates.
 The ascent kernel takes one exponent pair per column, so best_norms stacks
 the restarts of every (p, q) point it has to estimate into a few chunked
 ascents instead of one ascent per point; best_norm is its one-pair case.
+Its width is fixed: a converged restart freezes in place, and a point's
+restarts leave together, so one iteration costs few numpy calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -234,11 +237,12 @@ Exponent = Union[ExtIndex, np.ndarray]  # one for all columns, or one per column
 
 def _dual_step(W: np.ndarray, t: Exponent, dual: bool = False) -> tuple:
     """(phi, norms): the duality map phi = r^(t-1) * phase(w) of each column
-    of W, r = |w| / peak, formed as phase(w) scaled by r^(t-1), with one
-    abs and one power; and the one norm the caller reads, the column
-    t-norms of W or, with dual, the t*-norms of phi, s^(1-1/t) for s = sum
-    r^(t-1) * r.  The map degenerates at t = 1 to the phase vector and at
-    t = inf to the lowest-index entry of maximal modulus.  t may also be an
+    of W, r = |w| / peak, with one abs and one power; and the one norm the
+    caller reads, the column t-norms of W or, with dual, the t*-norms of
+    phi, s^(1-1/t) for s = sum r^(t-1) * r.  Without zero entries (one
+    test) phi is w * (r^(t-1) / |w|), one complex product; else the phase
+    is masked.  The map degenerates at t = 1 to the phase vector and at t =
+    inf to the lowest-index entry of maximal modulus.  t may also be an
     array of finite exponents, one per column: r^(t-1) is exactly 1 at
     t = 1, so the general form covers those columns too (zero columns get
     dual norm 0)."""
@@ -253,16 +257,22 @@ def _dual_step(W: np.ndarray, t: Exponent, dual: bool = False) -> tuple:
             phi[top] = _phase(W[top], peak)
             return phi, (peak > 0).astype(float) if dual else peak
         t = t.value
-    safe = np.where(peak > 0, peak, 1.0)
-    phi = _phase(W, a)
-    r = np.divide(a, safe, out=a)
-    rp = r ** (t - 1.0)
+    nonzero = a.min() > 0
+    safe = peak if nonzero else np.where(peak > 0, peak, 1.0)
+    if nonzero and np.iscomplexobj(W):
+        r = a / safe
+        rp = r ** (t - 1.0)
+        phi = W * np.divide(rp, a, out=a)
+    else:
+        phi = _phase(W, a)
+        r = np.divide(a, safe, out=a)
+        rp = r ** (t - 1.0)
+        phi *= rp
     s = np.multiply(rp, r, out=r).sum(axis=0)
-    phi *= rp
     if not dual:
         return phi, safe * s ** (1.0 / t)
     norms = s ** (1.0 - 1.0 / t)
-    if not isinstance(t, float):
+    if not (nonzero or isinstance(t, float)):
         norms *= peak > 0
     return phi, norms
 
@@ -312,17 +322,18 @@ def _ascent(
     Each step replaces x by the p-unit maximizer of Re <A* phi_q(Ax), x>,
     which never decreases ||Ax||_q / ||x||_p at the exact fixed points and in
     practice climbs to a local maximum quickly.  A column freezes the first
-    time its value moves by at most tol (relative), keeping that iterate and
-    value; only the columns still active are stepped.  p and q are both
-    one exponent for every column, or both arrays with one per column (q
-    finite, p > 1), which lets several (p, q) points share each iteration.
-    The best value and its iterate are kept per block of `block` columns
-    (one block by default): first seen wins, then the lowest column.  With
-    settle, a block whose best rose by at most SETTLE_RTOL (relative) over
-    the last SETTLE_WINDOW iterations is settled: all its columns freeze at
-    once.  Every best is still attained by an iterate, so it stays a lower
-    bound; callers that read every column's terminal iterate turn settle
-    off.  The ascent runs on A / 2^e, which moves no iterate, and the
+    time its value moves by at most tol (relative): it keeps that iterate,
+    and so that value, in place while the rest of its block steps on.  p
+    and q are both one exponent for every column, or both arrays with one
+    per column (q finite, p > 1), which lets several (p, q) points share
+    each iteration.  The best value and its iterate are kept per block of
+    `block` columns (one block by default): first seen wins, then the
+    lowest column.  A block stops once all its columns are frozen or, with
+    settle, once its best rose by at most SETTLE_RTOL (relative) over the
+    last SETTLE_WINDOW iterations (settled); only then do its columns leave
+    the iteration.  Every best is still attained by an iterate, so it stays
+    a lower bound; callers that read every column's terminal iterate turn
+    settle off.  The ascent runs on A / 2^e, which moves no iterate, and the
     values are scaled back at the end, so no scale of A overflows a step.
     """
     arr, e = _pow2_normalized(arr)
@@ -332,73 +343,76 @@ def _ascent(
         with np.errstate(divide="ignore", invalid="ignore"):
             pstar = np.where(np.isinf(p), 1.0, p / (p - 1.0))
     adj = arr.conj().T
-    X_out = _normalize_cols(X0, p)
-    vals = vals_out = np.zeros(X_out.shape[1])
-    block = block or X_out.shape[1]
-    nblocks = X_out.shape[1] // block
-    best_val = [-math.inf] * nblocks
-    best_vec = [X_out[:, b * block].copy() for b in range(nblocks)]
-    # ring[b][t % W]: block b's best after iteration t, for the last W
-    ring = [[-math.inf] * SETTLE_WINDOW for _ in range(nblocks)]
-    iters, stop = [0] * nblocks, ["converged"] * nblocks
-    live = np.arange(X_out.shape[1])
-    segments = _segments(live, block, nblocks)
-    X = X_out
-    prev = None
+    # the first step leaves the normalized starts behind: they take the
+    # terminal iterates
+    X_out = X = _normalize_cols(X0, p)
+    vals, vals_out = np.zeros(X.shape[1]), np.zeros(X.shape[1])
+    k = block or X.shape[1]
+    nblocks = X.shape[1] // k
+    # per running block, in block order: its id, its best value and iterate,
+    # and ring[i][t % W], its best after iteration t for the last W
+    live, best_val = list(range(nblocks)), [-math.inf] * nblocks
+    best_vec = [X[:, b * k].copy() for b in live]
+    ring = [[-math.inf] * SETTLE_WINDOW for _ in live]
+    best, iters, stop = [None] * nblocks, [0] * nblocks, ["converged"] * nblocks
+
+    def retire(i: int, why: str) -> None:
+        """Running block i stops: write its columns and best out."""
+        b = live[i]
+        X_out[:, b * k : (b + 1) * k] = X[:, i * k : (i + 1) * k]
+        vals_out[b * k : (b + 1) * k] = vals[i * k : (i + 1) * k]
+        best[b], iters[b], stop[b] = (best_val[i], best_vec[i]), t + 1, why
+
+    prev, t = None, -1
     for t in range(max_iter):
         U, vals = _dual_step(arr @ X, q)
-        settled = []
-        for b, lo, hi in segments:
-            j = lo + int(vals[lo:hi].argmax())
-            if vals[j] > best_val[b]:
-                best_val[b] = float(vals[j])
-                best_vec[b] = X[:, j].copy()
-            iters[b] = t + 1
+        settled, tops = [], vals.reshape(-1, k).argmax(axis=1) + np.arange(0, vals.size, k)
+        for i, j in enumerate(tops.tolist()):
+            if vals[j] > best_val[i]:
+                best_val[i], best_vec[i] = float(vals[j]), X[:, j].copy()
             if settle:
-                old, ring[b][t % SETTLE_WINDOW] = ring[b][t % SETTLE_WINDOW], best_val[b]
-                if best_val[b] - old <= SETTLE_RTOL * best_val[b]:
-                    settled.append((lo, hi))
-                    stop[b] = "settled"
+                old, ring[i][t % SETTLE_WINDOW] = ring[i][t % SETTLE_WINDOW], best_val[i]
+                settled.append(best_val[i] - old <= SETTLE_RTOL * best_val[i])
+        frozen = None
         if prev is not None:  # always set by the time a block can settle
-            done = np.abs(vals - prev) <= tol * np.maximum(vals, _TINY)
-            for lo, hi in settled:
-                done[lo:hi] = True
-            if done.any():
-                X_out[:, live[done]] = X[:, done]
-                vals_out[live[done]] = vals[done]
-                keep = ~done
-                live, X, U, vals = live[keep], X[:, keep], U[:, keep], vals[keep]
-                if not live.size:
+            frozen = np.abs(vals - prev) <= tol * np.maximum(vals, _TINY)
+            nf = np.count_nonzero(frozen)  # spares the per-block test in the common cases
+            if nf in (0, frozen.size) or len(live) == 1:
+                drop = [nf == frozen.size] * len(live)
+            else:
+                drop = frozen.reshape(-1, k).all(axis=1).tolist()
+            drop = [d or s for d, s in zip(drop, settled)] if settle else drop
+            if any(drop):
+                for i in (i for i, d in enumerate(drop) if d):
+                    retire(i, "settled" if settle and settled[i] else "converged")
+                live, best_val, best_vec, ring = (
+                    [x for x, d in zip(s, drop) if not d] for s in (live, best_val, best_vec, ring)
+                )
+                if not live:
                     break
+                keep = ~np.repeat(drop, k)
+                X, U, vals, frozen = X[:, keep], U[:, keep], vals[keep], frozen[keep]
                 if not isinstance(q, ExtIndex):
                     q, pstar = q[keep], pstar[keep]
-                segments = _segments(live, block, nblocks)
         prev = vals
         if t + 1 == max_iter:
             break  # X stays the iterate whose values vals holds
         Xn, norms = _dual_step(adj @ U, pstar, dual=True)
-        dead = norms <= _TINY
-        if dead.any():
-            Xn[:, dead] = X[:, dead]
+        # a dual norm is 0 for a zero column of A* U and at least 1 otherwise
+        # (the largest entry contributes 1); such a dead column keeps its iterate
+        if np.count_nonzero(norms) < norms.size:
+            dead = norms == 0.0
             norms = np.where(dead, 1.0, norms)
-        X = _over(Xn, norms, out=Xn)
-    if live.size:
-        for b, _, _ in segments:
-            stop[b] = "max_iter"
-    X_out[:, live] = X
-    vals_out[live] = vals
+            frozen = dead if frozen is None else frozen | dead
+        Xn = _over(Xn, norms, out=Xn)
+        if frozen is not None:
+            np.copyto(Xn, X, where=frozen)
+        X = Xn
+    for i in range(len(live)):
+        retire(i, "max_iter")
     with np.errstate(over="ignore"):  # a norm past the float range reads inf
-        best_val = [float(np.ldexp(v, e)) for v in best_val]
-        return _Ascent(list(zip(best_val, best_vec)), np.ldexp(vals_out, e), X_out, iters, stop)
-
-
-def _segments(live: np.ndarray, block: int, nblocks: int) -> list:
-    """(b, lo, hi) for each block b with live columns: live[lo:hi] are its
-    columns, live being ascending."""
-    if nblocks == 1:
-        return [(0, 0, live.size)]
-    cuts = np.searchsorted(live, np.arange(nblocks + 1) * block).tolist()
-    return [(b, lo, hi) for b, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
+        best = [(float(np.ldexp(v, e)), vec) for v, vec in best]
+        return _Ascent(best, np.ldexp(vals_out, e), X_out, iters, stop)
 
 
 def _random_cols(rng: np.random.Generator, m: int, count: int, field: str) -> np.ndarray:
@@ -419,6 +433,16 @@ def _default_starts(M: MatrixValue, restarts: int, rng: np.random.Generator) -> 
     n_fixed = sum(b.shape[1] for b in fixed)
     fixed.append(_random_cols(rng, m, max(restarts - n_fixed, 2), M.field))
     return np.hstack(fixed)
+
+
+@functools.lru_cache(maxsize=32)
+def _start_block(m: int, field: str, restarts: int, seed: int) -> np.ndarray:
+    """_default_starts(M, restarts, default_rng(seed)) for any m-column M of
+    the field (nothing else of M enters it), built once and shared read-only."""
+    shape = MatrixValue(np.zeros((1, m)), field)  # all of M that the starts read
+    X0 = _default_starts(shape, restarts, np.random.default_rng(seed))
+    X0.setflags(write=False)
+    return X0
 
 
 @dataclass(frozen=True)
@@ -469,7 +493,7 @@ def _estimates(M: MatrixValue, pairs: list, cfg: EstimatorSettings) -> list:
     most STACK elements; a chunk of one point runs on scalar exponents.
     """
     restarts = cfg.restarts if cfg.restarts is not None else 32 + M.m
-    X0 = _default_starts(M, restarts, np.random.default_rng(cfg.seed))
+    X0 = _start_block(M.m, M.field, restarts, cfg.seed)
     k = X0.shape[1]
     per = max(1, STACK // (max(M.n, M.m) * k))
     out = []
@@ -709,9 +733,7 @@ def norm_bruteforce(
         if k:
             axis = np.linspace(-1.0, 1.0, k)
             mesh = np.meshgrid(*([axis] * m), indexing="ij")
-            lattice = np.stack([g.reshape(-1) for g in mesh])
-            lattice = lattice[:, np.abs(lattice).sum(axis=0) > 0]
-            blocks.append(lattice)
+            blocks.append(np.stack([g.reshape(-1) for g in mesh]))  # its zero column goes below
     else:
         if 4 ** m <= budget // 4:
             phases = np.array([1, -1, 1j, -1j], dtype=complex)
@@ -818,9 +840,7 @@ def maximizer_set_probe(
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
-    rng = np.random.default_rng(seed)
-    restarts = max(16, 4 * count) + M.m + 2
-    X0 = _default_starts(M, restarts, rng)
+    X0 = _start_block(M.m, M.field, max(16, 4 * count) + M.m + 2, seed)
     closed = norm_closed_form(M, pi, qi)
     if closed is not None and vector_norm(closed.witness, pi) > 0:
         X0 = np.hstack([closed.witness.reshape(-1, 1).astype(X0.dtype), X0])
@@ -840,12 +860,9 @@ def maximizer_set_probe(
         nx = float(np.linalg.norm(x))
         if nx <= _TINY:
             continue
-        duplicate = False
-        for y in keep:
-            if abs(np.vdot(y, x)) >= (1.0 - 1e-8) * nx * float(np.linalg.norm(y)):
-                duplicate = True
-                break
-        if not duplicate:
+        if not any(
+            abs(np.vdot(y, x)) >= (1.0 - 1e-8) * nx * float(np.linalg.norm(y)) for y in keep
+        ):
             keep.append(x.copy())
             if len(keep) >= count:
                 break

@@ -25,9 +25,11 @@ from pqnorm import (
     monotonicity_check,
     monotonicity_check_in_s,
     norm_bruteforce,
+    norm_closed_form,
     norm_upper_bound,
     transfer_equality,
 )
+from pqnorm.induced_norms import MAX_COMPLEX_COLS, _phase_grid
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 GRID = [1, 1.5, 2, 3, "inf"]
@@ -74,6 +76,32 @@ class TestNormUpperBound:
         # q=inf: row route is exact
         assert math.isclose(norm_upper_bound(M, 2, "inf"), 3.0, rel_tol=1e-12)
 
+    def test_second_call_is_a_memo_hit(self, monkeypatch):
+        import pqnorm.bounds as mod
+
+        M = as_matrix(np.random.default_rng(910).standard_normal((6, 6)) * (1 + 1j))
+        first = norm_upper_bound(M, 1.5, 3)
+
+        def unused(*args):
+            raise AssertionError("the bound was computed again")
+
+        monkeypatch.setattr(mod, "_lp_cols", unused)
+        monkeypatch.setattr(mod, "svd", unused)
+        assert norm_upper_bound(M, 1.5, 3) == first
+        assert norm_upper_bound(as_matrix(M), "1.5", 3.0) == first
+
+
+def _anchor_minimum(M, p, q):
+    """The certified bound read from norm_closed_form's values at the
+    anchors (1, q), (p, inf) and (2, 2), plus the complex (inf, 1) grid's
+    upper end: the reference for norm_upper_bound's witness-free anchors."""
+    pi, qi = as_index(p), as_index(q)
+    anchors = ((as_index(1), qi), (pi, as_index("inf")), (as_index(2), as_index(2)))
+    bounds = [bound_factor(*a, pi, qi, M.m, M.n) * norm_closed_form(M, *a).value for a in anchors]
+    if M.is_complex and pi.is_inf and qi.value == 1.0 and min(M.n, M.m) <= MAX_COMPLEX_COLS:
+        bounds.append(_phase_grid(M)[-1])
+    return min(bounds)
+
 
 @given(
     st.integers(1, 6),
@@ -84,13 +112,15 @@ class TestNormUpperBound:
 @settings(max_examples=20, deadline=None)
 def test_upper_bound_dominates_lower_bounds(n, m, complex_, seed):
     # every lower bound stays below the certified bound, up to rounding, and
-    # no bracket inverts, over the whole exponent grid
+    # no bracket inverts, over the whole exponent grid; the bound is the
+    # minimum over the closed forms at its anchors, bit for bit
     r = np.random.default_rng(seed)
     A = r.standard_normal((n, m)) + (1j * r.standard_normal((n, m)) if complex_ else 0.0)
     M = as_matrix(A)
     for p in GRID:
         for q in GRID:
             ub = norm_upper_bound(M, p, q)
+            assert ub == _anchor_minimum(M, p, q), (p, q)
             assert ub >= best_norm(M, p, q).value * (1.0 - 1e-12), (p, q)
             assert ub >= norm_bruteforce(M, p, q, budget=500).value * (1.0 - 1e-12), (p, q)
             br = bracket_norm(M, p, q)
@@ -344,6 +374,52 @@ class TestDecideEquality:
     def test_attainer_yes(self):
         verdict, _ = decide_equality(as_matrix(B, field="complex"), 2, 2, "inf", 1)
         assert verdict == "yes"
+
+    def test_tautology_is_an_exact_yes(self):
+        # (r, s) = (p, q) on an estimated pair: the factor is 1, so "yes"
+        # whatever the bracket's width; details are those of any call
+        r = np.random.default_rng(1500)
+        M = as_matrix(r.standard_normal((5, 4)) + 1j * r.standard_normal((5, 4)))
+        verdict, details = decide_equality(M, 1.5, 3, 1.5, 3)
+        assert verdict == "yes"
+        assert sorted(details) == ["factor", "lhs", "rhs", "tol"]
+        assert details["factor"] == 1.0 and details["tol"] == 1e-4
+        assert details["lhs"] == details["rhs"] == bracket_norm(M, 1.5, 3)
+        assert details["lhs"].upper > 1.1 * details["lhs"].lower
+
+    def test_one_stacked_ascent(self, monkeypatch):
+        # both sides estimated: one ascent serves them, and the verdict and
+        # brackets match two separate bracket_norm calls on fresh copies
+        import pqnorm.induced_norms as mod
+
+        calls = []
+        ascent = mod._ascent
+
+        def counting(*args, **kwargs):
+            calls.append(args[3].shape)
+            return ascent(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "_ascent", counting)
+        for i, (n, m, complex_) in enumerate([(5, 4, True), (4, 4, False), (8, 8, True), (3, 6, False)]):
+            r = np.random.default_rng(1510 + i)
+            A = r.standard_normal((n, m)) + (1j * r.standard_normal((n, m)) if complex_ else 0.0)
+            for p, q, rr, s in [(3, 1.5, 1.5, 3), (1.5, 3, 3, 1.5), (1.5, 1.5, 3, 3)]:
+                calls.clear()
+                verdict, details = decide_equality(as_matrix(A), p, q, rr, s)
+                assert calls == [(m, 2 * (32 + m))], (i, p, q)  # both points' restarts
+                lhs, rhs = bracket_norm(as_matrix(A), rr, s), bracket_norm(as_matrix(A), p, q)
+                for got, want in ((details["lhs"], lhs), (details["rhs"], rhs)):
+                    assert abs(got.lower - want.lower) <= 1e-12 * want.lower, (i, p, q)
+                    assert got.upper == want.upper
+                factor = bound_factor(p, q, rr, s, m, n)
+                hi, lo = factor * rhs.upper, factor * rhs.lower
+                scale = max(hi, lhs.upper)
+                want = (
+                    "yes"
+                    if lhs.lower >= hi - 1e-4 * scale
+                    else "no" if lhs.upper < lo - 1e-4 * scale else "undetermined"
+                )
+                assert verdict == want, (i, p, q)
 
 
 @given(
