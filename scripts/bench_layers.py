@@ -36,11 +36,14 @@ One row times the certified upper bound:
                     shape above, with its SVD already memoised and the
                     bound itself not, median of 5 x reps runs
 
-One row times an equality decision whose two sides are both estimated:
+Two rows time small-matrix ascents on a fresh Gaussian (seed 0) for r4,
+c4, r8 and c8:
 
+  best_norm_inf_2   one-point best_norm at (inf, 2), whose forward
+                    half-step is the ascent's linear map at exponent 2
   decide_equality   decide_equality(M, 3, 1.5, 1.5, 3), i.e. ||M||_{1.5,3}
-                    against the factor times ||M||_{3,1.5}, on a fresh
-                    Gaussian (seed 0) for r4, c4, r8 and c8
+                    against the factor times ||M||_{3,1.5}: an equality
+                    decision whose two sides are both estimated
 
 The reps are interleaved: each pass runs every cell once (five times for
 the check_einf1 cells) before the next pass starts, so a slow spell of a
@@ -120,7 +123,7 @@ EINF1_PAIRS = [(2, 2), (1.5, 3)]
 INF1_COMPLEX_SHAPES = [(8, 4), (8, 5), (8, 6), (2, 6)]
 INF1_REAL_SIZES = [13, 16, 18, 20]
 PEAK_SHAPES = [("real", 16), ("complex", 16), ("real", 32), ("complex", 32)]
-DECIDE_SHAPES = [("real", 4), ("complex", 4), ("real", 8), ("complex", 8)]
+SMALL_SHAPES = [("real", 4), ("complex", 4), ("real", 8), ("complex", 8)]
 DECIDE_ARGS = (3, 1.5, 1.5, 3)  # (p, q, r, s): both sides estimated
 EINF1_DFT_ORDERS = [2, 4, 8]
 
@@ -176,6 +179,11 @@ def _upper_bound_cell(kind: str, n: int) -> tuple:
         return norm_upper_bound(M, 1.5, 3)
 
     return (bound, 5)
+
+
+def _inf2_cell(kind: str, n: int) -> tuple:
+    A = _matrix(kind, n)
+    return (lambda: best_norm(MatrixValue(A, kind), "inf", 2), 1)
 
 
 def _decide_cell(kind: str, n: int) -> tuple:
@@ -320,7 +328,8 @@ def main() -> None:
             for m in INF1_REAL_SIZES
         }
         rows["upper_bound"] = {f"{kind[0]}{n}": _upper_bound_cell(kind, n) for kind, n in SHAPES}
-        rows["decide_equality"] = {f"{kind[0]}{n}": _decide_cell(kind, n) for kind, n in DECIDE_SHAPES}
+        rows["best_norm_inf_2"] = {f"{kind[0]}{n}": _inf2_cell(kind, n) for kind, n in SMALL_SHAPES}
+        rows["decide_equality"] = {f"{kind[0]}{n}": _decide_cell(kind, n) for kind, n in SMALL_SHAPES}
         rows["check_einf1_dft"] = {}
         for k in EINF1_DFT_ORDERS:
             M = gen_dft(k)
@@ -330,7 +339,7 @@ def main() -> None:
         results["verify_calls"] = {
             f"{kind[0]}{n}": verify_calls(kind, n, workdir) for kind, n in SHAPES
         }
-        results["ascent_calls"] = {f"{kind[0]}{n}": ascent_calls(kind, n) for kind, n in DECIDE_SHAPES}
+        results["ascent_calls"] = {f"{kind[0]}{n}": ascent_calls(kind, n) for kind, n in SMALL_SHAPES}
     for kind, n in SHAPES:
         row = results[f"{kind[0]}{n}"]
         row["grid_speedup"] = row["grid_pointwise"] / row["grid_stacked"]

@@ -22,7 +22,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -234,56 +234,121 @@ def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
 
 Exponent = Union[ExtIndex, np.ndarray]  # one for all columns, or one per column
 
+_amax, _amin, _add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+
+
+def _unit_map(top: bool, dual: bool) -> Callable:
+    """The duality map at t = 1, the phase vector, or with top at t = inf,
+    the phase of the lowest-index entry of maximal modulus and zero
+    elsewhere; with the column 1-norms (with top, inf-norms) of W or, with
+    dual, the t*-norms of the map, 1 (0 for a zero column)."""
+
+    def step(W: np.ndarray) -> tuple:
+        a = np.abs(W)
+        peak = _amax(a, 0)
+        if top:
+            at = (a.argmax(axis=0), np.arange(W.shape[1]))
+            phi = np.zeros_like(W)
+            phi[at] = _phase(W[at], peak)
+        else:
+            phi = _phase(W, a)
+        if dual:
+            return phi, (peak > 0).astype(float)
+        return phi, peak if top else _add(a, 0)
+
+    return step
+
+
+def _power_map(t, cplx: bool, dual: bool) -> Callable:
+    """The duality map at finite t > 1, or at one finite t per column (an
+    array): phi = r^(t-1) * phase(w), r = |w| / peak, with one abs and one
+    power; and the column t-norms of W or, with dual, the t*-norms of phi,
+    s^(1-1/t) for s = sum r^(t-1) * r.  Without zero entries (one test) phi
+    is w * (r^(t-1) / |w|) for complex w, one complex product, and
+    r^(t-1) with the sign of w for real w; else the phase is masked.
+    r^(t-1) is exactly 1 at t = 1, so the array form covers those columns
+    too (zero columns get dual norm 0)."""
+    tm1 = t - 1.0
+    power = 1.0 - 1.0 / t if dual else 1.0 / t
+    per_column = not isinstance(t, float)
+
+    def step(W: np.ndarray) -> tuple:
+        a = np.abs(W)
+        peak = _amax(a, 0)
+        nonzero = _amin(a, None) > 0
+        safe = peak if nonzero else np.where(peak > 0, peak, 1.0)
+        if nonzero and cplx:
+            r = a / safe
+            rp = r**tm1
+            phi = W * np.divide(rp, a, out=a)
+        elif nonzero:
+            r = np.divide(a, safe, out=a)
+            rp = r**tm1
+            phi = np.copysign(rp, W)
+        else:
+            phi = _phase(W, a)
+            r = np.divide(a, safe, out=a)
+            rp = r**tm1
+            phi *= rp
+        s = _add(np.multiply(rp, r, out=r), 0)
+        if not dual:
+            return phi, safe * s**power
+        norms = s**power
+        if per_column and not nonzero:
+            norms *= peak > 0
+        return phi, norms
+
+    return step
+
+
+def _duality_map(t: Exponent, cplx: bool, dual: bool = False) -> Callable:
+    """The half-step W -> (phi, norms) for exponent t, chosen once: phi is
+    the duality map of each column of W, and norms are the column t-norms
+    of W or, with dual, the t*-norms of phi, which are 0 for a zero column
+    and at least 1 otherwise (the largest entry contributes 1).  cplx tells
+    whether W is complex, as it is for every W of one ascent."""
+    if isinstance(t, ExtIndex):
+        if t.value == 1.0 or t.is_inf:
+            return _unit_map(t.is_inf, dual)
+        t = t.value
+    return _power_map(t, cplx, dual)
+
 
 def _dual_step(W: np.ndarray, t: Exponent, dual: bool = False) -> tuple:
-    """(phi, norms): the duality map phi = r^(t-1) * phase(w) of each column
-    of W, r = |w| / peak, with one abs and one power; and the one norm the
-    caller reads, the column t-norms of W or, with dual, the t*-norms of
-    phi, s^(1-1/t) for s = sum r^(t-1) * r.  Without zero entries (one
-    test) phi is w * (r^(t-1) / |w|), one complex product; else the phase
-    is masked.  The map degenerates at t = 1 to the phase vector and at t =
-    inf to the lowest-index entry of maximal modulus.  t may also be an
-    array of finite exponents, one per column: r^(t-1) is exactly 1 at
-    t = 1, so the general form covers those columns too (zero columns get
-    dual norm 0)."""
-    a = np.abs(W)
-    peak = a.max(axis=0)
-    if isinstance(t, ExtIndex):
-        if t.value == 1.0:
-            return _phase(W, a), (peak > 0).astype(float) if dual else a.sum(axis=0)
-        if t.is_inf:
-            top = (a.argmax(axis=0), np.arange(W.shape[1]))
-            phi = np.zeros_like(W)
-            phi[top] = _phase(W[top], peak)
-            return phi, (peak > 0).astype(float) if dual else peak
-        t = t.value
-    nonzero = a.min() > 0
-    safe = peak if nonzero else np.where(peak > 0, peak, 1.0)
-    if nonzero and np.iscomplexobj(W):
-        r = a / safe
-        rp = r ** (t - 1.0)
-        phi = W * np.divide(rp, a, out=a)
-    else:
-        phi = _phase(W, a)
-        r = np.divide(a, safe, out=a)
-        rp = r ** (t - 1.0)
-        phi *= rp
-    s = np.multiply(rp, r, out=r).sum(axis=0)
-    if not dual:
-        return phi, safe * s ** (1.0 / t)
-    norms = s ** (1.0 - 1.0 / t)
-    if not (nonzero or isinstance(t, float)):
-        norms *= peak > 0
-    return phi, norms
+    """_duality_map(t) applied to W."""
+    return _duality_map(t, np.iscomplexobj(W), dual)(W)
 
 
-def _normalize_cols(X: np.ndarray, p: Exponent) -> np.ndarray:
-    if not isinstance(p, ExtIndex):
-        out = np.empty_like(X)
-        for v in set(p.tolist()):
-            cols = p == v
-            out[:, cols] = _normalize_cols(X[:, cols], as_index(v))
-        return out
+def _linear_map(cplx: bool, dual: bool) -> Callable:
+    """The ascent's half-step at t = 2: W itself, with its column 2-norms
+    from one vecdot.  The duality map at t = 2 is W / peak, a positive
+    multiple of each column, which the backward step's normalisation
+    removes: so the forward step passes W on unchanged, and the backward
+    step returns Z with the 2-norms it is then divided by.  Skipping the
+    peak scaling is safe only because the ascent runs on A / 2^e with
+    unit-p-norm iterates: |W| < m and |Z| < n m, so no square overflows.
+    A column sum of squares at or below _TINY is 0 or may have lost bits
+    to underflow; such a step takes the peak-scaled power map instead."""
+    scaled = _power_map(2.0, cplx, dual)
+
+    def step(W: np.ndarray) -> tuple:
+        s = np.vecdot(W, W, axis=0)
+        s = s.real if cplx else s
+        if not _amin(s, None) > _TINY:
+            return scaled(W)
+        return W, np.sqrt(s)
+
+    return step
+
+
+def _ascent_map(t: Exponent, cplx: bool, dual: bool = False) -> Callable:
+    """_duality_map(t), with the linear map at t = 2."""
+    if isinstance(t, ExtIndex) and t.value == 2.0:
+        return _linear_map(cplx, dual)
+    return _duality_map(t, cplx, dual)
+
+
+def _normalize_cols(X: np.ndarray, p: ExtIndex) -> np.ndarray:
     norms = _lp_cols(X, p)
     safe = np.where(norms > _TINY, norms, 1.0)
     return X / safe
@@ -317,7 +382,8 @@ def _ascent(
     *,
     settle: bool = True,
 ) -> _Ascent:
-    """Batched duality-map ascent on the columns of X0.
+    """Batched duality-map ascent on the columns of X0, which have unit
+    p-norm.
 
     Each step replaces x by the p-unit maximizer of Re <A* phi_q(Ax), x>,
     which never decreases ||Ax||_q / ||x||_p at the exact fixed points and in
@@ -335,6 +401,8 @@ def _ascent(
     a lower bound; callers that read every column's terminal iterate turn
     settle off.  The ascent runs on A / 2^e, which moves no iterate, and the
     values are scaled back at the end, so no scale of A overflows a step.
+    Both half-steps' maps are chosen once per call (per block drop for
+    per-column exponents).
     """
     arr, e = _pow2_normalized(arr)
     if isinstance(p, ExtIndex):
@@ -343,9 +411,12 @@ def _ascent(
         with np.errstate(divide="ignore", invalid="ignore"):
             pstar = np.where(np.isinf(p), 1.0, p / (p - 1.0))
     adj = arr.conj().T
-    # the first step leaves the normalized starts behind: they take the
-    # terminal iterates
-    X_out = X = _normalize_cols(X0, p)
+    cplx = np.iscomplexobj(arr) or np.iscomplexobj(X0)
+    fwd, bwd = _ascent_map(q, cplx), _ascent_map(pstar, cplx, dual=True)
+    # the phase and top-entry maps are unit already: their dual norms are 1
+    unit = isinstance(pstar, ExtIndex) and pstar.value in (1.0, math.inf)
+    X = X0
+    X_out = np.empty_like(X0)  # every block writes its columns when it stops
     vals, vals_out = np.zeros(X.shape[1]), np.zeros(X.shape[1])
     k = block or X.shape[1]
     nblocks = X.shape[1] // k
@@ -365,9 +436,10 @@ def _ascent(
 
     prev, t = None, -1
     for t in range(max_iter):
-        U, vals = _dual_step(arr @ X, q)
-        settled, tops = [], vals.reshape(-1, k).argmax(axis=1) + np.arange(0, vals.size, k)
-        for i, j in enumerate(tops.tolist()):
+        U, vals = fwd(arr @ X)
+        settled = []
+        for i, j in enumerate(vals.reshape(-1, k).argmax(axis=1).tolist()):
+            j += i * k  # running block i holds columns i k .. (i + 1) k - 1
             if vals[j] > best_val[i]:
                 best_val[i], best_vec[i] = float(vals[j]), X[:, j].copy()
             if settle:
@@ -394,17 +466,19 @@ def _ascent(
                 X, U, vals, frozen = X[:, keep], U[:, keep], vals[keep], frozen[keep]
                 if not isinstance(q, ExtIndex):
                     q, pstar = q[keep], pstar[keep]
+                    fwd, bwd = _ascent_map(q, cplx), _ascent_map(pstar, cplx, dual=True)
         prev = vals
         if t + 1 == max_iter:
             break  # X stays the iterate whose values vals holds
-        Xn, norms = _dual_step(adj @ U, pstar, dual=True)
-        # a dual norm is 0 for a zero column of A* U and at least 1 otherwise
-        # (the largest entry contributes 1); such a dead column keeps its iterate
+        Xn, norms = bwd(adj @ U)
+        # a dual norm is 0 for a zero column of A* U and positive otherwise;
+        # such a dead column keeps its iterate
         if np.count_nonzero(norms) < norms.size:
             dead = norms == 0.0
             norms = np.where(dead, 1.0, norms)
             frozen = dead if frozen is None else frozen | dead
-        Xn = _over(Xn, norms, out=Xn)
+        if not unit:
+            Xn = _over(Xn, norms, out=Xn)
         if frozen is not None:
             np.copyto(Xn, X, where=frozen)
         X = Xn
@@ -445,6 +519,15 @@ def _start_block(m: int, field: str, restarts: int, seed: int) -> np.ndarray:
     return X0
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_start_block(m: int, field: str, restarts: int, seed: int, p: ExtIndex) -> np.ndarray:
+    """_start_block's columns scaled to unit p-norm, the starts every
+    ascent takes, built once and shared read-only."""
+    X0 = _normalize_cols(_start_block(m, field, restarts, seed), p)
+    X0.setflags(write=False)
+    return X0
+
+
 @dataclass(frozen=True)
 class EstimatorSettings:
     """Knobs for the ascent estimator; restarts defaults to 32 + m.
@@ -459,6 +542,14 @@ class EstimatorSettings:
     max_iter: int = 200
     tol: float = 1e-10
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if self.restarts is not None and self.restarts < 0:
+            raise ValueError(f"restarts must be nonnegative, got {self.restarts!r}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
 
 
 def norm_estimate(
@@ -488,23 +579,24 @@ STACK = 1 << 14
 def _estimates(M: MatrixValue, pairs: list, cfg: EstimatorSettings) -> list:
     """Ascent estimates of ||M||_{p,q} for pairs without a closed form.
 
-    Every point starts from the same block of restarts.  Points are stacked
-    side by side into one ascent with per-column exponents, in chunks of at
-    most STACK elements; a chunk of one point runs on scalar exponents.
+    Every point starts from the same block of restarts, scaled to unit
+    p-norm.  Points are stacked side by side into one ascent with
+    per-column exponents, in chunks of at most STACK elements; a chunk of
+    one point runs on scalar exponents.
     """
     restarts = cfg.restarts if cfg.restarts is not None else 32 + M.m
-    X0 = _start_block(M.m, M.field, restarts, cfg.seed)
-    k = X0.shape[1]
+    starts = functools.partial(_unit_start_block, M.m, M.field, restarts, cfg.seed)
+    k = starts(pairs[0][0]).shape[1]
     per = max(1, STACK // (max(M.n, M.m) * k))
     out = []
     for c in range(0, len(pairs), per):
         chunk = pairs[c : c + per]
         if len(chunk) == 1:
-            (p, q), X = chunk[0], X0
+            (p, q), X = chunk[0], starts(chunk[0][0])
         else:
             p = np.repeat([pi.value for pi, _ in chunk], k)
             q = np.repeat([qi.value for _, qi in chunk], k)
-            X = np.tile(X0, len(chunk))
+            X = np.hstack([starts(pi) for pi, _ in chunk])
         for val, vec in _ascent(M.entries, p, q, X, cfg.max_iter, cfg.tol, k).best:
             out.append(NormResult(val, vec, Certainty.ESTIMATE))
     return out
@@ -683,6 +775,8 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
     if min(n, m) > MAX_COMPLEX_COLS:
         raise DimensionError(f"phase grid capped at {MAX_COMPLEX_COLS} columns, got {min(n, m)}")
     B, e, top_vals, top_X, _ = _phase_grid(M)
+    # the grid's columns are its starts: their entries have modulus 1 up to
+    # the rounding of exp, as for the grid values they come with
     [(val, vec)] = _ascent(B, as_index("inf"), as_index(1), top_X, 100, 1e-12).best
     if top_vals[0] >= val:
         val, vec = float(top_vals[0]), top_X[:, 0].copy()
@@ -844,7 +938,7 @@ def maximizer_set_probe(
     closed = norm_closed_form(M, pi, qi)
     if closed is not None and vector_norm(closed.witness, pi) > 0:
         X0 = np.hstack([closed.witness.reshape(-1, 1).astype(X0.dtype), X0])
-    run = _ascent(M.entries, pi, qi, X0, 300, 1e-12, settle=False)
+    run = _ascent(M.entries, pi, qi, _normalize_cols(X0, pi), 300, 1e-12, settle=False)
     vals, X = run.vals, run.X
     best = float(vals.max())
     if closed is not None:

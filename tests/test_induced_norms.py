@@ -47,14 +47,17 @@ from pqnorm.induced_norms import (
     _dual_step,
     _lattice_side,
     _ldexp,
+    _linear_map,
     _normalize_cols,
     _phase,
     _phase_block,
     _phase_grid,
+    _pow2_normalized,
     _sign_cols,
     _sign_images,
     _start_block,
     _top,
+    _unit_start_block,
     best_norms,
 )
 
@@ -430,6 +433,23 @@ class TestEstimator:
         assert a.value == b.value
         assert np.array_equal(a.witness, b.witness)
 
+    def test_settings_reject_no_iterations(self):
+        # without one iteration no value exists: best_norm would report -inf
+        with pytest.raises(ValueError, match="max_iter"):
+            EstimatorSettings(max_iter=0)
+
+    def test_settings_reject_negative_restarts(self):
+        with pytest.raises(ValueError, match="restarts"):
+            EstimatorSettings(restarts=-1)
+
+    def test_settings_reject_negative_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            EstimatorSettings(tol=-1e-10)
+
+    def test_settings_reject_nan_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            EstimatorSettings(tol=float("nan"))
+
     def test_best_norm_routes(self):
         assert best_norm(B, 2, 2).certainty is Certainty.CLOSED_FORM
         assert best_norm(as_matrix(B, field="real"), "inf", 1).certainty is (
@@ -491,6 +511,11 @@ def _phi_cols(W, t):
     return ((a / safe) ** (t.value - 1.0)) * _phase_masked(W)
 
 
+def _unit_starts(M, restarts, p):
+    """_default_starts at seed 0 scaled to unit p-norm, as _ascent takes them."""
+    return _normalize_cols(_default_starts(M, restarts, np.random.default_rng(0)), as_index(p))
+
+
 def _ascent_all_columns(arr, p, q, X0, max_iter, tol):
     """The ascent that steps every column until all have converged: the
     reference for per-column stopping."""
@@ -527,7 +552,7 @@ class TestAscent:
             M = rand_matrix(1000 + i, n, m, complex_=bool(i % 2))
             for p, q in self.PAIRS:
                 pi, qi = as_index(p), as_index(q)
-                X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
+                X0 = _unit_starts(M, 32 + m, p)
                 want = _ascent_all_columns(M.entries, pi, qi, X0, 200, 1e-10)
                 run = _ascent(M.entries, pi, qi, X0, 200, 1e-10)
                 [(got, vec)], vals, X = run.best, run.vals, run.X
@@ -545,9 +570,9 @@ class TestAscent:
             A[:, 1] = 0.0
             scaled = [np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k) for k in (-1000, 1000)]
             for arr in [A, np.zeros_like(A)] + [S if i else S.real for S in scaled]:
-                X0 = _default_starts(as_matrix(arr), 37, np.random.default_rng(0))
                 for p, q in pairs:
                     pi, qi = as_index(p), as_index(q)
+                    X0 = _unit_starts(as_matrix(arr), 37, p)
                     want = _ascent_all_columns(arr, pi, qi, X0, 200, 1e-10)
                     [(got, _)] = _ascent(arr, pi, qi, X0, 200, 1e-10).best
                     assert abs(got - want) <= 1e-8 * want, (i, p, q)
@@ -558,14 +583,14 @@ class TestAscent:
         # (3, 1.5) settles while columns still climb
         u = np.array([[1.0], [2.0], [-1.0]])
         M = as_matrix(u @ np.array([[1.0, -3.0, 0.5]]))
-        X0 = _default_starts(M, 35, np.random.default_rng(0))
+        X0 = _unit_starts(M, 35, 1.5)
         p, q = as_index(1.5), as_index(3)
         run = _ascent(M.entries, p, q, X0, 200, 1e-10)
         assert (run.iters, run.stop) == ([3], ["converged"])
         run = _ascent(M.entries, p, q, X0, 1, 1e-10)
         assert (run.iters, run.stop) == ([1], ["max_iter"])
         D = gen_dft(11)
-        X0 = _default_starts(D, 43, np.random.default_rng(0))
+        X0 = _unit_starts(D, 43, 3)
         run = _ascent(D.entries, as_index(3), as_index(1.5), X0, 200, 1e-10)
         assert run.stop == ["settled"] and run.iters[0] < 200
         full = _ascent(D.entries, as_index(3), as_index(1.5), X0, 200, 1e-10, settle=False)
@@ -577,20 +602,21 @@ class TestAscent:
         # probe's 300 iterations and tol 1e-12 leaves most of them live, and
         # short runs leave live columns in both fields, stacked or not
         D = gen_dft(11)
-        X0 = _default_starts(D, 37, np.random.default_rng(0))
+        X0 = _unit_starts(D, 37, 3)
         run = _ascent(D.entries, as_index(3), as_index(1.5), X0, 300, 1e-12, settle=False)
         assert run.stop == ["max_iter"]
         cases = [(D, 3, 1.5, run)]
         for i, (n, m) in enumerate([(5, 4), (7, 9)]):
             M = rand_matrix(1250 + i, n, m, complex_=bool(i % 2))
-            X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
-            k = X0.shape[1]
+            k = _unit_starts(M, 32 + m, 1).shape[1]
             for max_iter in (1, 2, 5):
                 for p, q in self.PAIRS:
+                    X0 = _unit_starts(M, 32 + m, p)
                     run = _ascent(M.entries, as_index(p), as_index(q), X0, max_iter, 1e-12)
                     cases.append((M, p, q, run))
                 ps, qs = np.repeat([1.5, 3.0], k), np.repeat([3.0, 1.5], k)
-                run = _ascent(M.entries, ps, qs, np.tile(X0, 2), max_iter, 1e-12, k)
+                X0 = np.hstack([_unit_starts(M, 32 + m, p) for p in (1.5, 3)])
+                run = _ascent(M.entries, ps, qs, X0, max_iter, 1e-12, k)
                 cases += [(M, 1.5, 3, run._replace(vals=run.vals[:k], X=run.X[:, :k]))]
                 cases += [(M, 3, 1.5, run._replace(vals=run.vals[k:], X=run.X[:, k:]))]
         for M, p, q, run in cases:
@@ -603,9 +629,9 @@ class TestAscent:
         # seen by the same iteration; per block when points are stacked
         for i, (n, m) in enumerate([(8, 8), (6, 3), (16, 16)]):
             M = rand_matrix(1200 + i, n, m, complex_=bool(i % 2))
-            X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
             for p, q in self.PAIRS:
                 pi, qi = as_index(p), as_index(q)
+                X0 = _unit_starts(M, 32 + m, p)
                 run = _ascent(M.entries, pi, qi, X0, 200, 1e-10)
                 cut = _ascent(M.entries, pi, qi, X0, run.iters[0], 1e-10, settle=False)
                 assert run.best[0][0] == cut.best[0][0], (i, p, q)
@@ -613,9 +639,11 @@ class TestAscent:
             k = X0.shape[1]
             ps = np.repeat([1.5, 3.0, 4.0], k)
             qs = np.repeat([3.0, 1.5, 1.2], k)
-            run = _ascent(M.entries, ps, qs, np.tile(X0, 3), 200, 1e-10, k)
+            X0 = np.hstack([_unit_starts(M, 32 + m, p) for p in (1.5, 3, 4)])
+            run = _ascent(M.entries, ps, qs, X0, 200, 1e-10, k)
             assert len(run.iters) == len(run.stop) == 3
             for b, (p, q) in enumerate([(1.5, 3), (3, 1.5), (4, 1.2)]):
+                X0 = _unit_starts(M, 32 + m, p)
                 one = _ascent(M.entries, as_index(p), as_index(q), X0, 200, 1e-10)
                 assert abs(run.best[b][0] - one.best[0][0]) <= 1e-12 * one.best[0][0]
                 assert run.stop[b] in ("converged", "settled", "max_iter")
@@ -637,6 +665,20 @@ class TestStartBlock:
             assert not X0.flags.writeable
             assert _start_block(m, M.field, restarts, seed) is X0
         assert _start_block.cache_info().maxsize is not None
+
+    def test_unit_block_is_the_normalized_block(self):
+        # the starts every ascent takes: the start block scaled to unit
+        # p-norm, bit for bit, built once per (m, field, restarts, seed, p)
+        # and read-only
+        for m, field, restarts, seed in [(4, "real", 36, 0), (4, "complex", 36, 0), (7, "complex", 40, 5)]:
+            for p in (1.5, 2, 3, "inf"):
+                pi = as_index(p)
+                X0 = _unit_start_block(m, field, restarts, seed, pi)
+                want = _normalize_cols(_start_block(m, field, restarts, seed), pi)
+                assert X0.dtype == want.dtype and X0.tobytes() == want.tobytes()
+                assert not X0.flags.writeable
+                assert _unit_start_block(m, field, restarts, seed, pi) is X0
+        assert _unit_start_block.cache_info().maxsize is not None
 
 
 class TestWorkedExample:
@@ -771,10 +813,10 @@ def test_settled_estimates_against_full_run(seed, n, m, complex_, k):
     # the 1e-12 rounding slack bracket_norm allows), and exactly 2^k times
     # the value on 2^k A
     M = rand_matrix(seed, n, m, complex_=complex_)
-    X0 = _default_starts(M, 32 + m, np.random.default_rng(0))
     got = best_norms(M, SETTLE_PAIRS)
     scaled = best_norms(as_matrix(_ldexp(M.entries, k), M.field), SETTLE_PAIRS)
     for (p, q), res, big in zip(SETTLE_PAIRS, got, scaled):
+        X0 = _unit_starts(M, 32 + m, p)
         [(full, _)] = _ascent(M.entries, as_index(p), as_index(q), X0, 200, 1e-10, settle=False).best
         assert res.value >= (1.0 - 1e-9) * full, (p, q)
         assert res.value <= norm_upper_bound(M, p, q) * (1.0 + 1e-12), (p, q)
@@ -825,6 +867,67 @@ class TestDualStep:
                 )
 
 
+class TestLinearMap:
+    @staticmethod
+    def _samples():
+        """_dual_step_samples scaled into the ascent's range (largest
+        modulus in [1/2, 1)), the same shapes without zero entries, and
+        with one column whose squares underflow."""
+        r = np.random.default_rng(2025)
+        for W in _dual_step_samples():
+            if W.any():
+                W = _pow2_normalized(W)[0]
+            yield W
+            full = _pow2_normalized(W + r.uniform(0.5, 1.0, W.shape) * (W == 0))[0]
+            yield full
+            full[:, 3] = _ldexp(full[:, 3], -520)
+            yield full
+
+    def test_positive_multiple_of_the_map(self):
+        # per nonzero column, a positive multiple of _dual_step's map at
+        # t = 2 (W itself where no column sum of squares underflows); the
+        # forward norms are the 2-norms of W, the backward ones the 2-norms
+        # of the map returned, which the ascent divides it by
+        for W in self._samples():
+            live = np.abs(W).max(axis=0) > 0
+            for dual in (False, True):
+                phi, norms = _linear_map(np.iscomplexobj(W), dual)(W)
+                ref, ref_norms = _dual_step(W, as_index(2), dual=dual)
+                assert not phi[:, ~live].any()
+                c = np.linalg.norm(phi[:, live], axis=0) / np.linalg.norm(ref[:, live], axis=0)
+                assert np.all(c > 0)
+                np.testing.assert_allclose(phi[:, live], ref[:, live] * c, rtol=1e-14, atol=0)
+                want = np.linalg.norm(phi, axis=0) if dual else ref_norms
+                np.testing.assert_allclose(norms, want, rtol=1e-14, atol=0)
+
+    def test_inputs_stay_in_range(self, monkeypatch):
+        # the unscaled squares are safe because the ascent feeds the map
+        # |W| < m forward and |Z| < n m backward, at any scale of A
+        import pqnorm.induced_norms as mod
+
+        seen = []
+        linear = mod._linear_map
+
+        def spy(cplx, dual):
+            step = linear(cplx, dual)
+
+            def recorded(W):
+                seen.append((dual, float(np.abs(W).max())))
+                return step(W)
+
+            return recorded
+
+        monkeypatch.setattr(mod, "_linear_map", spy)
+        pairs = [("inf", 2), (2, 1.5), (2, 3), (1.5, 2), (3, 2), (2, 1)]
+        for i, (n, m) in enumerate([(4, 4), (5, 3), (3, 7), (8, 8)]):
+            A = rand_matrix(1700 + i, n, m, complex_=bool(i % 2)).entries
+            for k in (-1000, 0, 1000):
+                seen.clear()
+                for p, q in pairs:  # one point per ascent: stacked points use the power map
+                    best_norm(as_matrix(_ldexp(A, k)), p, q)
+                assert seen and all(top < (n * m if dual else m) for dual, top in seen), (n, m, k)
+
+
 def _stacked_samples():
     """Matrices for the stacked-ascent checks: Gaussians in both fields with
     a zero column, the zero matrix, one row, one column, and 2^(+-1000)."""
@@ -844,42 +947,45 @@ def _stacked_samples():
 # per-column exponents; the samples are those of _frozen_matrices.  The
 # complex entries were frozen again when the kernel began to freeze columns
 # in place and to form the complex duality map with one product: both move
-# low bits only (values by at most 3.4e-16 relative)
+# low bits only (values by at most 3.4e-16 relative).  The (inf, 2) and
+# (2, 1) entries were frozen again when the ascent's half-steps at exponent
+# 2 became the linear map (W unscaled, 2-norm by one vecdot): values moved
+# by at most 2.1e-16 relative, witnesses in low bits
 FROZEN_SINGLE_POINT = {
     ("r4x4", 1.5, 3): ("0x1.834692bee60eap+1", "f6e65f6ddc1e2d0f"),
     ("r4x4", 3, 1.5): ("0x1.7c8130e75ba8cp+2", "6fe69135b8fe5531"),
     ("r4x4", 4, 1.2): ("0x1.ff46820b6f9e4p+2", "5a443a315f0a7bf8"),
     ("r4x4", "inf", 2): ("0x1.d6d4f4a830e88p+2", "76a449f8269ad0c3"),
-    ("r4x4", 2, 1): ("0x1.d9ed408da1386p+2", "a7e62df56573a635"),
+    ("r4x4", 2, 1): ("0x1.d9ed408da1386p+2", "f639a5856b322578"),
     ("r4x4", "inf", 1.5): ("0x1.1ca23512d0a37p+3", "76a449f8269ad0c3"),
     ("r4x4", 1.5, 1.5): ("0x1.100abb9ee83fbp+2", "05a13fe61594605d"),
     ("c5x3", 1.5, 3): ("0x1.09fb48dc3b9c0p+2", "dfd2ba1a095999f5"),
     ("c5x3", 3, 1.5): ("0x1.178b27ccc458ep+3", "75640b84852a8a64"),
     ("c5x3", 4, 1.2): ("0x1.88d1d16f5dc4ap+3", "7640804011a37792"),
-    ("c5x3", "inf", 2): ("0x1.353ab03402935p+3", "ddc93a8298fb327f"),
-    ("c5x3", 2, 1): ("0x1.8c68a0f5f10fbp+3", "e7756f237c952655"),
+    ("c5x3", "inf", 2): ("0x1.353ab03402934p+3", "209658a3c8603d9c"),
+    ("c5x3", 2, 1): ("0x1.8c68a0f5f10fcp+3", "90b7ce3057a4370c"),
     ("c5x3", "inf", 1.5): ("0x1.8c475d24e0033p+3", "45fec284f7381687"),
     ("c5x3", 1.5, 1.5): ("0x1.9f4add2c15026p+2", "fa8ab4e1fd3c0867"),
     ("r3x6", 1.5, 3): ("0x1.3a7cd6310dcc9p+1", "244abe6f1b77cbc9"),
     ("r3x6", 3, 1.5): ("0x1.2f24b197c3571p+2", "d3412ccc9c97272b"),
     ("r3x6", 4, 1.2): ("0x1.97722f68520cap+2", "3a0745e0e02bed26"),
     ("r3x6", "inf", 2): ("0x1.c0924c19e068ap+2", "436979213dbbbdb1"),
-    ("r3x6", 2, 1): ("0x1.4883a8ab5f828p+2", "e90498534d0a6256"),
+    ("r3x6", 2, 1): ("0x1.4883a8ab5f828p+2", "30092824304117fa"),
     ("r3x6", "inf", 1.5): ("0x1.0599ba7bddc88p+3", "436979213dbbbdb1"),
     ("r3x6", 1.5, 1.5): ("0x1.7dd1af262e962p+1", "c2f5f90ffacb3f40"),
     ("c8x8", 1.5, 3): ("0x1.223ce8c263f05p+2", "99e897cc7c024d94"),
     ("c8x8", 3, 1.5): ("0x1.a8800516248cbp+3", "77f998171d0788f2"),
     ("c8x8", 4, 1.2): ("0x1.5ace5c94c0551p+4", "5066a9e59348212c"),
-    ("c8x8", "inf", 2): ("0x1.2a82af0bc91a9p+4", "b4c8c21f902d67ab"),
-    ("c8x8", 2, 1): ("0x1.38babd9a1de3dp+4", "4e3282fb15eb9610"),
+    ("c8x8", "inf", 2): ("0x1.2a82af0bc91a8p+4", "57765391229c178b"),
+    ("c8x8", 2, 1): ("0x1.38babd9a1de3dp+4", "6ec3fad8c2f775dc"),
     ("c8x8", "inf", 1.5): ("0x1.96227e8d57b64p+4", "bbc6366e8c04ea3f"),
     ("c8x8", 1.5, 1.5): ("0x1.fcc8bd1f011f1p+2", "9bb84b19f9e42aa6"),
     ("c8x8", "inf", 1): ("0x1.8a89969abb132p+5", "2646679626689555"),
     ("r12x10", 1.5, 3): ("0x1.fadf1b1ae5b22p+1", "2c763f6c68c71c5f"),
     ("r12x10", 3, 1.5): ("0x1.8dda22e23f81cp+3", "b10bcc35c43af737"),
     ("r12x10", 4, 1.2): ("0x1.563699588b7a4p+4", "620fbfc66c41a187"),
-    ("r12x10", "inf", 2): ("0x1.182165059f904p+4", "2f4b693cbb42a713"),
-    ("r12x10", 2, 1): ("0x1.3f16451cce0e7p+4", "3a9f1921eb1ba830"),
+    ("r12x10", "inf", 2): ("0x1.182165059f903p+4", "2f4b693cbb42a713"),
+    ("r12x10", 2, 1): ("0x1.3f16451cce0e7p+4", "88333e409eb95805"),
     ("r12x10", "inf", 1.5): ("0x1.8fbcfd798b382p+4", "2f4b693cbb42a713"),
     ("r12x10", 1.5, 1.5): ("0x1.c84f1cf9a0ec0p+2", "df4aab1514227a3a"),
 }
