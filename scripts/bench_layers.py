@@ -40,7 +40,8 @@ Two rows time small-matrix ascents on a fresh Gaussian (seed 0) for r4,
 c4, r8 and c8:
 
   best_norm_inf_2   one-point best_norm at (inf, 2), whose forward
-                    half-step is the ascent's linear map at exponent 2
+                    half-step is the ascent's peak-free map at exponent
+                    2, W passed on unchanged
   decide_equality   decide_equality(M, 3, 1.5, 1.5, 3), i.e. ||M||_{1.5,3}
                     against the factor times ||M||_{3,1.5}: an equality
                     decision whose two sides are both estimated

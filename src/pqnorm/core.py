@@ -101,9 +101,25 @@ INF = ExtIndex(math.inf)
 
 _INF_TOKENS = {"inf", "infinity", "oo"}
 
+# one shared ExtIndex per exponent value, for the first _INDEX_TABLE_SIZE values seen
+_INDEX_TABLE_SIZE = 256
+_INDEX_TABLE = {1.0: ONE, 2.0: TWO, math.inf: INF}
+
+
+def _index_of(v: float) -> ExtIndex:
+    p = _INDEX_TABLE.get(v)
+    if p is None:
+        p = ExtIndex(v)
+        if len(_INDEX_TABLE) < _INDEX_TABLE_SIZE:
+            _INDEX_TABLE[v] = p
+    return p
+
 
 def as_index(p: IndexLike) -> ExtIndex:
-    """Coerce a number or string ("inf" accepted, case-insensitive) to ExtIndex."""
+    """Coerce a number or string ("inf" accepted, case-insensitive) to ExtIndex.
+
+    ExtIndex is immutable, so equal exponents share one instance from a
+    bounded table."""
     if isinstance(p, ExtIndex):
         return p
     if isinstance(p, str):
@@ -111,10 +127,10 @@ def as_index(p: IndexLike) -> ExtIndex:
         if token in _INF_TOKENS:
             return INF
         try:
-            return ExtIndex(float(token))
+            return _index_of(float(token))
         except ValueError as exc:
             raise ValueError(f"cannot parse norm exponent from {p!r}") from exc
-    return ExtIndex(float(p))
+    return _index_of(float(p))
 
 
 def index_str(p: IndexLike) -> str:
@@ -134,7 +150,7 @@ def conjugate(p: IndexLike) -> ExtIndex:
         return ONE
     if q.value == 2.0:
         return TWO
-    return ExtIndex(q.value / (q.value - 1.0))
+    return _index_of(q.value / (q.value - 1.0))
 
 
 def sign_between(p: IndexLike, r: IndexLike) -> int:

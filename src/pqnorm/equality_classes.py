@@ -75,6 +75,7 @@ from .bounds import (
     bound_factor,
     bracket_norm,
     decide_equality,
+    norm_upper_bound,
 )
 from .generators import extremal_pair_classes
 
@@ -828,8 +829,8 @@ def check_Einf1(
     bound sigma_1 m^-(1/p-1/2)_+ n^-(1/2-1/q)_+ <= ||A||_{p,q} is searched,
     so a "no" without a candidate is exact unless a group's search was not
     exhaustive; over the complex field only the groups whose amplitude fits
-    the norm bracket are searched.  The norm bracket is formed only when
-    needed.
+    the window from that bound to the certified norm_upper_bound are
+    searched.  The norm bracket is formed only once a candidate needs it.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
@@ -850,17 +851,18 @@ def check_Einf1(
     edges = [0, *(np.flatnonzero(gaps[:-1] > (1.0 + 2.0 * math.sqrt(m)) * t) + 1).tolist(), m]
     groups = [(i, j, svals[i] if i < len(svals) else 0.0) for i, j in zip(edges, edges[1:])]
     ab = None
+    # a member's ratio is ||A||_{p,q}, which low, an exact lower bound, and
+    # the certified upper bound enclose
+    low = svals[0] / bound_factor(pi, qi, 2, 2, m, n)
     if M.is_complex:
-        ab = bracket_norm(M, pi, qi, seed=seed)
-        btol = _bracket_tol(ab, tol)
-        lo, hi = amp * ab.lower * (1.0 - btol), amp * ab.upper * (1.0 + btol)
+        high = norm_upper_bound(M, pi, qi)
+        btol = tol if low == high else max(tol, ESTIMATED_EQ_TOL)
+        lo, hi = amp * low * (1.0 - btol), amp * high * (1.0 + btol)
         searched = [g for g in groups if lo <= g[2] <= hi and g[2] > 0]
         measured = {"window": (lo, hi), "singular_values": svals}
         V = f.v.astype(complex)
         eig_tol = max(tol, 1e-7)  # candidates carry the computed vectors' phase error
     else:
-        # a member's ratio reaches ||A||_{p,q} >= low, an exact lower bound
-        low = svals[0] / bound_factor(pi, qi, 2, 2, m, n)
         low *= amp * (1.0 - max(tol, ESTIMATED_EQ_TOL))
         searched = [g for g in groups if g[2] >= low and g[2] > 0]
         measured = {"lower_bound": low, "singular_values": svals}
@@ -924,7 +926,8 @@ def check_Einf1(
     conds.append(Condition("eigenvector-with-matching-amplitude", state, {"eigenspaces": count}))
     if undecided:
         return _verdict("undetermined", conds, certainty="estimate-backed")
-    # over the reals a "no" without a candidate used no norm estimate
+    # a "no" without a candidate used no norm estimate: the real window rests
+    # on the exact lower bound, the complex one on it and the certified bound
     exact = not loose and (ab is None or ab.is_exact)
     return _verdict("no", conds, certainty="exact" if exact else "estimate-backed")
 

@@ -60,6 +60,7 @@ REAL = "real"
 COMPLEX = "complex"
 
 _TINY = 1e-300
+_HUGE = 1.0 / _TINY
 
 
 class DimensionError(ValueError):
@@ -89,7 +90,7 @@ class MatrixValue:
     _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, copy=True)
+        arr = np.asarray(self.entries)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("matrix must be two-dimensional and nonempty")
         if self.field == REAL:
@@ -97,12 +98,12 @@ class MatrixValue:
                 if np.any(arr.imag != 0):
                     raise ValueError("real-field matrix has entries with nonzero imaginary part")
                 arr = arr.real
-            arr = arr.astype(np.float64)
+            arr = np.array(arr, dtype=np.float64)  # the one copy, never the caller's array
         elif self.field == COMPLEX:
-            arr = arr.astype(np.complex128)
+            arr = np.array(arr, dtype=np.complex128)
         else:
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -191,7 +192,7 @@ def _over(z: np.ndarray, d: np.ndarray, out: Optional[np.ndarray] = None) -> np.
     the product with its reciprocal, so complex z takes that cheaper form
     directly: the same bits, up to the sign of a real or imaginary part
     that is or underflows to zero."""
-    if np.iscomplexobj(z):
+    if z.dtype.kind == "c":
         return np.multiply(z, 1.0 / d, out=out)
     return np.divide(z, d, out=out)
 
@@ -199,7 +200,7 @@ def _over(z: np.ndarray, d: np.ndarray, out: Optional[np.ndarray] = None) -> np.
 def _phase(w: np.ndarray, a: Optional[np.ndarray] = None) -> np.ndarray:
     """w / |w| entrywise, 0 mapped to 0; sign() for real input.  a, when
     given, is |w|; without zeros in it (the common case) it needs no mask."""
-    if not np.iscomplexobj(w):
+    if w.dtype.kind != "c":
         return np.sign(w)
     a = np.abs(w) if a is None else a
     return _over(w, a if a.min(initial=1.0) > 0 else np.where(a > 0, a, 1.0))
@@ -245,7 +246,7 @@ def _unit_map(top: bool, dual: bool) -> Callable:
 
     def step(W: np.ndarray) -> tuple:
         a = np.abs(W)
-        peak = _amax(a, 0)
+        peak = _amax(a, 0) if top or dual else None
         if top:
             at = (a.argmax(axis=0), np.arange(W.shape[1]))
             phi = np.zeros_like(W)
@@ -301,51 +302,97 @@ def _power_map(t, cplx: bool, dual: bool) -> Callable:
     return step
 
 
-def _duality_map(t: Exponent, cplx: bool, dual: bool = False) -> Callable:
-    """The half-step W -> (phi, norms) for exponent t, chosen once: phi is
-    the duality map of each column of W, and norms are the column t-norms
-    of W or, with dual, the t*-norms of phi, which are 0 for a zero column
-    and at least 1 otherwise (the largest entry contributes 1).  cplx tells
-    whether W is complex, as it is for every W of one ascent."""
+def _dual_step(W: np.ndarray, t: Exponent, dual: bool = False) -> tuple:
+    """The reference half-step on W: the duality map of each column (the
+    phase or top-entry map at t = 1 or inf, else the peak-scaled power map)
+    with the norms _ascent_map's maps give, whose phi is a positive column
+    multiple of this one."""
     if isinstance(t, ExtIndex):
         if t.value == 1.0 or t.is_inf:
-            return _unit_map(t.is_inf, dual)
+            return _unit_map(t.is_inf, dual)(W)
         t = t.value
-    return _power_map(t, cplx, dual)
+    return _power_map(t, np.iscomplexobj(W), dual)(W)
 
 
-def _dual_step(W: np.ndarray, t: Exponent, dual: bool = False) -> tuple:
-    """_duality_map(t) applied to W."""
-    return _duality_map(t, np.iscomplexobj(W), dual)(W)
+def _peak_free_map(t, cplx: bool, dual: bool) -> Callable:
+    """The ascent's half-step at finite t > 1, or at one finite t >= 1 per
+    column (an array), without the per-column peak: phi = W |W|^(t-2) and,
+    for s = sum |W|^t per column, the t-norms of W, s^(1/t), or with dual
+    the t*-norms of phi, s^(1-1/t).  phi is s^(1-1/t) times each column's
+    duality map, a positive multiple that the backward step's normalisation
+    removes; at t = 2 it is W itself, with s from one vecdot.  The ascent
+    feeds it |W| < m forward and |W| < n max(1, m^(q-1)) backward, so the
+    sums stay in range except at extreme exponents.
 
-
-def _linear_map(cplx: bool, dual: bool) -> Callable:
-    """The ascent's half-step at t = 2: W itself, with its column 2-norms
-    from one vecdot.  The duality map at t = 2 is W / peak, a positive
-    multiple of each column, which the backward step's normalisation
-    removes: so the forward step passes W on unchanged, and the backward
-    step returns Z with the 2-norms it is then divided by.  Skipping the
-    peak scaling is safe only because the ascent runs on A / 2^e with
-    unit-p-norm iterates: |W| < m and |Z| < n m, so no square overflows.
-    A column sum of squares at or below _TINY is 0 or may have lost bits
-    to underflow; such a step takes the peak-scaled power map instead."""
-    scaled = _power_map(2.0, cplx, dual)
+    A step falls back to the peak-scaled _power_map when the sum of some
+    nonzero column is at most _TINY (it may have lost bits to underflow)
+    or is not below 1/_TINY (its phi could overflow the next product; the
+    caller ignores the overflow that such a step may meet); a zero column is
+    dead, with norm 0.  At complex t < 2, |w|^(t-2) is infinite at w = 0,
+    so a step with an entry of modulus at most _TINY falls back too; a real
+    phi is |w|^(t-1) with the sign of w, taken by np.sign where a t = 1
+    column's |w|^0 reads 1 at w = 0."""
+    fallback = _power_map(t, cplx, dual)
+    tm1, tm2 = t - 1.0, t - 2.0
+    power = 1.0 - 1.0 / t if dual else 1.0 / t
+    # zero entries need care at complex t < 2 and at real t = 1
+    if isinstance(t, float):
+        linear, zero_test = t == 2.0, cplx and t < 2.0
+    else:
+        linear, zero_test = False, bool(((t < 2.0) if cplx else (t == 1.0)).any())
 
     def step(W: np.ndarray) -> tuple:
-        s = np.vecdot(W, W, axis=0)
-        s = s.real if cplx else s
-        if not _amin(s, None) > _TINY:
-            return scaled(W)
-        return W, np.sqrt(s)
+        if linear:
+            phi, s = W, np.vecdot(W, W, axis=0)
+            s = s.real if cplx else s
+        elif cplx:
+            a = np.abs(W)
+            if zero_test and not a.ravel()[a.argmin()] > _TINY:
+                return fallback(W)
+            pw = a**tm2
+            phi = W * pw
+            pw *= a
+            pw *= a
+            s = _add(pw, 0)
+        else:
+            a = np.abs(W)
+            r = a**tm1
+            if zero_test:
+                phi = np.sign(W)
+                phi *= r
+            else:
+                phi = np.copysign(r, W)
+            r *= a
+            s = _add(r, 0)
+        # arg-reductions, cheaper than min and max at these sizes, find a NaN
+        # first, which fails both tests
+        if not s[s.argmax()] < _HUGE:
+            return fallback(W)
+        if s[s.argmin()] > _TINY:
+            return phi, s**power
+        small = s <= _TINY
+        if W[:, small].any():
+            return fallback(W)
+        norms = s**power
+        norms[small] = 0.0  # dead columns (a t = 1 column's s^0 reads 1)
+        return phi, norms
 
     return step
 
 
 def _ascent_map(t: Exponent, cplx: bool, dual: bool = False) -> Callable:
-    """_duality_map(t), with the linear map at t = 2."""
-    if isinstance(t, ExtIndex) and t.value == 2.0:
-        return _linear_map(cplx, dual)
-    return _duality_map(t, cplx, dual)
+    """The ascent's half-step W -> (phi, norms) for exponent t, chosen once:
+    phi is a positive multiple of the duality map of each column of W (the
+    phase map at 1, the top-entry map at inf, and the peak-free map at
+    every other exponent and for per-column exponents), and norms are the
+    column t-norms of W or, with dual, the t*-norms of phi, 0 for a zero
+    column.  cplx tells whether W is complex, as it is for every W of one
+    ascent."""
+    if isinstance(t, ExtIndex):
+        if t.value == 1.0 or t.is_inf:
+            return _unit_map(t.is_inf, dual)
+        t = t.value
+    return _peak_free_map(t, cplx, dual)
 
 
 def _normalize_cols(X: np.ndarray, p: ExtIndex) -> np.ndarray:
@@ -402,7 +449,10 @@ def _ascent(
     settle off.  The ascent runs on A / 2^e, which moves no iterate, and the
     values are scaled back at the end, so no scale of A overflows a step.
     Both half-steps' maps are chosen once per call (per block drop for
-    per-column exponents).
+    per-column exponents): the phase and top-entry maps at 1 and inf, and
+    the peak-free map at every other exponent, which A / 2^e and the
+    unit-p-norm iterates keep in range except at extreme exponents, where a
+    step falls back.
     """
     arr, e = _pow2_normalized(arr)
     if isinstance(p, ExtIndex):
@@ -434,57 +484,60 @@ def _ascent(
         vals_out[b * k : (b + 1) * k] = vals[i * k : (i + 1) * k]
         best[b], iters[b], stop[b] = (best_val[i], best_vec[i]), t + 1, why
 
-    prev, t = None, -1
-    for t in range(max_iter):
-        U, vals = fwd(arr @ X)
-        settled = []
-        for i, j in enumerate(vals.reshape(-1, k).argmax(axis=1).tolist()):
-            j += i * k  # running block i holds columns i k .. (i + 1) k - 1
-            if vals[j] > best_val[i]:
-                best_val[i], best_vec[i] = float(vals[j]), X[:, j].copy()
-            if settle:
-                old, ring[i][t % SETTLE_WINDOW] = ring[i][t % SETTLE_WINDOW], best_val[i]
-                settled.append(best_val[i] - old <= SETTLE_RTOL * best_val[i])
-        frozen = None
-        if prev is not None:  # always set by the time a block can settle
-            frozen = np.abs(vals - prev) <= tol * np.maximum(vals, _TINY)
-            nf = np.count_nonzero(frozen)  # spares the per-block test in the common cases
-            if nf in (0, frozen.size) or len(live) == 1:
-                drop = [nf == frozen.size] * len(live)
-            else:
-                drop = frozen.reshape(-1, k).all(axis=1).tolist()
-            drop = [d or s for d, s in zip(drop, settled)] if settle else drop
-            if any(drop):
-                for i in (i for i, d in enumerate(drop) if d):
-                    retire(i, "settled" if settle and settled[i] else "converged")
-                live, best_val, best_vec, ring = (
-                    [x for x, d in zip(s, drop) if not d] for s in (live, best_val, best_vec, ring)
-                )
-                if not live:
-                    break
-                keep = ~np.repeat(drop, k)
-                X, U, vals, frozen = X[:, keep], U[:, keep], vals[keep], frozen[keep]
-                if not isinstance(q, ExtIndex):
-                    q, pstar = q[keep], pstar[keep]
-                    fwd, bwd = _ascent_map(q, cplx), _ascent_map(pstar, cplx, dual=True)
-        prev = vals
-        if t + 1 == max_iter:
-            break  # X stays the iterate whose values vals holds
-        Xn, norms = bwd(adj @ U)
-        # a dual norm is 0 for a zero column of A* U and positive otherwise;
-        # such a dead column keeps its iterate
-        if np.count_nonzero(norms) < norms.size:
-            dead = norms == 0.0
-            norms = np.where(dead, 1.0, norms)
-            frozen = dead if frozen is None else frozen | dead
-        if not unit:
-            Xn = _over(Xn, norms, out=Xn)
-        if frozen is not None:
-            np.copyto(Xn, X, where=frozen)
-        X = Xn
-    for i in range(len(live)):
-        retire(i, "max_iter")
-    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+    # a step whose sums overflow falls back, and a norm past the float range
+    # reads inf once scaled back
+    with np.errstate(over="ignore"):
+        prev, t = None, -1
+        for t in range(max_iter):
+            U, vals = fwd(arr @ X)
+            settled = []
+            for i, j in enumerate(vals.reshape(-1, k).argmax(axis=1).tolist()):
+                j += i * k  # running block i holds columns i k .. (i + 1) k - 1
+                if vals[j] > best_val[i]:
+                    best_val[i], best_vec[i] = float(vals[j]), X[:, j].copy()
+                if settle:
+                    old, ring[i][t % SETTLE_WINDOW] = ring[i][t % SETTLE_WINDOW], best_val[i]
+                    settled.append(best_val[i] - old <= SETTLE_RTOL * best_val[i])
+            frozen, nf = None, 0
+            if prev is not None:  # always set by the time a block can settle
+                frozen = np.abs(vals - prev) <= tol * vals  # a dead column's 0 <= 0
+                nf = np.count_nonzero(frozen)  # spares the per-block test in the common cases
+                if nf in (0, frozen.size) or len(live) == 1:
+                    drop = [nf == frozen.size] * len(live)
+                else:
+                    drop = frozen.reshape(-1, k).all(axis=1).tolist()
+                drop = [d or s for d, s in zip(drop, settled)] if settle else drop
+                if any(drop):
+                    for i in (i for i, d in enumerate(drop) if d):
+                        retire(i, "settled" if settle and settled[i] else "converged")
+                    live, best_val, best_vec, ring = (
+                        [x for x, d in zip(s, drop) if not d]
+                        for s in (live, best_val, best_vec, ring)
+                    )
+                    if not live:
+                        break
+                    keep = ~np.repeat(drop, k)
+                    X, U, vals, frozen = X[:, keep], U[:, keep], vals[keep], frozen[keep]
+                    if not isinstance(q, ExtIndex):
+                        q, pstar = q[keep], pstar[keep]
+                        fwd, bwd = _ascent_map(q, cplx), _ascent_map(pstar, cplx, dual=True)
+            prev = vals
+            if t + 1 == max_iter:
+                break  # X stays the iterate whose values vals holds
+            Xn, norms = bwd(adj @ U)
+            # a dual norm is 0 for a zero column of A* U and positive otherwise;
+            # such a dead column keeps its iterate
+            if np.count_nonzero(norms) < norms.size:
+                dead = norms == 0.0
+                norms = np.where(dead, 1.0, norms)
+                frozen, nf = dead if frozen is None else frozen | dead, 1
+            if not unit:
+                Xn = _over(Xn, norms, out=Xn)
+            if nf:
+                np.copyto(Xn, X, where=frozen)
+            X = Xn
+        for i in range(len(live)):
+            retire(i, "max_iter")
         best = [(float(np.ldexp(v, e)), vec) for v, vec in best]
         return _Ascent(best, np.ldexp(vals_out, e), X_out, iters, stop)
 
@@ -690,7 +743,9 @@ def _sign_images(B: np.ndarray):
         return
     Y = np.empty((n, BLOCK))
     for start in range(0, total, w):
-        shift = B[:, low:] @ _sign_cols(start, m)[low:]
+        # the high signs alone: index bit b - 1 sets the sign of entry b
+        high = [-1.0 if start >> (b - 1) & 1 else 1.0 for b in range(low, m)]
+        shift = B[:, low:] @ np.array(high)
         for h, half in halves:
             yield np.add(half, shift[:, None], out=Y), lambda j, s=start + h: _sign_cols(s + j, m)
 

@@ -38,6 +38,32 @@ class TestExtIndex:
         assert as_index(float("inf")).is_inf
         assert as_index(ONE) is ONE
 
+    def test_equal_exponents_share_one_instance(self, monkeypatch):
+        # immutable, so numbers and strings of one value map to one shared
+        # ExtIndex, from a table that stops growing at its size
+        import pqnorm.core as core
+
+        monkeypatch.setattr(core, "_INDEX_TABLE", {1.0: ONE, 2.0: TWO, math.inf: INF})
+        assert as_index(1.5) is as_index("1.5") is as_index(np.float64(1.5))
+        assert as_index(2) is TWO and as_index(float("inf")) is INF and as_index("1") is ONE
+        for k in range(2 * core._INDEX_TABLE_SIZE):
+            assert as_index(1.0 + k / 7.0).value == 1.0 + k / 7.0
+        assert len(core._INDEX_TABLE) == core._INDEX_TABLE_SIZE
+        with pytest.raises(AttributeError):
+            as_index(1.5).value = 3.0
+
+    def test_error_messages(self):
+        for bad, kind, text in [
+            (0.5, ValueError, "norm exponent must lie in [1, inf], got 0.5"),
+            (-3, ValueError, "norm exponent must lie in [1, inf], got -3.0"),
+            ("0.5", ValueError, "cannot parse norm exponent from '0.5'"),
+            ("abc", ValueError, "cannot parse norm exponent from 'abc'"),
+            (None, TypeError, "float() argument must be a string or a real number"),
+        ]:
+            with pytest.raises(kind) as err:
+                as_index(bad)
+            assert str(err.value).startswith(text), bad
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             as_index(0.5)

@@ -240,6 +240,29 @@ class TestEinf1:
         SE = gen_single_entry(2, 2, 0, 0, 3.0)
         assert check_Einf1(as_matrix(SE.entries, field="complex"), 2, 2).member == "no"
 
+    def test_complex_no_forms_no_bracket(self, monkeypatch):
+        # the complex eigengroup window runs from the exact lower bound
+        # sigma_1 / bound_factor(p, q, 2, 2) to the certified upper bound,
+        # so a "no" that no candidate reaches forms no norm bracket (and
+        # runs no ascent) and is exact; a member forms it to resolve its
+        # amplitude
+        formed = []
+        bracket = equality_classes.bracket_norm
+
+        def spy(*args, **kwargs):
+            formed.append(args[1:])
+            return bracket(*args, **kwargs)
+
+        monkeypatch.setattr(equality_classes, "bracket_norm", spy)
+        for seed in range(6):
+            r = np.random.default_rng(1900 + seed)
+            A = r.standard_normal((4, 3)) + 1j * r.standard_normal((4, 3))
+            for p, q in [(1.5, 3), (3, 1.5), (2, 2), (3, 3)]:
+                v = check_Einf1(as_matrix(A, field="complex"), p, q)
+                assert (v.member, v.certainty) == ("no", "exact"), (seed, p, q)
+        assert not formed
+        assert check_Einf1(BC, 2, 2).member == "yes" and formed == [(as_index(2),) * 2]
+
     def test_power_of_two_scaling(self):
         # the eigen-residual test formed A*A v unscaled, which overflowed at
         # 2^1000 and turned both members into "no" or "undetermined"
