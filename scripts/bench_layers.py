@@ -50,7 +50,7 @@ The reps are interleaved: each pass runs every cell once (five times for
 the check_einf1 cells) before the next pass starts, so a slow spell of a
 shared host spreads over all cells instead of landing on one.
 
-Four rows are deterministic figures, not timings:
+Five rows are deterministic figures, not timings:
 
   ascent_iters      per shape, the iterations of every ascent one
                     best_norms call over the 25-point grid runs, summed
@@ -65,6 +65,12 @@ Four rows are deterministic figures, not timings:
                     count) of one in-process `pqnorm verify FILE`
   ascent_calls      per decide_equality shape, the ascents one
                     decide_equality call of that row runs
+  map_rescales      the peak-scaled passes the ascent's peak-free map
+                    takes (calls of induced_norms._by_peaks): per shape
+                    in one best_norms call over the 25-point grid, and
+                    (key h8c_3_1.5) in one best_norm of the Sylvester
+                    Hadamard matrix of order 8 over the complex field
+                    at (3, 1.5)
 
 Run from the root of a source checkout (pqnorm is imported from ./src):
 
@@ -271,6 +277,33 @@ def ascent_iterations(kind: str, n: int) -> dict:
     return row
 
 
+def map_rescales() -> dict:
+    """Peak-scaled passes of the peak-free map: per shape in one best_norms
+    call over the grid, and in one best_norm of complex Hadamard 8 at (3, 1.5)."""
+    pairs = [(p, q) for p in GRID for q in GRID]
+    by_peaks, calls = induced_norms._by_peaks, []
+
+    def counting(W):
+        calls.append(1)
+        return by_peaks(W)
+
+    runs = {
+        f"{kind[0]}{n}": functools.partial(best_norms, MatrixValue(_matrix(kind, n), kind), pairs)
+        for kind, n in SHAPES
+    }
+    runs["h8c_3_1.5"] = functools.partial(best_norm, MatrixValue(gen_hadamard(8).entries, "complex"), 3, 1.5)
+    row = {}
+    induced_norms._by_peaks = counting
+    try:
+        for key, run in runs.items():
+            calls.clear()
+            run()
+            row[key] = len(calls)
+    finally:
+        induced_norms._by_peaks = by_peaks
+    return row
+
+
 def grid_peak_mb(kind: str, n: int) -> float:
     """tracemalloc peak (MB) of one best_norms call over the grid."""
     pairs = [(p, q) for p in GRID for q in GRID]
@@ -341,6 +374,7 @@ def main() -> None:
             f"{kind[0]}{n}": verify_calls(kind, n, workdir) for kind, n in SHAPES
         }
         results["ascent_calls"] = {f"{kind[0]}{n}": ascent_calls(kind, n) for kind, n in SMALL_SHAPES}
+        results["map_rescales"] = map_rescales()
     for kind, n in SHAPES:
         row = results[f"{kind[0]}{n}"]
         row["grid_speedup"] = row["grid_pointwise"] / row["grid_stacked"]
@@ -354,7 +388,7 @@ def main() -> None:
     payload = {
         "unit": (
             "s (median of reps), grid_speedup is pointwise / stacked; *_minflt, ascent_iters, "
-            "verify_calls, ascent_calls are counts; grid_peak_mb is MB"
+            "verify_calls, ascent_calls, map_rescales are counts; grid_peak_mb is MB"
         ),
         "reps": args.reps,
         "seed": 0,

@@ -41,6 +41,7 @@ from .induced_norms import (
     SvdFactors,
     as_matrix,
     best_norm,
+    best_norms,
     maximizer_set_probe,
     norm_bruteforce,
     norm_closed_form,

@@ -26,7 +26,6 @@ __all__ = [
     "as_index",
     "conjugate",
     "index_str",
-    "sgn",
     "sign_between",
     "vector_norm",
     "KClassId",
@@ -37,15 +36,6 @@ __all__ = [
 
 # Relative tolerance used by predicates when the caller does not pass one.
 DEFAULT_TOL = 1e-8
-
-
-def sgn(z: float) -> int:
-    """Sign of a real number: -1, 0 or +1."""
-    if z > 0:
-        return 1
-    if z < 0:
-        return -1
-    return 0
 
 
 @dataclass(frozen=True)

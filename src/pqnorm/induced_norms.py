@@ -61,6 +61,7 @@ COMPLEX = "complex"
 
 _TINY = 1e-300
 _HUGE = 1.0 / _TINY
+_NORMAL = np.finfo(float).tiny  # 2^-1022, the least normal float
 
 
 class DimensionError(ValueError):
@@ -199,11 +200,18 @@ def _over(z: np.ndarray, d: np.ndarray, out: Optional[np.ndarray] = None) -> np.
 
 def _phase(w: np.ndarray, a: Optional[np.ndarray] = None) -> np.ndarray:
     """w / |w| entrywise, 0 mapped to 0; sign() for real input.  a, when
-    given, is |w|; without zeros in it (the common case) it needs no mask."""
+    given, is |w|; without a zero or subnormal modulus in it (the common
+    case) it needs no mask.  1 / |w| overflows at a subnormal |w|, so such
+    entries are scaled by 2^54 first, exactly; the others keep their bits."""
     if w.dtype.kind != "c":
         return np.sign(w)
     a = np.abs(w) if a is None else a
-    return _over(w, a if a.min(initial=1.0) > 0 else np.where(a > 0, a, 1.0))
+    if a.min(initial=1.0) >= _NORMAL:
+        return _over(w, a)
+    w = w.copy()
+    w[a < _NORMAL] = _ldexp(w[a < _NORMAL], 54)
+    a = np.abs(w)
+    return _over(w, np.where(a > 0, a, 1.0))
 
 
 def _ldexp(x, e: int):
@@ -235,7 +243,7 @@ def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
 
 Exponent = Union[ExtIndex, np.ndarray]  # one for all columns, or one per column
 
-_amax, _amin, _add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+_amax, _add = np.maximum.reduce, np.add.reduce
 
 
 def _unit_map(top: bool, dual: bool) -> Callable:
@@ -260,58 +268,15 @@ def _unit_map(top: bool, dual: bool) -> Callable:
     return step
 
 
-def _power_map(t, cplx: bool, dual: bool) -> Callable:
-    """The duality map at finite t > 1, or at one finite t per column (an
-    array): phi = r^(t-1) * phase(w), r = |w| / peak, with one abs and one
-    power; and the column t-norms of W or, with dual, the t*-norms of phi,
-    s^(1-1/t) for s = sum r^(t-1) * r.  Without zero entries (one test) phi
-    is w * (r^(t-1) / |w|) for complex w, one complex product, and
-    r^(t-1) with the sign of w for real w; else the phase is masked.
-    r^(t-1) is exactly 1 at t = 1, so the array form covers those columns
-    too (zero columns get dual norm 0)."""
-    tm1 = t - 1.0
-    power = 1.0 - 1.0 / t if dual else 1.0 / t
-    per_column = not isinstance(t, float)
-
-    def step(W: np.ndarray) -> tuple:
-        a = np.abs(W)
-        peak = _amax(a, 0)
-        nonzero = _amin(a, None) > 0
-        safe = peak if nonzero else np.where(peak > 0, peak, 1.0)
-        if nonzero and cplx:
-            r = a / safe
-            rp = r**tm1
-            phi = W * np.divide(rp, a, out=a)
-        elif nonzero:
-            r = np.divide(a, safe, out=a)
-            rp = r**tm1
-            phi = np.copysign(rp, W)
-        else:
-            phi = _phase(W, a)
-            r = np.divide(a, safe, out=a)
-            rp = r**tm1
-            phi *= rp
-        s = _add(np.multiply(rp, r, out=r), 0)
-        if not dual:
-            return phi, safe * s**power
-        norms = s**power
-        if per_column and not nonzero:
-            norms *= peak > 0
-        return phi, norms
-
-    return step
-
-
-def _dual_step(W: np.ndarray, t: Exponent, dual: bool = False) -> tuple:
-    """The reference half-step on W: the duality map of each column (the
-    phase or top-entry map at t = 1 or inf, else the peak-scaled power map)
-    with the norms _ascent_map's maps give, whose phi is a positive column
-    multiple of this one."""
-    if isinstance(t, ExtIndex):
-        if t.value == 1.0 or t.is_inf:
-            return _unit_map(t.is_inf, dual)(W)
-        t = t.value
-    return _power_map(t, np.iscomplexobj(W), dual)(W)
+def _by_peaks(W: np.ndarray) -> tuple:
+    """(W / c, c) for c the largest modulus of each column (1 for a zero
+    column), with W scaled by a power of 2 first, exactly, so that 1 / c
+    cannot overflow."""
+    e = np.frexp(_amax(np.abs(W), 0))[1]
+    W = _ldexp(W, -e)
+    c = _amax(np.abs(W), 0)
+    c[c == 0] = 1.0
+    return _over(W, c), np.ldexp(c, e)
 
 
 def _peak_free_map(t, cplx: bool, dual: bool) -> Callable:
@@ -324,15 +289,16 @@ def _peak_free_map(t, cplx: bool, dual: bool) -> Callable:
     feeds it |W| < m forward and |W| < n max(1, m^(q-1)) backward, so the
     sums stay in range except at extreme exponents.
 
-    A step falls back to the peak-scaled _power_map when the sum of some
-    nonzero column is at most _TINY (it may have lost bits to underflow)
-    or is not below 1/_TINY (its phi could overflow the next product; the
-    caller ignores the overflow that such a step may meet); a zero column is
-    dead, with norm 0.  At complex t < 2, |w|^(t-2) is infinite at w = 0,
-    so a step with an entry of modulus at most _TINY falls back too; a real
-    phi is |w|^(t-1) with the sign of w, taken by np.sign where a t = 1
-    column's |w|^0 reads 1 at w = 0."""
-    fallback = _power_map(t, cplx, dual)
+    When the sum of some nonzero column is at most _TINY (it may have lost
+    bits to underflow) or is not below 1/_TINY (its phi could overflow the
+    next product; the caller ignores the overflow that such a step may
+    meet), the step runs once more on W divided by its column peaks
+    (_by_peaks), where every nonzero column's sum lies in [1, n]; a zero
+    column is dead, with norm 0.  At complex t < 2, |w|^(t-2) overflows at
+    w = 0 and may at a subnormal |w|: a step with such an entry reads it
+    as 1 at w = 0, so phi = 0 there, and forms phase(w) |w|^(t-1) at a
+    subnormal |w|.  A real phi is |w|^(t-1) with the sign of w, taken by
+    np.sign where a t = 1 column's |w|^0 reads 1 at w = 0."""
     tm1, tm2 = t - 1.0, t - 2.0
     power = 1.0 - 1.0 / t if dual else 1.0 / t
     # zero entries need care at complex t < 2 and at real t = 1
@@ -341,21 +307,12 @@ def _peak_free_map(t, cplx: bool, dual: bool) -> Callable:
     else:
         linear, zero_test = False, bool(((t < 2.0) if cplx else (t == 1.0)).any())
 
-    def step(W: np.ndarray) -> tuple:
+    def sums(W: np.ndarray) -> tuple:
         if linear:
             phi, s = W, np.vecdot(W, W, axis=0)
-            s = s.real if cplx else s
-        elif cplx:
-            a = np.abs(W)
-            if zero_test and not a.ravel()[a.argmin()] > _TINY:
-                return fallback(W)
-            pw = a**tm2
-            phi = W * pw
-            pw *= a
-            pw *= a
-            s = _add(pw, 0)
-        else:
-            a = np.abs(W)
+            return phi, s.real if cplx else s
+        a = np.abs(W)
+        if not cplx:
             r = a**tm1
             if zero_test:
                 phi = np.sign(W)
@@ -363,17 +320,31 @@ def _peak_free_map(t, cplx: bool, dual: bool) -> Callable:
             else:
                 phi = np.copysign(r, W)
             r *= a
-            s = _add(r, 0)
+            return phi, _add(r, 0)
+        low = None
+        if zero_test and not a.ravel()[a.argmin()] >= _NORMAL:
+            low = a < _NORMAL  # where |w|^(t-2) overflows or may
+        pw = (a if low is None else np.where(low, 1.0, a)) ** tm2
+        phi = W * pw
+        pw *= a
+        pw *= a
+        if low is not None and a[low].any():  # subnormal moduli
+            phi = np.where(low, _phase(W, a) * a**tm1, phi)
+            pw = np.where(low, a**t, pw)
+        return phi, _add(pw, 0)
+
+    def step(W: np.ndarray) -> tuple:
+        phi, s = sums(W)
         # arg-reductions, cheaper than min and max at these sizes, find a NaN
         # first, which fails both tests
-        if not s[s.argmax()] < _HUGE:
-            return fallback(W)
-        if s[s.argmin()] > _TINY:
+        if s[s.argmax()] < _HUGE and s[s.argmin()] > _TINY:
             return phi, s**power
-        small = s <= _TINY
-        if W[:, small].any():
-            return fallback(W)
-        norms = s**power
+        small, peak = s <= _TINY, 1.0
+        if not s[s.argmax()] < _HUGE or W[:, small].any():
+            W, peak = _by_peaks(W)
+            phi, s = sums(W)
+            small = s <= _TINY  # the zero columns
+        norms = s**power if dual else s**power * peak
         norms[small] = 0.0  # dead columns (a t = 1 column's s^0 reads 1)
         return phi, norms
 
@@ -452,7 +423,7 @@ def _ascent(
     per-column exponents): the phase and top-entry maps at 1 and inf, and
     the peak-free map at every other exponent, which A / 2^e and the
     unit-p-norm iterates keep in range except at extreme exponents, where a
-    step falls back.
+    step runs once more on its input divided by the column peaks.
     """
     arr, e = _pow2_normalized(arr)
     if isinstance(p, ExtIndex):
@@ -484,8 +455,8 @@ def _ascent(
         vals_out[b * k : (b + 1) * k] = vals[i * k : (i + 1) * k]
         best[b], iters[b], stop[b] = (best_val[i], best_vec[i]), t + 1, why
 
-    # a step whose sums overflow falls back, and a norm past the float range
-    # reads inf once scaled back
+    # a step whose sums overflow runs again on peak-scaled input, and a norm
+    # past the float range reads inf once scaled back
     with np.errstate(over="ignore"):
         prev, t = None, -1
         for t in range(max_iter):
@@ -550,24 +521,20 @@ def _random_cols(rng: np.random.Generator, m: int, count: int, field: str) -> np
     return rng.standard_normal((m, count))
 
 
-def _default_starts(M: MatrixValue, restarts: int, rng: np.random.Generator) -> np.ndarray:
-    m = M.m
-    dtype = complex if M.is_complex else float
+@functools.lru_cache(maxsize=32)
+def _start_block(m: int, field: str, restarts: int, seed: int) -> np.ndarray:
+    """The ascent's start columns for an m-column matrix of the field: the
+    coordinate vectors, the all-ones vector, over the complex field one
+    non-real constant-modulus vector, then seeded random columns, at least
+    2, up to restarts columns in all; built once and shared read-only."""
+    dtype = complex if field == COMPLEX else float
     fixed = [np.eye(m, dtype=dtype), np.ones((m, 1), dtype=dtype)]
-    if M.is_complex:
+    if field == COMPLEX:
         # one deterministic non-real constant-modulus start helps at (inf, 1)
         fixed.append(np.exp(2j * np.pi * np.arange(m) / max(m + 1, 3)).reshape(m, 1))
     n_fixed = sum(b.shape[1] for b in fixed)
-    fixed.append(_random_cols(rng, m, max(restarts - n_fixed, 2), M.field))
-    return np.hstack(fixed)
-
-
-@functools.lru_cache(maxsize=32)
-def _start_block(m: int, field: str, restarts: int, seed: int) -> np.ndarray:
-    """_default_starts(M, restarts, default_rng(seed)) for any m-column M of
-    the field (nothing else of M enters it), built once and shared read-only."""
-    shape = MatrixValue(np.zeros((1, m)), field)  # all of M that the starts read
-    X0 = _default_starts(shape, restarts, np.random.default_rng(seed))
+    fixed.append(_random_cols(np.random.default_rng(seed), m, max(restarts - n_fixed, 2), field))
+    X0 = np.hstack(fixed)
     X0.setflags(write=False)
     return X0
 

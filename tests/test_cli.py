@@ -305,7 +305,10 @@ class TestVerifyCommand:
 
 
 # stdout of JSON-carrying outputs, frozen byte for byte: a certificate
-# array, a complex certificate and a complex witness ([re, im] pairs)
+# array, a complex certificate and a complex witness ([re, im] pairs).  The
+# witness was frozen again when the ascent's complex map at t < 2 stopped
+# leaving the peak-free form on exact zero entries: 1.7817974362657607 ->
+# 1.7817974362657614 (3.7e-16 relative), the witness in low bits
 FROZEN_JSON = [
     (
         ["check", "had4", "E_11", "-p", "2", "-q", "2", "--json"],
@@ -328,9 +331,9 @@ FROZEN_JSON = [
     ),
     (
         ["norm", "b_complex", "-p", "3", "-q", "1.5"],
-        "1.7817974362657607 lower-bound-estimate (seed 0)\n"
-        "witness: [[-0.7842535326125466, -0.12207977129047425], "
-        "[0.12208718366992555, -0.78425677905605218]]\n",
+        "1.7817974362657614 lower-bound-estimate (seed 0)\n"
+        "witness: [[-0.78425353261254671, -0.12207977129047459], "
+        "[0.12208718366992587, -0.7842567790560524]]\n",
     ),
 ]
 

@@ -2,6 +2,8 @@
 comparison bound."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -212,3 +214,16 @@ class TestVectorComparisonBound:
         expect_eq = k_class_test(x, cls, 1e-12)
         actual_eq = abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)
         assert expect_eq == actual_eq
+
+
+def test_readme_entry_points_import():
+    # every name in the first column of README's table of key entry points
+    # is importable from the package
+    import pqnorm
+
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text(encoding="utf-8").split("| Function | Purpose |", 1)[1]
+    rows = [line for line in table.split("\n\n", 1)[0].splitlines() if line.startswith("| `")]
+    names = [n for row in rows for n in re.findall(r"`(\w+)", row.split(" | ", 1)[0])]
+    assert len(names) >= 35
+    assert [n for n in names if not hasattr(pqnorm, n)] == []

@@ -43,8 +43,7 @@ from pqnorm.induced_norms import (
     STACK,
     _TINY,
     _ascent,
-    _default_starts,
-    _dual_step,
+    _ascent_map,
     _lattice_side,
     _ldexp,
     _normalize_cols,
@@ -271,6 +270,19 @@ class TestClosedForms:
                 assert math.isclose(got, res.value, rel_tol=1e-4), p
             assert norm_upper_bound(M, 1.5, 3) > 0.0
 
+    def test_subnormal_entry_next_to_a_normal_one(self):
+        # the row / 2^e leaves a subnormal entry subnormal when the row also
+        # holds a normal one; its phase is still finite, so every witness
+        # certifies the value
+        M = as_matrix(np.array([[1, 3e-310 + 3e-310j]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in ("inf", 3, 1.5):
+                res = best_norm(M, p, "inf")
+                assert np.isfinite(res.witness).all(), p
+                got = norm_ratio(M, res.witness, p, "inf")
+                assert math.isclose(got, res.value, rel_tol=1e-12), p
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_one_row_and_one_column(self, field):
         # ||a x||_q = |a x| for a row a, so ||a||_{p,q} = ||a||_{p*} for every
@@ -476,8 +488,8 @@ class TestEstimator:
         assert topped.value >= plain.value
 
 
-# The column helpers the ascent used before its step was fused into
-# _dual_step, kept verbatim as the reference for it.
+# The column helpers the ascent used before its step was fused into one
+# pass, kept verbatim as the reference for its maps.
 
 
 def _phase_masked(w: np.ndarray) -> np.ndarray:
@@ -526,8 +538,9 @@ def _phi_cols(W, t):
 
 
 def _unit_starts(M, restarts, p):
-    """_default_starts at seed 0 scaled to unit p-norm, as _ascent takes them."""
-    return _normalize_cols(_default_starts(M, restarts, np.random.default_rng(0)), as_index(p))
+    """The start block at seed 0, built afresh, scaled to unit p-norm, as
+    _ascent takes them."""
+    return _normalize_cols(_start_block.__wrapped__(M.m, M.field, restarts, 0), as_index(p))
 
 
 def _ascent_all_columns(arr, p, q, X0, max_iter, tol):
@@ -666,14 +679,13 @@ class TestAscent:
 class TestStartBlock:
     def test_matches_default_starts(self):
         # built once per (m, field, restarts, seed), read-only, and the same
-        # bytes as a fresh _default_starts on any matrix of that column count
-        # and field
+        # bytes as a fresh, uncached build for that column count and field
         for i, (n, m, complex_, restarts, seed) in enumerate(
             [(4, 4, False, 36, 0), (5, 4, True, 36, 0), (3, 7, True, 40, 5), (2, 1, False, 33, 2)]
         ):
             M = rand_matrix(1600 + i, n, m, complex_=complex_)
             X0 = _start_block(m, M.field, restarts, seed)
-            want = _default_starts(M, restarts, np.random.default_rng(seed))
+            want = _start_block.__wrapped__(m, M.field, restarts, seed)
             assert X0.dtype == want.dtype and X0.shape == want.shape
             assert X0.tobytes() == want.tobytes()
             assert not X0.flags.writeable
@@ -851,8 +863,6 @@ def _dual_step_samples():
 
 
 class TestDualStep:
-    EXPONENTS = [1, 1.5, 2, 3, "inf", 4, 1.2]
-
     def test_phase_matches_masked_form(self):
         # the product w * (1 / |w|) against the masked division: bit for bit
         # on the samples (zero entries, 2^(+-1000)); on entries whose two
@@ -865,13 +875,30 @@ class TestDualStep:
         spread = parts[0] + 1j * parts[1]
         assert np.array_equal(_phase(spread), _phase_masked(spread))
 
+    def test_subnormal_moduli_keep_a_phase(self):
+        # 1 / |w| overflows at a subnormal |w|: such entries get their phase
+        # from w 2^54, every other entry keeps the masked form's bits, and
+        # the phase and top-entry maps built on it stay finite
+        W = np.array([[3e-310 + 3e-310j, 0.0, 1e-320j], [1.0 - 2.0j, 4e-310, 0.0]])
+        want = _phase_masked(_ldexp(W, 54))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _phase(W)
+            maps = [_ascent_map(as_index(t), True, dual)(W) for t in (1, "inf") for dual in (0, 1)]
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[1, :1], _phase_masked(W[1, :1]))
+        for phi, norms in maps:
+            assert np.isfinite(phi).all() and np.isfinite(norms).all()
+
     def test_matches_old_helpers(self):
-        # the map itself is bit-identical; the two norms agree to rounding
+        # the phase and top-entry maps (t = 1 and inf) are bit-identical to
+        # the old helpers; the two norms agree to rounding (the peak-free
+        # map at every other t is checked in TestPeakFreeMap)
         for W in _dual_step_samples():
-            for t in self.EXPONENTS:
+            for t in (1, "inf"):
                 ti = as_index(t)
-                phi, norms = _dual_step(W, ti)
-                phi_d, dual = _dual_step(W, ti, dual=True)
+                phi, norms = _ascent_map(ti, np.iscomplexobj(W))(W)
+                phi_d, dual = _ascent_map(ti, np.iscomplexobj(W), dual=True)(W)
                 assert np.array_equal(phi_d, phi), t
                 ref = _phi_cols(W, ti)
                 assert np.array_equal(phi, ref), t
@@ -896,39 +923,36 @@ def _map_samples():
         yield full
 
 
-def _assert_positive_multiple(phi, norms, ref, ref_norms, dual, t, rtol):
-    """phi is a positive multiple of the reference map per column, zero on
-    zero columns; the forward norms are the reference's (the t-norms of W),
+def _assert_positive_multiple(phi, norms, W, dual, t, rtol):
+    """phi is a positive multiple of the old helpers' duality map of W per
+    column, zero on zero columns; the forward norms are the t-norms of W,
     the backward ones the t*-norms of phi itself."""
+    ti = as_index(t)
+    ref = _phi_cols(W, ti)
     live = np.abs(ref).max(axis=0) > 0
     assert not phi[:, ~live].any()
     c = np.linalg.norm(phi[:, live], axis=0) / np.linalg.norm(ref[:, live], axis=0)
     assert np.all(c > 0)
     np.testing.assert_allclose(phi[:, live], ref[:, live] * c, rtol=rtol, atol=0)
-    want = _lp_cols(phi, conjugate(as_index(t))) if dual else ref_norms
+    want = _lp_cols(phi, conjugate(ti)) if dual else _lp_cols(W, ti)
     np.testing.assert_allclose(norms, want, rtol=rtol, atol=0)
 
 
-class _FallbackCount:
-    """Counts the calls of every _power_map step built while installed: in
-    the ascent, those are the peak-free map's fallbacks."""
+class _RescaleCount:
+    """Counts the calls of _by_peaks while installed: the peak-scaled passes
+    of the peak-free map."""
 
     def __init__(self, monkeypatch):
         import pqnorm.induced_norms as mod
 
         self.calls = 0
-        power_map = mod._power_map
+        by_peaks = mod._by_peaks
 
-        def counting(*args):
-            step = power_map(*args)
+        def counted(W):
+            self.calls += 1
+            return by_peaks(W)
 
-            def counted(W):
-                self.calls += 1
-                return step(W)
-
-            return counted
-
-        monkeypatch.setattr(mod, "_power_map", counting)
+        monkeypatch.setattr(mod, "_by_peaks", counted)
 
 
 class TestLinearMap:
@@ -940,18 +964,18 @@ class TestLinearMap:
         for W in _map_samples():
             for dual in (False, True):
                 phi, norms = _peak_free_map(2.0, np.iscomplexobj(W), dual)(W)
-                ref, ref_norms = _dual_step(W, as_index(2), dual=dual)
-                _assert_positive_multiple(phi, norms, ref, ref_norms, dual, 2, 1e-14)
+                _assert_positive_multiple(phi, norms, W, dual, 2, 1e-14)
 
     def test_inputs_stay_in_range(self, monkeypatch):
         # no peak is taken because the ascent feeds the map |W| < m forward
         # and |Z| < n max(1, m^(q-1)) backward at any scale of A, so the
         # column sums stay finite except at extreme exponents: there the
-        # step falls back (q = 64 then p* = 101 overflows), and no inf or
-        # NaN comes out of any step; values scale exactly by 2^k
+        # step runs once more on peak-scaled input (q = 64 then p* = 101
+        # overflows), and no inf or NaN comes out of any step; values scale
+        # exactly by 2^k
         import pqnorm.induced_norms as mod
 
-        fallback = _FallbackCount(monkeypatch)
+        rescales = _RescaleCount(monkeypatch)
         seen = []
         peak_free = mod._peak_free_map
 
@@ -959,10 +983,10 @@ class TestLinearMap:
             step = peak_free(t, cplx, dual)
 
             def recorded(W):
-                calls = fallback.calls
+                calls = rescales.calls
                 phi, norms = step(W)
                 finite = np.isfinite(phi).all() and np.isfinite(norms).all()
-                seen.append((dual, float(np.abs(W).max()), fallback.calls > calls, finite))
+                seen.append((dual, float(np.abs(W).max()), rescales.calls > calls, finite))
                 return phi, norms
 
             return recorded
@@ -982,7 +1006,7 @@ class TestLinearMap:
                     assert seen and all(ok for *_, ok in seen), (n, m, p, q, k)
                     assert all(top < (cap if dual else m) for dual, top, *_ in seen)
                     if (p, q) == (1.01, 64):
-                        assert any(fell for _, _, fell, _ in seen)
+                        assert any(rescaled for _, _, rescaled, _ in seen)
                 assert values[0] == math.ldexp(values[1], -1000)
                 assert values[2] == math.ldexp(values[1], 1000)
 
@@ -991,15 +1015,14 @@ class TestPeakFreeMap:
     EXPONENTS = (1.01, 1.2, 1.5, 3, 4, 64)
 
     def test_positive_multiple_of_the_map(self):
-        # at every finite t > 1 the map is a positive multiple of
-        # _dual_step's per column; complex zero entries at t < 2 and the
-        # column whose sums underflow take the fallback, which is that map
+        # at every finite t > 1 the map is a positive multiple of the old
+        # helpers' per column, also with complex zero entries at t < 2 and
+        # on the column whose sums underflow, which takes a peak-scaled pass
         for W in _map_samples():
             for t in self.EXPONENTS:
                 for dual in (False, True):
                     phi, norms = _peak_free_map(float(t), np.iscomplexobj(W), dual)(W)
-                    ref, ref_norms = _dual_step(W, as_index(t), dual=dual)
-                    _assert_positive_multiple(phi, norms, ref, ref_norms, dual, t, 1e-13)
+                    _assert_positive_multiple(phi, norms, W, dual, t, 1e-13)
 
     def test_per_column_exponents(self):
         # one exponent per column, t = 1 columns and zero entries included:
@@ -1010,17 +1033,15 @@ class TestPeakFreeMap:
             for dual in (False, True):
                 phi, norms = _peak_free_map(ts, np.iscomplexobj(W), dual)(W)
                 for j, t in enumerate(ts):
-                    ref, ref_norms = _dual_step(W[:, [j]], as_index(t), dual=dual)
-                    _assert_positive_multiple(
-                        phi[:, [j]], norms[[j]], ref, ref_norms, dual, t, 1e-13
-                    )
+                    _assert_positive_multiple(phi[:, [j]], norms[[j]], W[:, [j]], dual, t, 1e-13)
 
     def test_scales_past_the_range_fall_back(self, monkeypatch):
         # called on W at 2^(+-1000), past the range the ascent feeds it,
         # every exponent's column sums leave (_TINY, 1/_TINY) (at t = 64
-        # they underflow to 0 or overflow to inf): the map falls back, and
-        # still returns a positive multiple of the map with no inf or NaN
-        fallback = _FallbackCount(monkeypatch)
+        # they underflow to 0 or overflow to inf): the map takes exactly one
+        # peak-scaled pass (none at 2^0), and still returns a positive
+        # multiple of the map with no inf or NaN
+        rescales = _RescaleCount(monkeypatch)
         r = np.random.default_rng(2026)
         for cplx in (False, True):
             W = r.standard_normal((5, 6)) + (1j * r.standard_normal((5, 6)) if cplx else 0.0)
@@ -1028,28 +1049,61 @@ class TestPeakFreeMap:
                 S = _ldexp(W, k)
                 for t in (1.01, 1.5, 3, 64):
                     for dual in (False, True):
-                        calls = fallback.calls
+                        calls = rescales.calls
                         with np.errstate(over="ignore"):  # as the ascent calls it
                             phi, norms = _peak_free_map(float(t), cplx, dual)(S)
                         assert np.isfinite(phi).all() and np.isfinite(norms).all()
-                        fell = fallback.calls > calls
-                        assert fell == (k != 0), (cplx, k, t)
-                        ref, ref_norms = _dual_step(S, as_index(t), dual=dual)
-                        _assert_positive_multiple(phi, norms, ref, ref_norms, dual, t, 1e-13)
+                        assert rescales.calls - calls == (k != 0), (cplx, k, t)
+                        _assert_positive_multiple(phi, norms, S, dual, t, 1e-13)
 
     def test_zero_column_takes_no_fallback(self, monkeypatch):
         # a zero column of A leaves a dead column in W (and a zero row, a
         # zero entry in every column of A* U): exact zero sums are dead
         # columns, so no step of the real 4 x 5 Gaussian with A[:, 1] = 0
-        # falls back at (2, 1.5), where every backward step once did
-        fallback = _FallbackCount(monkeypatch)
+        # takes a peak-scaled pass at (2, 1.5)
+        rescales = _RescaleCount(monkeypatch)
         A = rand_matrix(1100, 4, 5).entries.copy()
         A[:, 1] = 0.0
         res = best_norm(A, 2, 1.5)
-        assert fallback.calls == 0
+        assert rescales.calls == 0
         X0 = _unit_starts(as_matrix(A), 37, 2)
         want = _ascent_all_columns(A, as_index(2), as_index(1.5), X0, 200, 1e-10)
         assert abs(res.value - want) <= 1e-8 * want
+
+    def test_integer_complex_inputs_take_no_rescale(self, monkeypatch):
+        # exact zero entries, which the coordinate and all-ones starts meet
+        # on every step of integer-structured complex matrices, give phi = 0
+        # there within the peak-free form: no step takes a peak-scaled pass
+        rescales = _RescaleCount(monkeypatch)
+        for A in (B, gen_hadamard(8).entries):
+            res = best_norm(as_matrix(A, "complex"), 3, 1.5)
+            assert res.certainty is Certainty.ESTIMATE
+        assert rescales.calls == 0
+
+    def test_subnormal_moduli(self):
+        # at complex t < 2, |w|^(t-2) overflows at a subnormal |w|: such a
+        # step forms phi as phase(w) |w|^(t-1), a positive multiple of the
+        # map (phases taken on W 2^54), and whole ascents stay finite
+        W = _pow2_normalized(rand_matrix(1800, 4, 3, complex_=True).entries)[0]
+        W[0, 0], W[1, 1], W[2, 2] = 3e-310 + 3e-310j, 0.0, 1e-320j
+        ts = np.array([1.0, 1.5, 1.01])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1.01, 1.5, ts):
+                for dual in (False, True):
+                    phi, norms = _peak_free_map(t, True, dual)(W)
+                    for j, tj in enumerate(np.broadcast_to(t, 3)):
+                        ref = _phase_masked(_ldexp(W[:, j], 54)) * np.abs(W[:, j]) ** (tj - 1.0)
+                        c = np.linalg.norm(phi[:, j]) / np.linalg.norm(ref)
+                        np.testing.assert_allclose(phi[:, j], c * ref, rtol=1e-13, atol=0)
+                        ti = as_index(tj)
+                        want = _lp_cols(phi[:, [j]], conjugate(ti)) if dual else _lp_cols(W[:, [j]], ti)
+                        np.testing.assert_allclose(norms[j], want[0], rtol=1e-13, atol=0)
+            M = as_matrix(W, "complex")
+            pairs = [(p, q) for p in GRID for q in GRID] + [(4, 1.2), (1.01, 64), (64, 1.01)]
+            for one, many in zip([best_norm(M, p, q) for p, q in pairs], best_norms(M, pairs)):
+                assert np.isfinite([one.value, many.value]).all()
+                assert np.isfinite(one.witness).all() and np.isfinite(many.witness).all()
 
 
 def _stacked_samples():
@@ -1129,20 +1183,6 @@ def _frozen_matrices():
 
 class TestStackedAscent:
     PAIRS = [(p, q) for p in GRID for q in GRID] + [(4, 1.2)]
-
-    def test_dual_step_per_column_exponents(self):
-        # an exponent array runs the general form on every column, t = 1
-        # included: the same map, norms and dual norms as one exponent each
-        ts = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 1.2])
-        for W in _dual_step_samples():
-            phi, norms = _dual_step(W, ts)
-            _, dual = _dual_step(W, ts, dual=True)
-            for j, t in enumerate(ts):
-                phi1, n1 = _dual_step(W[:, [j]], as_index(t))
-                _, dual1 = _dual_step(W[:, [j]], as_index(t), dual=True)
-                np.testing.assert_allclose(phi[:, [j]], phi1, rtol=1e-14, atol=0)
-                np.testing.assert_allclose(norms[j], n1[0], rtol=1e-14, atol=0)
-                np.testing.assert_allclose(dual[j], dual1[0], rtol=1e-14, atol=0)
 
     def test_matches_single_points(self):
         # every grid pair plus (4, 1.2) in one best_norms call against one
