@@ -33,7 +33,6 @@ from .induced_norms import (
     COMPLEX,
     Certainty,
     DimensionError,
-    EstimatorSettings,
     MatrixValue,
     NormResult,
     REAL,

@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 from .core import INF, ONE, TWO, IndexLike, as_index, conjugate, sign_between
 from .core import vector_comparison_factor
 from .induced_norms import (
-    MAX_COMPLEX_COLS,
     Certainty,
     MatrixLike,
     NormResult,
@@ -85,8 +84,8 @@ def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
         values = (_lp_cols(arr, qi).max(), _lp_cols(arr.T, conjugate(pi)).max(), svd(M).s[0])
         anchors = zip(((ONE, qi), (pi, INF), (TWO, TWO)), values)
         bounds = [bound_factor(*a, pi, qi, M.m, M.n) * float(v) for a, v in anchors]
-        if M.is_complex and pi.is_inf and qi.value == 1.0 and min(M.n, M.m) <= MAX_COMPLEX_COLS:
-            bounds.append(_phase_grid(M)[-1])
+        if M.is_complex and pi.is_inf and qi.value == 1.0 and (grid := _phase_grid(M)):
+            bounds.append(grid[-1])
         M._memo[key] = min(bounds)
     return M._memo[key]
 
@@ -113,23 +112,6 @@ class NormBracket:
         if self.upper <= target + slack:
             return True
         if self.lower > target + slack:
-            return False
-        return None
-
-    def ge(self, target: float, tol: float) -> Optional[bool]:
-        slack = tol * max(abs(target), self.upper, 1e-300)
-        if self.lower >= target - slack:
-            return True
-        if self.upper < target - slack:
-            return False
-        return None
-
-    def eq(self, target: float, tol: float) -> Optional[bool]:
-        a = self.le(target, tol)
-        b = self.ge(target, tol)
-        if a is True and b is True:
-            return True
-        if a is False or b is False:
             return False
         return None
 
@@ -266,25 +248,6 @@ def duality_check(
     return _all([_not_above(t, a.lower, 1.0, b), _not_above(t, b.lower, 1.0, a)])
 
 
-def _monotone(
-    M, points: list, weights: list, tol: Optional[float], seed: int
-) -> Optional[bool]:
-    """Along the (p, q) points in order, each norm is at most the next and
-    each weighted norm at least the next weighted one, up to one-sided slack
-    (tol, default 1e-6 between exact values and 1e-3 otherwise).  The
-    points are estimated together; a violation is False only when certified
-    (see _not_above)."""
-    best_norms(M, points, seed=seed)  # one stacked ascent, read back through the memo
-    brackets = [bracket_norm(M, p, q, seed=seed) for p, q in points]
-    verdicts = []
-    for i in range(len(points) - 1):
-        a, b = brackets[i], brackets[i + 1]
-        t = tol if tol is not None else (1e-6 if a.is_exact and b.is_exact else 1e-3)
-        verdicts.append(_not_above(t, a.lower, 1.0, b))
-        verdicts.append(_not_above(t, weights[i + 1] * b.lower, weights[i], a))
-    return _all(verdicts)
-
-
 def _ascending(grid: Sequence[IndexLike], name: str) -> list:
     grid = [as_index(r) for r in grid]
     if any(grid[i].value > grid[i + 1].value for i in range(len(grid) - 1)):
@@ -301,13 +264,22 @@ def monotonicity_check(
     seed: int = 0,
 ) -> Optional[bool]:
     """For fixed s and r ascending: ||A||_{r,s} must not decrease and
-    m^{1/r}*||A||_{r,s} must not increase, up to one-sided slack.  None when
-    only lower bounds disagree (see duality_check)."""
+    m^{1/r}*||A||_{r,s} must not increase, up to one-sided slack (tol,
+    default 1e-6 between exact values and 1e-3 otherwise).  The points are
+    estimated together; a violation is False only when certified, and None
+    when only lower bounds disagree (see duality_check)."""
     M = as_matrix(A)
     si = as_index(s_fixed)
     grid = _ascending(r_grid, "r_grid")
     weights = [float(M.m) ** r.inv for r in grid]
-    return _monotone(M, [(r, si) for r in grid], weights, tol, seed)
+    best_norms(M, [(r, si) for r in grid], seed=seed)  # one stacked ascent, read back
+    brackets = [bracket_norm(M, r, si, seed=seed) for r in grid]
+    verdicts = []
+    for i, (a, b) in enumerate(zip(brackets, brackets[1:])):
+        t = tol if tol is not None else (1e-6 if a.is_exact and b.is_exact else 1e-3)
+        verdicts.append(_not_above(t, a.lower, 1.0, b))
+        verdicts.append(_not_above(t, weights[i + 1] * b.lower, weights[i], a))
+    return _all(verdicts)
 
 
 def monotonicity_check_in_s(
@@ -319,13 +291,12 @@ def monotonicity_check_in_s(
     seed: int = 0,
 ) -> Optional[bool]:
     """For fixed r and s ascending: ||A||_{r,s} must not increase and
-    n^{-1/s}*||A||_{r,s} must not decrease, up to one-sided slack.  None
-    when only lower bounds disagree (see duality_check)."""
-    M = as_matrix(A)
-    ri = as_index(r_fixed)
-    grid = _ascending(s_grid, "s_grid")[::-1]
-    weights = [float(M.n) ** (-s.inv) for s in grid]
-    return _monotone(M, [(ri, s) for s in grid], weights, tol, seed)
+    n^{-1/s}*||A||_{r,s} must not decrease.  Since ||A||_{r,s} =
+    ||A*||_{s*,r*}, this is monotonicity_check on A* at s_fixed = r* over
+    the conjugates s*, which ascend as s descends."""
+    grid = _ascending(s_grid, "s_grid")
+    duals = [conjugate(s) for s in reversed(grid)]
+    return monotonicity_check(as_matrix(A).adjoint(), conjugate(r_fixed), duals, tol, seed=seed)
 
 
 def transfer_equality(

@@ -99,6 +99,18 @@ def _grid_arg(tok: str) -> List[ExtIndex]:
     return grid
 
 
+def _tol_arg(tok: str) -> float:
+    """A tolerance: a finite number >= 0 (a negative or NaN one would make
+    every comparison fail, and so every verdict unsound)."""
+    try:
+        tol = float(tok)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 <= tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {tok!r}")
+    return tol
+
+
 def _floats_arg(tok: str) -> tuple:
     try:
         vals = tuple(float(t) for t in tok.split(",") if t.strip())
@@ -323,14 +335,12 @@ def cmd_verify(args) -> int:
     grid = [as_index(1), as_index(2), as_index("inf")]
     dual_pairs = [(1, 1), (1, 2), (2, 2), (2, "inf"), ("inf", 1), (1.5, 3)]
     mono_grid = [1, 1.5, 2, 3, "inf"]
-    # every point the checks below read, estimated together per matrix
+    # every point the checks below read, estimated together per matrix; the
+    # s-direction monotonicity check reads (s*, 2) on the adjoint
     pairs = [(a, b) for a in grid for b in grid]
-    norms = best_norms(
-        M,
-        pairs + dual_pairs + [(r, 2) for r in mono_grid] + [(2, s) for s in mono_grid],
-        seed=seed,
-    )
-    best_norms(M.adjoint(), [(conjugate(q), conjugate(p)) for p, q in dual_pairs], seed=seed)
+    norms = best_norms(M, pairs + dual_pairs + [(r, 2) for r in mono_grid], seed=seed)
+    adjoint_pairs = [(conjugate(q), conjugate(p)) for p, q in dual_pairs]
+    best_norms(M.adjoint(), adjoint_pairs + [(conjugate(s), 2) for s in mono_grid], seed=seed)
     cache = dict(zip(pairs, norms))
     min_slack = float("inf")
     ineq_ok = True
@@ -405,7 +415,7 @@ def build_parser() -> _Parser:
     sp.add_argument("file")
     sp.add_argument("target", help='class token (E_1inf, E_11, E_infinf, E_inf1) or "r,s"')
     add_pq(sp)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_tol_arg, default=None)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
 
@@ -430,7 +440,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="run the invariant battery on a matrix")
     sp.add_argument("file")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_tol_arg, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--assert-norm", default=None, help='"p,q,value" to check a claimed norm')
     return parser

@@ -41,7 +41,6 @@ __all__ = [
     "Certainty",
     "NormResult",
     "SvdFactors",
-    "EstimatorSettings",
     "DimensionError",
     "SvdConvergenceError",
     "as_matrix",
@@ -372,6 +371,9 @@ def _normalize_cols(X: np.ndarray, p: ExtIndex) -> np.ndarray:
     return X / safe
 
 
+RESTARTS = 32  # ascent starts per (p, q) point, plus m
+MAX_ITER = 200  # iterations an ascent runs at most
+ASCENT_TOL = 1e-10  # relative move in one step at which a restart freezes
 SETTLE_WINDOW = 10  # iterations over which a block's best must keep rising
 SETTLE_RTOL = 1e-12  # relative rise below which a block counts as settled
 
@@ -548,35 +550,12 @@ def _unit_start_block(m: int, field: str, restarts: int, seed: int, p: ExtIndex)
     return X0
 
 
-@dataclass(frozen=True)
-class EstimatorSettings:
-    """Knobs for the ascent estimator; restarts defaults to 32 + m.
-
-    A restart stops once its value moves by at most tol (relative) in one
-    step; all restarts of one (p, q) point stop together once their best
-    value rose by at most SETTLE_RTOL (relative) over the last
-    SETTLE_WINDOW iterations; nothing runs past max_iter.
-    """
-
-    restarts: Optional[int] = None
-    max_iter: int = 200
-    tol: float = 1e-10
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if self.restarts is not None and self.restarts < 0:
-            raise ValueError(f"restarts must be nonnegative, got {self.restarts!r}")
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
-
-
 def norm_estimate(
     A: MatrixLike,
     p: IndexLike,
     q: IndexLike,
-    settings: Optional[EstimatorSettings] = None,
+    *,
+    seed: int = 0,
 ) -> NormResult:
     """Lower-bound estimate of ||A||_{p,q} by multistart duality ascent.
 
@@ -588,7 +567,7 @@ def norm_estimate(
     closed = norm_closed_form(M, pi, qi)
     if closed is not None:
         return closed
-    return _estimates(M, [(pi, qi)], settings or EstimatorSettings())[0]
+    return _estimates(M, [(pi, qi)], seed)[0]
 
 
 # elements (rows x columns) per stacked ascent of several points: a 32 x 32
@@ -596,7 +575,7 @@ def norm_estimate(
 STACK = 1 << 14
 
 
-def _estimates(M: MatrixValue, pairs: list, cfg: EstimatorSettings) -> list:
+def _estimates(M: MatrixValue, pairs: list, seed: int) -> list:
     """Ascent estimates of ||M||_{p,q} for pairs without a closed form.
 
     Every point starts from the same block of restarts, scaled to unit
@@ -604,8 +583,7 @@ def _estimates(M: MatrixValue, pairs: list, cfg: EstimatorSettings) -> list:
     per-column exponents, in chunks of at most STACK elements; a chunk of
     one point runs on scalar exponents.
     """
-    restarts = cfg.restarts if cfg.restarts is not None else 32 + M.m
-    starts = functools.partial(_unit_start_block, M.m, M.field, restarts, cfg.seed)
+    starts = functools.partial(_unit_start_block, M.m, M.field, RESTARTS + M.m, seed)
     k = starts(pairs[0][0]).shape[1]
     per = max(1, STACK // (max(M.n, M.m) * k))
     out = []
@@ -617,7 +595,7 @@ def _estimates(M: MatrixValue, pairs: list, cfg: EstimatorSettings) -> list:
             p = np.repeat([pi.value for pi, _ in chunk], k)
             q = np.repeat([qi.value for _, qi in chunk], k)
             X = np.hstack([starts(pi) for pi, _ in chunk])
-        for val, vec in _ascent(M.entries, p, q, X, cfg.max_iter, cfg.tol, k).best:
+        for val, vec in _ascent(M.entries, p, q, X, MAX_ITER, ASCENT_TOL, k).best:
             out.append(NormResult(val, vec, Certainty.ESTIMATE))
     return out
 
@@ -743,13 +721,16 @@ MAX_COMPLEX_COLS = 6  # columns of a complex (inf,1) phase grid, over A or A*
 PHASE_GRID = 8  # phases per entry of that grid
 
 
-def _phase_grid(M: MatrixValue) -> tuple:
+def _phase_grid(M: MatrixValue) -> Optional[tuple]:
     """(B, e, top values, top columns, upper), memoised on M: the stable top
     8 of the complex (inf,1) phase grid on B, which is A / 2^e or its
     adjoint, whichever has fewer columns.  x -> ||B x||_1 is convex and
     blind to a global phase, and the hull of the g-th roots of unity holds
     the disc of radius cos(pi/g), so upper = grid maximum / cos(pi/g), with
-    a factor 1 + 4 (n + m) 2^-52 for rounding, bounds ||A||_{inf,1}."""
+    a factor 1 + 4 (n + m) 2^-52 for rounding, bounds ||A||_{inf,1}.  None
+    past the grid's cap, min(n, m) > MAX_COMPLEX_COLS."""
+    if min(M.n, M.m) > MAX_COMPLEX_COLS:
+        return None
     memo = M._memo.get("phase_grid")
     if memo is None:
         arr, e = _pow2_normalized(M.entries)
@@ -794,9 +775,10 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
                 best, pick = float(vals[j]), (cols, j)
         cols, j = pick
         return NormResult(best, cols(j).copy(), Certainty.ENUMERATION)
-    if min(n, m) > MAX_COMPLEX_COLS:
+    grid = _phase_grid(M)
+    if grid is None:
         raise DimensionError(f"phase grid capped at {MAX_COMPLEX_COLS} columns, got {min(n, m)}")
-    B, e, top_vals, top_X, _ = _phase_grid(M)
+    B, e, top_vals, top_X, _ = grid
     # the grid's columns are its starts: their entries have modulus 1 up to
     # the rounding of exp, as for the grid values they come with
     [(val, vec)] = _ascent(B, as_index("inf"), as_index(1), top_X, 100, 1e-12).best
@@ -880,7 +862,6 @@ def best_norm(
     q: IndexLike,
     *,
     seed: int = 0,
-    settings: Optional[EstimatorSettings] = None,
     budget: Optional[int] = None,
 ) -> NormResult:
     """Strongest available route for ||A||_{p,q}.
@@ -888,9 +869,9 @@ def best_norm(
     Closed form when one exists, sign enumeration for real (inf, 1) within
     the dimension cap, otherwise the ascent estimate (optionally topped up
     with a brute-force pass when a budget is given).  Memoised on the
-    matrix per (p, q, seed, settings, budget); the witness is read-only.
+    matrix per (p, q, seed, budget); the witness is read-only.
     """
-    return best_norms(A, [(p, q)], seed=seed, settings=settings, budget=budget)[0]
+    return best_norms(A, [(p, q)], seed=seed, budget=budget)[0]
 
 
 def best_norms(
@@ -898,7 +879,6 @@ def best_norms(
     pairs: Sequence,
     *,
     seed: int = 0,
-    settings: Optional[EstimatorSettings] = None,
     budget: Optional[int] = None,
 ) -> list:
     """best_norm for each (p, q) in pairs, one NormResult per pair.
@@ -909,7 +889,7 @@ def best_norms(
     each iteration's fixed cost is paid once for all of them.
     """
     M = as_matrix(A)
-    keys = [(as_index(p), as_index(q), seed, settings, budget) for p, q in pairs]
+    keys = [(as_index(p), as_index(q), seed, budget) for p, q in pairs]
     found, todo = {}, {}
     for key in keys:
         if key in M._memo or key in found or key in todo:
@@ -926,7 +906,7 @@ def best_norms(
         else:
             found[key] = res
     if todo:
-        estimates = _estimates(M, list(todo.values()), settings or EstimatorSettings(seed=seed))
+        estimates = _estimates(M, list(todo.values()), seed)
         for (key, (pi, qi)), res in zip(todo.items(), estimates):
             if budget is not None:
                 other = norm_bruteforce(M, pi, qi, budget=budget, seed=seed)

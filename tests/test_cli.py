@@ -110,6 +110,13 @@ class TestCheckCommand:
         rc = main(["check", b_real, "3,1.5", "-p", "2", "-q", "2"])
         assert rc == EXIT_UNDETERMINED
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_rejects_unsound_tol(self, had4, tol, capsys):
+        # a negative or NaN tolerance made Hadamard 4, a member, a "no" or
+        # "undetermined": every tolerance must be finite and nonnegative
+        assert main(["check", had4, "E_11", "-p", "2", "-q", "2", "--tol", tol]) == EXIT_ERROR
+        assert "--tol" in capsys.readouterr().err
+
     def test_bad_class_token(self, b_real):
         assert main(["check", b_real, "E_22", "-p", "2", "-q", "2"]) == EXIT_ERROR
 
@@ -263,6 +270,13 @@ class TestVerifyCommand:
         assert main(["verify", str(p)]) == EXIT_OK
         assert "PASS maximizer-eigencheck" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_rejects_unsound_tol(self, had4, tol, capsys):
+        # a negative or NaN tolerance failed the adjoint and monotonicity
+        # checks on Hadamard 4
+        assert main(["verify", had4, "--tol", tol]) == EXIT_ERROR
+        assert "--tol" in capsys.readouterr().err
+
     def test_assert_norm_pass(self, b_real, capsys):
         rc = main(["verify", b_real, "--assert-norm", "2,2,1.4142135623730951"])
         assert rc == EXIT_OK
@@ -292,7 +306,7 @@ class TestVerifyCommand:
 
         M = load_matrix(b_real)
         adj = M.adjoint()
-        key = (as_index(1.5), as_index(3), 0, None, None)
+        key = (as_index(1.5), as_index(3), 0, None)
         adj._memo[key] = NormResult(
             2.0 * norm_upper_bound(adj, 1.5, 3), np.ones(2), Certainty.ESTIMATE
         )

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from pqnorm import (
     Certainty,
     DimensionError,
-    EstimatorSettings,
     MatrixValue,
     as_index,
     as_matrix,
@@ -201,7 +200,6 @@ class TestMemo:
         a = best_norm(M, 1.7, 2.3, seed=1)
         assert best_norm(M, 1.7, 2.3, seed=2) is not a
         assert best_norm(M, 1.7, 2.3, seed=1, budget=500) is not a
-        assert best_norm(M, 1.7, 2.3, seed=1, settings=EstimatorSettings(seed=1)) is not a
         C = as_matrix(M, field="complex")
         assert best_norm(C, 1.7, 2.3, seed=1) is not a
         assert svd(C) is not svd(M)
@@ -454,27 +452,10 @@ class TestEstimator:
 
     def test_settings_deterministic(self):
         M = rand_matrix(10, 3, 3, complex_=True)
-        a = norm_estimate(M, 1.7, 2.3, EstimatorSettings(seed=4))
-        b = norm_estimate(M, 1.7, 2.3, EstimatorSettings(seed=4))
+        a = norm_estimate(M, 1.7, 2.3, seed=4)
+        b = norm_estimate(M, 1.7, 2.3, seed=4)
         assert a.value == b.value
         assert np.array_equal(a.witness, b.witness)
-
-    def test_settings_reject_no_iterations(self):
-        # without one iteration no value exists: best_norm would report -inf
-        with pytest.raises(ValueError, match="max_iter"):
-            EstimatorSettings(max_iter=0)
-
-    def test_settings_reject_negative_restarts(self):
-        with pytest.raises(ValueError, match="restarts"):
-            EstimatorSettings(restarts=-1)
-
-    def test_settings_reject_negative_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            EstimatorSettings(tol=-1e-10)
-
-    def test_settings_reject_nan_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            EstimatorSettings(tol=float("nan"))
 
     def test_best_norm_routes(self):
         assert best_norm(B, 2, 2).certainty is Certainty.CLOSED_FORM
@@ -1219,7 +1200,7 @@ class TestStackedAscent:
         results = best_norms(M, self.PAIRS + self.PAIRS[:3], seed=3)
         assert len(results) == len(self.PAIRS) + 3
         for (p, q), res in zip(self.PAIRS, results):
-            assert M._memo[(as_index(p), as_index(q), 3, None, None)] is res
+            assert M._memo[(as_index(p), as_index(q), 3, None)] is res
             assert best_norm(M, p, q, seed=3) is res
             assert not res.witness.flags.writeable
 
