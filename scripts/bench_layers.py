@@ -30,6 +30,12 @@ One row times the real sign enumeration and counts its page faults:
                     (key suffix _minflt) the minor page faults per call
                     (ru_minflt), as medians over the reps
 
+One row times the matrix-file writer:
+
+  save_matrix       save_matrix to a file (dumps_matrix plus the write) of
+                    a real and a complex Gaussian n x n (seed 0) for n = 32
+                    and 128, median of 5 x reps runs
+
 One row times the certified upper bound:
 
   upper_bound       norm_upper_bound at (1.5, 3) on the Gaussian of each
@@ -131,6 +137,7 @@ INF1_COMPLEX_SHAPES = [(8, 4), (8, 5), (8, 6), (2, 6)]
 INF1_REAL_SIZES = [13, 16, 18, 20]
 PEAK_SHAPES = [("real", 16), ("complex", 16), ("real", 32), ("complex", 32)]
 SMALL_SHAPES = [("real", 4), ("complex", 4), ("real", 8), ("complex", 8)]
+SAVE_SHAPES = [(kind, n) for n in (32, 128) for kind in ("real", "complex")]
 DECIDE_ARGS = (3, 1.5, 1.5, 3)  # (p, q, r, s): both sides estimated
 EINF1_DFT_ORDERS = [2, 4, 8]
 
@@ -186,6 +193,12 @@ def _upper_bound_cell(kind: str, n: int) -> tuple:
         return norm_upper_bound(M, 1.5, 3)
 
     return (bound, 5)
+
+
+def _save_cell(kind: str, n: int, workdir: str) -> tuple:
+    M = MatrixValue(_matrix(kind, n), kind)
+    path = os.path.join(workdir, f"save_{kind}{n}.json")
+    return (lambda: save_matrix(M, path), 5)
 
 
 def _inf2_cell(kind: str, n: int) -> tuple:
@@ -361,6 +374,7 @@ def main() -> None:
             f"m{m}": (lambda m=m: norm_infty_one_exact(MatrixValue(_matrix("real", m), "real")), 1)
             for m in INF1_REAL_SIZES
         }
+        rows["save_matrix"] = {f"{kind[0]}{n}": _save_cell(kind, n, workdir) for kind, n in SAVE_SHAPES}
         rows["upper_bound"] = {f"{kind[0]}{n}": _upper_bound_cell(kind, n) for kind, n in SHAPES}
         rows["best_norm_inf_2"] = {f"{kind[0]}{n}": _inf2_cell(kind, n) for kind, n in SMALL_SHAPES}
         rows["decide_equality"] = {f"{kind[0]}{n}": _decide_cell(kind, n) for kind, n in SMALL_SHAPES}

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import INF, ONE, TWO, IndexLike, as_index, conjugate, sign_between
+from .core import INF, ONE, TWO, IndexLike, as_index, as_tol, conjugate, sign_between
 from .core import vector_comparison_factor
 from .induced_norms import (
     Certainty,
@@ -175,6 +175,7 @@ def check_inequality(
     Precomputed NormResults may be passed to avoid recomputation in sweeps.
     The default tolerance is 1e-8 when both norms are exact, 1e-4 otherwise.
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi, qi, ri, si = as_index(p), as_index(q), as_index(r), as_index(s)
     left = lhs if lhs is not None else best_norm(M, ri, si, seed=seed)
@@ -240,6 +241,7 @@ def duality_check(
     value exceeds the other side's certified upper bound by more than that;
     two lower bounds that merely disagree give None (undetermined).
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     a = bracket_norm(M, pi, qi, seed=seed)
@@ -268,6 +270,7 @@ def monotonicity_check(
     default 1e-6 between exact values and 1e-3 otherwise).  The points are
     estimated together; a violation is False only when certified, and None
     when only lower bounds disagree (see duality_check)."""
+    as_tol(tol)
     M = as_matrix(A)
     si = as_index(s_fixed)
     grid = _ascending(r_grid, "r_grid")
@@ -336,6 +339,7 @@ def decide_equality(
     certifies "no"; anything else is undetermined; (r, s) = (p, q) is "yes"
     (factor 1).  Both sides are estimated together, in one stacked ascent.
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi, qi, ri, si = as_index(p), as_index(q), as_index(r), as_index(s)
     best_norms(M, [(ri, si), (pi, qi)], seed=seed)  # read back through the memo

@@ -30,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ExtIndex, as_index, conjugate, index_str
+from .core import DEFAULT_TOL, ExtIndex, as_index, as_tol, conjugate, index_str
 from .induced_norms import (
     COMPLEX,
     DimensionError,
@@ -58,9 +58,9 @@ from .core import KClassId
 from .matrixio import (
     MatrixFileError,
     dumps_json,
-    dumps_matrix,
     format_float,
     load_matrix,
+    save_matrix,
 )
 
 EXIT_OK = 0
@@ -100,15 +100,11 @@ def _grid_arg(tok: str) -> List[ExtIndex]:
 
 
 def _tol_arg(tok: str) -> float:
-    """A tolerance: a finite number >= 0 (a negative or NaN one would make
-    every comparison fail, and so every verdict unsound)."""
+    """A tolerance: a finite number >= 0 (see as_tol)."""
     try:
-        tol = float(tok)
+        return as_tol(float(tok))
     except ValueError:
-        tol = float("nan")
-    if not 0.0 <= tol < float("inf"):
-        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {tok!r}")
-    return tol
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {tok!r}") from None
 
 
 def _floats_arg(tok: str) -> tuple:
@@ -292,16 +288,11 @@ def cmd_generate(args) -> int:
     cls = ClassId.parse(args.cls) if args.cls else _DEFAULT_CLASS_FOR_KIND[args.kind]
     verdict = check_class(M, cls, 2, 2, seed=args.seed)
     _print_err(f"{cls.value} at (2,2): {verdict.member}")
-    text = dumps_matrix(M) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fp:
-                fp.write(text)
-        except OSError as e:
-            _print_err(f"cannot write {args.out}: {e}")
-            return EXIT_ERROR
-    else:
-        sys.stdout.write(text)
+    try:
+        save_matrix(M, args.out or sys.stdout)
+    except OSError as e:
+        _print_err(f"cannot write {args.out or 'stdout'}: {e}")
+        return EXIT_ERROR
     return EXIT_OK if verdict.member == "yes" else EXIT_ERROR
 
 

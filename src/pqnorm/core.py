@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
+    "as_tol",
     "ExtIndex",
     "IndexLike",
     "ONE",
@@ -36,6 +37,14 @@ __all__ = [
 
 # Relative tolerance used by predicates when the caller does not pass one.
 DEFAULT_TOL = 1e-8
+
+
+def as_tol(tol: float | None) -> float | None:
+    """tol, if None or finite and >= 0; else ValueError, since a negative or
+    NaN tolerance fails every comparison and so makes verdicts unsound."""
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"expected a finite tolerance >= 0, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -191,6 +200,7 @@ class KClassId(Enum):
 
 def k_class_test(x, k: KClassId, tol: float = DEFAULT_TOL) -> bool:
     """Membership of a vector in one of the K classes, up to relative tol."""
+    as_tol(tol)
     a = np.abs(np.asarray(x)).reshape(-1)
     if a.size == 0:
         raise ValueError("vector must have at least one entry")

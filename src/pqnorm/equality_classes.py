@@ -51,6 +51,7 @@ from .core import (
     KClassId,
     ONE,
     as_index,
+    as_tol,
     conjugate,
     index_str,
     k_class_test,
@@ -192,6 +193,7 @@ class ExtremalStats:
 
 
 def extremal_stats(A: MatrixLike, v=None, tol: float = DEFAULT_TOL) -> ExtremalStats:
+    as_tol(tol)
     arr, e = _pow2_normalized(as_matrix(A).entries)
     a = np.abs(arr)
     tau = None if v is None else _constant_modulus(arr @ np.asarray(v).reshape(-1), tol)
@@ -278,6 +280,7 @@ def check_E1inf(
     certified directly on ||A||_{p,q}.  For p > q: membership holds exactly
     when at most one entry is nonzero.
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     early = _zero_or_trivial(M, pi, qi, ClassId.E_1INF)
@@ -339,6 +342,7 @@ def sufficient_e1inf(
     m^{1-1/p} * n^{1/q} * ||C||_{1,inf} <= rho guarantees membership,
     using only entry arithmetic (no induced-norm computation).
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     arr = M.entries
@@ -450,6 +454,7 @@ def check_E11(
     is certified through a norm bracket.  For p > 2 the class collapses to
     matrices with exactly one nonzero, constant-modulus column.
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     early = _zero_or_trivial(M, pi, qi, ClassId.E_11)
@@ -531,6 +536,7 @@ def sufficient_e11(
     positive verdict is cross-checked against best_norm, a lower bound on
     the norm; a contradiction is reported and the verdict withdrawn.
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     arr = M.entries
@@ -832,6 +838,7 @@ def check_Einf1(
     the window from that bound to the certified norm_upper_bound are
     searched.  The norm bracket is formed only once a candidate needs it.
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     early = _zero_or_trivial(M, pi, qi, ClassId.E_INF1)
@@ -994,6 +1001,7 @@ def check_svd_equality(
     that can end undetermined.  The certificate is a full factorization in
     the required form.
     """
+    as_tol(tol)
     M = as_matrix(A)
     ri, si = as_index(r), as_index(s)
     f = svd(M)
@@ -1123,6 +1131,7 @@ def maximizer_eigencheck(
     p = inf with at most one nonzero entry in v.  Returns whether A*A v is
     proportional to v within tol (residual against the Rayleigh quotient).
     """
+    as_tol(tol)
     M = as_matrix(A)
     pi = as_index(p)
     vec = np.asarray(v).reshape(-1)
@@ -1171,6 +1180,7 @@ def dav_normal_form(A: MatrixLike, v, tol: float = DEFAULT_TOL) -> DavReport:
     rule is equivalent to v being an eigenvector of A*A.  Returns the
     report with the diagonals only when every sum matches.
     """
+    as_tol(tol)
     M = as_matrix(A)
     vec = np.asarray(v).reshape(-1).astype(complex if M.is_complex else float)
     arr, e = _pow2_normalized(M.entries)  # sums are formed on A / 2^e, then scaled back

@@ -56,13 +56,16 @@ def _all_of(items, kinds) -> bool:
     return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
 
 
+def _float_view(a: np.ndarray) -> np.ndarray:
+    """a, with a complex128 entry as its [re, im] pair on a new last axis."""
+    if a.dtype != np.complex128:
+        return a
+    return np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2)
+
+
 def matrix_to_obj(M: MatrixValue) -> dict:
     """The document for M, with data flat in row-major order."""
-    arr = M.entries
-    if M.is_complex:
-        data = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
-    else:
-        data = [float(x) for x in arr.reshape(-1)]
+    data = _float_view(M.entries.reshape(-1)).tolist()
     return {"field": M.field, "rows": M.n, "cols": M.m, "data": data}
 
 
@@ -119,14 +122,15 @@ def matrix_from_obj(obj) -> MatrixValue:
 
 def _plain(x):
     """The plain value a result is written as: enums by value, extended
-    indices as tokens, matrices, arrays and numpy scalars as (nested) Python
-    values, complex numbers as [re, im] pairs, dataclasses by field."""
+    indices as tokens, matrices as their entries, other arrays and numpy
+    scalars as (nested) Python values, complex numbers as [re, im] pairs,
+    dataclasses by field."""
     if isinstance(x, enum.Enum):
         return x.value
     if isinstance(x, ExtIndex):
         return index_str(x)
     if isinstance(x, MatrixValue):
-        x = x.entries
+        return x.entries
     if isinstance(x, (np.ndarray, np.generic)):
         return x.tolist()
     if isinstance(x, complex):
@@ -156,24 +160,43 @@ def _dump_value(x, out: list) -> None:
     elif isinstance(x, bool) or x is None:
         out.append(json.dumps(x))
     elif isinstance(x, float):
-        out.append(format_float(x))
+        out.append(_json_number(format(x, ".17g")))
     elif isinstance(x, int):
         out.append(str(x))
     elif isinstance(x, str):
         out.append(json.dumps(x))
+    elif isinstance(x, np.ndarray) and x.dtype in (np.float64, np.complex128):
+        out.append(_dumps_floats(_float_view(x)))
     else:
         _dump_value(_plain(x), out)
 
 
+def _json_number(text: str) -> str:
+    """JSON has no inf or NaN: +-inf become the overflowing literals
+    +-1e999, which JSON readers take back as +-inf, and NaN null (no
+    finite number written at 17 significant digits holds either word)."""
+    return text.replace("inf", "1e999").replace("nan", "null")
+
+
+def _dumps_floats(a: np.ndarray) -> str:
+    """JSON text of a float64 array, nested as its shape, each entry at 17
+    significant digits as a scalar float is: one %-format of all entries."""
+    template = "%.17g"
+    for k in reversed(a.shape):
+        template = "[" + ", ".join([template] * k) + "]"
+    return _json_number(template % tuple(a.ravel().tolist()))
+
+
 def dumps_json(obj) -> str:
-    """JSON text of obj with floats rendered at 17 significant digits."""
+    """JSON text of obj, floats at 17 significant digits (see _json_number)."""
     out: list = []
     _dump_value(obj, out)
     return "".join(out)
 
 
 def dumps_matrix(M: MatrixValue) -> str:
-    return dumps_json(matrix_to_obj(M))
+    doc = {"field": M.field, "rows": M.n, "cols": M.m, "data": M.entries.reshape(-1)}
+    return dumps_json(doc)
 
 
 def loads_matrix(text: str) -> MatrixValue:

@@ -21,6 +21,7 @@ from pqnorm import (
     check_inequality,
     decide_equality,
     duality_check,
+    gen_hadamard,
     gen_tensor_product,
     monotonicity_check,
     monotonicity_check_in_s,
@@ -446,3 +447,38 @@ def test_bracket_le_ge_consistent(seed):
     mid = 0.5 * (br.lower + br.upper)
     if br.le(mid, 1e-9) is False:
         assert br.lower > mid
+
+
+# Each call reads "no", "undetermined" or False on Hadamard 4 with a negative
+# or NaN tolerance, where the default reads "yes" / True: every comparison
+# against such a tolerance fails.
+_TOL_CALLS = {
+    "decide_equality": lambda H, t: decide_equality(H, 2, 2, 1, 1, tol=t),
+    "check_class": lambda H, t: check_class(H, ClassId.E_11, 2, 2, t),
+    "duality_check": lambda H, t: duality_check(H, 1.5, 3, tol=t),
+    "monotonicity_check": lambda H, t: monotonicity_check(H, 2, [1, 2, 3], tol=t),
+    "monotonicity_check_in_s": lambda H, t: monotonicity_check_in_s(H, 2, [1, 2, 3], tol=t),
+    "check_inequality": lambda H, t: check_inequality(H, 2, 2, 1, 1, tol=t),
+}
+
+
+class TestLibraryTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", list(_TOL_CALLS))
+    def test_unsound_tol_rejected(self, name, tol):
+        with pytest.raises(ValueError, match="finite tolerance >= 0"):
+            _TOL_CALLS[name](gen_hadamard(4), tol)
+
+    def test_defaults_unchanged(self):
+        H = gen_hadamard(4)
+        assert decide_equality(H, 2, 2, 1, 1)[0] == "yes"
+        assert decide_equality(H, 2, 2, 1, 1, tol=None)[0] == "yes"
+        assert check_class(H, ClassId.E_11, 2, 2).member == "yes"
+        assert duality_check(H, 1.5, 3) is True
+        assert monotonicity_check(H, 2, [1, 2, 3]) is True
+        assert monotonicity_check_in_s(H, 2, [1, 2, 3]) is True
+        assert check_inequality(H, 2, 2, 1, 1).equality is True
+
+    @pytest.mark.parametrize("name", list(_TOL_CALLS))
+    def test_zero_tol_accepted(self, name):
+        _TOL_CALLS[name](gen_hadamard(4), 0.0)

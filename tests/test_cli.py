@@ -383,3 +383,47 @@ class TestEntryPoint:
         )
         assert r.returncode == 0
         assert r.stdout.startswith("1 ")
+
+
+class TestJsonOverflow:
+    @pytest.fixture
+    def huge(self, tmp_path):
+        from pqnorm import gen_hadamard
+
+        p = tmp_path / "huge.json"
+        save_matrix(as_matrix(gen_hadamard(4).entries * 1e308, field="real"), p)
+        return str(p)
+
+    def test_pair_payload_parses(self, huge, capsys):
+        # the bracket ends overflow to inf, written 1e999: valid JSON that
+        # reads back as inf
+        main(["check", huge, "1.5,3", "-p", "2", "-q", "2", "--json"])
+        out = capsys.readouterr().out
+        assert "inf" not in out
+        doc = json.loads(out)
+        assert doc["rhs_bracket"] == [float("inf"), float("inf")]
+        assert doc["lhs_bracket"][1] == float("inf")
+
+    def test_class_payload_parses(self, huge, capsys):
+        assert main(["check", huge, "E_11", "-p", "2", "-q", "2", "--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert '"sigma": 1e999' in out
+        doc = json.loads(out)
+        assert doc["conditions"][0]["measured"]["sigma"] == float("inf")
+        assert doc["certificate"]["column"] == [1e308] * 4
+
+
+class TestGenerateWrites:
+    def test_stdout_is_the_file(self, tmp_path, capsys):
+        # stdout carries the same bytes --out writes
+        out = tmp_path / "d.json"
+        argv = ["generate", "--kind", "dft", "--m", "4", "--field", "complex"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        rc = main(["generate", "--kind", "hadamard", "--m", "4", "--out", str(tmp_path)])
+        assert rc == EXIT_ERROR
+        assert f"cannot write {tmp_path}" in capsys.readouterr().err

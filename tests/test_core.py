@@ -25,6 +25,7 @@ from pqnorm import (
     vector_equality_class,
     vector_norm,
 )
+from pqnorm.core import as_tol
 
 INDEX_TOKENS = [1, 1.5, 2, 3, "inf"]
 
@@ -227,3 +228,16 @@ def test_readme_entry_points_import():
     names = [n for row in rows for n in re.findall(r"`(\w+)", row.split(" | ", 1)[0])]
     assert len(names) >= 35
     assert [n for n in names if not hasattr(pqnorm, n)] == []
+
+
+class TestAsTol:
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-8, 0.5, 3])
+    def test_sound_tol_returned(self, tol):
+        assert as_tol(tol) is tol
+
+    @pytest.mark.parametrize("tol", [-1e-300, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_unsound_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite tolerance >= 0"):
+            as_tol(tol)
+        with pytest.raises(ValueError, match="finite tolerance >= 0"):
+            k_class_test(np.ones(3), KClassId.K1, tol)

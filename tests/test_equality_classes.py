@@ -1111,3 +1111,30 @@ class TestDispatcher:
             f = bound_factor(2, 2, r, s, Mv.m, Mv.n)
             vrs = best_norm(M, r, s).value
             assert math.isclose(vrs, f * v22, rel_tol=1e-9), (cls, r, s)
+
+
+_V4 = np.ones(4)
+
+# Every public function here that takes a tolerance refuses a negative,
+# NaN or infinite one before any work.
+_CLASS_TOL_CALLS = {
+    "extremal_stats": lambda H, t: extremal_stats(H, _V4, t),
+    "check_E1inf": lambda H, t: check_E1inf(H, 2, 2, t),
+    "check_E11": lambda H, t: check_E11(H, 2, 2, t),
+    "check_Einfinf": lambda H, t: check_Einfinf(H, 2, 2, t),
+    "check_Einf1": lambda H, t: check_Einf1(H, 2, 2, t),
+    "check_svd_equality": lambda H, t: check_svd_equality(H, 1, 1, t),
+    "sufficient_e1inf": lambda H, t: sufficient_e1inf(H, 2, 2, t),
+    "sufficient_e11": lambda H, t: sufficient_e11(H, 2, 2, t),
+    "sufficient_einfinf": lambda H, t: sufficient_einfinf(H, 2, 2, t),
+    "maximizer_eigencheck": lambda H, t: maximizer_eigencheck(H, _V4, 2, 2, t),
+    "dav_normal_form": lambda H, t: dav_normal_form(H, _V4, t),
+}
+
+
+class TestLibraryTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", list(_CLASS_TOL_CALLS))
+    def test_unsound_tol_rejected(self, name, tol):
+        with pytest.raises(ValueError, match="finite tolerance >= 0"):
+            _CLASS_TOL_CALLS[name](gen_hadamard(4), tol)

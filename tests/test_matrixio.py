@@ -16,6 +16,7 @@ from pqnorm import (
     matrix_to_obj,
     save_matrix,
 )
+from pqnorm.matrixio import dumps_json
 
 
 class TestFloatFormat:
@@ -139,3 +140,108 @@ class TestFileRoundTrip:
         assert parsed["field"] == "real"
         again = loads_matrix(text)
         assert again.entries[0, 0] == 2.3
+
+
+def _per_entry_dumps_matrix(M) -> str:
+    """The reference writer: every entry a Python float, formatted one at a
+    time at 17 significant digits, complex ones as [re, im] pairs."""
+    flat = M.entries.reshape(-1)
+    if M.is_complex:
+        items = [f"[{float(z.real):.17g}, {float(z.imag):.17g}]" for z in flat]
+    else:
+        items = [f"{float(x):.17g}" for x in flat]
+    data = "[" + ", ".join(items) + "]"
+    return f'{{"field": "{M.field}", "rows": {M.n}, "cols": {M.m}, "data": {data}}}'
+
+
+_EDGE_ENTRIES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 4.0, -3.0, 2.3]
+
+
+def _writer_corpus():
+    rng = np.random.default_rng(2024)
+    for n, m in [(1, 1), (1, 7), (6, 1), (3, 4), (9, 9)]:
+        for field in ("real", "complex"):
+            A = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-300, 300, (n, m))
+            if field == "complex":
+                A = A + 1j * rng.standard_normal((n, m)) * 10.0 ** rng.integers(-300, 300, (n, m))
+            yield as_matrix(A, field=field)
+            # the edge values, scattered over the same shape
+            E = rng.choice(_EDGE_ENTRIES, (n, m))
+            if field == "complex":
+                E = E + 1j * rng.choice(_EDGE_ENTRIES, (n, m))
+            yield as_matrix(E, field=field)
+
+
+class TestArrayWriter:
+    @pytest.mark.parametrize("M", list(_writer_corpus()), ids=lambda M: f"{M.field}{M.n}x{M.m}")
+    def test_matches_per_entry_reference(self, M, tmp_path):
+        assert dumps_matrix(M) == _per_entry_dumps_matrix(M)
+        obj = matrix_to_obj(M)
+        assert json.loads(dumps_matrix(M)) == obj
+        assert all(type(x) is float for x in np.ravel(obj["data"]).tolist())
+        path = tmp_path / "m.json"
+        save_matrix(M, path)
+        back = load_matrix(path)
+        assert back.field == M.field
+        # same bits, but for the sign of a zero: -0.0 is written "-0", which
+        # JSON reads as the integer 0
+        assert back.entries.tobytes() == (M.entries + 0.0).tobytes()
+
+    def test_integral_and_edge_digits(self):
+        M = as_matrix(np.array([[4.0, -0.0, 5e-324, -1.7976931348623157e308]]))
+        assert dumps_matrix(M) == (
+            '{"field": "real", "rows": 1, "cols": 4, '
+            '"data": [4, -0, 4.9406564584124654e-324, -1.7976931348623157e+308]}'
+        )
+        Z = as_matrix(np.array([[complex(4.0, -0.0)]]), field="complex")
+        assert dumps_matrix(Z) == '{"field": "complex", "rows": 1, "cols": 1, "data": [[4, -0]]}'
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array(2.5),
+            np.array(1.0 - 2.0j),
+            np.zeros(0),
+            np.zeros((3, 0)),
+            np.zeros((0, 3), dtype=complex),
+            np.arange(24.0).reshape(2, 3, 4),
+            (np.arange(6.0) - 2.5j).reshape(3, 2),
+            np.arange(10.0)[::3],
+            (np.arange(8.0) * 1j)[::2],
+            np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+            np.arange(4),  # other dtypes keep the nested-list path
+            np.array([1.5, 2.0], dtype=np.float32),
+        ],
+        ids=lambda a: f"{a.dtype}{a.shape}",
+    )
+    def test_arrays_as_nested_lists(self, a):
+        # an array is written exactly as its nested Python lists would be
+        assert dumps_json({"v": a}) == dumps_json({"v": a.tolist()})
+
+    def test_matrix_in_payload(self):
+        M = as_matrix(np.array([[1.0 + 0.5j, -2.0]]), field="complex")
+        assert dumps_json({"m": M}) == '{"m": [[[1, 0.5], [-2, 0]]]}'
+
+
+class TestNonFiniteJson:
+    def test_scalars_and_arrays_parse(self):
+        inf, nan = float("inf"), float("nan")
+        text = dumps_json(
+            {
+                "s": [inf, -inf, nan, 1.5],
+                "a": np.array([inf, -inf, nan, 0.25]),
+                "z": np.array([complex(inf, -inf), complex(nan, 1.0)]),
+                "g": np.float64(-inf),
+            }
+        )
+        assert "inf" not in text and "nan" not in text
+        doc = json.loads(text)
+        assert doc["s"][:2] == [inf, -inf] and doc["s"][2] is None
+        assert doc["a"][:2] == [inf, -inf] and doc["a"][2] is None
+        assert doc["z"] == [[inf, -inf], [None, 1.0]]
+        assert doc["g"] == -inf
+        assert text.count("1e999") == 7
+
+    def test_text_output_keeps_inf(self):
+        assert format_float(float("inf")) == "inf"
+        assert format_float(float("-inf")) == "-inf"
