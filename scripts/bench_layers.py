@@ -16,10 +16,11 @@ reused):
                     own work), median of 5 x reps runs; also for the
                     Sylvester Hadamard matrix of order 16 (row h16)
 
-Two more rows time the complex extreme-point searches:
+Two more rows time the complex (inf, 1) bracket and extreme-point search:
 
-  inf1_complex      norm_infty_one_exact on a fresh complex Gaussian
-                    n x m (seed 0) for 8x4, 8x5, 8x6 and 2x6
+  inf1_complex      bracket_norm at (inf, 1) on a fresh complex Gaussian
+                    n x n (seed 0) for n = 4, 8, 16, 32: the ascent and
+                    the certificate that sets its upper end
   check_einf1_dft   check_Einf1 at (2, 2) on DFT 2, 4 and 8, memoised as
                     check_einf1_P_Q is, median of 5 x reps runs
 
@@ -116,6 +117,7 @@ from pqnorm import (  # noqa: E402
     MatrixValue,
     as_index,
     best_norm,
+    bracket_norm,
     check_Einf1,
     decide_equality,
     gen_dft,
@@ -133,7 +135,7 @@ SHAPES = [(kind, n) for n in (4, 8, 16, 32) for kind in ("real", "complex")]
 GRID = [1, 1.5, 2, 3, "inf"]
 GRID_ARG = "1,1.5,2,3,inf"
 EINF1_PAIRS = [(2, 2), (1.5, 3)]
-INF1_COMPLEX_SHAPES = [(8, 4), (8, 5), (8, 6), (2, 6)]
+INF1_COMPLEX_SIZES = [4, 8, 16, 32]
 INF1_REAL_SIZES = [13, 16, 18, 20]
 PEAK_SHAPES = [("real", 16), ("complex", 16), ("real", 32), ("complex", 32)]
 SMALL_SHAPES = [("real", 4), ("complex", 4), ("real", 8), ("complex", 8)]
@@ -364,11 +366,8 @@ def main() -> None:
         rows = {f"{kind[0]}{n}": shape_cells(kind, n, workdir) for kind, n in SHAPES}
         rows["h16"] = _einf1_cells(gen_hadamard(16))
         rows["inf1_complex"] = {
-            f"{n}x{m}": (
-                lambda n=n, m=m: norm_infty_one_exact(MatrixValue(_matrix("complex", n, m), "complex")),
-                1,
-            )
-            for n, m in INF1_COMPLEX_SHAPES
+            f"c{n}": (lambda n=n: bracket_norm(MatrixValue(_matrix("complex", n), "complex"), "inf", 1), 1)
+            for n in INF1_COMPLEX_SIZES
         }
         rows["inf1_real"] = {
             f"m{m}": (lambda m=m: norm_infty_one_exact(MatrixValue(_matrix("real", m), "real")), 1)

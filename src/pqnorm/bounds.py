@@ -12,7 +12,8 @@ carries to every (r2,s2) with the same signs of p-r and q-s).
 
 Norm values may be exact or lower-bound estimates; NormBracket pairs an
 estimate with a certified upper bound, the same inequality read from the
-exactly known anchors (1, q), (p, inf) and (2, 2), so that equality
+exactly known anchors (1, q), (p, inf) and (2, 2), and at (inf, 1) a
+semidefinite certificate from the estimate's witness, so that equality
 questions are answered soundly (yes / no / undetermined) even on estimated
 paths.  The duality and monotonicity checks compare a value with such a
 bracket: two lower bounds that disagree give None (undetermined), and only
@@ -21,17 +22,22 @@ a lower bound above a certified upper bound gives False.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import INF, ONE, TWO, IndexLike, as_index, as_tol, conjugate, sign_between
 from .core import vector_comparison_factor
 from .induced_norms import (
     Certainty,
     MatrixLike,
+    MatrixValue,
     NormResult,
     _lp_cols,
-    _phase_grid,
+    _phase,
+    _pow2_normalized,
     as_matrix,
     best_norm,
     best_norms,
@@ -67,14 +73,44 @@ def bound_factor(
     return vector_comparison_factor(p, r, m) * vector_comparison_factor(s, q, n)
 
 
+def _inf_one_certificate(M: MatrixValue, x: np.ndarray) -> float:
+    """Certified upper bound on ||M||_{inf,1} from any vector x: the
+    semidefinite bound of Nesterov (1998) at a diagonal read from x.
+
+    With y = phase(Ax), D = (|A* y|, |A x|) and mu the least eigenvalue of
+    K = Diag(D) - [[0, A*], [A, 0]], 2 Re y* A x <= sum (D_i - mu) |z_i|^2
+    for every z = (x, y); entries of modulus at most 1 and the rescaling
+    (t x, y / t) give ||A||_{inf,1} <= sqrt(sum_x (D - mu) sum_y (D - mu)).
+    Any real D gives a bound, in both fields (the form is Hermitian); at a
+    maximizer x = phase(A* y) it is the value itself when K is positive
+    semidefinite.  Formed on A / 2^e and scaled back exactly.  eigvalsh is
+    backward stable (Householder tridiagonalisation, Higham 2002, ch. 19):
+    its mu is exact for K + E, ||E||_2 <= c N^2 u ||K||_F with N = m + n
+    and u = 2^-53, so by Weyl's inequality mu less N^2 2^-50 ||K||_F (c = 8)
+    is a lower bound; the sums, product and root, at most (N + 3) u
+    relative, are covered by the factor 1 + (N + 4) 2^-52.
+    """
+    arr, e = _pow2_normalized(M.entries)
+    n, m = arr.shape
+    Ax = arr @ x
+    D = np.concatenate([np.abs(arr.conj().T @ _phase(Ax)), np.abs(Ax)])
+    K = np.zeros((m + n, m + n), dtype=arr.dtype)
+    K[:m, m:], K[m:, :m] = -arr.conj().T, -arr
+    K[np.diag_indices(m + n)] = D
+    mu = np.linalg.eigvalsh(K)[0] - (m + n) ** 2 * 2.0**-50 * np.linalg.norm(K)
+    upper = math.sqrt((D[:m] - mu).sum() * (D[m:] - mu).sum()) * (1.0 + (m + n + 4) * 2.0**-52)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(upper, e))
+
+
 def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
     """Certified upper bound on ||A||_{p,q}, memoised on the matrix.
 
     The minimum over the exact anchors (p0, q0) = (1, q), (p, inf), (2, 2)
     of bound_factor(p0, q0, p, q) * ||A||_{p0,q0}, read as the largest
-    column q-norm, the largest row p*-norm and the top singular value;
-    complex (inf, 1) within the phase-grid cap adds the grid's certified
-    upper end, memoised with the grid.
+    column q-norm, the largest row p*-norm and the top singular value; at
+    (inf, 1) also _inf_one_certificate at the witness of best_norm (seed
+    0), in either field.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
@@ -84,8 +120,8 @@ def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
         values = (_lp_cols(arr, qi).max(), _lp_cols(arr.T, conjugate(pi)).max(), svd(M).s[0])
         anchors = zip(((ONE, qi), (pi, INF), (TWO, TWO)), values)
         bounds = [bound_factor(*a, pi, qi, M.m, M.n) * float(v) for a, v in anchors]
-        if M.is_complex and pi.is_inf and qi.value == 1.0 and (grid := _phase_grid(M)):
-            bounds.append(grid[-1])
+        if pi.is_inf and qi.value == 1.0:
+            bounds.append(_inf_one_certificate(M, best_norm(M, INF, ONE).witness))
         M._memo[key] = min(bounds)
     return M._memo[key]
 

@@ -334,7 +334,6 @@ def sufficient_e1inf(
     p: IndexLike,
     q: IndexLike,
     tol: float = DEFAULT_TOL,
-    details: Optional[dict] = None,
 ) -> bool:
     """Cheap sufficient test for E_{1,inf}(p,q) membership.
 
@@ -347,25 +346,13 @@ def sufficient_e1inf(
     pi, qi = as_index(p), as_index(q)
     arr = M.entries
     if not arr.any():
-        if details is not None:
-            details["note"] = "zero matrix"
         return True
     ok_i, mask, rho = _isolated_extremal_entries(arr, tol)
-    if details is not None:
-        details["isolation"] = ok_i
-    if not ok_i:
-        return False
-    if sign_between(pi, qi) > 0:
-        if details is not None:
-            details["note"] = "requires p <= q"
+    if not ok_i or sign_between(pi, qi) > 0:  # p <= q is required
         return False
     C = np.abs(arr).copy()
     C[mask] = 0.0
-    c_rho = float(C.max())
-    lhs = bound_factor(ONE, INF, pi, qi, M.m, M.n) * c_rho
-    if details is not None:
-        details.update({"rho": rho, "residual_rho": c_rho, "lhs": lhs})
-    return lhs <= rho
+    return bound_factor(ONE, INF, pi, qi, M.m, M.n) * float(C.max()) <= rho
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +511,6 @@ def sufficient_e11(
     p: IndexLike,
     q: IndexLike,
     tol: float = DEFAULT_TOL,
-    details: Optional[dict] = None,
     *,
     seed: int = 0,
 ) -> bool:
@@ -543,20 +529,12 @@ def sufficient_e11(
     if not arr.any():
         return True
     ok_i, ok_ii, sigma, mask = _column_conditions(arr, tol)
-    if details is not None:
-        details.update({"constant_modulus": ok_i, "orthogonal": ok_ii})
-    if not ok_i or not ok_ii:
-        return False
-    if pi.value > 2.0 or sign_between(qi, pi) > 0:
-        if details is not None:
-            details["note"] = "requires p <= 2 and q <= p"
-        return False
+    if not ok_i or not ok_ii or pi.value > 2.0 or sign_between(qi, pi) > 0:
+        return False  # p <= 2 and q <= p are required
     C = arr.copy()
     C[:, mask] = 0.0
     c11 = float(np.abs(C).sum(axis=0).max())
     lhs = _sufficient_11_terms(pi.value, M.m, M.n, sigma, c11)
-    if details is not None:
-        details.update({"sigma": sigma, "residual_sigma": c11, "lhs": lhs})
     verdict = lhs is not None and lhs <= 1.0
     if verdict:
         target = sigma / bound_factor(pi, qi, ONE, ONE, M.m, M.n)
@@ -576,7 +554,6 @@ def sufficient_einfinf(
     p: IndexLike,
     q: IndexLike,
     tol: float = DEFAULT_TOL,
-    details: Optional[dict] = None,
     *,
     seed: int = 0,
 ) -> bool:
@@ -584,7 +561,7 @@ def sufficient_einfinf(
     E_{1,1} test, requiring q >= 2 and p >= q."""
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
-    return sufficient_e11(M.adjoint(), conjugate(qi), conjugate(pi), tol, details, seed=seed)
+    return sufficient_e11(M.adjoint(), conjugate(qi), conjugate(pi), tol, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +615,14 @@ def _unit_phase(Z: np.ndarray, floor: float) -> np.ndarray:
     return np.where(a > floor, Z / np.where(a > 0, a, 1.0), 1.0)
 
 
+_SEARCH_TRIES = 24  # random starts of one unimodular subspace search
+_SEARCH_ITERS = 400  # iterations it runs at most
+
+
 def _unimodular_in_subspace(
     Q: np.ndarray,
     rng: np.random.Generator,
     W: Optional[np.ndarray] = None,
-    tries: int = 24,
-    iters: int = 400,
 ) -> Iterator[np.ndarray]:
     """Heuristic search for unit-modulus vectors x inside span(Q), lazily.
 
@@ -659,15 +638,15 @@ def _unimodular_in_subspace(
     is given) and the subspace.  A column stops on its own: without W when
     its step falls below 1e-14 relative, with W when both moduli are
     constant to 1e-12 or it dies.  The columns that stop in an iteration
-    are yielded in start order (without W, those still moving after iters
-    steps come last) if their entries have modulus 1 and their in-subspace
-    residual is below 1e-8, and they are no unimodular multiple of an
-    earlier one; so a caller that stops at the first it accepts steps no
-    column further.
+    are yielded in start order (without W, those still moving after
+    _SEARCH_ITERS steps come last) if their entries have modulus 1 and
+    their in-subspace residual is below 1e-8, and they are no unimodular
+    multiple of an earlier one; so a caller that stops at the first it
+    accepts steps no column further.
     """
     m, k = Q.shape
     Qh = Q.conj().T
-    draws = rng.standard_normal((tries, 2, k))
+    draws = rng.standard_normal((_SEARCH_TRIES, 2, k))
     starts = [
         Q,
         Q @ (Qh @ np.ones((m, 1), dtype=complex)),
@@ -698,7 +677,7 @@ def _unimodular_in_subspace(
                 out.append(w)
                 yield w
 
-    for _ in range(iters):
+    for _ in range(_SEARCH_ITERS):
         if act.size == 0:
             return
         if W is None:

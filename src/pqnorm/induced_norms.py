@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     ExtIndex,
     IndexLike,
     as_index,
@@ -717,79 +716,30 @@ def _phase_block(start: int, stop: int, m: int, g: int) -> np.ndarray:
 
 
 MAX_REAL_COLS = 24  # columns of a real (inf,1) sign enumeration
-MAX_COMPLEX_COLS = 6  # columns of a complex (inf,1) phase grid, over A or A*
-PHASE_GRID = 8  # phases per entry of that grid
-
-
-def _phase_grid(M: MatrixValue) -> Optional[tuple]:
-    """(B, e, top values, top columns, upper), memoised on M: the stable top
-    8 of the complex (inf,1) phase grid on B, which is A / 2^e or its
-    adjoint, whichever has fewer columns.  x -> ||B x||_1 is convex and
-    blind to a global phase, and the hull of the g-th roots of unity holds
-    the disc of radius cos(pi/g), so upper = grid maximum / cos(pi/g), with
-    a factor 1 + 4 (n + m) 2^-52 for rounding, bounds ||A||_{inf,1}.  None
-    past the grid's cap, min(n, m) > MAX_COMPLEX_COLS."""
-    if min(M.n, M.m) > MAX_COMPLEX_COLS:
-        return None
-    memo = M._memo.get("phase_grid")
-    if memo is None:
-        arr, e = _pow2_normalized(M.entries)
-        B = arr if M.m <= M.n else arr.conj().T
-        k, g = B.shape[1], PHASE_GRID
-        # running stable top 8 over the grid blocks: earlier columns win
-        # ties, exactly as one argsort over the whole grid would order them
-        top_vals, top_X, total = np.zeros(0), np.zeros((k, 0), dtype=complex), g ** (k - 1)
-        for start in range(0, total, BLOCK):
-            X = np.hstack([top_X, _phase_block(start, min(start + BLOCK, total), k, g)])
-            vals = np.concatenate([top_vals, np.abs(B @ X[:, top_vals.size :]).sum(axis=0)])
-            order = _top(vals, 8)
-            top_vals, top_X = vals[order], X[:, order]
-        hull = math.cos(math.pi / g) if k > 1 else 1.0
-        with np.errstate(over="ignore"):
-            upper = float(np.ldexp(top_vals[0] / hull * (1.0 + 4 * (M.n + M.m) * 2.0**-52), e))
-        memo = M._memo["phase_grid"] = (B, e, top_vals, top_X, upper)
-    return memo
 
 
 def norm_infty_one_exact(A: MatrixLike) -> NormResult:
-    """||A||_{inf,1} by extreme-point search over the unit inf-ball.
+    """||A||_{inf,1} of a real-field matrix by sign enumeration.
 
-    Real field: the maximum sits at a sign vector, so enumerating
-    {-1, +1}^m (first entry fixed to +1) is exact; refuses m beyond
-    MAX_REAL_COLS.  Complex field: _phase_grid with ascent polish, reported
-    as a lower-bound estimate; refuses min(n, m) beyond MAX_COMPLEX_COLS.
-    From a maximizer y over A*, the witness is x = phase(A* y), for which
-    ||A x||_1 >= ||A* y||_1.
+    x -> ||Ax||_1 is convex, so its maximum over the unit inf-ball sits at
+    an extreme point, over the reals a sign vector: enumerating {-1, +1}^m
+    (first entry fixed to +1) is exact.  Refuses m beyond MAX_REAL_COLS,
+    and complex-field matrices, whose extreme points are not finitely many
+    (best_norm estimates those by ascent).
     """
     M = as_matrix(A)
-    arr = M.entries
-    n, m = arr.shape
-    if not M.is_complex:
-        if m > MAX_REAL_COLS:
-            raise DimensionError(f"sign enumeration capped at {MAX_REAL_COLS} columns, got {m}")
-        best, pick = -math.inf, None
-        for Y, cols in _sign_images(arr):
-            vals = np.abs(Y, out=Y).sum(axis=0)
-            j = int(vals.argmax())
-            if vals[j] > best:
-                best, pick = float(vals[j]), (cols, j)
-        cols, j = pick
-        return NormResult(best, cols(j).copy(), Certainty.ENUMERATION)
-    grid = _phase_grid(M)
-    if grid is None:
-        raise DimensionError(f"phase grid capped at {MAX_COMPLEX_COLS} columns, got {min(n, m)}")
-    B, e, top_vals, top_X, _ = grid
-    # the grid's columns are its starts: their entries have modulus 1 up to
-    # the rounding of exp, as for the grid values they come with
-    [(val, vec)] = _ascent(B, as_index("inf"), as_index(1), top_X, 100, 1e-12).best
-    if top_vals[0] >= val:
-        val, vec = float(top_vals[0]), top_X[:, 0].copy()
-    if B.shape[1] != m:
-        vec = _phase(B @ vec)
-        vec[vec == 0] = 1.0
-        val = float(np.abs(B.conj().T @ vec).sum())
-    with np.errstate(over="ignore"):
-        return NormResult(float(np.ldexp(val, e)), vec, Certainty.ESTIMATE)
+    if M.is_complex:
+        raise ValueError("sign enumeration is exact over the real field only")
+    if M.m > MAX_REAL_COLS:
+        raise DimensionError(f"sign enumeration capped at {MAX_REAL_COLS} columns, got {M.m}")
+    best, pick = -math.inf, None
+    for Y, cols in _sign_images(M.entries):
+        vals = np.abs(Y, out=Y).sum(axis=0)
+        j = int(vals.argmax())
+        if vals[j] > best:
+            best, pick = float(vals[j]), (cols, j)
+    cols, j = pick
+    return NormResult(best, cols(j).copy(), Certainty.ENUMERATION)
 
 
 def _lattice_side(m: int, budget: int) -> int:
@@ -897,10 +847,8 @@ def best_norms(
         pi, qi = key[:2]
         res = norm_closed_form(M, pi, qi)
         if res is None and pi.is_inf and qi.value == 1.0:
-            try:
+            if not M.is_complex and M.m <= MAX_REAL_COLS:
                 res = norm_infty_one_exact(M)
-            except DimensionError:
-                pass
         if res is None:
             todo[key] = (pi, qi)
         else:
@@ -989,15 +937,20 @@ def svd(A: MatrixLike) -> SvdFactors:
     """Full singular value decomposition by LAPACK (numpy.linalg.svd).
 
     Computed once per matrix and memoised on it, so the factors are
-    read-only.  The top singular value leads; complex-capable.
+    read-only.  The top singular value leads; complex-capable.  It runs on
+    A / 2^e, where LAPACK does not rescale the matrix by a factor of its
+    own, so 2^k A has the same factors and singular values 2^k s.
     """
     M = as_matrix(A)
     f = M._memo.get("svd")
     if f is None:
+        arr, e = _pow2_normalized(M.entries)
         try:
-            u, s, vh = np.linalg.svd(M.entries)
-        except np.linalg.LinAlgError as e:
-            raise SvdConvergenceError(str(e)) from e
+            u, s, vh = np.linalg.svd(arr)
+        except np.linalg.LinAlgError as err:
+            raise SvdConvergenceError(str(err)) from err
+        with np.errstate(over="ignore"):
+            s = np.ldexp(s, e)
         f = SvdFactors(u=u, s=s, v=vh.conj().T)
         for a in (f.u, f.s, f.v):
             a.setflags(write=False)

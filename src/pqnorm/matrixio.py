@@ -10,7 +10,8 @@ Real entries are plain numbers; complex entries are two-element [re, im]
 arrays (always, even for a zero imaginary part).  ``data`` may be given
 either flat (length n*m) or as a list of n rows of length m; files are
 written flat.  All floats are serialized with 17 significant digits so a
-write/read round trip reproduces the doubles exactly.
+write/read round trip reproduces the doubles exactly, the sign of a zero
+included.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import enum
 import itertools
 import json
 import math
+import re
 from dataclasses import fields as dc_fields, is_dataclass
 from typing import IO, Union
 
@@ -199,9 +201,22 @@ def dumps_matrix(M: MatrixValue) -> str:
     return dumps_json(doc)
 
 
+# the JSON integer token -0 (not the start of -0.5, -0e1 or -05), which the
+# writer emits for -0.0
+_NEGATIVE_ZERO = re.compile(r"-0(?![.\deE])")
+
+
+def _int_or_negative_zero(token: str):
+    return -0.0 if token == "-0" else int(token)
+
+
 def loads_matrix(text: str) -> MatrixValue:
+    """The matrix a document describes.  JSON reads the token -0 as the
+    integer 0, so a text that holds one is parsed with a hook that reads it
+    as -0.0; any other text takes json.loads' default path."""
+    hook = _int_or_negative_zero if _NEGATIVE_ZERO.search(text) else None
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=hook)
     except json.JSONDecodeError as e:
         raise MatrixFileError(f"not valid JSON: {e}") from None
     return matrix_from_obj(obj)

@@ -30,7 +30,7 @@ from pqnorm import (
     norm_upper_bound,
     transfer_equality,
 )
-from pqnorm.induced_norms import MAX_COMPLEX_COLS, _phase_grid
+from pqnorm.bounds import _inf_one_certificate
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 GRID = [1, 1.5, 2, 3, "inf"]
@@ -92,15 +92,48 @@ class TestNormUpperBound:
         assert norm_upper_bound(as_matrix(M), "1.5", 3.0) == first
 
 
+class TestInfOneCertificate:
+    def test_closes_at_a_certified_maximum(self):
+        # where K is positive semidefinite at the ascent's witness (the
+        # semidefinite relaxation is exact there), the certificate is the
+        # estimate up to the eigenvalue margin and the ascent's own shortfall
+        r = np.random.default_rng(6)
+        cases = [
+            as_matrix(B, field="complex"),
+            as_matrix(np.array([[1, 1], [1, -1j]])),
+            as_matrix(r.standard_normal((4, 4)) + 1j * r.standard_normal((4, 4))),
+        ]
+        for M in cases:
+            res = best_norm(M, "inf", 1)
+            cert = _inf_one_certificate(M, res.witness)
+            assert res.value <= cert <= res.value * (1.0 + 1e-10)
+            assert bracket_norm(M, "inf", 1).upper <= cert
+
+    def test_real_past_the_enumeration_cap(self):
+        # 30 columns: no sign enumeration, so the real (inf, 1) point is an
+        # ascent estimate, and the certificate still encloses it and the
+        # sampling oracle
+        M = as_matrix(np.random.default_rng(44).standard_normal((3, 30)))
+        res = best_norm(M, "inf", 1)
+        assert res.certainty is Certainty.ESTIMATE
+        cert = _inf_one_certificate(M, res.witness)
+        assert cert >= res.value and cert >= norm_bruteforce(M, "inf", 1, budget=2000).value
+        assert norm_upper_bound(M, "inf", 1) <= cert
+
+    def test_zero_matrix(self):
+        M = as_matrix(np.zeros((2, 3), dtype=complex))
+        assert _inf_one_certificate(M, np.ones(3)) == 0.0
+
+
 def _anchor_minimum(M, p, q):
     """The certified bound read from norm_closed_form's values at the
-    anchors (1, q), (p, inf) and (2, 2), plus the complex (inf, 1) grid's
-    upper end: the reference for norm_upper_bound's witness-free anchors."""
+    anchors (1, q), (p, inf) and (2, 2), plus at (inf, 1) the certificate at
+    best_norm's witness: the reference for norm_upper_bound."""
     pi, qi = as_index(p), as_index(q)
     anchors = ((as_index(1), qi), (pi, as_index("inf")), (as_index(2), as_index(2)))
     bounds = [bound_factor(*a, pi, qi, M.m, M.n) * norm_closed_form(M, *a).value for a in anchors]
-    if M.is_complex and pi.is_inf and qi.value == 1.0 and min(M.n, M.m) <= MAX_COMPLEX_COLS:
-        bounds.append(_phase_grid(M)[-1])
+    if pi.is_inf and qi.value == 1.0:
+        bounds.append(_inf_one_certificate(M, best_norm(M, "inf", 1).witness))
     return min(bounds)
 
 

@@ -35,10 +35,9 @@ from pqnorm import (
     svd,
     vector_norm,
 )
+from pqnorm.bounds import _inf_one_certificate
 from pqnorm.induced_norms import (
     BLOCK,
-    MAX_COMPLEX_COLS,
-    PHASE_GRID,
     STACK,
     _TINY,
     _ascent,
@@ -49,7 +48,6 @@ from pqnorm.induced_norms import (
     _peak_free_map,
     _phase,
     _phase_block,
-    _phase_grid,
     _pow2_normalized,
     _sign_cols,
     _sign_images,
@@ -168,6 +166,18 @@ class TestSvd:
         f = svd(M)
         assert f.u.shape == (2, 2) and f.v.shape == (5, 5)
         assert np.allclose(f.reconstruct(), M.entries, atol=1e-12)
+
+    def test_exact_under_pow2_scaling(self):
+        # LAPACK rescales a matrix whose entries all lie below 2^-458 or
+        # above 2^458 by a factor of its own; the SVD runs on A / 2^e, so
+        # 2^k A has the same factors and exactly 2^k times the values
+        for complex_ in (False, True):
+            M = rand_matrix(12, 4, 3, complex_=complex_)
+            f = svd(M)
+            for k in (-1000, -669, 669, 1000):
+                g = svd(as_matrix(_ldexp(M.entries, k), M.field))
+                assert np.array_equal(g.s, np.ldexp(f.s, k)), (complex_, k)
+                assert np.array_equal(g.u, f.u) and np.array_equal(g.v, f.v), (complex_, k)
 
 
     def test_rank_deficient_generated(self):
@@ -313,14 +323,23 @@ class TestInftyOneExact:
         assert norm_infty_one_exact(np.ones((2, 2))).value == 4.0
 
     def test_complex_worked_example(self):
-        # maximizer (1, i): ||A(1,i)||_1 = |1+i| + |-1+i| = 2*sqrt(2)
-        res = norm_infty_one_exact(as_matrix(B, field="complex"))
-        assert math.isclose(res.value, 2.0 * math.sqrt(2.0), rel_tol=1e-9)
+        # maximizer (1, i): ||A(1,i)||_1 = |1+i| + |-1+i| = 2*sqrt(2); the
+        # complex field has no sign enumeration, and the ascent's witness
+        # certifies its own value, so the bracket closes
+        M = as_matrix(B, field="complex")
+        with pytest.raises(ValueError):
+            norm_infty_one_exact(M)
+        br = bracket_norm(M, "inf", 1)
+        assert br.result.certainty is Certainty.ESTIMATE
+        assert math.isclose(br.lower, 2.0 * math.sqrt(2.0), rel_tol=1e-12)
+        assert br.upper <= br.lower * (1.0 + 1e-12)
 
     def test_witness_reproduces_value(self):
+        # the real enumeration and the complex ascent alike
         for i in range(6):
             M = rand_matrix(300 + i, 3, 3, complex_=bool(i % 2))
-            res = norm_infty_one_exact(M)
+            res = best_norm(M, "inf", 1)
+            assert res.certainty is (Certainty.ESTIMATE if M.is_complex else Certainty.ENUMERATION)
             got = norm_ratio(M, res.witness, "inf", 1)
             assert math.isclose(got, res.value, rel_tol=1e-9)
 
@@ -331,24 +350,13 @@ class TestInftyOneExact:
             norm_infty_one_exact(M)
 
     def test_phase_blocks_match_full_grid(self):
-        # g^(m-1) columns span several blocks; the running top 8 must pick
-        # the columns one stable argsort over the whole grid would pick
-        g, m = PHASE_GRID, MAX_COMPLEX_COLS
-        assert g ** (m - 1) > BLOCK
+        # any block of the grid is the same columns of np.meshgrid's
+        g, m = 8, 6
         phases = np.exp(2j * np.pi * np.arange(g) / g)
         mesh = np.meshgrid(*([phases] * (m - 1)), indexing="ij")
         full = np.vstack([np.ones(g ** (m - 1))] + [t.reshape(-1) for t in mesh])
         assert np.array_equal(_phase_block(0, full.shape[1], m, g), full)
         assert np.array_equal(_phase_block(20000, 20100, m, g), full[:, 20000:20100])
-        for A in (np.ones((m, m), dtype=complex), rand_matrix(7, m + 1, m, complex_=True).entries):
-            vals = np.abs(A @ full).sum(axis=0)
-            top = np.argsort(-vals, kind="stable")[:8]
-            [(val, vec)] = _ascent(A, as_index("inf"), as_index(1), full[:, top], 100, 1e-12).best
-            if vals[top[0]] >= val:
-                val, vec = vals[top[0]], full[:, top[0]]
-            res = norm_infty_one_exact(A)
-            assert res.value == val
-            assert np.array_equal(res.witness, vec)
 
     RANDOM_SHAPES = [(2, 4), (8, 4), (3, 5), (8, 5), (6, 6), (8, 6), (4, 6)]
 
@@ -359,9 +367,10 @@ class TestInftyOneExact:
         ids=["dft3", "dft5", "dft6"] + [f"{n}x{m}" for n, m in RANDOM_SHAPES],
     )
     def test_eight_phases_match_sixteen(self, A):
-        # DFT 3, 5 and 6 have phases off the 8-point grid; after the ascent
-        # polish the 8-phase value matches a 16-phase grid over the same
-        # side (A or A*, whichever has fewer columns) to 1e-12 relative
+        # DFT 3, 5 and 6 have phases off an 8-point grid; the ascent's value
+        # matches a polished 16-phase grid over the smaller side (A or A*,
+        # whichever has fewer columns) to 1e-10 relative, and the certified
+        # upper end lies above both
         M = as_matrix(A)
         B = M.entries if M.m <= M.n else M.entries.conj().T
         k, g = B.shape[1], 16
@@ -373,24 +382,22 @@ class TestInftyOneExact:
             best_vals, best_X = vals[top], X[:, top]
         [(val, _)] = _ascent(B, as_index("inf"), as_index(1), best_X, 100, 1e-12).best
         want = max(val, best_vals[0])
-        assert abs(norm_infty_one_exact(M).value - want) <= 1e-12 * want
+        got = best_norm(M, "inf", 1).value
+        assert abs(got - want) <= 1e-10 * want
+        assert norm_upper_bound(M, "inf", 1) >= max(got, want)
 
     def test_adjoint_side(self):
-        # the grid runs over min(n, m) columns: a complex 2x6 scores 8 grid
-        # columns of A*, and a 6x8 gets the grid instead of DimensionError;
-        # the witness phase(A* y) reproduces the value on A itself
-        for n, m in [(2, 6), (6, 8), (1, 5)]:
+        # ||A||_{inf,1} = ||A*||_{inf,1}: the ascent on A and on A* agree,
+        # at every size; the unimodular witness reproduces the value, which
+        # the certified upper end encloses
+        for n, m in [(2, 6), (6, 8), (1, 5), (7, 9)]:
             M = rand_matrix(1520 + n, n, m, complex_=True)
-            B, _, top_vals, top_X, upper = _phase_grid(M)
-            assert B.shape == (m, n) and top_X.shape == (n, min(8, PHASE_GRID ** (n - 1)))
-            res = norm_infty_one_exact(M)
+            res = best_norm(M, "inf", 1)
             assert np.abs(np.abs(res.witness) - 1.0).max() <= 1e-12
             assert math.isclose(norm_ratio(M, res.witness, "inf", 1), res.value, rel_tol=1e-12)
-            adj = norm_infty_one_exact(M.adjoint()).value
-            assert res.value >= adj * (1.0 - 1e-12)
-            assert res.value <= upper
-        with pytest.raises(DimensionError):
-            norm_infty_one_exact(rand_matrix(1530, 7, 9, complex_=True))
+            adj = best_norm(M.adjoint(), "inf", 1).value
+            assert math.isclose(res.value, adj, rel_tol=1e-10)
+            assert res.value <= norm_upper_bound(M, "inf", 1)
 
     def test_matches_oracle(self):
         for i in range(6):
@@ -780,25 +787,29 @@ def test_ratio_never_exceeds_norm(seed, p, q):
 
 @given(
     st.integers(0, 10_000),
-    st.integers(1, MAX_COMPLEX_COLS),
-    st.integers(1, MAX_COMPLEX_COLS),
-    st.integers(-1000, 1000),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from([-1000, -669, 0, 669, 1000]),
 )
-@settings(max_examples=25, deadline=None)
-def test_phase_grid_upper_end(seed, n, m, k):
-    # the grid's certified upper end lies above the polished value and the
-    # sampling oracle, on A and on 2^k A alike; both scale exactly by 2^k
-    A = rand_matrix(seed, n, m, complex_=True).entries
-    for arr in (A, np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)):
-        M = as_matrix(arr)
-        upper = _phase_grid(M)[-1]
-        assert upper >= norm_infty_one_exact(M).value
-        assert upper >= norm_bruteforce(M, "inf", 1, budget=2000).value
-        br = bracket_norm(M, "inf", 1)
-        assert br.lower <= br.upper <= upper
-    scaled = as_matrix(arr)
-    assert _phase_grid(scaled)[-1] == math.ldexp(_phase_grid(as_matrix(A))[-1], k)
-    assert norm_infty_one_exact(scaled).value == math.ldexp(norm_infty_one_exact(A).value, k)
+@settings(max_examples=30, deadline=None)
+def test_inf_one_upper_end(seed, n, m, complex_, k):
+    # the certificate, rounded upward, lies above best_norm and the sampling
+    # oracle in both fields (for a real matrix, above the complex-field value
+    # too), and so does the certified upper end up to the rounding of its
+    # exact anchors; both scale exactly by 2^k
+    M = rand_matrix(seed, n, m, complex_=complex_)
+    scaled = as_matrix(_ldexp(M.entries, k), M.field)
+    res = best_norm(M, "inf", 1)
+    upper, cert = norm_upper_bound(M, "inf", 1), _inf_one_certificate(M, res.witness)
+    lower = max(res.value, norm_bruteforce(M, "inf", 1, budget=500).value)
+    assert cert >= lower and upper >= lower * (1.0 - 1e-12)
+    if not complex_:
+        assert cert >= best_norm(as_matrix(M.entries, "complex"), "inf", 1).value
+    assert norm_upper_bound(scaled, "inf", 1) == math.ldexp(upper, k)
+    assert _inf_one_certificate(scaled, res.witness) == math.ldexp(cert, k)
+    br = bracket_norm(scaled, "inf", 1)
+    assert br.lower == math.ldexp(res.value, k) and br.lower <= br.upper
 
 
 SETTLE_PAIRS = [

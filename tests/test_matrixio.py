@@ -183,9 +183,23 @@ class TestArrayWriter:
         save_matrix(M, path)
         back = load_matrix(path)
         assert back.field == M.field
-        # same bits, but for the sign of a zero: -0.0 is written "-0", which
-        # JSON reads as the integer 0
-        assert back.entries.tobytes() == (M.entries + 0.0).tobytes()
+        # the same bits, the sign of a zero included
+        assert back.entries.tobytes() == M.entries.tobytes()
+
+    def test_negative_zero_tokens(self, monkeypatch):
+        # -0 reads as -0.0 in real entries and in both parts of a complex
+        # pair; -0.5, -0e1 and exponents such as 1e-05 are no such token
+        real = loads_matrix('{"field": "real", "rows": 2, "cols": 2, "data": [[-0, -0], [1, 0]]}')
+        assert np.signbit(real.entries).tolist() == [[True, True], [False, False]]
+        text = '{"field": "complex", "rows": 1, "cols": 3, "data": [[-0, 0], [0, -0], [-0,-0]]}'
+        got = loads_matrix(text).entries.view(float)
+        assert np.signbit(got).tolist() == [[True, False, False, True, True, True]]
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda t, **kw: calls.append(kw) or loads(t, **kw))
+        other = '{"field": "real", "rows": 1, "cols": 3, "data": [-0.5, -0e1, 1e-05]}'
+        assert np.signbit(loads_matrix(other).entries).tolist() == [[True, True, False]]
+        assert calls == [{"parse_int": None}]
 
     def test_integral_and_edge_digits(self):
         M = as_matrix(np.array([[4.0, -0.0, 5e-324, -1.7976931348623157e308]]))
