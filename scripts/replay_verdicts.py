@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Replay stream-small queries and compare the answers of two source trees.
+
+Replay: run the first N queries of the benchmark's stream-small workload
+for each seed, in-process, against the pqnorm sources in --src (default:
+this checkout's src/), and write one record per query to a JSON file: its
+decision (yes / no / undetermined, or null for a norm query), the relative
+widths of its estimated brackets, and the reasons the benchmark's oracle
+check failed it.  The queries and checks come from bench/workloads.py,
+imported without writing anything under bench/.
+
+Diff: read two such files and list every yes <-> no flip and, apart from
+them, every move between a decision and undetermined; print both files'
+oracle failures and bracket width means (the mean over queries without a
+failure, as the benchmark reports it).  Exits 1 when a query flipped or the
+files hold different queries.
+
+Run:
+    python3 scripts/replay_verdicts.py --seeds 31,911,4242 -n 4000 -o new.json
+    python3 scripts/replay_verdicts.py --src ../parent/src --seeds 31 -n 4000 -o old.json
+    python3 scripts/replay_verdicts.py --diff old.json new.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _workloads(src: str):
+    """bench/workloads.py with pqnorm imported from src, writing no bytecode."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "bench")]
+    import pqnorm
+    import workloads
+
+    where = os.path.dirname(os.path.dirname(os.path.abspath(pqnorm.__file__)))
+    if where != os.path.abspath(src):
+        sys.exit(f"error: pqnorm imported from {where}, not from {src}")
+    return workloads
+
+
+def replay(src: str, seeds: list, n: int) -> list:
+    workloads = _workloads(src)
+    records = []
+    for seed in seeds:
+        wl = workloads.StreamSmall(seed)
+        rounds = wl.setup()
+        while sum(map(len, rounds)) < n:
+            rounds += wl.more()
+        for q in itertools.islice(itertools.chain.from_iterable(rounds), n):
+            out = workloads.Outcome()
+            try:
+                q.check(q.run(), out)
+            except Exception as exc:  # a failed query is a record, as in the benchmark
+                out.fail(f"raised {type(exc).__name__}: {exc}")
+            records.append({
+                "seed": seed, "query": q.qid, "desc": q.desc, "decision": out.decision,
+                "widths": out.widths, "failures": out.reasons,
+            })
+    return records
+
+
+def width_mean(records: list) -> float:
+    widths = [w for r in records if not r["failures"] for w in r["widths"]]
+    return statistics.fmean(widths) if widths else 0.0
+
+
+def diff(a_path: str, b_path: str) -> int:
+    with open(a_path, encoding="utf-8") as fp:
+        a = json.load(fp)
+    with open(b_path, encoding="utf-8") as fp:
+        b = json.load(fp)
+    keys = [(r["seed"], r["query"], r["desc"]) for r in a]
+    if keys != [(r["seed"], r["query"], r["desc"]) for r in b]:
+        print("the two files hold different queries")
+        return 1
+    flips, moves = [], []
+    for ra, rb in zip(a, b):
+        da, db = ra["decision"], rb["decision"]
+        if da != db:
+            line = f"  seed {ra['seed']} {ra['query']} {ra['desc']}: {da} -> {db}"
+            (flips if {da, db} == {"yes", "no"} else moves).append(line)
+    print(f"queries: {len(a)}")
+    for name, recs in ((a_path, a), (b_path, b)):
+        failed = sum(1 for r in recs if r["failures"])
+        print(f"{name}: oracle failures {failed}, bracket width mean {width_mean(recs):.9f}")
+    print(f"yes <-> no flips: {len(flips)}", *flips, sep="\n")
+    print(f"decided <-> undetermined moves: {len(moves)}", *moves, sep="\n")
+    return 1 if flips else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two replay files")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="pqnorm source tree")
+    ap.add_argument("--seeds", default="31", help="comma-separated stream-small seeds")
+    ap.add_argument("-n", type=int, default=4000, help="queries per seed")
+    ap.add_argument("-o", "--out", help="replay file to write")
+    args = ap.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    if not args.out:
+        ap.error("a replay needs -o/--out")
+    seeds = [int(s) for s in args.seeds.split(",")]
+    records = replay(args.src, seeds, args.n)
+    with open(args.out, "w", encoding="utf-8") as fp:  # one record per line
+        fp.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    failed = sum(1 for r in records if r["failures"])
+    print(f"{len(records)} queries, oracle failures {failed}, bracket width mean {width_mean(records):.9f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

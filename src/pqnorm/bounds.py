@@ -15,9 +15,9 @@ estimate with a certified upper bound, the same inequality read from the
 exactly known anchors (1, q), (p, inf) and (2, 2), and at (inf, 1) a
 semidefinite certificate from the estimate's witness, so that equality
 questions are answered soundly (yes / no / undetermined) even on estimated
-paths.  The duality and monotonicity checks compare a value with such a
-bracket: two lower bounds that disagree give None (undetermined), and only
-a lower bound above a certified upper bound gives False.
+paths.  Every such comparison is one rule, _at_most: two lower bounds that
+disagree give None (undetermined), and only a lower bound above a
+certified upper bound gives False.
 """
 
 from __future__ import annotations
@@ -144,12 +144,7 @@ class NormBracket:
 
     def le(self, target: float, tol: float) -> Optional[bool]:
         """Is ||A|| <= target (within relative tol)?  None if undecidable."""
-        slack = tol * max(abs(target), self.upper, 1e-300)
-        if self.upper <= target + slack:
-            return True
-        if self.lower > target + slack:
-            return False
-        return None
+        return _at_most((self.lower, self.upper), (target, target), tol)
 
 
 def bracket_norm(
@@ -238,21 +233,20 @@ def check_inequality(
     )
 
 
-def _not_above(t: float, x: float, c: float, bracket: NormBracket) -> Optional[bool]:
-    """Three-state x <= c ||A||, ||A|| enclosed by bracket, up to slack t
-    relative to the larger side.
+def _at_most(x: tuple, y: tuple, tol: float) -> Optional[bool]:
+    """Three-state u <= v for u in [x_lo, x_hi] and v in [y_lo, y_hi], up
+    to slack tol relative to the larger of the two ends compared.
 
-    True when x is within reach of c times the lower end already.  False
-    only when x exceeds even c times the certified upper end, which no true
-    norm can give; otherwise None (undetermined).
+    True when x_hi <= y_lo + tol max(x_hi, y_lo); False only when
+    x_lo > y_hi + tol max(x_lo, y_hi), which no values inside the brackets
+    can give; otherwise None (undetermined).  A point is the pair (x, x).
     """
-
-    def within(y: float) -> bool:
-        return x <= y + t * max(x, y, 1e-300)
-
-    if within(c * bracket.lower):
+    (x_lo, x_hi), (y_lo, y_hi) = x, y
+    if x_hi <= y_lo + tol * max(x_hi, y_lo, 1e-300):
         return True
-    return None if within(c * bracket.upper) else False
+    if x_lo > y_hi + tol * max(x_lo, y_hi, 1e-300):
+        return False
+    return None
 
 
 def _all(verdicts: list) -> Optional[bool]:
@@ -283,7 +277,7 @@ def duality_check(
     a = bracket_norm(M, pi, qi, seed=seed)
     b = bracket_norm(M.adjoint(), conjugate(qi), conjugate(pi), seed=seed)
     t = tol if tol is not None else (1e-9 if a.is_exact and b.is_exact else 1e-3)
-    return _all([_not_above(t, a.lower, 1.0, b), _not_above(t, b.lower, 1.0, a)])
+    return _all([_at_most((x.lower,) * 2, (y.lower, y.upper), t) for x, y in ((a, b), (b, a))])
 
 
 def _ascending(grid: Sequence[IndexLike], name: str) -> list:
@@ -316,8 +310,9 @@ def monotonicity_check(
     verdicts = []
     for i, (a, b) in enumerate(zip(brackets, brackets[1:])):
         t = tol if tol is not None else (1e-6 if a.is_exact and b.is_exact else 1e-3)
-        verdicts.append(_not_above(t, a.lower, 1.0, b))
-        verdicts.append(_not_above(t, weights[i + 1] * b.lower, weights[i], a))
+        verdicts.append(_at_most((a.lower,) * 2, (b.lower, b.upper), t))
+        w, c = weights[i + 1] * b.lower, weights[i]
+        verdicts.append(_at_most((w, w), (c * a.lower, c * a.upper), t))
     return _all(verdicts)
 
 
@@ -370,10 +365,11 @@ def decide_equality(
     """Three-state equality decision for ||A||_{r,s} = factor * ||A||_{p,q}.
 
     Returns (verdict, details) with verdict in {"yes", "no", "undetermined"}.
-    Sound on estimated paths: the left bracket's lower bound against the
-    right bracket's upper bound certifies "yes"; the reverse comparison
-    certifies "no"; anything else is undetermined; (r, s) = (p, q) is "yes"
-    (factor 1).  Both sides are estimated together, in one stacked ascent.
+    Since the left side never exceeds the bound, equality is bound <= lhs:
+    _at_most of the scaled right bracket against the left one, True "yes"
+    (the bound's upper end within tol of the left lower end), False "no"
+    (certified), None undetermined; (r, s) = (p, q) is "yes" (factor 1).
+    Both sides are estimated together, in one stacked ascent.
     """
     as_tol(tol)
     M = as_matrix(A)
@@ -392,11 +388,5 @@ def decide_equality(
     }
     if (ri, si) == (pi, qi):
         return "yes", details
-    bound_hi = factor * rb.upper
-    bound_lo = factor * rb.lower
-    scale = max(bound_hi, lb.upper, 1e-300)
-    if lb.lower >= bound_hi - tol * scale:
-        return "yes", details
-    if lb.upper < bound_lo - tol * scale:
-        return "no", details
-    return "undetermined", details
+    verdict = _at_most((factor * rb.lower, factor * rb.upper), (lb.lower, lb.upper), tol)
+    return {True: "yes", False: "no", None: "undetermined"}[verdict], details

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import List, Optional
 
@@ -105,6 +106,18 @@ def _tol_arg(tok: str) -> float:
         return as_tol(float(tok))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {tok!r}") from None
+
+
+def _claim_arg(tok: str) -> tuple:
+    """A claimed norm "p,q,value": two exponents and a finite value."""
+    try:
+        p, q, value = tok.split(",")
+        claim = as_index(p.strip()), as_index(q.strip()), float(value)
+    except (ValueError, TypeError):
+        claim = None
+    if claim is None or not math.isfinite(claim[2]):
+        raise argparse.ArgumentTypeError(f'expected "p,q,value" with a finite value, got {tok!r}')
+    return claim
 
 
 def _floats_arg(tok: str) -> tuple:
@@ -362,10 +375,7 @@ def cmd_verify(args) -> int:
     except PreconditionError:
         report("maximizer-eigencheck", None)
     if args.assert_norm:
-        parts = args.assert_norm.split(",")
-        if len(parts) != 3:
-            raise _UsageError('--assert-norm expects "p,q,value"')
-        p, q, claimed = as_index(parts[0]), as_index(parts[1]), float(parts[2])
+        p, q, claimed = args.assert_norm
         res = best_norm(M, p, q, seed=seed)
         tol = args.tol if args.tol is not None else 1e-6
         slack = tol * max(1.0, abs(claimed)) - abs(res.value - claimed)
@@ -433,7 +443,9 @@ def build_parser() -> _Parser:
     sp.add_argument("file")
     sp.add_argument("--tol", type=_tol_arg, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--assert-norm", default=None, help='"p,q,value" to check a claimed norm')
+    sp.add_argument(
+        "--assert-norm", type=_claim_arg, default=None, help='"p,q,value" to check a claimed norm'
+    )
     return parser
 
 

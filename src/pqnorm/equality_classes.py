@@ -63,6 +63,7 @@ from .induced_norms import (
     MatrixValue,
     SvdFactors,
     _ldexp,
+    _phase,
     _phase_block,
     _pow2_normalized,
     _sign_images,
@@ -450,15 +451,6 @@ def check_E11(
     return _check_11_columns(M, pi, qi, tol, seed)
 
 
-_ROW_NAMES = {
-    "single-nonzero-column": "single-nonzero-row",
-    "column-constant-modulus": "row-constant-modulus",
-    "extremal-columns-constant-modulus": "extremal-rows-constant-modulus",
-    "extremal-columns-orthogonal": "extremal-rows-orthogonal",
-    "column-bound-tight": "row-bound-tight",
-}
-
-
 def check_Einfinf(
     A: MatrixLike,
     p: IndexLike,
@@ -478,7 +470,7 @@ def check_Einfinf(
     pi, qi = as_index(p), as_index(q)
     dual = check_E11(M.adjoint(), conjugate(qi), conjugate(pi), tol, seed=seed)
     conds = [
-        Condition(_ROW_NAMES.get(c.name, c.name), c.satisfied, dict(c.measured))
+        Condition(c.name.replace("column", "row"), c.satisfied, dict(c.measured))
         for c in dual.conditions
     ]
     return ClassVerdict(dual.member, conds, dual.certificate, dual.certainty)
@@ -810,12 +802,12 @@ def check_Einf1(
     rounded vector, which that bound makes exhaustive; a real k-dimensional
     group is searched by _unimodular_vectors with that slack (undetermined past
     k = 25), a complex one heuristically (undetermined when the search
-    fails).  Over the reals every group that could reach the exact lower
-    bound sigma_1 m^-(1/p-1/2)_+ n^-(1/2-1/q)_+ <= ||A||_{p,q} is searched,
-    so a "no" without a candidate is exact unless a group's search was not
-    exhaustive; over the complex field only the groups whose amplitude fits
-    the window from that bound to the certified norm_upper_bound are
-    searched.  The norm bracket is formed only once a candidate needs it.
+    fails).  Only the groups whose amplitude fits the window from the exact
+    lower bound sigma_1 m^-(1/p-1/2)_+ n^-(1/2-1/q)_+ <= ||A||_{p,q} to the
+    certified norm_upper_bound are searched: a group outside it would give a
+    ratio outside the norm's enclosure.  So a "no" without a candidate is
+    exact unless a group's search was not exhaustive.  The norm bracket is
+    formed only once a candidate needs it.
     """
     as_tol(tol)
     M = as_matrix(A)
@@ -840,37 +832,21 @@ def check_Einf1(
     # a member's ratio is ||A||_{p,q}, which low, an exact lower bound, and
     # the certified upper bound enclose
     low = svals[0] / bound_factor(pi, qi, 2, 2, m, n)
-    if M.is_complex:
-        high = norm_upper_bound(M, pi, qi)
-        btol = tol if low == high else max(tol, ESTIMATED_EQ_TOL)
-        lo, hi = amp * low * (1.0 - btol), amp * high * (1.0 + btol)
-        searched = [g for g in groups if lo <= g[2] <= hi and g[2] > 0]
-        measured = {"window": (lo, hi), "singular_values": svals}
-        V = f.v.astype(complex)
-        eig_tol = max(tol, 1e-7)  # candidates carry the computed vectors' phase error
-    else:
-        low *= amp * (1.0 - max(tol, ESTIMATED_EQ_TOL))
-        searched = [g for g in groups if g[2] >= low and g[2] > 0]
-        measured = {"lower_bound": low, "singular_values": svals}
-        V = f.v
-        eig_tol = tol
+    high = norm_upper_bound(M, pi, qi)
+    btol = tol if low == high else max(tol, ESTIMATED_EQ_TOL)
+    lo, hi = amp * low * (1.0 - btol), amp * high * (1.0 + btol)
+    searched = [g for g in groups if lo <= g[2] <= hi and g[2] > 0]
+    measured = {"window": (lo, hi), "singular_values": svals}
     conds = [Condition("amplitude-compatible-eigenspaces", bool(searched), measured)]
-    # a simple group's one candidate: its vector rounded to unit moduli,
-    # whose images are tested all at once
-    simple = [i for i, j, _ in searched if j - i == 1]
-    W = _unit_phase(V[:, simple], 0.0)
-    if not M.is_complex:
-        W *= W[0]  # first entry +1, as the sign enumeration orders them
-    Y = np.abs(arr @ W)
-    peaks = Y.max(axis=0)
-    ok = (peaks > 0) & (peaks - Y.min(axis=0) <= tol * peaks)
-    const = {i: W[:, c] for c, i in enumerate(simple) if ok[c]}
+    V = f.v.astype(complex) if M.is_complex else f.v
+    eig_tol = max(tol, 1e-7) if M.is_complex else tol  # the computed vectors' phase error
     rng = np.random.default_rng(seed) if M.is_complex else None
     count = 0
     incomplete = unresolved = loose = False
     for i, j, sval in searched:
-        if j - i == 1:
-            found = [const[i]] if i in const else []
+        if j - i == 1:  # one candidate: the vector rounded to unit moduli
+            w = _unit_phase(V[:, i], 0.0)
+            found = [w if M.is_complex else w * w[0]]  # real: first entry +1
         else:
             # within one eigengroup the matrix acts as sval times an isometry
             slack = math.sqrt(m) * t / (min(gaps[i - 1] if i else np.inf, gaps[j - 1]) - t)
@@ -912,8 +888,8 @@ def check_Einf1(
     conds.append(Condition("eigenvector-with-matching-amplitude", state, {"eigenspaces": count}))
     if undecided:
         return _verdict("undetermined", conds, certainty="estimate-backed")
-    # a "no" without a candidate used no norm estimate: the real window rests
-    # on the exact lower bound, the complex one on it and the certified bound
+    # a "no" without a candidate used no norm estimate: the window rests on
+    # the exact lower bound and the certified upper bound
     exact = not loose and (ab is None or ab.is_exact)
     return _verdict("no", conds, certainty="exact" if exact else "estimate-backed")
 
@@ -927,24 +903,20 @@ def _svd_with_first_vector(
     M: MatrixValue, f: SvdFactors, k: int, v_new: np.ndarray
 ) -> Optional[SvdFactors]:
     """Rebuild the factorization so the leading right-singular vector is
-    v_new (a unit vector inside the top singular subspace, of dimension k)."""
+    v_new (a unit vector inside the top singular subspace, of dimension k).
+
+    The new basis of that subspace is V_k Q for the Householder QR of its
+    coordinates c = V_k* v_new next to k - 1 unit vectors: Q is unitary
+    whatever their rank, and its first column is c / |c| up to the phase of
+    R[0, 0], which is restored.
+    """
     arr = M.entries
     s1 = float(f.s[0])
-    Qv = f.v[:, :k]
     dtype = complex if (M.is_complex or np.iscomplexobj(v_new)) else float
-    basis = [v_new.astype(dtype)]
-    for j in range(k):
-        c = Qv[:, j].astype(dtype)
-        for b in basis:
-            c = c - b * np.vdot(b, c)
-        nc = float(np.linalg.norm(c))
-        if nc > 1e-10:
-            basis.append(c / nc)
-        if len(basis) == k:
-            break
-    if len(basis) != k:
-        return None
-    Vt = np.stack(basis, axis=1)
+    Qv = f.v[:, :k]
+    Q, R = np.linalg.qr(np.column_stack([Qv.conj().T @ v_new, np.eye(k, k - 1)]))
+    Q[:, 0] *= _phase(R[:1, 0])
+    Vt = Qv @ Q
     Ut = (arr @ Vt) / s1
     V = f.v.astype(dtype).copy()
     U = f.u.astype(dtype).copy()

@@ -30,7 +30,7 @@ from pqnorm import (
     norm_upper_bound,
     transfer_equality,
 )
-from pqnorm.bounds import _inf_one_certificate
+from pqnorm.bounds import _at_most, _inf_one_certificate
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 GRID = [1, 1.5, 2, 3, "inf"]
@@ -468,6 +468,74 @@ def test_factor_at_least_one(p, q, r, s, m, n):
     direct = bound_factor(p, q, r, s, m, n)
     via = bound_factor(p, q, 2, 2, m, n) * bound_factor(2, 2, r, s, m, n)
     assert via >= direct * (1.0 - 1e-12)
+
+
+def _not_above_reference(t, x, c, lo, hi):
+    """The former comparison of duality_check and monotonicity_check,
+    x <= c ||A|| with ||A|| in [lo, hi], kept as the reference."""
+
+    def within(y):
+        return x <= y + t * max(x, y, 1e-300)
+
+    if within(c * lo):
+        return True
+    return None if within(c * hi) else False
+
+
+def _le_reference(lower, upper, target, tol):
+    """The former NormBracket.le, kept as the reference."""
+    slack = tol * max(abs(target), upper, 1e-300)
+    if upper <= target + slack:
+        return True
+    return False if lower > target + slack else None
+
+
+# (x, y, tol, verdict of u <= v for u in x, v in y)
+AT_MOST_CASES = [
+    ((1.0, 1.0), (1.0, 1.0), 0.0, True),  # equal points
+    ((0.0, 0.0), (0.0, 0.0), 0.0, True),
+    ((1.0, 1.0), (2.0, 3.0), 0.0, True),  # a point below a bracket
+    ((1.0, 2.0), (1.5, 3.0), 0.0, None),  # overlapping brackets
+    ((4.0, 5.0), (1.0, 3.0), 0.0, False),  # certified above
+    ((1.0 + 1e-10,) * 2, (1.0, 1.0), 1e-9, True),  # within the slack
+    ((1.0 + 1e-8,) * 2, (1.0, 1.0), 1e-9, False),
+    ((1.0 + 1e-8,) * 2, (1.0, 1.1), 1e-9, None),  # reaches only the upper end
+    # NormBracket.le's False scales by the bracket's lower end: 1.2 beats
+    # the target 1 by more than 0.1 * 1.2, where the former slack 0.1 * 3
+    # (the upper end) answered None
+    ((1.2, 3.0), (1.0, 1.0), 0.1, False),
+    # decide_equality's "yes" scales by the left lower end: a bound of 1.05
+    # against a left side in [1, 2] at tol 0.03 was "yes" through the
+    # former slack 0.03 * 2 (the left upper end)
+    ((1.05, 1.05), (1.0, 2.0), 0.03, None),
+]
+
+
+class TestAtMost:
+    @pytest.mark.parametrize("x, y, tol, verdict", AT_MOST_CASES)
+    def test_case_table(self, x, y, tol, verdict):
+        assert _at_most(x, y, tol) is verdict
+
+    def test_against_the_former_comparisons(self):
+        # duality and monotonicity (a point against a scaled bracket) give
+        # the former answers everywhere, NormBracket.le its former True
+        # cases and every former False; each False is certified: the whole
+        # left bracket lies above the whole right one
+        res = best_norm(np.eye(1), 2, 2)
+        values = [0.0, 0.5, 1.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.1, 2.0, 3.0]
+        brackets = [(a, b) for a in values for b in values if a <= b]
+        for t in (0.0, 1e-9, 1e-6, 1e-3, 0.1):
+            for lo, hi in brackets:
+                for x in values:
+                    for c in (0.5, 1.0, 2.0):
+                        got = _at_most((x, x), (c * lo, c * hi), t)
+                        assert got is _not_above_reference(t, x, c, lo, hi)
+                    old, new = _le_reference(lo, hi, x, t), NormBracket(lo, hi, res).le(x, t)
+                    assert (new is True) == (old is True)
+                    assert old is not False or new is False
+                    assert new is not False or lo > x
+                for y in brackets:
+                    assert _at_most((lo, hi), y, t) is not False or lo > y[1]
 
 
 @given(st.integers(0, 5000))

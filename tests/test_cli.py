@@ -317,6 +317,20 @@ class TestVerifyCommand:
     def test_malformed_assertion(self, b_real):
         assert main(["verify", b_real, "--assert-norm", "2,2"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("claim", ["2,2,nan", "2,2,inf", "2,2,1e999", "2,2", "2,0.5,1", "x,2,1"])
+    def test_unusable_claim_is_a_usage_error(self, b_real, claim, monkeypatch, capsys):
+        # a claim needs two exponents and a finite value; anything else is
+        # rejected while parsing, before any norm is computed, instead of
+        # running the battery and printing "FAIL assert-norm" (exit 5)
+        import pqnorm.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "best_norms", lambda *a, **k: calls.append(a))
+        assert main(["verify", b_real, "--assert-norm", claim]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert calls == [] and out == ""
+        assert "--assert-norm" in err
+
 
 # stdout of JSON-carrying outputs, frozen byte for byte: a certificate
 # array, a complex certificate and a complex witness ([re, im] pairs).  The

@@ -263,6 +263,26 @@ class TestEinf1:
         assert not formed
         assert check_Einf1(BC, 2, 2).member == "yes" and formed == [(as_index(2),) * 2]
 
+    def test_real_window_ends_at_the_certified_bound(self, monkeypatch):
+        # both fields search only the eigengroups inside the window from the
+        # exact lower bound to the certified norm_upper_bound.  Here the
+        # (1, q) anchor bounds ||A||_{4,1.2} below sigma_1 / amp, so the top
+        # group lies above the window and is not searched; the "no" without
+        # a candidate forms no norm bracket and stays exact
+        formed = []
+        bracket = equality_classes.bracket_norm
+        monkeypatch.setattr(
+            equality_classes, "bracket_norm", lambda *a, **k: formed.append(a) or bracket(*a, **k)
+        )
+        A = as_matrix(np.array([[4.0, 0.5], [3.0, -0.5]]), field="real")
+        v = check_Einf1(A, 4, 1.2)
+        first = v.conditions[0]
+        lo, hi = first.measured["window"]
+        s = svd(A).s
+        assert s[0] > hi and s[1] < lo and first.satisfied is False
+        assert (v.member, v.certainty) == ("no", "exact")
+        assert not formed
+
     def test_power_of_two_scaling(self):
         # the eigen-residual test formed A*A v unscaled, which overflowed at
         # 2^1000 and turned both members into "no" or "undetermined"
@@ -973,6 +993,42 @@ class TestSufficientConditions:
     def test_e11_closeness_example(self):
         # a nearly-Hadamard matrix fails the closeness inequality
         assert sufficient_e11(np.array([[1.0, 0.9], [1.0, -0.9]]), 2, 2) is False
+
+    def test_e11_closeness_inequality_on_planted_near_members(self):
+        # a Hadamard column (constant modulus, l1 norm sigma = 4) next to
+        # columns orthogonal to it whose largest l1 norm is c11 = 4 eps > 0:
+        # the closeness inequality decides, with its bracket term at
+        # 1 < p < 2 and its p = 2 limit.  A True is a member: check_E11 never
+        # answers "no", no lower bound passes the E_11 target, and the
+        # runtime cross-check never warns
+        H = gen_hadamard(4).entries
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for p in (1.25, 1.5, 1.75, 2.0):
+            for q in (1.2, p):
+                for eps in (0.5, 0.3, 0.2, 0.05):
+                    W = rng.standard_normal((4, 2))
+                    W -= np.outer(H[:, 0], H[:, 0] @ W) / 4.0
+                    A = np.column_stack([H[:, 0], 4.0 * eps * W / np.abs(W).sum(axis=0).max()])
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        flag = sufficient_e11(A, p, q)
+                    verdicts.add(flag)
+                    if flag:
+                        assert check_E11(A, p, q).member != "no", (p, q, eps)
+                        target = 4.0 / bound_factor(p, q, 1, 1, 3, 4)
+                        assert best_norm(A, p, q).value <= target * (1.0 + 1e-6)
+        assert verdicts == {True, False}
+
+    def test_e11_terms_at_p_2(self):
+        # at p = 2 the bracket term's limit is 0 where
+        # g = 2 log(c11 / sigma) - log n - 2 log m < 0, and diverges (None)
+        # otherwise; sufficient_e11 has c11 < sigma, so g < 0 there
+        terms = equality_classes._sufficient_11_terms
+        t1 = (2.0 * 3 * 4) ** 0.5 * 0.2
+        assert terms(2.0, 3, 4, 4.0, 0.8) == t1
+        assert math.isclose(terms(2.0 - 1e-6, 3, 4, 4.0, 0.8), t1, rel_tol=1e-5)
+        assert terms(2.0, 1, 1, 1.0, 1.0) is None
 
     def test_e11_single_column(self):
         col = np.array([[1.0], [1.0]])

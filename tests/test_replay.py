@@ -1,0 +1,43 @@
+"""scripts/replay_verdicts.py: a replay diffed against itself shows no moves,
+a planted flip is listed, and nothing is written under bench/."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "replay_verdicts.py"
+
+
+def _run(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_replay_diffed_against_itself(tmp_path):
+    bench_before = sorted(p.name for p in (ROOT / "bench").iterdir())
+    out = tmp_path / "replay.json"
+    done = _run("--seeds", "31", "-n", "20", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    records = json.loads(out.read_text())
+    assert len(records) == 20
+    assert {"seed", "query", "desc", "decision", "widths", "failures"} <= set(records[0])
+    assert any(r["decision"] is not None for r in records)
+    done = _run("--diff", str(out), str(out))
+    assert done.returncode == 0, done.stderr
+    assert "yes <-> no flips: 0\n" in done.stdout
+    assert "decided <-> undetermined moves: 0\n" in done.stdout
+    assert sorted(p.name for p in (ROOT / "bench").iterdir()) == bench_before
+    # a planted yes <-> no flip and a decided -> undetermined move
+    flipped = [dict(r) for r in records]
+    decided = [r for r in flipped if r["decision"] in ("yes", "no")]
+    decided[0]["decision"] = {"yes": "no", "no": "yes"}[decided[0]["decision"]]
+    decided[1]["decision"] = "undetermined"
+    other = tmp_path / "flipped.json"
+    other.write_text(json.dumps(flipped))
+    done = _run("--diff", str(out), str(other))
+    assert done.returncode == 1
+    assert "yes <-> no flips: 1\n" in done.stdout
+    assert "decided <-> undetermined moves: 1\n" in done.stdout
