@@ -4,16 +4,19 @@
 Replay: run the first N queries of the benchmark's stream-small workload
 for each seed, in-process, against the pqnorm sources in --src (default:
 this checkout's src/), and write one record per query to a JSON file: its
-decision (yes / no / undetermined, or null for a norm query), the relative
-widths of its estimated brackets, and the reasons the benchmark's oracle
-check failed it.  The queries and checks come from bench/workloads.py,
-imported without writing anything under bench/.
+decision (yes / no / undetermined, or null for a norm query), a class
+verdict's certainty (exact / estimate-backed, or null), whether each norm
+bracket or result in the answer is exact, the relative widths of its
+estimated brackets, and the reasons the benchmark's oracle check failed it.
+The queries and checks come from bench/workloads.py, imported without
+writing anything under bench/.
 
-Diff: read two such files and list every yes <-> no flip and, apart from
-them, every move between a decision and undetermined; print both files'
-oracle failures and bracket width means (the mean over queries without a
-failure, as the benchmark reports it).  Exits 1 when a query flipped or the
-files hold different queries.
+Diff: read two such files and list every yes <-> no flip, apart from them
+every move between a decision and undetermined, and apart from both every
+certainty move (the same decision, but a different certainty or
+exactness); print both files' oracle failures and bracket width means (the
+mean over queries without a failure, as the benchmark reports it).  Exits 1
+when a query flipped or the files hold different queries.
 
 Run:
     python3 scripts/replay_verdicts.py --seeds 31,911,4242 -n 4000 -o new.json
@@ -46,6 +49,18 @@ def _workloads(src: str):
     return workloads
 
 
+def _certainty(res) -> tuple:
+    """(a class verdict's certainty or None, the exactness of each norm
+    bracket or result in the answer, in a fixed order)."""
+    if isinstance(res, tuple):  # decide_equality: (verdict, details)
+        return None, [res[1]["lhs"].is_exact, res[1]["rhs"].is_exact]
+    if hasattr(res, "member"):
+        return res.certainty, []
+    if hasattr(res, "is_exact"):
+        return None, [res.is_exact]
+    return None, [res.certainty.is_exact]  # a NormResult
+
+
 def replay(src: str, seeds: list, n: int) -> list:
     workloads = _workloads(src)
     records = []
@@ -55,14 +70,17 @@ def replay(src: str, seeds: list, n: int) -> list:
         while sum(map(len, rounds)) < n:
             rounds += wl.more()
         for q in itertools.islice(itertools.chain.from_iterable(rounds), n):
-            out = workloads.Outcome()
+            out, certainty, exact = workloads.Outcome(), None, []
             try:
-                q.check(q.run(), out)
+                res = q.run()
+                certainty, exact = _certainty(res)
+                q.check(res, out)
             except Exception as exc:  # a failed query is a record, as in the benchmark
                 out.fail(f"raised {type(exc).__name__}: {exc}")
             records.append({
                 "seed": seed, "query": q.qid, "desc": q.desc, "decision": out.decision,
-                "widths": out.widths, "failures": out.reasons,
+                "certainty": certainty, "exact": exact, "widths": out.widths,
+                "failures": out.reasons,
             })
     return records
 
@@ -81,18 +99,23 @@ def diff(a_path: str, b_path: str) -> int:
     if keys != [(r["seed"], r["query"], r["desc"]) for r in b]:
         print("the two files hold different queries")
         return 1
-    flips, moves = [], []
+    flips, moves, certain = [], [], []
     for ra, rb in zip(a, b):
         da, db = ra["decision"], rb["decision"]
+        where = f"  seed {ra['seed']} {ra['query']} {ra['desc']}"
         if da != db:
-            line = f"  seed {ra['seed']} {ra['query']} {ra['desc']}: {da} -> {db}"
-            (flips if {da, db} == {"yes", "no"} else moves).append(line)
+            (flips if {da, db} == {"yes", "no"} else moves).append(f"{where}: {da} -> {db}")
+            continue
+        was, now = ((r.get("certainty"), r.get("exact")) for r in (ra, rb))
+        if was != now:
+            certain.append(f"{where}: {da} {was} -> {now}")
     print(f"queries: {len(a)}")
     for name, recs in ((a_path, a), (b_path, b)):
         failed = sum(1 for r in recs if r["failures"])
         print(f"{name}: oracle failures {failed}, bracket width mean {width_mean(recs):.9f}")
     print(f"yes <-> no flips: {len(flips)}", *flips, sep="\n")
     print(f"decided <-> undetermined moves: {len(moves)}", *moves, sep="\n")
+    print(f"certainty moves: {len(certain)}", *certain, sep="\n")
     return 1 if flips else 0
 
 

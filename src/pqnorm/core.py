@@ -99,6 +99,7 @@ TWO = ExtIndex(2.0)
 INF = ExtIndex(math.inf)
 
 _INF_TOKENS = {"inf", "infinity", "oo"}
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
 
 # one shared ExtIndex per exponent value, for the first _INDEX_TABLE_SIZE values seen
 _INDEX_TABLE_SIZE = 256
@@ -141,7 +142,10 @@ def index_str(p: IndexLike) -> str:
 
 
 def conjugate(p: IndexLike) -> ExtIndex:
-    """Hoelder conjugate p* with 1/p + 1/p* = 1; 1* = inf and inf* = 1."""
+    """Hoelder conjugate p* with 1/p + 1/p* = 1; 1* = inf and inf* = 1.
+
+    A finite p keeps p* above 1, so sgn(p* - 1) survives: where p / (p - 1)
+    rounds to 1 (p above about 2^53), p* is the least double above 1."""
     q = as_index(p)
     if q.value == 1.0:
         return INF
@@ -149,7 +153,7 @@ def conjugate(p: IndexLike) -> ExtIndex:
         return ONE
     if q.value == 2.0:
         return TWO
-    return _index_of(q.value / (q.value - 1.0))
+    return _index_of(max(q.value / (q.value - 1.0), _ABOVE_ONE))
 
 
 def sign_between(p: IndexLike, r: IndexLike) -> int:

@@ -27,10 +27,12 @@ field it is the batched phase projection _unimodular_in_subspace: every
 start vector is a column of one matrix, stopped column by column and
 yielded as it stops, so the first accepted vector ends the search.
 
-Verdicts are yes / no / undetermined; undetermined appears only when a
-needed norm is available solely as an estimate whose bracket straddles the
-decision line, when that heuristic subspace search is inconclusive, or when
-a real eigenspace needs more sign patterns than the enumeration allows.
+Verdicts are yes / no / undetermined.  A yes or no read against a norm
+bracket is exact when that bracket is (_settle), and undetermined is always
+estimate-backed.  Undetermined appears only when a needed norm is available
+solely as an estimate whose bracket straddles the decision line, when that
+heuristic subspace search is inconclusive, or when a real eigenspace needs
+more sign patterns than the enumeration allows.
 """
 
 from __future__ import annotations
@@ -242,8 +244,22 @@ def _zero_or_trivial(
     return None
 
 
-def _bracket_tol(bracket: NormBracket, tol: float) -> float:
-    return tol if bracket.is_exact else max(tol, ESTIMATED_EQ_TOL)
+def _within(bracket: NormBracket, target: float, tol: float) -> Optional[bool]:
+    """Is the bracketed norm at most target?  NormBracket.le, at tol when
+    the bracket is exact and at no less than ESTIMATED_EQ_TOL otherwise."""
+    return bracket.le(target, tol if bracket.is_exact else max(tol, ESTIMATED_EQ_TOL))
+
+
+def _settle(resolved, conds, bracket: NormBracket, certificate=None) -> ClassVerdict:
+    """The verdict on a three-state test read against bracket: None is
+    undetermined (estimate-backed); True and False are yes and no, exact
+    when the bracket is.  The certificate is kept only on a yes."""
+    if resolved is None:
+        return _verdict("undetermined", conds, certainty="estimate-backed")
+    certainty = "exact" if bracket.is_exact else "estimate-backed"
+    if resolved:
+        return _verdict("yes", conds, certificate, certainty)
+    return _verdict("no", conds, None, certainty)
 
 
 # ---------------------------------------------------------------------------
@@ -304,30 +320,15 @@ def check_E1inf(
         return _verdict("no", [cond_i])
     C = arr.copy()
     C[mask] = 0.0
-    cb = bracket_norm(MatrixValue(C, M.field), pi, qi, seed=seed)
-    resolved = cb.le(rho, _bracket_tol(cb, tol))
-    used = cb
+    cb = used = bracket_norm(MatrixValue(C, M.field), pi, qi, seed=seed)
+    resolved = _within(cb, rho, tol)
     if resolved is None:
         ab = bracket_norm(M, pi, qi, seed=seed)
-        alt = ab.le(rho, _bracket_tol(ab, tol))
-        if alt is not None:
-            resolved = alt
-            used = ab
-    cond_ii = Condition(
-        "residual-norm-at-most-rho",
-        resolved,
-        {
-            "rho": rho,
-            "residual_bracket": (cb.lower, cb.upper),
-            "residual_exact": cb.is_exact,
-        },
-    )
-    certainty = "exact" if used.is_exact else "estimate-backed"
-    if resolved is True:
-        return _verdict("yes", [cond_i, cond_ii], certainty=certainty)
-    if resolved is False:
-        return _verdict("no", [cond_i, cond_ii], certainty=certainty)
-    return _verdict("undetermined", [cond_i, cond_ii], certainty="estimate-backed")
+        if (alt := _within(ab, rho, tol)) is not None:
+            resolved, used = alt, ab
+    measured = {"rho": rho, "residual_bracket": (cb.lower, cb.upper), "residual_exact": cb.is_exact}
+    cond_ii = Condition("residual-norm-at-most-rho", resolved, measured)
+    return _settle(resolved, [cond_i, cond_ii], used)
 
 
 def sufficient_e1inf(
@@ -404,26 +405,15 @@ def _check_11_columns(
         return _verdict("no", [cond_i, cond_ii])
     target = sigma / bound_factor(pi, qi, ONE, ONE, m, n)
     ab = bracket_norm(M, pi, qi, seed=seed)
-    resolved = ab.le(target, _bracket_tol(ab, tol))
-    cond_iii = Condition(
-        "column-bound-tight",
-        resolved,
-        {
-            "sigma": sigma,
-            "norm_target": target,
-            "norm_bracket": (ab.lower, ab.upper),
-            "norm_exact": ab.is_exact,
-        },
-    )
-    conds = [cond_i, cond_ii, cond_iii]
-    certainty = "exact" if ab.is_exact else "estimate-backed"
-    if resolved is True:
-        j = int(np.nonzero(mask)[0][0])
-        cert = {"column_index": j, "column": arr[:, j].copy()}
-        return _verdict("yes", conds, certificate=cert, certainty=certainty)
-    if resolved is False:
-        return _verdict("no", conds, certainty=certainty)
-    return _verdict("undetermined", conds, certainty="estimate-backed")
+    resolved = _within(ab, target, tol)
+    measured = {
+        "sigma": sigma, "norm_target": target,
+        "norm_bracket": (ab.lower, ab.upper), "norm_exact": ab.is_exact,
+    }
+    cond_iii = Condition("column-bound-tight", resolved, measured)
+    j = int(np.flatnonzero(mask)[0])
+    cert = {"column_index": j, "column": arr[:, j].copy()}
+    return _settle(resolved, [cond_i, cond_ii, cond_iii], ab, cert)
 
 
 def check_E11(
@@ -476,19 +466,15 @@ def check_Einfinf(
     return ClassVerdict(dual.member, conds, dual.certificate, dual.certainty)
 
 
-def _sufficient_11_terms(p: float, mm: int, nn: int, sigma: float, c11: float) -> Optional[float]:
+def _sufficient_11_terms(p: float, mm: int, nn: int, sigma: float, c11: float) -> float:
     """Left-hand side of the closeness inequality behind the E_{1,1}
-    sufficient test, or None where the p = 2 limit diverges."""
+    sufficient test.  At p = 2 the bracket term's limit is 0 wherever
+    c11 < sigma sqrt(nn) mm, as sufficient_e11's c11 < sigma keeps it."""
     t1 = (2.0 * mm * nn) ** (1.0 - 1.0 / p) * (c11 / sigma)
     coef = 2.0 ** (1.0 - 1.0 / p) - 1.0
-    if c11 == 0.0 or coef == 0.0:
+    if c11 == 0.0 or coef == 0.0 or p == 2.0:
         return t1
     ratio = c11 / sigma
-    if p == 2.0:
-        g = -math.log(nn) - 2.0 * math.log(mm) + 2.0 * math.log(ratio)
-        if g < 0.0:
-            return t1
-        return None  # the bracket term diverges (or is indeterminate)
     bracket = (
         (p / 2.0) ** (1.0 / (2.0 - p))
         * float(nn) ** ((-3.0 * p * p + 2.0 * p + 4.0) / (2.0 * p * (2.0 - p)))
@@ -526,8 +512,7 @@ def sufficient_e11(
     C = arr.copy()
     C[:, mask] = 0.0
     c11 = float(np.abs(C).sum(axis=0).max())
-    lhs = _sufficient_11_terms(pi.value, M.m, M.n, sigma, c11)
-    verdict = lhs is not None and lhs <= 1.0
+    verdict = _sufficient_11_terms(pi.value, M.m, M.n, sigma, c11) <= 1.0
     if verdict:
         target = sigma / bound_factor(pi, qi, ONE, ONE, M.m, M.n)
         if best_norm(M, pi, qi, seed=seed).value > target * (1.0 + 1e-6):
@@ -584,21 +569,6 @@ def _eigen_residual_ok(arr: np.ndarray, e: int, v: np.ndarray, tol: float) -> tu
     with np.errstate(over="ignore"):
         return resid <= tol * nz, float(np.ldexp(lam, 2 * e))
 
-def _resolve_amplitude(
-    M: MatrixValue,
-    v: np.ndarray,
-    pi: ExtIndex,
-    qi: ExtIndex,
-    ab: NormBracket,
-    tol: float,
-) -> Optional[bool]:
-    """Condition (iv): does the ratio at v reach ||A||_{p,q}?
-
-    The ratio is always a valid lower bound, so the question reduces to
-    whether the norm exceeds it.
-    """
-    ratio = vector_norm(M.entries @ v, qi) / vector_norm(v, pi)
-    return ab.le(ratio, _bracket_tol(ab, tol))
 
 
 def _unit_phase(Z: np.ndarray, floor: float) -> np.ndarray:
@@ -870,14 +840,13 @@ def check_Einf1(
             ok_eig, lam = _eigen_residual_ok(scaled, e, w, eig_tol)
             if not ok_eig:
                 continue
+            # the ratio at w is a lower bound on the norm: does the norm exceed it?
             ab = ab or bracket_norm(M, pi, qi, seed=seed)
-            res = _resolve_amplitude(M, w, pi, qi, ab, tol)
+            res = _within(ab, vector_norm(arr @ w, qi) / vector_norm(w, pi), tol)
             if res is True:
                 measured = {"lambda": lam, "tau": tau}
                 conds.append(Condition("eigenvector-with-matching-amplitude", True, measured))
-                cert = {"v": w, "tau": tau, "lambda": lam}
-                certainty = "exact" if ab.is_exact else "estimate-backed"
-                return _verdict("yes", conds, certificate=cert, certainty=certainty)
+                return _settle(True, conds, ab, {"v": w, "tau": tau, "lambda": lam})
             unresolved |= res is None
             count += 1
             break  # every candidate of one eigenspace has the same ratio, sval / amp
@@ -1024,17 +993,15 @@ def check_svd_equality(
     # with the claimed value, so an estimate reaching it certifies equality
     verdict, details = decide_equality(M, 2, 2, ri, si, max(tol, ESTIMATED_EQ_TOL), seed=seed)
     lb, target = details["lhs"], details["factor"] * details["rhs"].upper
-    if verdict == "yes":
-        measured = {"target": target, "reached": lb.lower}
-        conds.append(Condition("norm-attains-spectral-bound", True, measured))
-        return _verdict("yes", conds, certificate=None, certainty="estimate-backed")
-    if verdict == "no":
-        measured = {"target": target, "upper": lb.upper}
-        conds.append(Condition("norm-attains-spectral-bound", False, measured))
-        return _verdict("no", conds, certainty="exact" if lb.is_exact else "estimate-backed")
-    note = {"note": "heuristic subspace search inconclusive", "target": target}
-    conds.append(Condition("constant-modulus-search", None, note))
-    return _verdict("undetermined", conds, certainty="estimate-backed")
+    if verdict == "undetermined":
+        note = {"note": "heuristic subspace search inconclusive", "target": target}
+        conds.append(Condition("constant-modulus-search", None, note))
+        return _settle(None, conds, lb)
+    reached = verdict == "yes"
+    # a "yes" rests on the left lower end, a "no" on its upper end
+    end = {"reached": lb.lower} if reached else {"upper": lb.upper}
+    conds.append(Condition("norm-attains-spectral-bound", reached, {"target": target, **end}))
+    return _settle(reached, conds, lb)
 
 
 def check_class(

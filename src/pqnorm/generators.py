@@ -7,6 +7,7 @@ tensor products, and single-entry matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -141,6 +142,8 @@ def gen_svd_extremal(
     sig = [float(x) for x in sigma]
     if not sig:
         raise ValueError("sigma must be nonempty")
+    if not all(math.isfinite(x) for x in sig):
+        raise ValueError("singular values must be finite")
     if any(x < 0 for x in sig):
         raise ValueError("singular values must be nonnegative")
     if any(x > sig[0] for x in sig[1:]):
@@ -200,6 +203,8 @@ def gen_single_entry(m: int, n: int, i: int, j: int, rho: float) -> MatrixValue:
 
     Such a matrix has ||A||_{r,s} = rho for every exponent pair.
     """
+    if not math.isfinite(rho):
+        raise ValueError("rho must be finite")
     if rho <= 0:
         raise ValueError("rho must be positive")
     if not (0 <= i < n and 0 <= j < m):

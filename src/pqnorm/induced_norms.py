@@ -267,14 +267,17 @@ def _unit_map(top: bool, dual: bool) -> Callable:
 
 
 def _by_peaks(W: np.ndarray) -> tuple:
-    """(W / c, c) for c the largest modulus of each column (1 for a zero
-    column), with W scaled by a power of 2 first, exactly, so that 1 / c
-    cannot overflow."""
+    """(W / c, |W| / c, c) for c the largest modulus of each column (1 for
+    a zero column), with W scaled by a power of 2 first, exactly, so that
+    1 / c cannot overflow.  The moduli are divided as reals, so a column's
+    largest reads exactly 1; |W / c| of a complex W may read 1 +- 1 ulp
+    there, whose t-th power overflows or vanishes at extreme t."""
     e = np.frexp(_amax(np.abs(W), 0))[1]
     W = _ldexp(W, -e)
-    c = _amax(np.abs(W), 0)
+    a = np.abs(W)
+    c = _amax(a, 0)
     c[c == 0] = 1.0
-    return _over(W, c), np.ldexp(c, e)
+    return _over(W, c), a / c, np.ldexp(c, e)
 
 
 def _peak_free_map(t, cplx: bool, dual: bool) -> Callable:
@@ -305,11 +308,11 @@ def _peak_free_map(t, cplx: bool, dual: bool) -> Callable:
     else:
         linear, zero_test = False, bool(((t < 2.0) if cplx else (t == 1.0)).any())
 
-    def sums(W: np.ndarray) -> tuple:
+    def sums(W: np.ndarray, a: Optional[np.ndarray] = None) -> tuple:
         if linear:
             phi, s = W, np.vecdot(W, W, axis=0)
             return phi, s.real if cplx else s
-        a = np.abs(W)
+        a = np.abs(W) if a is None else a
         if not cplx:
             r = a**tm1
             if zero_test:
@@ -339,8 +342,8 @@ def _peak_free_map(t, cplx: bool, dual: bool) -> Callable:
             return phi, s**power
         small, peak = s <= _TINY, 1.0
         if not s[s.argmax()] < _HUGE or W[:, small].any():
-            W, peak = _by_peaks(W)
-            phi, s = sums(W)
+            W, a, peak = _by_peaks(W)
+            phi, s = sums(W, a)
             small = s <= _TINY  # the zero columns
         norms = s**power if dual else s**power * peak
         norms[small] = 0.0  # dead columns (a t = 1 column's s^0 reads 1)

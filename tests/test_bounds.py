@@ -27,6 +27,7 @@ from pqnorm import (
     monotonicity_check_in_s,
     norm_bruteforce,
     norm_closed_form,
+    norm_ratio,
     norm_upper_bound,
     transfer_equality,
 )
@@ -450,6 +451,34 @@ class TestDecideEquality:
                     else "no" if lhs.upper < lo - 1e-4 * scale else "undetermined"
                 )
                 assert verdict == want, (i, p, q)
+
+
+def _complex_4x3():
+    """A + iB for the first two 4 x 3 standard-normal draws of seed 0."""
+    r = np.random.default_rng(0)
+    A = r.standard_normal((4, 3))
+    return as_matrix(A + 1j * r.standard_normal((4, 3)))
+
+
+class TestHugeFiniteExponent:
+    # at q = 5e18 and above, |w / c|^q of a column's peak read 1 +- 1 ulp
+    # to the q-th power: inf or 0, so the estimate read inf (above its
+    # witness's ratio 1.639) and the bracket inverted
+    @pytest.mark.parametrize("q", [5e18, 1e20, 1e300])
+    def test_estimate_is_sound(self, q):
+        C = _complex_4x3()
+        res = best_norm(C, 1.5, q)
+        upper = norm_upper_bound(C, 1.5, q)
+        assert math.isfinite(res.value)
+        # at most the certified bound, up to bracket_norm's rounding allowance
+        assert res.value <= upper * (1.0 + 1e-12)
+        ratio = norm_ratio(C, res.witness, 1.5, q)
+        assert abs(ratio - res.value) <= 1e-12 * res.value
+        br = bracket_norm(C, 1.5, q)
+        assert br.lower <= br.upper
+
+    def test_no_unsound_equality(self):
+        assert decide_equality(_complex_4x3(), 2, 2, 1.5, 1e20)[0] != "yes"
 
 
 @given(

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,23 @@ class TestGenerateCommand:
         rc = main(["generate", "--kind", "svd", "--m", "1", "--n", "1"])
         assert rc == EXIT_ERROR
         assert capsys.readouterr().err == "more singular values than min(m, n)\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--sigma", "inf,1", "singular values must be finite"),
+         ("--sigma", "2,nan", "singular values must be finite"),
+         ("--rho", "nan", "rho must be finite")],
+    )
+    def test_non_finite_parameters(self, flag, value, message, capsys):
+        # exit 1 with the generator's message, and no RuntimeWarning from a
+        # product formed on the non-finite value
+        kind = "svd" if flag == "--sigma" else "single"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["generate", "--kind", kind, flag, value])
+        assert rc == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"{message}\n" and captured.out == ""
 
     def test_empty_sigma(self, tmp_path):
         rc = main(

@@ -4,6 +4,7 @@ comparison bound."""
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +122,14 @@ class TestConjugate:
             assert pp.is_inf
         else:
             assert abs(pp.inv - p.inv) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1e15, 2.0**53, 1e16, 1e20, 1e300, 1.7e308, sys.float_info.max])
+    def test_finite_exponent_keeps_a_conjugate_above_one(self, p):
+        # p / (p - 1) rounds to 1 from about 2^53 on; p* is then the least
+        # double above 1, so sgn(p* - 1) = 1 as for every finite p
+        q = conjugate(p)
+        assert sign_between(q, ONE) == 1 and not q.is_inf
+        assert abs(q.inv + 1.0 / p - 1.0) <= 2.0**-52  # 1/p + 1/p* = 1 to an ulp
 
     @given(st.floats(min_value=1.0 + 1e-9, max_value=1e6, allow_nan=False))
     @settings(max_examples=50, deadline=None)

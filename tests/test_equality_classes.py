@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqnorm import (
+    ESTIMATED_EQ_TOL,
     ClassId,
     ClassVerdict,
     DavReport,
@@ -42,6 +43,7 @@ from pqnorm import (
     sufficient_e1inf,
     sufficient_einfinf,
     svd,
+    vector_norm,
 )
 from pqnorm import equality_classes
 from pqnorm.core import DEFAULT_TOL
@@ -90,6 +92,21 @@ class TestZeroAndTrivial:
         assert check_Einfinf(J, "inf", 2).member == "yes"
         assert check_Einf1(BR, "inf", 2).member == "yes"
         assert check_Einf1(BR, 2, 1).member == "yes"
+
+    @pytest.mark.parametrize("q", [1e15, 1e16, 1e20])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_huge_finite_q_is_not_trivial(self, q, complex_):
+        # E_infinf is decided on A* at (q*, p*); a finite q keeps q* above 1,
+        # so the quadrant s > q stays nonempty and the verdict does not
+        # collapse to class-trivial once q / (q - 1) rounds to 1 (q >= 1e16)
+        r = np.random.default_rng(0)
+        A = r.standard_normal((4, 3))
+        if complex_:
+            A = A + 1j * r.standard_normal((4, 3))
+        v = check_class(A, ClassId.E_INFINF, 1.5, q)
+        assert v.member == "no"
+        assert v.conditions[0].name == "extremal-rows-constant-modulus"
+        assert v.conditions[0].satisfied is False
 
     def test_verdict_carries_conditions(self):
         v = check_E11(gen_hadamard(2), 2, 2)
@@ -351,7 +368,8 @@ def _reference_einf1_real(M, p, q, tol=DEFAULT_TOL, seed=0):
         if not ok_eig:
             continue
         eigen.append(v)
-        res = equality_classes._resolve_amplitude(M, v, pi, qi, ab, tol)
+        ratio = vector_norm(arr @ v, qi) / vector_norm(v, pi)  # a lower bound on the norm
+        res = ab.le(ratio, tol if ab.is_exact else max(tol, ESTIMATED_EQ_TOL))
         if res is True:
             return "yes", certainty, eigen
         if res is None:
@@ -1022,13 +1040,12 @@ class TestSufficientConditions:
 
     def test_e11_terms_at_p_2(self):
         # at p = 2 the bracket term's limit is 0 where
-        # g = 2 log(c11 / sigma) - log n - 2 log m < 0, and diverges (None)
-        # otherwise; sufficient_e11 has c11 < sigma, so g < 0 there
+        # g = 2 log(c11 / sigma) - log n - 2 log m < 0; sufficient_e11 has
+        # c11 < sigma, so g < 0 there and the helper returns the first term
         terms = equality_classes._sufficient_11_terms
         t1 = (2.0 * 3 * 4) ** 0.5 * 0.2
         assert terms(2.0, 3, 4, 4.0, 0.8) == t1
         assert math.isclose(terms(2.0 - 1e-6, 3, 4, 4.0, 0.8), t1, rel_tol=1e-5)
-        assert terms(2.0, 1, 1, 1.0, 1.0) is None
 
     def test_e11_single_column(self):
         col = np.array([[1.0], [1.0]])
@@ -1167,6 +1184,35 @@ class TestDispatcher:
             f = bound_factor(2, 2, r, s, Mv.m, Mv.n)
             vrs = best_norm(M, r, s).value
             assert math.isclose(vrs, f * v22, rel_tol=1e-9), (cls, r, s)
+
+
+class TestSettle:
+    # the one rule behind every verdict read against a norm bracket
+    def test_verdict_and_certainty(self):
+        exact = bracket_norm(gen_hadamard(2), 2, 2)
+        r = np.random.default_rng(5)
+        estimated = bracket_norm(r.standard_normal((4, 3)), 1.5, 3)
+        assert exact.is_exact and not estimated.is_exact
+        settle, cert = equality_classes._settle, {"planted": True}
+        for bracket, certainty in ((exact, "exact"), (estimated, "estimate-backed")):
+            yes, no = settle(True, [], bracket, cert), settle(False, [], bracket, cert)
+            assert (yes.member, yes.certainty, yes.certificate) == ("yes", certainty, cert)
+            assert (no.member, no.certainty, no.certificate) == ("no", certainty, None)
+            und = settle(None, [], bracket, cert)
+            assert (und.member, und.certainty) == ("undetermined", "estimate-backed")
+            assert und.certificate is None
+
+    def test_within_widens_only_estimates(self):
+        # at tol 1e-8 a target 1e-6 below the norm is "above" only for an
+        # estimated bracket, whose slack is at least ESTIMATED_EQ_TOL
+        within = equality_classes._within
+        exact = bracket_norm(gen_hadamard(2), 2, 2)
+        assert within(exact, exact.upper * (1 - 1e-6), 1e-8) is False
+        assert within(exact, exact.upper * (1 - 1e-6), 1e-5) is True
+        r = np.random.default_rng(5)
+        est = bracket_norm(r.standard_normal((4, 3)), 1.5, 3)
+        assert within(est, est.upper * (1 - 1e-6), 1e-8) is True
+        assert within(est, est.lower * (1 - 1e-3), 1e-8) is False
 
 
 _V4 = np.ones(4)

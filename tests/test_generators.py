@@ -137,6 +137,15 @@ class TestSvdExtremal:
         with pytest.raises(ValueError):
             gen_svd_extremal(2, 2, 3, 1.5, (2.0, 1.0, 0.5))  # too many
 
+    @pytest.mark.parametrize(
+        "sigma", [(math.inf, 1.0), (2.0, math.nan), (math.nan,), (2.0, -math.inf)]
+    )
+    def test_non_finite_sigma(self, sigma):
+        # rejected before any product is formed (an inf used to reach the
+        # matmul and warn, and a NaN passed the ordering checks)
+        with pytest.raises(ValueError, match="^singular values must be finite$"):
+            gen_svd_extremal(2, 2, 2, 2, sigma)
+
     @pytest.mark.parametrize("pair", [(3, 1.5), (1, 3), (1, 1.5), (3, 3)])
     def test_attains_equality(self, pair):
         r, s = pair
@@ -188,6 +197,12 @@ class TestSingleEntry:
             gen_single_entry(2, 2, 0, 0, 0.0)
         with pytest.raises(ValueError):
             gen_single_entry(2, 2, 5, 0, 1.0)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho(self, rho):
+        # a NaN used to pass the rho <= 0 test
+        with pytest.raises(ValueError, match="^rho must be finite$"):
+            gen_single_entry(2, 2, 0, 0, rho)
 
 
 class TestBuildGenerator:

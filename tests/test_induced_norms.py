@@ -1072,6 +1072,18 @@ class TestPeakFreeMap:
             assert res.certainty is Certainty.ESTIMATE
         assert rescales.calls == 0
 
+    @pytest.mark.parametrize("t", [5e18, 1e20, 1e300])
+    def test_extreme_exponent_reads_the_peak(self, t):
+        # the peak-scaled pass divides the moduli by the peaks as reals, so
+        # each peak reads exactly 1: dividing a complex column through a
+        # rounded reciprocal left it at 1 +- 1 ulp, whose t-th power
+        # overflowed or vanished (a nonzero column read as dead)
+        W = rand_matrix(1900, 4, 5, complex_=True).entries
+        with np.errstate(over="ignore"):  # as the ascent calls it
+            phi, norms = _peak_free_map(t, True, False)(W)
+        np.testing.assert_allclose(norms, np.abs(W).max(axis=0), rtol=1e-12, atol=0)
+        assert np.isfinite(phi).all()
+
     def test_subnormal_moduli(self):
         # at complex t < 2, |w|^(t-2) overflows at a subnormal |w|: such a
         # step forms phi as phase(w) |w|^(t-1), a positive multiple of the

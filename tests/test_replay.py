@@ -1,5 +1,5 @@
 """scripts/replay_verdicts.py: a replay diffed against itself shows no moves,
-a planted flip is listed, and nothing is written under bench/."""
+planted flips and moves are listed, and nothing is written under bench/."""
 
 import json
 import pathlib
@@ -23,21 +23,31 @@ def test_replay_diffed_against_itself(tmp_path):
     assert done.returncode == 0, done.stderr
     records = json.loads(out.read_text())
     assert len(records) == 20
-    assert {"seed", "query", "desc", "decision", "widths", "failures"} <= set(records[0])
+    keys = {"seed", "query", "desc", "decision", "certainty", "exact", "widths", "failures"}
+    assert keys <= set(records[0])
     assert any(r["decision"] is not None for r in records)
+    assert {r["certainty"] for r in records if r["desc"].startswith("check_")} <= {
+        "exact", "estimate-backed"
+    }
+    assert any(r["exact"] for r in records)
     done = _run("--diff", str(out), str(out))
     assert done.returncode == 0, done.stderr
     assert "yes <-> no flips: 0\n" in done.stdout
     assert "decided <-> undetermined moves: 0\n" in done.stdout
+    assert "certainty moves: 0\n" in done.stdout
     assert sorted(p.name for p in (ROOT / "bench").iterdir()) == bench_before
-    # a planted yes <-> no flip and a decided -> undetermined move
+    # a planted yes <-> no flip, a decided -> undetermined move, and a
+    # certainty move and an exactness move with the decision kept
     flipped = [dict(r) for r in records]
     decided = [r for r in flipped if r["decision"] in ("yes", "no")]
     decided[0]["decision"] = {"yes": "no", "no": "yes"}[decided[0]["decision"]]
     decided[1]["decision"] = "undetermined"
+    decided[2]["certainty"] = "planted"
+    decided[3]["exact"] = decided[3]["exact"] + [False]
     other = tmp_path / "flipped.json"
     other.write_text(json.dumps(flipped))
     done = _run("--diff", str(out), str(other))
     assert done.returncode == 1
     assert "yes <-> no flips: 1\n" in done.stdout
     assert "decided <-> undetermined moves: 1\n" in done.stdout
+    assert "certainty moves: 2\n" in done.stdout
