@@ -27,7 +27,10 @@ Two more rows time the complex (inf, 1) bracket and extreme-point search:
 One row times the real sign enumeration and counts its page faults:
 
   inf1_real         norm_infty_one_exact on a fresh real Gaussian m x m
-                    (seed 0) for m = 13, 16, 18, 20: seconds per call, and
+                    (seed 0) for m = 13, 16, 18, 20, 24, on the real
+                    Sylvester Hadamard matrix of order 16 (h16) and on the
+                    identity of order 24 (id24, where all 2^23 sign vectors
+                    tie, so none can be skipped): seconds per call, and
                     (key suffix _minflt) the minor page faults per call
                     (ru_minflt), as medians over the reps
 
@@ -136,7 +139,7 @@ GRID = [1, 1.5, 2, 3, "inf"]
 GRID_ARG = "1,1.5,2,3,inf"
 EINF1_PAIRS = [(2, 2), (1.5, 3)]
 INF1_COMPLEX_SIZES = [4, 8, 16, 32]
-INF1_REAL_SIZES = [13, 16, 18, 20]
+INF1_REAL_SIZES = [13, 16, 18, 20, 24]
 PEAK_SHAPES = [("real", 16), ("complex", 16), ("real", 32), ("complex", 32)]
 SMALL_SHAPES = [("real", 4), ("complex", 4), ("real", 8), ("complex", 8)]
 SAVE_SHAPES = [(kind, n) for n in (32, 128) for kind in ("real", "complex")]
@@ -373,6 +376,8 @@ def main() -> None:
             f"m{m}": (lambda m=m: norm_infty_one_exact(MatrixValue(_matrix("real", m), "real")), 1)
             for m in INF1_REAL_SIZES
         }
+        rows["inf1_real"]["h16"] = (lambda: norm_infty_one_exact(gen_hadamard(16)), 1)
+        rows["inf1_real"]["id24"] = (lambda: norm_infty_one_exact(MatrixValue(np.eye(24), "real")), 1)
         rows["save_matrix"] = {f"{kind[0]}{n}": _save_cell(kind, n, workdir) for kind, n in SAVE_SHAPES}
         rows["upper_bound"] = {f"{kind[0]}{n}": _upper_bound_cell(kind, n) for kind, n in SHAPES}
         rows["best_norm_inf_2"] = {f"{kind[0]}{n}": _inf2_cell(kind, n) for kind, n in SMALL_SHAPES}

@@ -2,7 +2,8 @@
 
 Exact routes exist for p = 1 or one column (column maximum), q = inf or one
 row (row maximum via the dual exponent), (p, q) = (2, 2) (largest singular
-value) and, over the real field, (inf, 1) by incremental sign enumeration.
+value) and, over the real field, (inf, 1) by incremental sign enumeration,
+pruned by a triangle bound past 16 columns.
 Everything else is estimated from below by a duality-map ascent with
 restarts, one fused pass per half-step; results carry a certainty tag so
 callers can tell exact values from estimates.
@@ -27,6 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
+    ONE,
     ExtIndex,
     IndexLike,
     as_index,
@@ -222,7 +224,7 @@ def _ldexp(x, e: int):
 def _pow2_normalized(arr: np.ndarray) -> tuple:
     """(arr / 2^e, e) for e the exponent of the largest modulus: exact, and
     safe to square or multiply at any scale of arr."""
-    e = int(np.frexp(np.abs(arr).max())[1])
+    e = math.frexp(np.abs(arr).max())[1]
     return _ldexp(arr, -e), e
 
 
@@ -631,7 +633,9 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
         witness[j] = 1.0
         return NormResult(float(colnorms[j]), witness, Certainty.CLOSED_FORM)
     if qi.is_inf or n == 1:
-        pstar = conjugate(pi)
+        # where p / (p - 1) rounds to 1 (p above about 2^53), conjugate keeps
+        # p* at the least double above 1; the row norm is the 1-norm there
+        pstar = ONE if pi.value / (pi.value - 1.0) == 1.0 else conjugate(pi)
         rownorms = _lp_cols(arr.T, pstar)
         i = int(rownorms.argmax())
         row = _pow2_normalized(arr[i, :])[0]
@@ -650,6 +654,7 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
 # columns per block of an exhaustive enumeration; a real one holds the shared
 # image of two blocks and the block's own image, 3.9 MB at n = 20
 BLOCK = 1 << 13
+_LOW = BLOCK.bit_length() + 1  # leading entries whose signs the shared image spans
 
 
 def _sign_cols(idx, m: int) -> np.ndarray:
@@ -663,19 +668,15 @@ def _sign_cols(idx, m: int) -> np.ndarray:
     return X
 
 
-def _sign_images(B: np.ndarray):
-    """Yield (Y, cols) over the blocks X of the 2^(m-1) sign vectors in
-    index order, m = B.shape[1]: Y = B @ X and cols(j) = X[:, j], rebuilt
-    only for the columns asked for.  No sign matrix is formed: the image of
-    the signs of the 15 leading entries (all m if fewer; two blocks' worth)
-    is built once by doubling (with w columns done, entry j fills columns w..2w-1 with
+def _low_image(B: np.ndarray) -> np.ndarray:
+    """B @ X for X the sign vectors over the first min(m, 15) entries of B
+    (first entry +1), in index order: 2^(m-1) columns, or two blocks' worth
+    past 15 entries.  No sign matrix is formed: the image is built by
+    doubling (with w columns done, entry j fills columns w..2w-1 with
     base - b_j, then columns 0..w-1 get + b_j), which sums each column in
-    entry order as a matrix product with two or more rows does.  Past it,
-    each pair of blocks adds the image of its high signs (one
-    matrix-vector product) to that shared image, into the reused Y."""
+    entry order as a matrix product with two or more rows does."""
     n, m = B.shape
-    total = 1 << (m - 1)
-    low = min(m, BLOCK.bit_length() + 1)
+    low = min(m, _LOW)
     base = np.empty((n, 1 << (low - 1)))
     base[:, 0] = B[:, 0]
     w = 1
@@ -683,16 +684,34 @@ def _sign_images(B: np.ndarray):
         np.subtract(base[:, :w], B[:, j, None], out=base[:, w : 2 * w])
         base[:, :w] += B[:, j, None]
         w *= 2
+    return base
+
+
+def _high_images(B: np.ndarray) -> np.ndarray:
+    """Row h: the image of the signs that index h 2^14 sets on the entries
+    past the 15 leading ones (bit t of h sets the sign of entry 15 + t),
+    each a matrix-vector product, all in one batched call."""
+    h = np.arange(1 << (B.shape[1] - _LOW))
+    signs = 1.0 - 2.0 * ((h[:, None] >> np.arange(B.shape[1] - _LOW)) & 1)
+    return np.matmul(B[:, _LOW:], signs[:, :, None])[:, :, 0]
+
+
+def _sign_images(B: np.ndarray):
+    """Yield (Y, cols) over the blocks X of the 2^(m-1) sign vectors in
+    index order, m = B.shape[1]: Y = B @ X and cols(j) = X[:, j], rebuilt
+    only for the columns asked for.  The leading entries' image
+    (_low_image) is built once; past it, each pair of blocks adds the image
+    of its high signs (_high_images) to it, into the reused Y."""
+    n, m = B.shape
+    base = _low_image(B)
+    w = base.shape[1]
     halves = [(h, base[:, h : h + BLOCK]) for h in range(0, w, BLOCK)]
-    if m == low:
+    if m <= _LOW:
         for h, half in halves:
             yield half, lambda j, s=h: _sign_cols(s + j, m)
         return
     Y = np.empty((n, BLOCK))
-    for start in range(0, total, w):
-        # the high signs alone: index bit b - 1 sets the sign of entry b
-        high = [-1.0 if start >> (b - 1) & 1 else 1.0 for b in range(low, m)]
-        shift = B[:, low:] @ np.array(high)
+    for start, shift in zip(range(0, 1 << (m - 1), w), _high_images(B)):
         for h, half in halves:
             yield np.add(half, shift[:, None], out=Y), lambda j, s=start + h: _sign_cols(s + j, m)
 
@@ -719,6 +738,114 @@ def _phase_block(start: int, stop: int, m: int, g: int) -> np.ndarray:
 
 
 MAX_REAL_COLS = 24  # columns of a real (inf,1) sign enumeration
+SIGN_STEPS = 16  # sign-ascent steps that seed a pruned enumeration's bar
+_PIECE = BLOCK // 2  # pairs one step of a pruned enumeration evaluates at most
+
+
+def _sign_ascent(B: np.ndarray) -> int:
+    """The index of a sign vector x with a large ||B x||_1: at most
+    SIGN_STEPS steps x <- sgn(B^T sgn(B x)) (sgn 0 = +1), under which
+    ||B x||_1 does not fall, from the sign patterns of the rows of B, of
+    the all-ones vector and of the ascent's 8 seeded random starts
+    (_start_block); the best end point, with first entry +1."""
+
+    def sgn(V: np.ndarray) -> np.ndarray:
+        return np.where(V < 0, -1.0, 1.0)
+
+    m = B.shape[1]
+    X = sgn(np.hstack([B.T, _start_block(m, REAL, m + 9, 0)[:, m:]]))
+    for _ in range(SIGN_STEPS):
+        Xn = sgn(B.T @ sgn(B @ X))
+        if np.array_equal(Xn, X):
+            break
+        X = Xn
+    x = X[:, np.abs(B @ X).sum(axis=0).argmax()]
+    return sum(1 << b for b in range(x.size - 1) if x[b + 1] != x[0])
+
+
+def _pruned_infty_one(B: np.ndarray) -> tuple:
+    """(value, index) of the first sign vector in index order with the
+    largest computed ||B x||_1, for B with more than 16 columns: what the
+    enumeration over _sign_images finds, bit for bit, without evaluating
+    the sign vectors that provably cannot reach it.
+
+    Sign vector h 2^14 + j has the image low_j + high_h (_low_image and
+    _high_images), and ||low_j + high_h||_1 <= ||low_j||_1 + ||high_h||_1.
+    A pair is skipped when that bound, on the computed column sums, lies
+    below best (1 - (n + 2) eps), best being the largest value computed so
+    far, first at the sign ascent's end point.  The computed value of a
+    pair exceeds ||low_j||_1 + ||high_h||_1 by at most n roundings, a
+    computed column sum falls short of its own by at most n - 1, and the
+    threshold takes two more; the factor covers them all, so a skipped
+    pair computes below best: it is neither the largest nor tied with it.
+    The other pairs are evaluated by the operations the full enumeration
+    applies, in any order, ties going to the lower index.
+
+    A high image with more than _PIECE survivors adds the whole shared
+    image, _PIECE columns at a time.  The survivors of any other are the
+    low images of largest column sum, a prefix of one ranking, so these
+    are moved to the front of the shared image once, and each such high
+    image adds its prefix, several per step, those with most survivors
+    first.  When everything ties (the identity) nothing is skipped and the
+    cost is the full enumeration's; beyond the shared image, at most
+    _PIECE pairs' images are held at once.
+    """
+    n, m = B.shape
+    low, high = _low_image(B), _high_images(B)
+    w = low.shape[1]
+    lnorm = np.abs(low[0])
+    for row in low[1:]:
+        lnorm += np.abs(row)
+    ranked, hnorm = np.sort(lnorm), np.abs(high).sum(axis=1)
+    shrink = 1.0 - (n + 2) * np.finfo(float).eps
+    best, pick = -math.inf, 0
+
+    def offer(Y: np.ndarray, index: Callable) -> None:
+        """Evaluate the images Y (rows first) and keep their largest value;
+        index maps the positions of a maximum to their sign vectors'."""
+        nonlocal best, pick
+        vals = np.abs(Y, out=Y).sum(axis=0)
+        top = vals.max()
+        if top >= best:
+            i = int(np.min(index(np.nonzero(vals == top))))
+            if top > best or i < pick:
+                best, pick = float(top), i
+
+    def survivors() -> np.ndarray:
+        return w - np.searchsorted(ranked, best * shrink - hnorm)
+
+    # numpy sums a two-dimensional array's columns row by row, as the full
+    # enumeration does, but a lone column as a vector, in another order: a
+    # lone pair is taken twice
+    first = _sign_ascent(B)
+    offer(np.add(np.take(low, [first % w] * 2, axis=1), high[first // w, :, None]), lambda at: first)
+    buf = np.empty((n, _PIECE))
+    full = survivors() > _PIECE
+    for h in np.flatnonzero(full):
+        for s in range(0, w, _PIECE):
+            Y = np.add(low[:, s : s + _PIECE], high[h, :, None], out=buf)
+            offer(Y, lambda at, s=h * w + s: s + at[0])
+    counts, known = survivors(), best
+    hs = np.flatnonzero(~full & (counts > 0))
+    if not hs.size:
+        return best, pick
+    k = max(int(counts[hs].max()), 2)
+    ranks = np.argpartition(lnorm, w - k)[w - k :]
+    ranks = ranks[np.argsort(lnorm[ranks])[::-1]]
+    for row in low:  # the ranked columns move to the front, one row at a time
+        row[:k] = row[ranks]
+    lead = low[:, :k]
+    while hs.size:
+        hs = hs[np.argsort(-counts[hs])]
+        c = max(int(counts[hs[0]]), 2)
+        batch, hs = hs[: _PIECE // c], hs[_PIECE // c :]
+        Y = buf.reshape(-1)[: n * batch.size * c].reshape(n, batch.size, c)
+        np.add(lead[:, None, :c], high[batch].T[:, :, None], out=Y)
+        offer(Y, lambda at, b=batch: b[at[0]] * w + ranks[at[1]])
+        if best > known:  # fewer survivors now
+            counts, known = survivors(), best
+            hs = hs[counts[hs] > 0]
+    return best, pick
 
 
 def norm_infty_one_exact(A: MatrixLike) -> NormResult:
@@ -726,23 +853,40 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
 
     x -> ||Ax||_1 is convex, so its maximum over the unit inf-ball sits at
     an extreme point, over the reals a sign vector: enumerating {-1, +1}^m
-    (first entry fixed to +1) is exact.  Refuses m beyond MAX_REAL_COLS,
-    and complex-field matrices, whose extreme points are not finitely many
-    (best_norm estimates those by ascent).
+    (first entry fixed to +1) is exact, and the witness is the first
+    maximum in index order.  Up to 16 columns every sign vector is
+    evaluated (at 16 the column sums a bound needs cost as much as half
+    the enumeration); past that, _pruned_infty_one skips those whose
+    triangle bound lies a rounding margin below the best value known, and
+    returns the same value and witness.  The enumeration runs on A / 2^e
+    and the value is scaled back, so 2^k A has the same witness and 2^k
+    times the value, inf past the float range.  Refuses m beyond
+    MAX_REAL_COLS, and complex-field matrices, whose extreme points are
+    not finitely many (best_norm estimates those by ascent).
     """
     M = as_matrix(A)
     if M.is_complex:
         raise ValueError("sign enumeration is exact over the real field only")
     if M.m > MAX_REAL_COLS:
         raise DimensionError(f"sign enumeration capped at {MAX_REAL_COLS} columns, got {M.m}")
-    best, pick = -math.inf, None
-    for Y, cols in _sign_images(M.entries):
-        vals = np.abs(Y, out=Y).sum(axis=0)
-        j = int(vals.argmax())
-        if vals[j] > best:
-            best, pick = float(vals[j]), (cols, j)
-    cols, j = pick
-    return NormResult(best, cols(j).copy(), Certainty.ENUMERATION)
+    B, e = _pow2_normalized(M.entries)
+    if M.m > _LOW + 1:
+        best, i = _pruned_infty_one(B)
+        witness = _sign_cols(i, M.m)
+    else:
+        best, pick = -math.inf, None
+        for Y, cols in _sign_images(B):
+            vals = np.abs(Y, out=Y).sum(axis=0)
+            j = int(vals.argmax())
+            if vals[j] > best:
+                best, pick = float(vals[j]), (cols, j)
+        cols, j = pick
+        witness = cols(j).copy()
+    try:
+        value = math.ldexp(best, e)
+    except OverflowError:
+        value = math.inf
+    return NormResult(value, witness, Certainty.ENUMERATION)
 
 
 def _lattice_side(m: int, budget: int) -> int:

@@ -7,6 +7,8 @@ code paths.
 """
 
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,6 +50,7 @@ from pqnorm.induced_norms import (
     _peak_free_map,
     _phase,
     _phase_block,
+    _high_images,
     _pow2_normalized,
     _sign_cols,
     _sign_images,
@@ -263,6 +266,20 @@ class TestClosedForms:
                 res = norm_closed_form(M, p, q)
                 got = norm_ratio(M, res.witness, p, q)
                 assert math.isclose(got, res.value, rel_tol=1e-9, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("p", [1e17, 1e20, 1e300, sys.float_info.max])
+    def test_huge_p_reads_the_row_one_norm(self, p):
+        # p / (p - 1) rounds to 1 here, so conjugate keeps p* at 1 + 2^-52;
+        # the row norm is taken at 1, the largest row 1-norm bit for bit,
+        # which the row (1 + 2^-52)-norm read an ulp or two below
+        r = np.random.default_rng(26)
+        for field in ("real", "complex"):
+            for _ in range(20):
+                A = r.standard_normal((4, 3)) + (1j * r.standard_normal((4, 3)) if field == "complex" else 0.0)
+                res = norm_closed_form(as_matrix(A, field), p, "inf")
+                assert res.value == np.abs(A).sum(axis=1).max(), field
+                assert res.value == norm_closed_form(as_matrix(A, field), "inf", "inf").value
+                assert math.isclose(norm_ratio(A, res.witness, p, "inf"), res.value, rel_tol=1e-12)
 
     def test_subnormal_row_witness(self):
         # the q = inf witness is formed on the row / 2^e, so entries below
@@ -1326,6 +1343,18 @@ class TestSignEnumeration:
             assert np.array_equal(res.witness, want_x), m
             assert abs(res.value - want) <= 4 * np.spacing(want), m
 
+    def test_high_images_match_matrix_vector_products(self):
+        # one batched call, bit for bit the products with each high sign
+        # vector that the per-block enumeration took
+        for m in (16, 19, 24):
+            for n in (1, 2, 17):
+                Bm = np.random.default_rng(10 * m + n).standard_normal((n, m))
+                got = _high_images(Bm)
+                assert got.shape == (1 << (m - 15), n)
+                for h in range(got.shape[0]):
+                    want = Bm[:, 15:] @ _sign_cols(h << 14, m)[15:]
+                    assert np.array_equal(got[h], want), (m, n, h)
+
     def test_top_matches_stable_argsort(self):
         # many exact ties, and sizes at, below and above k
         r = np.random.default_rng(7)
@@ -1335,3 +1364,115 @@ class TestSignEnumeration:
                     vals = r.integers(0, hi, size).astype(float)
                     want = np.argsort(-vals, kind="stable")[:k]
                     assert np.array_equal(_top(vals, k), want), (k, size, hi)
+
+
+def _enumerated_infty_one(arr):
+    """Real (inf, 1) by evaluating every sign vector over _sign_images: what
+    the pruned enumeration must return bit for bit."""
+    best, best_x = -math.inf, None
+    for Y, cols in _sign_images(arr):
+        vals = np.abs(Y, out=Y).sum(axis=0)
+        j = int(vals.argmax())
+        if vals[j] > best:
+            best, best_x = float(vals[j]), cols(j).copy()
+    return best, best_x
+
+
+def _pruning_cases():
+    r = np.random.default_rng(2600)
+    cases = [("hadamard16", gen_hadamard(16).entries), ("zero17", np.zeros((2, 17)))]
+    for m in (15, 16, 17, 20):
+        cases += [
+            (f"gauss{m}", r.standard_normal((m, m))),
+            (f"wide3x{m}", r.standard_normal((3, m))),
+            (f"row{m}", r.standard_normal((1, m))),
+            (f"pm{m}", r.choice([-1.0, 1.0], (m, m))),
+            (f"int{m}", r.integers(-3, 4, (m, m)).astype(float)),
+            (f"ones{m}", np.ones((5, m))),
+            (f"eye{m}", np.eye(m)),
+            (f"rank1_{m}", np.outer(r.standard_normal(6), r.standard_normal(m))),
+        ]
+    for seed in (0, 25):
+        # blocks on disjoint rows, split where the shared image ends: every
+        # triangle bound is tight, and flipping the second block's signs
+        # keeps the value, so the norm has two maximizers; the sign ascent
+        # ends at the later one, and at seed 25 the earlier one's computed
+        # bound reads below its computed value, so only the rounding margin
+        # keeps it
+        A = np.zeros((7, 20))
+        r = np.random.default_rng(seed)
+        A[:4, :15], A[4:, 15:] = r.standard_normal((4, 15)), r.standard_normal((3, 5))
+        cases.append((f"split{seed}", A))
+    # numpy sums a lone column of 130 entries pairwise, not row by row: the
+    # sign ascent's pair, evaluated alone, would read an ulp high here
+    cases.append(("tall130x17", np.random.default_rng(14).standard_normal((130, 17))))
+    return cases
+
+
+class TestPrunedEnumeration:
+    # past 16 columns the enumeration skips the sign vectors whose triangle
+    # bound lies below the best value found; it must return the witness and
+    # the value that evaluating every sign vector returns
+
+    @pytest.mark.parametrize("A", [A for _, A in _pruning_cases()], ids=[k for k, _ in _pruning_cases()])
+    def test_matches_references(self, A):
+        want, want_x = _blockwise_infty_one(A)
+        res = norm_infty_one_exact(A)
+        assert np.array_equal(res.witness, want_x)
+        assert abs(res.value - want) <= 4 * np.spacing(want)
+        full, full_x = _enumerated_infty_one(A)
+        assert res.value == full and np.array_equal(res.witness, full_x)
+
+    def test_matches_references_at_the_cap(self):
+        r = np.random.default_rng(2624)
+        A = r.standard_normal((4, 24))
+        want, want_x = _blockwise_infty_one(A)
+        res = norm_infty_one_exact(A)
+        assert np.array_equal(res.witness, want_x)
+        assert abs(res.value - want) <= 4 * np.spacing(want)
+        for A in (
+            A,
+            r.choice([-1.0, 1.0], (24, 24)),
+            r.integers(-3, 4, (6, 24)).astype(float),
+            np.outer(r.standard_normal(5), r.standard_normal(24)),
+        ):
+            res = norm_infty_one_exact(A)
+            full, full_x = _enumerated_infty_one(A)
+            assert res.value == full and np.array_equal(res.witness, full_x)
+
+    def test_all_ties_hold_no_more_memory(self):
+        # identity 24: all 2^23 sign vectors tie, so nothing is skipped, and
+        # the pruned enumeration peaks no higher than the full one
+        eye = np.eye(24)
+        tracemalloc.start()
+        try:
+            want, want_x = _enumerated_infty_one(eye)
+            full = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            res = norm_infty_one_exact(eye)
+            pruned = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pruned <= full, (pruned, full)
+        assert res.value == want == 24.0
+        assert np.array_equal(res.witness, want_x) and np.array_equal(want_x, np.ones(24))
+
+    @pytest.mark.parametrize("m", [7, 20])
+    def test_exact_power_of_two_scaling(self, m):
+        # the enumeration runs on A / 2^e: 2^k A gives 2^k times the value
+        # and the same witness
+        A = rand_matrix(2610 + m, 4, m).entries
+        base = norm_infty_one_exact(A)
+        for k in (-1000, -537, -1, 1, 409, 1000):
+            res = norm_infty_one_exact(np.ldexp(A, k))
+            assert res.value == np.ldexp(base.value, k), k
+            assert np.array_equal(res.witness, base.witness), k
+
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_value_past_the_float_range_reads_inf(self, m):
+        # sums of entries near the largest double overflowed with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = norm_infty_one_exact(np.full((3, m), 1e308))
+        assert res.value == math.inf
+        assert np.array_equal(res.witness, np.ones(m))
