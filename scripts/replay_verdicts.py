@@ -11,6 +11,15 @@ estimated brackets, and the reasons the benchmark's oracle check failed it.
 The queries and checks come from bench/workloads.py, imported without
 writing anything under bench/.
 
+With --scale K, every query runs on 2^K' A instead of A, for K' the
+largest value <= K that keeps every entry finite (a rescaled query and its
+unscaled reference share the smaller of their two), with the oracle's
+reference values scaled alike.  Verdicts do not change under positive
+scaling, so a diff against the unscaled replay must show no moves.  Values
+past the float range fail the oracle's finiteness checks there, so a
+scaled replay reports oracle failures of its own; the decision of a query
+is recorded from its answer, whatever its check found.
+
 Diff: read two such files and list every yes <-> no flip, apart from them
 every move between a decision and undetermined, and apart from both every
 certainty move (the same decision, but a different certainty or
@@ -22,6 +31,7 @@ Run:
     python3 scripts/replay_verdicts.py --seeds 31,911,4242 -n 4000 -o new.json
     python3 scripts/replay_verdicts.py --src ../parent/src --seeds 31 -n 4000 -o old.json
     python3 scripts/replay_verdicts.py --diff old.json new.json
+    python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --scale 1020 -o big.json
 """
 
 from __future__ import annotations
@@ -29,9 +39,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import statistics
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -61,8 +74,29 @@ def _certainty(res) -> tuple:
     return None, [res.certainty.is_exact]  # a NormResult
 
 
-def replay(src: str, seeds: list, n: int) -> list:
+def _rescale(workloads, K: int) -> None:
+    """Make workloads build every library query on 2^K' A, see --scale."""
+    build, shared = workloads._library_query, {}
+
+    def room(X) -> int:  # the largest k with 2^k X finite
+        return min(1024 - math.frexp(float(np.abs(x).max()))[1] for x in (X.real, X.imag))
+
+    def scaled(qid, call, A, truth, *args, **kwargs):
+        # a rescaled query and its unscaled reference hold the same truth.A,
+        # kept alive here so that its id is not reused
+        k = min(K, room(np.asarray(A)), room(truth.A))
+        k = shared.setdefault(id(truth.A), (truth.A, k))[1]
+        X = np.ldexp(A.real, k) + (1j * np.ldexp(A.imag, k) if np.iscomplexobj(A) else 0.0)
+        truth = workloads.Truth(truth.A, truth.k + k, truth.known)
+        return build(qid, call, X, truth, *args, **kwargs)
+
+    workloads._library_query = scaled
+
+
+def replay(src: str, seeds: list, n: int, scale=None) -> list:
     workloads = _workloads(src)
+    if scale is not None:
+        _rescale(workloads, scale)
     records = []
     for seed in seeds:
         wl = workloads.StreamSmall(seed)
@@ -70,15 +104,16 @@ def replay(src: str, seeds: list, n: int) -> list:
         while sum(map(len, rounds)) < n:
             rounds += wl.more()
         for q in itertools.islice(itertools.chain.from_iterable(rounds), n):
-            out, certainty, exact = workloads.Outcome(), None, []
+            out, decision, certainty, exact = workloads.Outcome(), None, None, []
             try:
                 res = q.run()
+                decision = workloads._verdict_of(res)
                 certainty, exact = _certainty(res)
                 q.check(res, out)
             except Exception as exc:  # a failed query is a record, as in the benchmark
                 out.fail(f"raised {type(exc).__name__}: {exc}")
             records.append({
-                "seed": seed, "query": q.qid, "desc": q.desc, "decision": out.decision,
+                "seed": seed, "query": q.qid, "desc": q.desc, "decision": decision,
                 "certainty": certainty, "exact": exact, "widths": out.widths,
                 "failures": out.reasons,
             })
@@ -126,13 +161,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="31", help="comma-separated stream-small seeds")
     ap.add_argument("-n", type=int, default=4000, help="queries per seed")
     ap.add_argument("-o", "--out", help="replay file to write")
+    ap.add_argument("--scale", type=int, metavar="K", help="run each query on 2^K' A, K' <= K")
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
     if not args.out:
         ap.error("a replay needs -o/--out")
     seeds = [int(s) for s in args.seeds.split(",")]
-    records = replay(args.src, seeds, args.n)
+    records = replay(args.src, seeds, args.n, args.scale)
     with open(args.out, "w", encoding="utf-8") as fp:  # one record per line
         fp.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     failed = sum(1 for r in records if r["failures"])

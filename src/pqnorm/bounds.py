@@ -35,13 +35,15 @@ from .induced_norms import (
     MatrixLike,
     MatrixValue,
     NormResult,
+    _NORMAL,
     _lp_cols,
+    _normalized,
     _phase,
-    _pow2_normalized,
+    _scaled_back,
+    _scaled_sigma1,
     as_matrix,
     best_norm,
     best_norms,
-    svd,
 )
 
 __all__ = [
@@ -73,8 +75,8 @@ def bound_factor(
     return vector_comparison_factor(p, r, m) * vector_comparison_factor(s, q, n)
 
 
-def _inf_one_certificate(M: MatrixValue, x: np.ndarray) -> float:
-    """Certified upper bound on ||M||_{inf,1} from any vector x: the
+def _inf_one_certificate(arr: np.ndarray, x: np.ndarray) -> float:
+    """Certified upper bound on ||arr||_{inf,1} from any vector x: the
     semidefinite bound of Nesterov (1998) at a diagonal read from x.
 
     With y = phase(Ax), D = (|A* y|, |A x|) and mu the least eigenvalue of
@@ -83,14 +85,14 @@ def _inf_one_certificate(M: MatrixValue, x: np.ndarray) -> float:
     (t x, y / t) give ||A||_{inf,1} <= sqrt(sum_x (D - mu) sum_y (D - mu)).
     Any real D gives a bound, in both fields (the form is Hermitian); at a
     maximizer x = phase(A* y) it is the value itself when K is positive
-    semidefinite.  Formed on A / 2^e and scaled back exactly.  eigvalsh is
+    semidefinite.  arr is A / 2^e (_pow2_normalized), on which no product
+    overflows; norm_upper_bound scales the bound back.  eigvalsh is
     backward stable (Householder tridiagonalisation, Higham 2002, ch. 19):
     its mu is exact for K + E, ||E||_2 <= c N^2 u ||K||_F with N = m + n
     and u = 2^-53, so by Weyl's inequality mu less N^2 2^-50 ||K||_F (c = 8)
     is a lower bound; the sums, product and root, at most (N + 3) u
     relative, are covered by the factor 1 + (N + 4) 2^-52.
     """
-    arr, e = _pow2_normalized(M.entries)
     n, m = arr.shape
     Ax = arr @ x
     D = np.concatenate([np.abs(arr.conj().T @ _phase(Ax)), np.abs(Ax)])
@@ -98,9 +100,7 @@ def _inf_one_certificate(M: MatrixValue, x: np.ndarray) -> float:
     K[:m, m:], K[m:, :m] = -arr.conj().T, -arr
     K[np.diag_indices(m + n)] = D
     mu = np.linalg.eigvalsh(K)[0] - (m + n) ** 2 * 2.0**-50 * np.linalg.norm(K)
-    upper = math.sqrt((D[:m] - mu).sum() * (D[m:] - mu).sum()) * (1.0 + (m + n + 4) * 2.0**-52)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(upper, e))
+    return math.sqrt((D[:m] - mu).sum() * (D[m:] - mu).sum()) * (1.0 + (m + n + 4) * 2.0**-52)
 
 
 def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
@@ -110,20 +110,40 @@ def norm_upper_bound(A: MatrixLike, p: IndexLike, q: IndexLike) -> float:
     of bound_factor(p0, q0, p, q) * ||A||_{p0,q0}, read as the largest
     column q-norm, the largest row p*-norm and the top singular value; at
     (inf, 1) also _inf_one_certificate at the witness of best_norm (seed
-    0), in either field.
+    0), in either field.  Every term is formed on A / 2^e, as the estimate
+    is, and the minimum is scaled back once, so at the ends of the float
+    range the bound rounds as the estimate does and stays above it.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     key = ("upper_bound", pi, qi)
     if key not in M._memo:
-        arr = M.entries
-        values = (_lp_cols(arr, qi).max(), _lp_cols(arr.T, conjugate(pi)).max(), svd(M).s[0])
+        arr, e = _normalized(M)
+        values = (_lp_cols(arr, qi).max(), _lp_cols(arr.T, conjugate(pi)).max(), _scaled_sigma1(M))
         anchors = zip(((ONE, qi), (pi, INF), (TWO, TWO)), values)
         bounds = [bound_factor(*a, pi, qi, M.m, M.n) * float(v) for a, v in anchors]
         if pi.is_inf and qi.value == 1.0:
-            bounds.append(_inf_one_certificate(M, best_norm(M, INF, ONE).witness))
-        M._memo[key] = min(bounds)
+            bounds.append(_inf_one_certificate(arr, best_norm(M, INF, ONE).witness))
+        M._memo[key] = _scaled_back(min(bounds), e)
     return M._memo[key]
+
+
+def _in_range(M: MatrixValue) -> tuple:
+    """(S, e): S = M and e = 0 when no value a verdict on M reads can leave
+    the normal range, else S = A / 2^e from _pow2_normalized, memoised on M.
+    Verdicts do not change under positive scaling, so they may be taken on
+    S.  Every norm of A lies in [rho, n m rho] for rho its largest modulus,
+    and a verdict reads them times comparison factors and amplitudes within
+    (n m)^(+-1), so within [rho / (n m), (n m)^2 rho].  M is kept when that
+    lies in [2^-1022, 2^1022], where a value plus its slack stays finite:
+    with 2^(e-1) <= rho < 2^e and n m <= 2^b, when -1021 + b <= e <= 1022 - 2 b."""
+    if (kept := M._memo.get("in_range")) is not None:
+        return kept
+    (arr, e), b = _normalized(M), (M.n * M.m).bit_length()
+    if -1021 + b <= e <= 1022 - 2 * b:  # a zero matrix has e = 0
+        return M, 0
+    M._memo["in_range"] = kept = (MatrixValue(arr, M.field), e)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -240,11 +260,13 @@ def _at_most(x: tuple, y: tuple, tol: float) -> Optional[bool]:
     True when x_hi <= y_lo + tol max(x_hi, y_lo); False only when
     x_lo > y_hi + tol max(x_lo, y_hi), which no values inside the brackets
     can give; otherwise None (undetermined).  A point is the pair (x, x).
+    The slack is floored at tol times the least normal float, so it is
+    relative, and the test scale-free, wherever either end is normal.
     """
     (x_lo, x_hi), (y_lo, y_hi) = x, y
-    if x_hi <= y_lo + tol * max(x_hi, y_lo, 1e-300):
+    if x_hi <= y_lo + tol * max(x_hi, y_lo, _NORMAL):
         return True
-    if x_lo > y_hi + tol * max(x_lo, y_hi, 1e-300):
+    if x_lo > y_hi + tol * max(x_lo, y_hi, _NORMAL):
         return False
     return None
 
@@ -369,14 +391,21 @@ def decide_equality(
     _at_most of the scaled right bracket against the left one, True "yes"
     (the bound's upper end within tol of the left lower end), False "no"
     (certified), None undetermined; (r, s) = (p, q) is "yes" (factor 1).
-    Both sides are estimated together, in one stacked ascent.
+    Both sides are estimated together, in one stacked ascent.  The details
+    hold A's own brackets; the verdict is read from those of _in_range(A),
+    which differ only where A's values could leave the normal range.
     """
     as_tol(tol)
     M = as_matrix(A)
     pi, qi, ri, si = as_index(p), as_index(q), as_index(r), as_index(s)
-    best_norms(M, [(ri, si), (pi, qi)], seed=seed)  # read back through the memo
-    lb = bracket_norm(M, ri, si, seed=seed)
-    rb = bracket_norm(M, pi, qi, seed=seed)
+
+    def brackets(X: MatrixValue) -> tuple:
+        best_norms(X, [(ri, si), (pi, qi)], seed=seed)  # read back through the memo
+        return bracket_norm(X, ri, si, seed=seed), bracket_norm(X, pi, qi, seed=seed)
+
+    lb, rb = brackets(M)
+    S, _ = _in_range(M)
+    slb, srb = (lb, rb) if S is M else brackets(S)
     factor = bound_factor(pi, qi, ri, si, M.m, M.n)
     if tol is None:
         tol = EXACT_EQ_TOL if (lb.is_exact and rb.is_exact) else ESTIMATED_EQ_TOL
@@ -388,5 +417,5 @@ def decide_equality(
     }
     if (ri, si) == (pi, qi):
         return "yes", details
-    verdict = _at_most((factor * rb.lower, factor * rb.upper), (lb.lower, lb.upper), tol)
+    verdict = _at_most((factor * srb.lower, factor * srb.upper), (slb.lower, slb.upper), tol)
     return {True: "yes", False: "no", None: "undetermined"}[verdict], details

@@ -38,6 +38,7 @@ more sign patterns than the enumeration allows.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -65,8 +66,8 @@ from .induced_norms import (
     MatrixValue,
     SvdFactors,
     _ldexp,
+    _normalized,
     _phase,
-    _phase_block,
     _pow2_normalized,
     _sign_images,
     as_matrix,
@@ -76,6 +77,7 @@ from .induced_norms import (
 from .bounds import (
     ESTIMATED_EQ_TOL,
     NormBracket,
+    _in_range,
     bound_factor,
     bracket_norm,
     decide_equality,
@@ -209,6 +211,22 @@ def _verdict(member, conditions, certificate=None, certainty="exact") -> ClassVe
     return ClassVerdict(member, list(conditions), certificate, certainty)
 
 
+def _scale_free(decide: Callable) -> Callable:
+    """decide(A, ...) taken on A / 2^e where bounds._in_range rescales A: its
+    evidence is then measured on A / 2^e, and a first condition says so."""
+
+    @functools.wraps(decide)
+    def wrapped(A: MatrixLike, *args, **kwargs) -> ClassVerdict:
+        S, e = _in_range(as_matrix(A))
+        verdict = decide(S, *args, **kwargs)
+        if e == 0:
+            return verdict
+        conds = [Condition("rescaled-to-normal-range", True, {"e": e}), *verdict.conditions]
+        return ClassVerdict(verdict.member, conds, verdict.certificate, verdict.certainty)
+
+    return wrapped
+
+
 def _zero_or_trivial(
     M: MatrixValue, p: ExtIndex, q: ExtIndex, cls: ClassId
 ) -> Optional[ClassVerdict]:
@@ -279,6 +297,7 @@ def _isolated_extremal_entries(arr: np.ndarray, tol: float):
     return bool(alone[mask].all()), mask, rho
 
 
+@_scale_free
 def check_E1inf(
     A: MatrixLike,
     p: IndexLike,
@@ -292,10 +311,15 @@ def check_E1inf(
 
     For p <= q: the entries of maximal modulus rho must be isolated in
     their rows and columns, and the matrix C left after zeroing them must
-    satisfy ||C||_{p,q} <= rho; under isolation the norm splits as
-    ||A||_{p,q} = max(rho, ||C||_{p,q}), so the residual test can also be
-    certified directly on ||A||_{p,q}.  For p > q: membership holds exactly
-    when at most one entry is nonzero.
+    satisfy ||C||_{p,q} <= rho; under exact isolation the norm splits as
+    ||A||_{p,q} = max(rho, ||C||_{p,q}).  The residual's bracket decides
+    first: its upper end is far tighter than A's, so only it settles a yes.
+    When it straddles rho, A's own bracket is read, since membership is
+    ||A||_{p,q} <= rho itself: the entries below tol rho that the isolation
+    test admits beside the isolated ones can lift ||A||_{p,q} above both
+    rho and ||C||_{p,q}, so at the tolerance edge only A's lower end
+    settles a no.  For p > q: membership holds exactly when at most one
+    entry is nonzero.
     """
     as_tol(tol)
     M = as_matrix(A)
@@ -416,6 +440,7 @@ def _check_11_columns(
     return _settle(resolved, [cond_i, cond_ii, cond_iii], ab, cert)
 
 
+@_scale_free
 def check_E11(
     A: MatrixLike,
     p: IndexLike,
@@ -595,6 +620,10 @@ def _unimodular_in_subspace(
     constraint, so it stalls on fully degenerate eigenspaces where span(Q)
     is everything.
 
+    The starts are the columns of Q, the projection of the all-ones vector
+    and _SEARCH_TRIES seeded random vectors of span(Q), at every size; the
+    unimodular vectors of a small structured matrix (DFT 3, complex
+    Hadamard 4) are found from these without a grid of roots of unity.
     Every start is a column of one batch, advanced together by alternating
     phase projection between the constant-modulus torus (both tori when W
     is given) and the subspace.  A column stops on its own: without W when
@@ -614,14 +643,6 @@ def _unimodular_in_subspace(
         Q @ (Qh @ np.ones((m, 1), dtype=complex)),
         Q @ (draws[:, 0] + 1j * draws[:, 1]).T,
     ]
-    if m <= 4:
-        # with W, 24 phases: 24 is divisible by 2, 3 and 4, so roots of unity
-        # of those orders (the phases of small structured maximizers) sit on
-        # the grid
-        g = 8 if m >= 4 else (16 if W is None else 24)
-        Xg = _phase_block(0, g ** (m - 1), m, g)
-        fit = np.linalg.norm(Q @ (Qh @ Xg) - Xg, axis=0)
-        starts.append(Xg[:, np.argsort(fit, kind="stable")[: 8 if W is None else 12]])
     X = np.hstack(starts).astype(complex)
     act = np.flatnonzero(np.linalg.norm(X, axis=0) > 0)
     C = Qh @ X  # subspace coordinates, advanced only when W is given
@@ -750,6 +771,7 @@ def _unimodular_vectors(
     return blocks(), exhaustive
 
 
+@_scale_free
 def check_Einf1(
     A: MatrixLike,
     p: IndexLike,
@@ -787,7 +809,7 @@ def check_Einf1(
         return early
     arr = M.entries
     n, m = arr.shape
-    scaled, e = _pow2_normalized(arr)
+    scaled, e = _normalized(M)
     f = svd(M)
     svals = f.s.tolist()
     # the ratio at a candidate of singular value s is s / amp
@@ -898,6 +920,7 @@ def _svd_with_first_vector(
     return cand
 
 
+@_scale_free
 def check_svd_equality(
     A: MatrixLike,
     r: IndexLike,
@@ -955,7 +978,7 @@ def check_svd_equality(
     # coordinate vectors, exhaustively), else the K_1 side, filtered by the
     # map to its partner when that must be K_1 too
     right = kv is KClassId.KMINUS1 or (ku is not KClassId.KMINUS1 and kv is KClassId.K1)
-    scaled, e = _pow2_normalized(arr)
+    scaled, e = _normalized(M)
     Q, B, kc, want = (
         (f.v[:, :k], scaled, kv, ku) if right else (f.u[:, :k], scaled.conj().T, ku, kv)
     )

@@ -223,9 +223,39 @@ def _ldexp(x, e: int):
 
 def _pow2_normalized(arr: np.ndarray) -> tuple:
     """(arr / 2^e, e) for e the exponent of the largest modulus: exact, and
-    safe to square or multiply at any scale of arr."""
-    e = math.frexp(np.abs(arr).max())[1]
+    safe to square or multiply at any scale of arr.  A complex modulus may
+    pass the float range while both its parts are finite; e is then one
+    above the largest part's exponent, so every modulus of arr / 2^e is
+    still below 1."""
+    if arr.dtype.kind != "c":
+        e = math.frexp(np.abs(arr).max())[1]
+    else:
+        with np.errstate(over="ignore"):
+            peak = np.abs(arr).max()
+        if peak < math.inf:
+            e = math.frexp(peak)[1]
+        else:
+            e = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1] + 1
     return _ldexp(arr, -e), e
+
+
+def _normalized(M: MatrixValue) -> tuple:
+    """_pow2_normalized(M.entries), once per matrix and read-only."""
+    got = M._memo.get("normalized")
+    if got is None:
+        arr, e = _pow2_normalized(M.entries)
+        arr.setflags(write=False)
+        got = M._memo["normalized"] = (arr, e)
+    return got
+
+
+def _scaled_back(x, e: int) -> float:
+    """x * 2^e for x >= 0, inf past the float range: a value formed on
+    A / 2^e, rounded once."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def _lp_cols(W: np.ndarray, p: ExtIndex) -> np.ndarray:
@@ -612,7 +642,9 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
     witness a coordinate vector); q = inf or one row (largest row p*-norm,
     as ||a x||_q = |a x| for a row a, witness the dual vector of that row,
     formed on the row / 2^e so that subnormal entries have a phase).  Ties
-    resolve to the lowest index.
+    resolve to the lowest index.  Column and row norms are formed on A / 2^e
+    and scaled back once, as the SVD is, so 2^k A has 2^k times the value:
+    inf past the float range, and no bits lost to subnormal entries.
     """
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
@@ -627,16 +659,18 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
         f = svd(M)
         return NormResult(float(f.s[0]), f.v[:, 0].copy(), Certainty.CLOSED_FORM)
     if pi.value == 1.0 or m == 1:
-        colnorms = _lp_cols(arr, qi)
+        scaled, e = _normalized(M)
+        colnorms = _lp_cols(scaled, qi)
         j = int(colnorms.argmax())
         witness = np.zeros(m, dtype=dtype)
         witness[j] = 1.0
-        return NormResult(float(colnorms[j]), witness, Certainty.CLOSED_FORM)
+        return NormResult(_scaled_back(colnorms[j], e), witness, Certainty.CLOSED_FORM)
     if qi.is_inf or n == 1:
         # where p / (p - 1) rounds to 1 (p above about 2^53), conjugate keeps
         # p* at the least double above 1; the row norm is the 1-norm there
         pstar = ONE if pi.value / (pi.value - 1.0) == 1.0 else conjugate(pi)
-        rownorms = _lp_cols(arr.T, pstar)
+        scaled, e = _normalized(M)
+        rownorms = _lp_cols(scaled.T, pstar)
         i = int(rownorms.argmax())
         row = _pow2_normalized(arr[i, :])[0]
         if pi.is_inf:
@@ -647,7 +681,8 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
             peak = a.max()
             witness = np.conj(_phase(row)) * (a / peak) ** (pstar.value - 1.0)
         witness = witness / vector_norm(witness, pi)
-        return NormResult(float(rownorms[i]), witness.astype(dtype), Certainty.CLOSED_FORM)
+        value = _scaled_back(rownorms[i], e)
+        return NormResult(value, witness.astype(dtype), Certainty.CLOSED_FORM)
     return None
 
 
@@ -722,19 +757,6 @@ def _top(vals: np.ndarray, k: int) -> np.ndarray:
     c = max(vals.size - k, 0)
     cand = np.flatnonzero(vals >= np.partition(vals, c)[c])
     return cand[np.argsort(-vals[cand], kind="stable")[:k]]
-
-
-def _phase_block(start: int, stop: int, m: int, g: int) -> np.ndarray:
-    """Columns start..stop-1 of the grid of g-th roots of unity with first
-    entry 1.  Base-g digit t of the index, most significant first, picks
-    entry t + 1 (the column order of np.meshgrid with indexing="ij")."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    phases = np.exp(2j * np.pi * np.arange(g) / g)
-    X = np.ones((m, idx.size), dtype=complex)
-    for t in range(m - 1, 0, -1):
-        X[t, :] = phases[idx % g]
-        idx //= g
-    return X
 
 
 MAX_REAL_COLS = 24  # columns of a real (inf,1) sign enumeration
@@ -869,7 +891,7 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
         raise ValueError("sign enumeration is exact over the real field only")
     if M.m > MAX_REAL_COLS:
         raise DimensionError(f"sign enumeration capped at {MAX_REAL_COLS} columns, got {M.m}")
-    B, e = _pow2_normalized(M.entries)
+    B, e = _normalized(M)
     if M.m > _LOW + 1:
         best, i = _pruned_infty_one(B)
         witness = _sign_cols(i, M.m)
@@ -882,11 +904,7 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
                 best, pick = float(vals[j]), (cols, j)
         cols, j = pick
         witness = cols(j).copy()
-    try:
-        value = math.ldexp(best, e)
-    except OverflowError:
-        value = math.inf
-    return NormResult(value, witness, Certainty.ENUMERATION)
+    return NormResult(_scaled_back(best, e), witness, Certainty.ENUMERATION)
 
 
 def _lattice_side(m: int, budget: int) -> int:
@@ -1091,11 +1109,12 @@ def svd(A: MatrixLike) -> SvdFactors:
     M = as_matrix(A)
     f = M._memo.get("svd")
     if f is None:
-        arr, e = _pow2_normalized(M.entries)
+        arr, e = _normalized(M)
         try:
             u, s, vh = np.linalg.svd(arr)
         except np.linalg.LinAlgError as err:
             raise SvdConvergenceError(str(err)) from err
+        M._memo["sigma1"] = float(s[0])
         with np.errstate(over="ignore"):
             s = np.ldexp(s, e)
         f = SvdFactors(u=u, s=s, v=vh.conj().T)
@@ -1103,3 +1122,10 @@ def svd(A: MatrixLike) -> SvdFactors:
             a.setflags(write=False)
         M._memo["svd"] = f
     return f
+
+
+def _scaled_sigma1(M: MatrixValue) -> float:
+    """The top singular value of A / 2^e for _pow2_normalized's e: exact
+    where svd(M).s[0] overflowed or rounded to a subnormal."""
+    svd(M)
+    return M._memo["sigma1"]

@@ -3,6 +3,8 @@ suite of matrices with known class structure."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,27 @@ from pqnorm import (
 )
 
 GRID5 = [as_index(t) for t in (1, 1.5, 2, 3, "inf")]
+
+
+# matrices taken to the ends of the float range by at_scale
+EDGE_MATRICES = [
+    np.ones((2, 2)),
+    np.random.default_rng(1).standard_normal((3, 4)),
+    np.random.default_rng(2).standard_normal((3, 2))
+    + 1j * np.random.default_rng(3).standard_normal((3, 2)),
+    # at the top, both parts of the first entry are finite but its modulus is not
+    np.array([[1.5 + 1.5j, 0.5], [-0.5j, 1.0]]),
+]
+EDGE_IDS = ["ones", "gauss3x4", "complex3x2", "complex-modulus"]
+
+
+def at_scale(A: np.ndarray, k) -> np.ndarray:
+    """2^k A, real and imaginary parts apart; k = "top" is the largest k
+    that keeps every entry finite."""
+    if k == "top":
+        k = 1024 - max(math.frexp(float(np.abs(x).max()))[1] for x in (A.real, A.imag))
+    X = np.ldexp(A.real, k)
+    return X + 1j * np.ldexp(A.imag, k) if np.iscomplexobj(A) else X
 
 
 def grid_key(p, q) -> tuple:

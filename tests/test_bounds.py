@@ -32,6 +32,9 @@ from pqnorm import (
     transfer_equality,
 )
 from pqnorm.bounds import _at_most, _inf_one_certificate
+from pqnorm.induced_norms import _pow2_normalized, _scaled_back
+
+from conftest import EDGE_IDS, EDGE_MATRICES, at_scale
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 GRID = [1, 1.5, 2, 3, "inf"]
@@ -88,7 +91,7 @@ class TestNormUpperBound:
             raise AssertionError("the bound was computed again")
 
         monkeypatch.setattr(mod, "_lp_cols", unused)
-        monkeypatch.setattr(mod, "svd", unused)
+        monkeypatch.setattr(mod, "_scaled_sigma1", unused)
         assert norm_upper_bound(M, 1.5, 3) == first
         assert norm_upper_bound(as_matrix(M), "1.5", 3.0) == first
 
@@ -106,7 +109,7 @@ class TestInfOneCertificate:
         ]
         for M in cases:
             res = best_norm(M, "inf", 1)
-            cert = _inf_one_certificate(M, res.witness)
+            cert = _inf_one_certificate(M.entries, res.witness)
             assert res.value <= cert <= res.value * (1.0 + 1e-10)
             assert bracket_norm(M, "inf", 1).upper <= cert
 
@@ -117,13 +120,13 @@ class TestInfOneCertificate:
         M = as_matrix(np.random.default_rng(44).standard_normal((3, 30)))
         res = best_norm(M, "inf", 1)
         assert res.certainty is Certainty.ESTIMATE
-        cert = _inf_one_certificate(M, res.witness)
+        cert = _inf_one_certificate(M.entries, res.witness)
         assert cert >= res.value and cert >= norm_bruteforce(M, "inf", 1, budget=2000).value
         assert norm_upper_bound(M, "inf", 1) <= cert
 
     def test_zero_matrix(self):
         M = as_matrix(np.zeros((2, 3), dtype=complex))
-        assert _inf_one_certificate(M, np.ones(3)) == 0.0
+        assert _inf_one_certificate(M.entries, np.ones(3)) == 0.0
 
 
 def _anchor_minimum(M, p, q):
@@ -134,7 +137,7 @@ def _anchor_minimum(M, p, q):
     anchors = ((as_index(1), qi), (pi, as_index("inf")), (as_index(2), as_index(2)))
     bounds = [bound_factor(*a, pi, qi, M.m, M.n) * norm_closed_form(M, *a).value for a in anchors]
     if pi.is_inf and qi.value == 1.0:
-        bounds.append(_inf_one_certificate(M, best_norm(M, "inf", 1).witness))
+        bounds.append(_inf_one_certificate(M.entries, best_norm(M, "inf", 1).witness))
     return min(bounds)
 
 
@@ -242,6 +245,28 @@ class TestNormBracket:
                     assert abs(res.value - want) <= 1e-12 * want, (pp, qq)
         for cls in ClassId:
             assert check_class(M, cls, p, q).member == check_class(M0, cls, p, q).member, cls
+
+    @pytest.mark.parametrize("A", EDGE_MATRICES, ids=EDGE_IDS)
+    @pytest.mark.parametrize("end", ["top", -1010, -1071, -1074])
+    def test_float_range_edges(self, A, end):
+        # at the largest 2^k that keeps every entry finite, norms pass the
+        # float range; at 2^-1010 they are normal but below 1e-300; at
+        # 2^-1071 and 2^-1074 entries are subnormal.  Every
+        # route and anchor is formed on A / 2^e and scaled back once, so
+        # each bracket is that of A / 2^e scaled back (ends overflowed to inf
+        # or rounded to a subnormal alike): none inverts, and no
+        # RuntimeWarning is raised.  Anchors read from raw entries round
+        # apart from the estimate: 5e-324 ones read [1.5e-323, 1e-323] at (inf, 2)
+        X = as_matrix(at_scale(A, end))
+        S, e = _pow2_normalized(X.entries)
+        S = as_matrix(S)
+        for p in GRID:
+            for q in GRID:
+                br, br0 = bracket_norm(X, p, q), bracket_norm(S, p, q)
+                assert br.lower <= br.upper, (p, q)
+                assert br.lower == _scaled_back(br0.lower, e), (p, q)
+                assert br.upper == _scaled_back(br0.upper, e), (p, q)
+        assert best_norm(np.full((2, 2), 1e308), "inf", "inf").value == math.inf
 
     def test_bracket_exact_pair_collapses(self):
         br = bracket_norm(np.diag([3.0, 1.0]), 2, 2)

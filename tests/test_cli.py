@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -148,6 +149,18 @@ class TestSweepCommand:
         for ln in lines[1:]:
             ratio = float(ln.split(",")[5])
             assert abs(ratio - 1.0) <= 1e-6
+
+    def test_zero_matrix(self, tmp_path, capsys):
+        # every norm and bound is 0, so 0 = factor * 0 and each ratio is 1
+        path = str(tmp_path / "zero.json")
+        save_matrix(as_matrix(np.zeros((2, 3)), field="real"), path)
+        assert main(["sweep", path, "-"] + self.ARGS) == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 9
+        for row in rows:
+            _, _, value, _, bound, ratio, certainty = row.split(",")
+            assert (float(value), float(bound), float(ratio)) == (0.0, 0.0, 1.0)
+            assert certainty == "exact-closed-form"
 
     def test_stdout_dash(self, b_real, capsys):
         assert main(["sweep", b_real, "-"] + self.ARGS) == EXIT_OK
@@ -437,12 +450,18 @@ class TestJsonOverflow:
         assert doc["lhs_bracket"][1] == float("inf")
 
     def test_class_payload_parses(self, huge, capsys):
+        # the column sums pass the float range, so the verdict is taken on
+        # A / 2^1024, where its evidence is finite; the first condition
+        # records the exponent
         assert main(["check", huge, "E_11", "-p", "2", "-q", "2", "--json"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert '"sigma": 1e999' in out
-        doc = json.loads(out)
-        assert doc["conditions"][0]["measured"]["sigma"] == float("inf")
-        assert doc["certificate"]["column"] == [1e308] * 4
+        doc = json.loads(capsys.readouterr().out)
+        note, cond = doc["conditions"][:2]
+        assert note == {
+            "name": "rescaled-to-normal-range", "satisfied": True, "measured": {"e": 1024}
+        }
+        entry = math.ldexp(1e308, -1024)
+        assert cond["measured"]["sigma"] == 4 * entry
+        assert doc["certificate"]["column"] == [entry] * 4
 
 
 class TestGenerateWrites:

@@ -6,6 +6,7 @@ random cases are cross-checked against decide_equality, which uses the
 norm machinery rather than the structural conditions.
 """
 
+import itertools
 import math
 import warnings
 
@@ -49,7 +50,7 @@ from pqnorm import equality_classes
 from pqnorm.core import DEFAULT_TOL
 from pqnorm.induced_norms import BLOCK, _sign_cols, _sign_images
 
-from conftest import make_corpus, make_curated
+from conftest import EDGE_IDS, EDGE_MATRICES, at_scale, make_corpus, make_curated
 
 B = np.array([[1.0, 1.0], [-1.0, 1.0]])
 BC = as_matrix(B, field="complex")
@@ -114,6 +115,10 @@ class TestZeroAndTrivial:
         assert all(c.satisfied for c in v.conditions)
         assert v.is_member
 
+    def test_is_member_three_states(self):
+        for member, want in (("yes", True), ("no", False), ("undetermined", None)):
+            assert ClassVerdict(member, [], None, "estimate-backed").is_member is want
+
 
 class TestE1inf:
     def test_single_entry_yes_everywhere(self):
@@ -144,6 +149,21 @@ class TestE1inf:
         # at q = inf the class's open quadrant (s > q) is empty
         A = np.array([[2.0, 0.0, 0.0], [0.0, 1.9, 1.9]])
         assert check_E1inf(A, 2, "inf").member == "yes"
+
+    def test_whole_matrix_settles_the_tolerance_edge(self):
+        # rho = 1 is isolated up to entries eps < tol beside it, and the row
+        # block [beta, beta] has norm 2^(1/3) beta just below the estimated
+        # line 1 + 1e-4 rho.  The residual C keeps the eps entries, and its
+        # bracket straddles rho; A's own norm lies above the line, by about
+        # 1.4e-5, because the eps entries couple rho to the block, so only
+        # A's lower end settles the certified no
+        eps, beta = 5e-5, (1.0 / (1.0 - 1e-4) - 1.4e-5) / 2.0 ** (1.0 / 3.0)
+        A = np.array([[1.0, eps, eps], [eps, beta, beta]])
+        C = A.copy()
+        C[0, 0] = 0.0
+        assert bracket_norm(C, 1.5, 1.5).le(1.0, 1e-4) is None
+        assert bracket_norm(A, 1.5, 1.5).le(1.0, 1e-4) is False
+        assert check_E1inf(A, 1.5, 1.5, 1e-4).member == "no"
 
 
 class TestE11:
@@ -219,13 +239,16 @@ class TestE11:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_column_sum_past_float_max(self):
         # the largest modulus has exponent 1024, so the column sum sigma
-        # passes the float range: a verdict, not an OverflowError
+        # passes the float range: a verdict, not an OverflowError, taken on
+        # A / 2^1024 with a first condition that records the exponent
         for A in (np.array([[1e308], [1e308]]), np.array([[1e308, 1e308]])):
             S = np.ldexp(A, -1024)
             for check in (check_E11, check_Einfinf):
                 v, v0 = check(A, 1.5, 1.5), check(S, 1.5, 1.5)
                 assert v.member == v0.member, (A.shape, check.__name__)
-                assert [(c.name, c.satisfied) for c in v.conditions] == [
+                note = equality_classes.Condition("rescaled-to-normal-range", True, {"e": 1024})
+                assert v.conditions[0] == note
+                assert [(c.name, c.satisfied) for c in v.conditions[1:]] == [
                     (c.name, c.satisfied) for c in v0.conditions
                 ]
             for suff in (sufficient_e11, sufficient_einfinf):
@@ -585,13 +608,6 @@ def _reference_search(Q, rng, W=None, tries=24, iters=400):
     P = Q @ Q.conj().T
     starts = [Q[:, j] for j in range(k)] + [P @ np.ones(m, dtype=complex)]
     starts += [Q @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)) for _ in range(tries)]
-    if m <= 4:
-        g = 8 if m >= 4 else (16 if W is None else 24)
-        phases = np.exp(2j * np.pi * np.arange(g) / g)
-        mesh = np.meshgrid(*([phases] * (m - 1)), indexing="ij")
-        Xg = np.vstack([np.ones(g ** (m - 1))] + [t.reshape(-1) for t in mesh])
-        fit = np.linalg.norm(Q @ (Q.conj().T @ Xg) - Xg, axis=0)
-        starts += [Xg[:, j] for j in np.argsort(fit, kind="stable")[: 8 if W is None else 12]]
     out = []
     for x in starts:
         if np.linalg.norm(x) == 0:
@@ -978,6 +994,25 @@ class TestSvdEqualityOneSide:
             assert (v.member, v.certainty) == ("yes", "exact")
             assert np.allclose(v.certificate.reconstruct(), A.entries, atol=1e-8)
 
+    def test_zero_matrix(self):
+        v = check_svd_equality(np.zeros((2, 3)), 3, 1.5)
+        assert (v.member, v.certainty) == ("yes", "exact")
+        assert [c.name for c in v.conditions] == ["zero-matrix"]
+        assert np.array_equal(v.certificate.reconstruct(), np.zeros((2, 3)))
+
+    def test_real_hadamard_past_the_sign_cap(self, monkeypatch):
+        # H32 at (inf, 2): the right vector must be K_1 in the whole
+        # 32-dimensional top subspace, past 2^(_SIGN_BITS + 1) sign patterns.
+        # The phase search over the complexified span finds a real sign
+        # vector, an exact yes; without it only the norm test is left, which
+        # reads the estimate and certifies nothing exact
+        v = check_svd_equality(gen_hadamard(32), "inf", 2)
+        assert (v.member, v.certainty) == ("yes", "exact")
+        assert np.allclose(v.certificate.reconstruct(), gen_hadamard(32).entries, atol=1e-8)
+        monkeypatch.setattr(equality_classes, "_unimodular_in_subspace", lambda *a: iter(()))
+        v = check_svd_equality(gen_hadamard(32), "inf", 2)
+        assert (v.member, v.certainty) == ("yes", "estimate-backed")
+
     @pytest.mark.parametrize(
         "r, s, member",
         [(3, 1.5, "no"), (3, 2, "yes"), (3, 3, "no"), ("inf", 1, "no")],
@@ -1127,6 +1162,36 @@ class TestPowerOfTwoScaling:
         st = extremal_stats(np.ldexp(NOT_EIGEN, k), np.ones(3))
         want = [math.ldexp(x, k) for x in (2.0, 5.0, 5.0, 1.0)]
         assert [st.rho, st.sigma_col, st.sigma_row, st.tau] == want
+
+
+class TestFloatRangeEdges:
+    """At the largest 2^k that keeps every entry finite, norms pass the
+    float range; at 2^-1010 they are normal but below 1e-300, where a
+    tolerance floor of 1e-300 made comparisons absolute; at 2^-1071 and
+    2^-1074 entries are subnormal.  Verdicts do not change under positive
+    scaling, so each equals its answer on A / 2^e.  Comparing the
+    overflowed or subnormal brackets of A itself gives a spurious yes on
+    2^1023 times the Gaussian at 524 of decide_equality's 625 questions,
+    and check_Einf1 divides inf by inf on 2^1023 ones."""
+
+    @pytest.mark.parametrize("A", EDGE_MATRICES, ids=EDGE_IDS)
+    @pytest.mark.parametrize("end", ["top", -1010, -1071, -1074])
+    def test_decide_equality(self, A, end):
+        X = as_matrix(at_scale(A, end))
+        S = as_matrix(equality_classes._pow2_normalized(X.entries)[0])
+        for p, q, r, s in itertools.product(SVD_INDICES, repeat=4):
+            assert decide_equality(X, p, q, r, s)[0] == decide_equality(S, p, q, r, s)[0]
+
+    @pytest.mark.parametrize("A", EDGE_MATRICES, ids=EDGE_IDS)
+    @pytest.mark.parametrize("end", ["top", -1010, -1071, -1074])
+    def test_class_verdicts(self, A, end):
+        X = as_matrix(at_scale(A, end))
+        S = as_matrix(equality_classes._pow2_normalized(X.entries)[0])
+        for p, q in itertools.product(SVD_INDICES, repeat=2):
+            pairs = [(check_class(Y, cls, p, q) for Y in (X, S)) for cls in ClassId]
+            pairs.append(check_svd_equality(Y, p, q) for Y in (X, S))
+            for v, v0 in pairs:
+                assert (v.member, v.certainty) == (v0.member, v0.certainty), (p, q)
 
 
 class TestDavNormalForm:

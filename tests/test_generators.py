@@ -109,6 +109,18 @@ class TestKClassVectors:
             assert not k_class_test(v1, KClassId.KMINUS1)
         assert math.isclose(np.linalg.norm(v1), 1.0, rel_tol=1e-12)
 
+    def test_k0_is_a_seeded_unit_vector(self):
+        # K_0 places no restriction: a random unit vector of the field's
+        # dtype, reproduced by the same generator state, in neither other class
+        for tag, dtype in (("real", np.float64), ("complex", np.complex128)):
+            v = kclass_unit_vector(KClassId.K0, 5, np.random.default_rng(4), tag)
+            assert v.dtype == dtype
+            assert math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12)
+            again = kclass_unit_vector(KClassId.K0, 5, np.random.default_rng(4), tag)
+            assert np.array_equal(v, again)
+            assert not k_class_test(v, KClassId.K1)
+            assert not k_class_test(v, KClassId.KMINUS1)
+
     def test_extremal_pair_classes(self):
         # (r,s) past (2,2): s < 2 pulls u1 to K1, r > 2 pulls v1 to K1
         assert extremal_pair_classes(3, 1.5) == (KClassId.K1, KClassId.K1)

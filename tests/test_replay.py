@@ -51,3 +51,18 @@ def test_replay_diffed_against_itself(tmp_path):
     assert "yes <-> no flips: 1\n" in done.stdout
     assert "decided <-> undetermined moves: 1\n" in done.stdout
     assert "certainty moves: 2\n" in done.stdout
+
+
+def test_scaled_replay_moves_nothing(tmp_path):
+    # the same queries on 2^K' A, K' <= 1020: norms past the float range
+    # fail the oracle's finiteness checks, but no decision or certainty moves
+    plain, big = tmp_path / "plain.json", tmp_path / "big.json"
+    assert _run("--seeds", "31", "-n", "40", "-o", str(plain)).returncode == 0
+    done = _run("--seeds", "31", "-n", "40", "--scale", "1020", "-o", str(big))
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    done = _run("--diff", str(plain), str(big))
+    assert done.returncode == 0, done.stdout
+    assert "yes <-> no flips: 0\n" in done.stdout
+    assert "decided <-> undetermined moves: 0\n" in done.stdout
+    assert "certainty moves: 0\n" in done.stdout
