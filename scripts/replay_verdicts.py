@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Replay stream-small queries and compare the answers of two source trees.
+"""Replay benchmark queries and compare the answers of two source trees.
 
-Replay: run the first N queries of the benchmark's stream-small workload
-for each seed, in-process, against the pqnorm sources in --src (default:
-this checkout's src/), and write one record per query to a JSON file: its
-decision (yes / no / undetermined, or null for a norm query), a class
-verdict's certainty (exact / estimate-backed, or null), whether each norm
-bracket or result in the answer is exact, the relative widths of its
-estimated brackets, and the reasons the benchmark's oracle check failed it.
+Replay: run the first N queries of a benchmark workload for each seed,
+in-process, against the pqnorm sources in --src (default: this checkout's
+src/), and write one record per query to a JSON file.  A stream-small
+record holds the query's decision (yes / no / undetermined, or null for a
+norm query), a class verdict's certainty (exact / estimate-backed, or
+null), whether each norm bracket or result in the answer is exact, the
+relative widths of its estimated brackets, and the reasons the benchmark's
+oracle check failed it.  A grid-shared record (--workload grid-shared: the
+CLI on matrix files, 93 queries a pass) holds the command's exit code, a
+digest of its stdout, the widths and the oracle's failures; the matrix
+files are written to a temporary directory, which the records name $TMP.
 The queries and checks come from bench/workloads.py, imported without
-writing anything under bench/.
+writing anything under bench/.  --tiny runs the workload's tiny mode.
 
 With --scale K, every query runs on 2^K' A instead of A, for K' the
 largest value <= K that keeps every entry finite (a rescaled query and its
@@ -23,26 +27,31 @@ is recorded from its answer, whatever its check found.
 Diff: read two such files and list every yes <-> no flip, apart from them
 every move between a decision and undetermined, and apart from both every
 certainty move (the same decision, but a different certainty or
-exactness); print both files' oracle failures and bracket width means (the
-mean over queries without a failure, as the benchmark reports it).  Exits 1
-when a query flipped or the files hold different queries.
+exactness); for grid-shared files, every exit-code move and apart from
+them every stdout change.  Print both files' oracle failures and bracket
+width means (the mean over queries without a failure, as the benchmark
+reports it).  Exits 1 when a query flipped, an exit code moved or the
+files hold different queries.
 
 Run:
     python3 scripts/replay_verdicts.py --seeds 31,911,4242 -n 4000 -o new.json
     python3 scripts/replay_verdicts.py --src ../parent/src --seeds 31 -n 4000 -o old.json
     python3 scripts/replay_verdicts.py --diff old.json new.json
     python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --scale 1020 -o big.json
+    python3 scripts/replay_verdicts.py --workload grid-shared --seeds 5,77 -n 186 -o grid.json
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import math
 import os
 import statistics
 import sys
+import tempfile
 
 import numpy as np
 
@@ -93,30 +102,46 @@ def _rescale(workloads, K: int) -> None:
     workloads._library_query = scaled
 
 
-def replay(src: str, seeds: list, n: int, scale=None) -> list:
+def _stream_answer(workloads, res) -> dict:
+    certainty, exact = (None, []) if res is None else _certainty(res)
+    decision = None if res is None else workloads._verdict_of(res)
+    return {"decision": decision, "certainty": certainty, "exact": exact}
+
+
+def _grid_answer(workloads, res) -> dict:
+    """A CLI query's (exit code, stdout, stderr): the code and a stdout digest."""
+    if res is None:
+        return {"exit": None, "stdout": None}
+    return {"exit": res[0], "stdout": hashlib.sha256(res[1].encode()).hexdigest()[:16]}
+
+
+def replay(src: str, seeds: list, n: int, scale=None, workload="stream-small", tiny=False) -> list:
     workloads = _workloads(src)
     if scale is not None:
         _rescale(workloads, scale)
+    grid = workload == "grid-shared"
+    answer = _grid_answer if grid else _stream_answer
     records = []
-    for seed in seeds:
-        wl = workloads.StreamSmall(seed)
-        rounds = wl.setup()
-        while sum(map(len, rounds)) < n:
-            rounds += wl.more()
-        for q in itertools.islice(itertools.chain.from_iterable(rounds), n):
-            out, decision, certainty, exact = workloads.Outcome(), None, None, []
-            try:
-                res = q.run()
-                decision = workloads._verdict_of(res)
-                certainty, exact = _certainty(res)
-                q.check(res, out)
-            except Exception as exc:  # a failed query is a record, as in the benchmark
-                out.fail(f"raised {type(exc).__name__}: {exc}")
-            records.append({
-                "seed": seed, "query": q.qid, "desc": q.desc, "decision": decision,
-                "certainty": certainty, "exact": exact, "widths": out.widths,
-                "failures": out.reasons,
-            })
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            if grid:
+                wl = workloads.GridShared(seed, os.path.join(tmp, str(seed)), tiny)
+            else:
+                wl = workloads.StreamSmall(seed, tiny)
+            rounds = wl.setup()
+            while sum(map(len, rounds)) < n:
+                rounds += wl.more()
+            for q in itertools.islice(itertools.chain.from_iterable(rounds), n):
+                out, res = workloads.Outcome(), None
+                try:
+                    res = q.run()
+                    q.check(res, out)
+                except Exception as exc:  # a failed query is a record, as in the benchmark
+                    out.fail(f"raised {type(exc).__name__}: {exc}")
+                records.append({
+                    "seed": seed, "query": q.qid, "desc": q.desc.replace(tmp, "$TMP"),
+                    **answer(workloads, res), "widths": out.widths, "failures": out.reasons,
+                })
     return records
 
 
@@ -135,9 +160,16 @@ def diff(a_path: str, b_path: str) -> int:
         print("the two files hold different queries")
         return 1
     flips, moves, certain = [], [], []
+    grid = bool(a) and "exit" in a[0]
     for ra, rb in zip(a, b):
-        da, db = ra["decision"], rb["decision"]
         where = f"  seed {ra['seed']} {ra['query']} {ra['desc']}"
+        if grid:
+            if ra["exit"] != rb["exit"]:
+                flips.append(f"{where}: exit {ra['exit']} -> {rb['exit']}")
+            elif ra["stdout"] != rb["stdout"]:
+                moves.append(f"{where}: exit {ra['exit']}")
+            continue
+        da, db = ra["decision"], rb["decision"]
         if da != db:
             (flips if {da, db} == {"yes", "no"} else moves).append(f"{where}: {da} -> {db}")
             continue
@@ -148,6 +180,10 @@ def diff(a_path: str, b_path: str) -> int:
     for name, recs in ((a_path, a), (b_path, b)):
         failed = sum(1 for r in recs if r["failures"])
         print(f"{name}: oracle failures {failed}, bracket width mean {width_mean(recs):.9f}")
+    if grid:
+        print(f"exit-code moves: {len(flips)}", *flips, sep="\n")
+        print(f"stdout changes: {len(moves)}", *moves, sep="\n")
+        return 1 if flips else 0
     print(f"yes <-> no flips: {len(flips)}", *flips, sep="\n")
     print(f"decided <-> undetermined moves: {len(moves)}", *moves, sep="\n")
     print(f"certainty moves: {len(certain)}", *certain, sep="\n")
@@ -158,7 +194,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two replay files")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="pqnorm source tree")
-    ap.add_argument("--seeds", default="31", help="comma-separated stream-small seeds")
+    ap.add_argument("--workload", choices=("stream-small", "grid-shared"), default="stream-small")
+    ap.add_argument("--tiny", action="store_true", help="the workload's tiny mode")
+    ap.add_argument("--seeds", default="31", help="comma-separated workload seeds")
     ap.add_argument("-n", type=int, default=4000, help="queries per seed")
     ap.add_argument("-o", "--out", help="replay file to write")
     ap.add_argument("--scale", type=int, metavar="K", help="run each query on 2^K' A, K' <= K")
@@ -167,8 +205,10 @@ def main(argv=None) -> int:
         return diff(*args.diff)
     if not args.out:
         ap.error("a replay needs -o/--out")
+    if args.scale is not None and args.workload == "grid-shared":
+        ap.error("--scale rescales stream-small queries only")
     seeds = [int(s) for s in args.seeds.split(",")]
-    records = replay(args.src, seeds, args.n, args.scale)
+    records = replay(args.src, seeds, args.n, args.scale, args.workload, args.tiny)
     with open(args.out, "w", encoding="utf-8") as fp:  # one record per line
         fp.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     failed = sum(1 for r in records if r["failures"])

@@ -189,13 +189,15 @@ def bracket_norm(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluation of the comparison bound at one (p,q,r,s)."""
+    """The comparison bound at one (p,q,r,s), read from decide_equality:
+    lhs and rhs_norm are the lower ends of its brackets, and equality is
+    its verdict, True "yes", False "no" and None undetermined."""
 
     lhs: float
     factor: float
     rhs_norm: float
     slack: float
-    equality: bool
+    equality: Optional[bool]
     lhs_certainty: Certainty
     rhs_certainty: Certainty
     tol: float
@@ -218,38 +220,20 @@ def check_inequality(
     tol: Optional[float] = None,
     *,
     seed: int = 0,
-    lhs: Optional[NormResult] = None,
-    rhs: Optional[NormResult] = None,
 ) -> BoundReport:
-    """Evaluate ||A||_{r,s} <= factor * ||A||_{p,q} and flag equality.
-
-    Precomputed NormResults may be passed to avoid recomputation in sweeps.
-    The default tolerance is 1e-8 when both norms are exact, 1e-4 otherwise.
-    """
-    as_tol(tol)
-    M = as_matrix(A)
-    pi, qi, ri, si = as_index(p), as_index(q), as_index(r), as_index(s)
-    left = lhs if lhs is not None else best_norm(M, ri, si, seed=seed)
-    right = rhs if rhs is not None else best_norm(M, pi, qi, seed=seed)
-    factor = bound_factor(pi, qi, ri, si, M.m, M.n)
-    bound = factor * right.value
-    slack = bound - left.value
-    if tol is None:
-        tol = (
-            EXACT_EQ_TOL
-            if (left.certainty.is_exact and right.certainty.is_exact)
-            else ESTIMATED_EQ_TOL
-        )
-    equality = abs(slack) <= tol * max(bound, 1e-300)
+    """Evaluate ||A||_{r,s} <= factor * ||A||_{p,q} and flag equality, both
+    through decide_equality (whose tolerance default applies)."""
+    verdict, details = decide_equality(A, p, q, r, s, tol, seed=seed)
+    lb, rb, factor = details["lhs"], details["rhs"], details["factor"]
     return BoundReport(
-        lhs=left.value,
+        lhs=lb.lower,
         factor=factor,
-        rhs_norm=right.value,
-        slack=slack,
-        equality=equality,
-        lhs_certainty=left.certainty,
-        rhs_certainty=right.certainty,
-        tol=tol,
+        rhs_norm=rb.lower,
+        slack=factor * rb.lower - lb.lower,
+        equality={"yes": True, "no": False, "undetermined": None}[verdict],
+        lhs_certainty=lb.result.certainty,
+        rhs_certainty=rb.result.certainty,
+        tol=details["tol"],
     )
 
 

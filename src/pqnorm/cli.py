@@ -17,7 +17,9 @@ undetermined; 5 a verify property failed.
 
 Sweeps run in one thread; sweep and verify estimate all their points of a
 matrix together (best_norms).  The THREADS environment variable is accepted
-for compatibility and ignored.  A verify check whose estimates disagree
+for compatibility and ignored.  Every verify check but --assert-norm
+compares by the one three-state rule, bounds._at_most, the inequality grid
+on the brackets of its nine points: a check whose estimates disagree
 without crossing a certified bound prints UNDETERMINED and does not fail.
 """
 
@@ -41,8 +43,11 @@ from .induced_norms import (
     best_norms,
 )
 from .bounds import (
+    ESTIMATED_EQ_TOL,
+    EXACT_EQ_TOL,
+    _at_most,
     bound_factor,
-    check_inequality,
+    bracket_norm,
     decide_equality,
     duality_check,
     monotonicity_check,
@@ -329,12 +334,12 @@ def cmd_verify(args) -> int:
         tail = "" if slack is None else f" (slack={format_float(slack)})"
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}{tail}")
 
-    def report_all(name: str, verdicts: list) -> None:
+    def report_all(name: str, verdicts: list, slack: Optional[float] = None) -> None:
         # a None verdict: lower bounds disagree, but no certified bound is crossed
         if None in verdicts and False not in verdicts:
             lines.append(f"UNDETERMINED {name} (estimates differ within certified bounds)")
         else:
-            report(name, False not in verdicts)
+            report(name, False not in verdicts, slack)
 
     grid = [as_index(1), as_index(2), as_index("inf")]
     dual_pairs = [(1, 1), (1, 2), (2, 2), (2, "inf"), ("inf", 1), (1.5, 3)]
@@ -342,25 +347,23 @@ def cmd_verify(args) -> int:
     # every point the checks below read, estimated together per matrix; the
     # s-direction monotonicity check reads (s*, 2) on the adjoint
     pairs = [(a, b) for a in grid for b in grid]
-    norms = best_norms(M, pairs + dual_pairs + [(r, 2) for r in mono_grid], seed=seed)
+    best_norms(M, pairs + dual_pairs + [(r, 2) for r in mono_grid], seed=seed)
     adjoint_pairs = [(conjugate(q), conjugate(p)) for p, q in dual_pairs]
     best_norms(M.adjoint(), adjoint_pairs + [(conjugate(s), 2) for s in mono_grid], seed=seed)
-    cache = dict(zip(pairs, norms))
+    brackets = {pt: bracket_norm(M, *pt, seed=seed) for pt in pairs}
     min_slack = float("inf")
-    ineq_ok = True
-    for p in grid:
-        for q in grid:
-            rhs = cache[(p, q)]
-            for r in grid:
-                for s in grid:
-                    lhs = cache[(r, s)]
-                    rep = check_inequality(M, p, q, r, s, seed=seed, lhs=lhs, rhs=rhs)
-                    tol = args.tol if args.tol is not None else rep.tol
-                    rel = rep.slack / max(rep.bound, 1e-300)
-                    min_slack = min(min_slack, rel)
-                    if rel < -tol:
-                        ineq_ok = False
-    report("inequality-grid", ineq_ok, min_slack)
+    ineq = []
+    for p, q in pairs:
+        rb = brackets[(p, q)]
+        for r, s in pairs:
+            lb = brackets[(r, s)]
+            factor = bound_factor(p, q, r, s, M.m, M.n)
+            bound = factor * rb.lower
+            min_slack = min(min_slack, (bound - lb.lower) / max(bound, 1e-300))
+            default = EXACT_EQ_TOL if lb.is_exact and rb.is_exact else ESTIMATED_EQ_TOL
+            tol = args.tol if args.tol is not None else default
+            ineq.append(_at_most((lb.lower,) * 2, (bound, factor * rb.upper), tol))
+    report_all("inequality-grid", ineq, min_slack)
     dual = [duality_check(M, p, q, tol=args.tol, seed=seed) for p, q in dual_pairs]
     report_all("adjoint-norm-identity", dual)
     mono = [
@@ -368,7 +371,7 @@ def cmd_verify(args) -> int:
         monotonicity_check_in_s(M, 2, mono_grid, tol=args.tol, seed=seed),
     ]
     report_all("norm-monotonicity", mono)
-    w = cache[(grid[1], grid[1])].witness  # (2, 2)
+    w = brackets[(grid[1], grid[1])].result.witness  # (2, 2)
     try:
         eig_ok = maximizer_eigencheck(M, w, 2, 2, tol=1e-6)
         report("maximizer-eigencheck", eig_ok)

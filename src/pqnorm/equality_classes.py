@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -211,14 +212,26 @@ def _verdict(member, conditions, certificate=None, certainty="exact") -> ClassVe
     return ClassVerdict(member, list(conditions), certificate, certainty)
 
 
-def _scale_free(decide: Callable) -> Callable:
-    """decide(A, ...) taken on A / 2^e where bounds._in_range rescales A: its
-    evidence is then measured on A / 2^e, and a first condition says so."""
+def _scale_free(decide: Callable, cls: Optional[ClassId] = None) -> Callable:
+    """The one entry of every decider.  decide is declared with its public
+    signature, A, two exponents, tol and the keyword seed, which
+    functools.wraps reports and arguments given by name are bound to.  The
+    entry checks tol, converts A and the exponents, takes A / 2^e where
+    bounds._in_range rescales A (the evidence is then measured there, and
+    a first condition says so), and for a class cls answers
+    _zero_or_trivial's early outs; only then does decide run."""
+    signature = inspect.signature(decide)
 
     @functools.wraps(decide)
-    def wrapped(A: MatrixLike, *args, **kwargs) -> ClassVerdict:
+    def wrapped(*args, **kwargs) -> ClassVerdict:
+        if not (3 <= len(args) <= 4 and kwargs.keys() <= {"seed"}):  # given by name
+            args = signature.bind(*args, **kwargs).args
+        A, p, q, tol = (*args, DEFAULT_TOL)[:4]
+        as_tol(tol)
         S, e = _in_range(as_matrix(A))
-        verdict = decide(S, *args, **kwargs)
+        p, q = as_index(p), as_index(q)
+        early = _zero_or_trivial(S, p, q, cls) if cls else None
+        verdict = early or decide(S, p, q, tol, seed=kwargs.get("seed", 0))
         if e == 0:
             return verdict
         conds = [Condition("rescaled-to-normal-range", True, {"e": e}), *verdict.conditions]
@@ -237,28 +250,15 @@ def _zero_or_trivial(
     required strict inequalities exists), membership is vacuous.
     """
     if not M.entries.any():
-        return _verdict(
-            "yes",
-            [Condition("zero-matrix", True, {"note": "0 = factor * 0 at every (r,s)"})],
-        )
+        note = {"note": "0 = factor * 0 at every (r,s)"}
+        return _verdict("yes", [Condition("zero-matrix", True, note)])
     sig_r, sig_s = cls.sign_signature
     r_empty = (sig_r > 0 and p.value == 1.0) or (sig_r < 0 and p.is_inf)
     s_empty = (sig_s > 0 and q.value == 1.0) or (sig_s < 0 and q.is_inf)
     if r_empty or s_empty:
-        return _verdict(
-            "yes",
-            [
-                Condition(
-                    "class-trivial",
-                    True,
-                    {
-                        "note": "no (r,s) satisfies the quadrant constraints at this (p,q)",
-                        "p": index_str(p),
-                        "q": index_str(q),
-                    },
-                )
-            ],
-        )
+        note = "no (r,s) satisfies the quadrant constraints at this (p,q)"
+        measured = {"note": note, "p": index_str(p), "q": index_str(q)}
+        return _verdict("yes", [Condition("class-trivial", True, measured)])
     return None
 
 
@@ -297,7 +297,7 @@ def _isolated_extremal_entries(arr: np.ndarray, tol: float):
     return bool(alone[mask].all()), mask, rho
 
 
-@_scale_free
+@functools.partial(_scale_free, cls=ClassId.E_1INF)
 def check_E1inf(
     A: MatrixLike,
     p: IndexLike,
@@ -321,16 +321,10 @@ def check_E1inf(
     settles a no.  For p > q: membership holds exactly when at most one
     entry is nonzero.
     """
-    as_tol(tol)
-    M = as_matrix(A)
-    pi, qi = as_index(p), as_index(q)
-    early = _zero_or_trivial(M, pi, qi, ClassId.E_1INF)
-    if early is not None:
-        return early
-    arr = M.entries
+    arr = A.entries
     a = np.abs(arr)
     rho = float(a.max())
-    if sign_between(pi, qi) > 0:  # p > q
+    if sign_between(p, q) > 0:  # p > q
         count = int((a > tol * rho).sum())
         cond = Condition("at-most-one-nonzero-entry", count <= 1, {"count": count, "rho": rho})
         return _verdict("yes" if count <= 1 else "no", [cond])
@@ -344,10 +338,10 @@ def check_E1inf(
         return _verdict("no", [cond_i])
     C = arr.copy()
     C[mask] = 0.0
-    cb = used = bracket_norm(MatrixValue(C, M.field), pi, qi, seed=seed)
+    cb = used = bracket_norm(MatrixValue(C, A.field), p, q, seed=seed)
     resolved = _within(cb, rho, tol)
     if resolved is None:
-        ab = bracket_norm(M, pi, qi, seed=seed)
+        ab = bracket_norm(A, p, q, seed=seed)
         if (alt := _within(ab, rho, tol)) is not None:
             resolved, used = alt, ab
     measured = {"rho": rho, "residual_bracket": (cb.lower, cb.upper), "residual_exact": cb.is_exact}
@@ -368,7 +362,7 @@ def sufficient_e1inf(
     using only entry arithmetic (no induced-norm computation).
     """
     as_tol(tol)
-    M = as_matrix(A)
+    M, _ = _in_range(as_matrix(A))
     pi, qi = as_index(p), as_index(q)
     arr = M.entries
     if not arr.any():
@@ -402,13 +396,27 @@ def _column_conditions(arr: np.ndarray, tol: float):
         return ok_i, ok_ii, float(np.ldexp(col_l1.max(), e)), mask
 
 
-def _check_11_columns(
-    M: MatrixValue, pi: ExtIndex, qi: ExtIndex, tol: float, seed: int
+@functools.partial(_scale_free, cls=ClassId.E_11)
+def check_E11(
+    A: MatrixLike,
+    p: IndexLike,
+    q: IndexLike,
+    tol: float = DEFAULT_TOL,
+    *,
+    seed: int = 0,
 ) -> ClassVerdict:
-    arr = M.entries
+    """Is ||A||_{1,1} = n^{1-1/q} * ||A||_{p,q} (equality for r < p, s < q)?
+
+    Necessary: every column whose l1 norm equals sigma = ||A||_{1,1} has
+    constant entry modulus and is orthogonal to all other columns.  The
+    membership equation itself is the tightness of the column bound, which
+    is certified through a norm bracket.  For p > 2 the class collapses to
+    matrices with exactly one nonzero, constant-modulus column.
+    """
+    arr = A.entries
     n, m = arr.shape
     a = np.abs(arr)
-    if sign_between(pi, as_index(2)) > 0:  # p > 2: exactly one constant-modulus column
+    if sign_between(p, as_index(2)) > 0:  # p > 2: exactly one constant-modulus column
         peak = float(a.max())
         nz_cols = [j for j in range(m) if a[:, j].max() > tol * peak]
         single = len(nz_cols) == 1
@@ -427,8 +435,8 @@ def _check_11_columns(
     cond_ii = Condition("extremal-columns-orthogonal", ok_ii, {})
     if not ok_i or not ok_ii:
         return _verdict("no", [cond_i, cond_ii])
-    target = sigma / bound_factor(pi, qi, ONE, ONE, m, n)
-    ab = bracket_norm(M, pi, qi, seed=seed)
+    target = sigma / bound_factor(p, q, ONE, ONE, m, n)
+    ab = bracket_norm(A, p, q, seed=seed)
     resolved = _within(ab, target, tol)
     measured = {
         "sigma": sigma, "norm_target": target,
@@ -438,32 +446,6 @@ def _check_11_columns(
     j = int(np.flatnonzero(mask)[0])
     cert = {"column_index": j, "column": arr[:, j].copy()}
     return _settle(resolved, [cond_i, cond_ii, cond_iii], ab, cert)
-
-
-@_scale_free
-def check_E11(
-    A: MatrixLike,
-    p: IndexLike,
-    q: IndexLike,
-    tol: float = DEFAULT_TOL,
-    *,
-    seed: int = 0,
-) -> ClassVerdict:
-    """Is ||A||_{1,1} = n^{1-1/q} * ||A||_{p,q} (equality for r < p, s < q)?
-
-    Necessary: every column whose l1 norm equals sigma = ||A||_{1,1} has
-    constant entry modulus and is orthogonal to all other columns.  The
-    membership equation itself is the tightness of the column bound, which
-    is certified through a norm bracket.  For p > 2 the class collapses to
-    matrices with exactly one nonzero, constant-modulus column.
-    """
-    as_tol(tol)
-    M = as_matrix(A)
-    pi, qi = as_index(p), as_index(q)
-    early = _zero_or_trivial(M, pi, qi, ClassId.E_11)
-    if early is not None:
-        return early
-    return _check_11_columns(M, pi, qi, tol, seed)
 
 
 def check_Einfinf(
@@ -481,9 +463,7 @@ def check_Einfinf(
     reported in row form; for q < 2 the class collapses to matrices with
     exactly one nonzero, constant-modulus row.
     """
-    M = as_matrix(A)
-    pi, qi = as_index(p), as_index(q)
-    dual = check_E11(M.adjoint(), conjugate(qi), conjugate(pi), tol, seed=seed)
+    dual = check_E11(as_matrix(A).adjoint(), conjugate(q), conjugate(p), tol, seed=seed)
     conds = [
         Condition(c.name.replace("column", "row"), c.satisfied, dict(c.measured))
         for c in dual.conditions
@@ -526,7 +506,7 @@ def sufficient_e11(
     the norm; a contradiction is reported and the verdict withdrawn.
     """
     as_tol(tol)
-    M = as_matrix(A)
+    M, _ = _in_range(as_matrix(A))
     pi, qi = as_index(p), as_index(q)
     arr = M.entries
     if not arr.any():
@@ -561,9 +541,7 @@ def sufficient_einfinf(
 ) -> bool:
     """Sufficient test for E_{inf,inf}(p,q): the adjoint mirror of the
     E_{1,1} test, requiring q >= 2 and p >= q."""
-    M = as_matrix(A)
-    pi, qi = as_index(p), as_index(q)
-    return sufficient_e11(M.adjoint(), conjugate(qi), conjugate(pi), tol, seed=seed)
+    return sufficient_e11(as_matrix(A).adjoint(), conjugate(q), conjugate(p), tol, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +749,7 @@ def _unimodular_vectors(
     return blocks(), exhaustive
 
 
-@_scale_free
+@functools.partial(_scale_free, cls=ClassId.E_INF1)
 def check_Einf1(
     A: MatrixLike,
     p: IndexLike,
@@ -801,19 +779,13 @@ def check_Einf1(
     exact unless a group's search was not exhaustive.  The norm bracket is
     formed only once a candidate needs it.
     """
-    as_tol(tol)
-    M = as_matrix(A)
-    pi, qi = as_index(p), as_index(q)
-    early = _zero_or_trivial(M, pi, qi, ClassId.E_INF1)
-    if early is not None:
-        return early
-    arr = M.entries
+    arr = A.entries
     n, m = arr.shape
-    scaled, e = _normalized(M)
-    f = svd(M)
+    scaled, e = _normalized(A)
+    f = svd(A)
     svals = f.s.tolist()
     # the ratio at a candidate of singular value s is s / amp
-    amp = float(m) ** (pi.inv - 0.5) * float(n) ** (0.5 - qi.inv)
+    amp = float(m) ** (p.inv - 0.5) * float(n) ** (0.5 - q.inv)
     t = max(tol, 1e-8)
     mu = np.zeros(m)  # eigenvalues of A*A over the largest, null space included
     mu[: f.s.size] = (f.s / f.s[0]) ** 2
@@ -823,22 +795,22 @@ def check_Einf1(
     ab = None
     # a member's ratio is ||A||_{p,q}, which low, an exact lower bound, and
     # the certified upper bound enclose
-    low = svals[0] / bound_factor(pi, qi, 2, 2, m, n)
-    high = norm_upper_bound(M, pi, qi)
+    low = svals[0] / bound_factor(p, q, 2, 2, m, n)
+    high = norm_upper_bound(A, p, q)
     btol = tol if low == high else max(tol, ESTIMATED_EQ_TOL)
     lo, hi = amp * low * (1.0 - btol), amp * high * (1.0 + btol)
     searched = [g for g in groups if lo <= g[2] <= hi and g[2] > 0]
     measured = {"window": (lo, hi), "singular_values": svals}
     conds = [Condition("amplitude-compatible-eigenspaces", bool(searched), measured)]
-    V = f.v.astype(complex) if M.is_complex else f.v
-    eig_tol = max(tol, 1e-7) if M.is_complex else tol  # the computed vectors' phase error
-    rng = np.random.default_rng(seed) if M.is_complex else None
+    V = f.v.astype(complex) if A.is_complex else f.v
+    eig_tol = max(tol, 1e-7) if A.is_complex else tol  # the computed vectors' phase error
+    rng = np.random.default_rng(seed) if A.is_complex else None
     count = 0
     incomplete = unresolved = loose = False
     for i, j, sval in searched:
         if j - i == 1:  # one candidate: the vector rounded to unit moduli
             w = _unit_phase(V[:, i], 0.0)
-            found = [w if M.is_complex else w * w[0]]  # real: first entry +1
+            found = [w if A.is_complex else w * w[0]]  # real: first entry +1
         else:
             # within one eigengroup the matrix acts as sval times an isometry
             slack = math.sqrt(m) * t / (min(gaps[i - 1] if i else np.inf, gaps[j - 1]) - t)
@@ -851,7 +823,7 @@ def check_Einf1(
                 conds.append(Condition("sign-enumeration-cap", None, measured))
                 continue
             found, exhaustive = out
-            if not (exhaustive or M.is_complex):
+            if not (exhaustive or A.is_complex):
                 loose = True
                 measured = {"dimension": j - i, "slack": slack}
                 conds.append(Condition("sign-enumeration-exhaustive", False, measured))
@@ -863,8 +835,8 @@ def check_Einf1(
             if not ok_eig:
                 continue
             # the ratio at w is a lower bound on the norm: does the norm exceed it?
-            ab = ab or bracket_norm(M, pi, qi, seed=seed)
-            res = _within(ab, vector_norm(arr @ w, qi) / vector_norm(w, pi), tol)
+            ab = ab or bracket_norm(A, p, q, seed=seed)
+            res = _within(ab, vector_norm(arr @ w, q) / vector_norm(w, p), tol)
             if res is True:
                 measured = {"lambda": lam, "tau": tau}
                 conds.append(Condition("eigenvector-with-matching-amplitude", True, measured))
@@ -873,7 +845,7 @@ def check_Einf1(
             count += 1
             break  # every candidate of one eigenspace has the same ratio, sval / amp
         else:
-            incomplete |= M.is_complex and j - i > 1  # the heuristic search failed
+            incomplete |= A.is_complex and j - i > 1  # the heuristic search failed
     undecided = incomplete or unresolved
     state = None if undecided else False
     conds.append(Condition("eigenvector-with-matching-amplitude", state, {"eigenspaces": count}))
@@ -944,18 +916,15 @@ def check_svd_equality(
     that can end undetermined.  The certificate is a full factorization in
     the required form.
     """
-    as_tol(tol)
-    M = as_matrix(A)
-    ri, si = as_index(r), as_index(s)
-    f = svd(M)
-    if not M.entries.any():
+    f = svd(A)
+    if not A.entries.any():
         return _verdict(
             "yes",
             [Condition("zero-matrix", True, {})],
             certificate=f,
         )
-    ku, kv = extremal_pair_classes(ri, si)
-    arr = M.entries
+    ku, kv = extremal_pair_classes(r, s)
+    arr = A.entries
     s1 = float(f.s[0])
     conds = [
         Condition(
@@ -978,7 +947,7 @@ def check_svd_equality(
     # coordinate vectors, exhaustively), else the K_1 side, filtered by the
     # map to its partner when that must be K_1 too
     right = kv is KClassId.KMINUS1 or (ku is not KClassId.KMINUS1 and kv is KClassId.K1)
-    scaled, e = _normalized(M)
+    scaled, e = _normalized(A)
     Q, B, kc, want = (
         (f.v[:, :k], scaled, kv, ku) if right else (f.u[:, :k], scaled.conj().T, ku, kv)
     )
@@ -989,7 +958,7 @@ def check_svd_equality(
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
-        Qf = Q.astype(complex) if M.is_complex else Q
+        Qf = Q.astype(complex) if A.is_complex else Q
         out = _unimodular_vectors(Qf, B if want is KClassId.K1 else None, s1e, tol=tol, rng=rng)
         if out is None:  # past the sign-pattern cap: the phase search, real vectors only
             unit = (w / np.linalg.norm(w) for w in _unimodular_vectors(Q + 0j, rng=rng)[0])
@@ -999,7 +968,7 @@ def check_svd_equality(
         x = x / np.linalg.norm(x)
         y = B @ x / s1e
         if k_class_test(y, want, tol):
-            cert = _svd_with_first_vector(M, f, k, x if right else y)
+            cert = _svd_with_first_vector(A, f, k, x if right else y)
             name = ("right" if right else "left") + "-vector-with-valid-partner"
             conds.append(Condition(name, True, {}))
             return _verdict("yes", conds, certificate=cert)
@@ -1014,7 +983,7 @@ def check_svd_equality(
         return _verdict("no", conds)
     # direct equality fallback: the spectral anchor upper bound coincides
     # with the claimed value, so an estimate reaching it certifies equality
-    verdict, details = decide_equality(M, 2, 2, ri, si, max(tol, ESTIMATED_EQ_TOL), seed=seed)
+    verdict, details = decide_equality(A, 2, 2, r, s, max(tol, ESTIMATED_EQ_TOL), seed=seed)
     lb, target = details["lhs"], details["factor"] * details["rhs"].upper
     if verdict == "undetermined":
         note = {"note": "heuristic subspace search inconclusive", "target": target}

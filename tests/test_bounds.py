@@ -302,8 +302,20 @@ class TestCheckInequality:
     def test_equality_detected_on_attainer(self):
         # ||B complex||_{inf,1} = 2 sqrt(2) = sqrt(2)*2*... = m^{1/2} n^{1/2} s1?
         # factor(2,2 -> inf,1) = m^{1/2} n^{1/2} = 2; s1 = sqrt(2); bound = 2 sqrt 2
+        # the README's quickstart example
         rep = check_inequality(as_matrix(B, field="complex"), 2, 2, "inf", 1)
-        assert rep.equality
+        assert rep.equality is True
+
+    def test_undetermined_pair_reads_none(self):
+        # the flag is decide_equality's verdict: two estimates whose bracket
+        # (1.5,2) straddles the other's lower end settle nothing, where the
+        # raw comparison of the lower ends read False
+        A = np.random.default_rng(1).standard_normal((3, 4))
+        rep = check_inequality(A, 1.5, 2, 1.5, 3)
+        assert decide_equality(A, 1.5, 2, 1.5, 3)[0] == "undetermined"
+        assert rep.equality is None and rep.factor == 1.0 and rep.slack > 0.0
+        lb, rb = bracket_norm(A, 1.5, 3), bracket_norm(A, 1.5, 2)
+        assert (rep.lhs, rep.rhs_norm) == (lb.lower, rb.lower)
 
 
 class TestDuality:

@@ -329,6 +329,27 @@ class TestVerifyCommand:
             assert "UNDETERMINED adjoint-norm-identity" in out
             assert "FAIL" not in out
 
+    def test_lowered_estimates_are_not_a_failure(self, tmp_path, monkeypatch, capsys):
+        # every estimate lowered to 0.99 of itself is still a lower bound
+        # (same witness and certainty): the inequality grid's crossed lower
+        # bounds settle nothing, where comparing them raw printed FAIL, exit 5
+        import pqnorm.induced_norms as ind
+        from pqnorm import NormResult, gen_dft
+
+        estimates = ind._estimates
+
+        def lowered(M, pairs, seed):
+            return [NormResult(0.99 * r.value, r.witness, r.certainty)
+                    for r in estimates(M, pairs, seed)]
+
+        monkeypatch.setattr(ind, "_estimates", lowered)
+        path = str(tmp_path / "dft4.json")
+        save_matrix(gen_dft(4), path)
+        assert main(["verify", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "UNDETERMINED inequality-grid" in out
+        assert "FAIL" not in out
+
     def test_planted_contradiction_fails(self, b_real, monkeypatch, capsys):
         # an adjoint estimate above its certified upper bound is a real
         # contradiction: FAIL, exit 5

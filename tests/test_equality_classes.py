@@ -6,6 +6,7 @@ random cases are cross-checked against decide_equality, which uses the
 norm machinery rather than the structural conditions.
 """
 
+import inspect
 import itertools
 import math
 import warnings
@@ -30,6 +31,7 @@ from pqnorm import (
     check_Einf1,
     check_Einfinf,
     check_class,
+    check_inequality,
     check_svd_equality,
     dav_normal_form,
     decide_equality,
@@ -1164,6 +1166,18 @@ class TestPowerOfTwoScaling:
         assert [st.rho, st.sigma_col, st.sigma_row, st.tau] == want
 
 
+# the sufficient tests' float-range set: ones, the real Gaussian and the
+# complex modulus of EDGE_MATRICES, a zero row, a noise entry, and two members
+SUFFICIENT_EDGE_MATRICES = [
+    *(EDGE_MATRICES[i] for i in (0, 1, 3)),
+    np.diag([1.0, 0.25, 0.0]),
+    np.array([[1.0, 1e-9], [0.0, 0.0]]),
+    gen_hadamard(4).entries,
+    gen_dft(4).entries,
+]
+SUFFICIENT_EDGE_IDS = [*(EDGE_IDS[i] for i in (0, 1, 3)), "diag", "noise", "hadamard4", "dft4"]
+
+
 class TestFloatRangeEdges:
     """At the largest 2^k that keeps every entry finite, norms pass the
     float range; at 2^-1010 they are normal but below 1e-300, where a
@@ -1192,6 +1206,29 @@ class TestFloatRangeEdges:
             pairs.append(check_svd_equality(Y, p, q) for Y in (X, S))
             for v, v0 in pairs:
                 assert (v.member, v.certainty) == (v0.member, v0.certainty), (p, q)
+
+    @pytest.mark.parametrize("A", EDGE_MATRICES, ids=EDGE_IDS)
+    @pytest.mark.parametrize("end", ["top", -1010, -1071, -1074])
+    def test_check_inequality(self, A, end):
+        # the equality flag compared raw values with slack tol * max(bound,
+        # 1e-300): at 2^-1010 every comparison was absolute, at the top inf
+        X = as_matrix(at_scale(A, end))
+        S = as_matrix(equality_classes._pow2_normalized(X.entries)[0])
+        for p, q, r, s in itertools.product(SVD_INDICES, repeat=4):
+            flag = check_inequality(X, p, q, r, s).equality
+            assert flag == check_inequality(S, p, q, r, s).equality, (p, q, r, s)
+
+    @pytest.mark.parametrize("A", SUFFICIENT_EDGE_MATRICES, ids=SUFFICIENT_EDGE_IDS)
+    @pytest.mark.parametrize("end", ["top", -1010, -1071, -1074])
+    def test_sufficient_tests(self, A, end):
+        # sufficient_e1inf read raw entries: at the top the complex modulus
+        # read inf, and it answered True where A / 2^e answers False and
+        # check_E1inf says "no"
+        X = as_matrix(at_scale(A, end))
+        S = as_matrix(equality_classes._pow2_normalized(X.entries)[0])
+        for p, q in itertools.product(SVD_INDICES, repeat=2):
+            for test in (sufficient_e1inf, sufficient_e11, sufficient_einfinf):
+                assert test(X, p, q) == test(S, p, q), (test.__name__, p, q)
 
 
 class TestDavNormalForm:
@@ -1229,7 +1266,37 @@ class TestExtremalStats:
         assert st.tau is None  # no probe vector supplied
 
 
+# every decider enters through _scale_free, whose wrapper functools.wraps
+# hides: the signatures it reports and binds are the deciders' own
+_CLASS_SIGNATURE = (
+    "(A: 'MatrixLike', p: 'IndexLike', q: 'IndexLike', tol: 'float' = 1e-08, *, "
+    "seed: 'int' = 0) -> 'ClassVerdict'"
+)
+
+
 class TestDispatcher:
+    @pytest.mark.parametrize("fn", [check_E1inf, check_E11, check_Einfinf, check_Einf1])
+    def test_class_signatures(self, fn):
+        assert str(inspect.signature(fn)) == _CLASS_SIGNATURE
+
+    def test_svd_signature(self):
+        want = _CLASS_SIGNATURE.replace("p: ", "r: ").replace("q: ", "s: ")
+        assert str(inspect.signature(check_svd_equality)) == want
+
+    def test_arguments_by_name(self):
+        H = gen_hadamard(4)
+        for v in (
+            check_E11(A=H, p=2, q=2, tol=1e-8, seed=0),
+            check_E11(H, 2, q=2),
+            check_svd_equality(H, r=1, s=1),
+            check_svd_equality(H, 1, 1, tol=1e-8, seed=0),
+        ):
+            assert (v.member, v.certainty) == ("yes", "exact")
+        with pytest.raises(TypeError):
+            check_svd_equality(H, p=1, q=1)
+        with pytest.raises(TypeError):
+            check_E1inf(H, 2, 2, 1e-8, 0)
+
     def test_check_class_routes(self):
         assert check_class(J, ClassId.E_INF1, 2, 2).member == "yes"
         assert check_class(J, "E_11", 2, 2).member == "no"

@@ -66,3 +66,33 @@ def test_scaled_replay_moves_nothing(tmp_path):
     assert "yes <-> no flips: 0\n" in done.stdout
     assert "decided <-> undetermined moves: 0\n" in done.stdout
     assert "certainty moves: 0\n" in done.stdout
+
+
+def test_grid_shared_tiny_replay(tmp_path):
+    # the CLI queries of the tiny grid-shared pass: exit codes and stdout
+    # digests, the matrix files in a temporary directory, not under bench/
+    bench_before = sorted(p.name for p in (ROOT / "bench").iterdir())
+    out = tmp_path / "grid.json"
+    done = _run("--workload", "grid-shared", "--tiny", "--seeds", "5", "-n", "12", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    records = json.loads(out.read_text())
+    assert len(records) == 12
+    assert {"seed", "query", "desc", "exit", "stdout", "widths", "failures"} <= set(records[0])
+    assert all(r["desc"].startswith("pqnorm ") and "$TMP/" in r["desc"] for r in records)
+    assert {r["exit"] for r in records} >= {0, 3}
+    assert not any(r["failures"] for r in records)
+    assert sorted(p.name for p in (ROOT / "bench").iterdir()) == bench_before
+    done = _run("--diff", str(out), str(out))
+    assert done.returncode == 0, done.stderr
+    assert "exit-code moves: 0\n" in done.stdout
+    assert "stdout changes: 0\n" in done.stdout
+    # a planted exit-code move and a planted stdout change
+    planted = [dict(r) for r in records]
+    planted[0]["exit"] = 5
+    planted[1]["stdout"] = "0" * 16
+    other = tmp_path / "planted.json"
+    other.write_text(json.dumps(planted))
+    done = _run("--diff", str(out), str(other))
+    assert done.returncode == 1
+    assert "exit-code moves: 1\n" in done.stdout
+    assert "stdout changes: 1\n" in done.stdout
