@@ -59,6 +59,7 @@ from .bounds import (
     check_inequality,
     decide_equality,
     duality_check,
+    inequality_grid_check,
     monotonicity_check,
     monotonicity_check_in_s,
     norm_upper_bound,

@@ -38,6 +38,7 @@ from .induced_norms import (
     _NORMAL,
     _lp_cols,
     _normalized,
+    _peak_exponent,
     _phase,
     _scaled_back,
     _scaled_sigma1,
@@ -51,6 +52,7 @@ __all__ = [
     "BoundReport",
     "check_inequality",
     "duality_check",
+    "inequality_grid_check",
     "monotonicity_check",
     "monotonicity_check_in_s",
     "transfer_equality",
@@ -136,14 +138,13 @@ def _in_range(M: MatrixValue) -> tuple:
     and a verdict reads them times comparison factors and amplitudes within
     (n m)^(+-1), so within [rho / (n m), (n m)^2 rho].  M is kept when that
     lies in [2^-1022, 2^1022], where a value plus its slack stays finite:
-    with 2^(e-1) <= rho < 2^e and n m <= 2^b, when -1021 + b <= e <= 1022 - 2 b."""
-    if (kept := M._memo.get("in_range")) is not None:
-        return kept
-    (arr, e), b = _normalized(M), (M.n * M.m).bit_length()
-    if -1021 + b <= e <= 1022 - 2 * b:  # a zero matrix has e = 0
-        return M, 0
-    M._memo["in_range"] = kept = (MatrixValue(arr, M.field), e)
-    return kept
+    with 2^(e-1) <= rho < 2^e and n m <= 2^b, when -1021 + b <= e <= 1022 - 2 b.
+    Only e is read for that; A / 2^e is formed only when M is not kept."""
+    if "in_range" not in M._memo:
+        e, b = _peak_exponent(M.entries), (M.n * M.m).bit_length()
+        keep = -1021 + b <= e <= 1022 - 2 * b  # a zero matrix has e = 0
+        M._memo["in_range"] = () if keep else (MatrixValue(_normalized(M)[0], M.field), e)
+    return M._memo["in_range"] or (M, 0)
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,38 @@ def duality_check(
     b = bracket_norm(M.adjoint(), conjugate(qi), conjugate(pi), seed=seed)
     t = tol if tol is not None else (1e-9 if a.is_exact and b.is_exact else 1e-3)
     return _all([_at_most((x.lower,) * 2, (y.lower, y.upper), t) for x, y in ((a, b), (b, a))])
+
+
+def inequality_grid_check(
+    A: MatrixLike,
+    grid: Sequence[IndexLike],
+    tol: Optional[float] = None,
+    *,
+    seed: int = 0,
+) -> tuple:
+    """(verdict, least slack) of the comparison bound at every (p,q,r,s)
+    with (p,q) and (r,s) in grid x grid.
+
+    Each of these compares the lower end at (r,s) with factor times the
+    bracket at (p,q) within tol (default 1e-8 between exact values and 1e-4
+    otherwise): False only past a certified bound, None when only lower
+    bounds cross (see duality_check).  The slack is (bound - lhs) / bound
+    on the lower ends.  The points are estimated together."""
+    as_tol(tol)
+    M = as_matrix(A)
+    pairs = [(as_index(a), as_index(b)) for a in grid for b in grid]
+    best_norms(M, pairs, seed=seed)  # one stacked ascent, read back
+    brackets = [bracket_norm(M, *pt, seed=seed) for pt in pairs]
+    verdicts, min_slack = [], math.inf
+    for (p, q), rb in zip(pairs, brackets):
+        for (r, s), lb in zip(pairs, brackets):
+            factor = bound_factor(p, q, r, s, M.m, M.n)
+            bound = factor * rb.lower
+            min_slack = min(min_slack, (bound - lb.lower) / max(bound, 1e-300))
+            default = EXACT_EQ_TOL if lb.is_exact and rb.is_exact else ESTIMATED_EQ_TOL
+            t = tol if tol is not None else default
+            verdicts.append(_at_most((lb.lower,) * 2, (bound, factor * rb.upper), t))
+    return _all(verdicts), min_slack
 
 
 def _ascending(grid: Sequence[IndexLike], name: str) -> list:

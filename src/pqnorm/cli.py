@@ -17,10 +17,10 @@ undetermined; 5 a verify property failed.
 
 Sweeps run in one thread; sweep and verify estimate all their points of a
 matrix together (best_norms).  The THREADS environment variable is accepted
-for compatibility and ignored.  Every verify check but --assert-norm
-compares by the one three-state rule, bounds._at_most, the inequality grid
-on the brackets of its nine points: a check whose estimates disagree
-without crossing a certified bound prints UNDETERMINED and does not fail.
+for compatibility and ignored.  The norm comparisons of verify, all but
+--assert-norm, are taken in bounds by its one three-state rule: a check
+whose estimates disagree without crossing a certified bound prints
+UNDETERMINED and does not fail.
 """
 
 from __future__ import annotations
@@ -43,13 +43,10 @@ from .induced_norms import (
     best_norms,
 )
 from .bounds import (
-    ESTIMATED_EQ_TOL,
-    EXACT_EQ_TOL,
-    _at_most,
     bound_factor,
-    bracket_norm,
     decide_equality,
     duality_check,
+    inequality_grid_check,
     monotonicity_check,
     monotonicity_check_in_s,
 )
@@ -350,20 +347,8 @@ def cmd_verify(args) -> int:
     best_norms(M, pairs + dual_pairs + [(r, 2) for r in mono_grid], seed=seed)
     adjoint_pairs = [(conjugate(q), conjugate(p)) for p, q in dual_pairs]
     best_norms(M.adjoint(), adjoint_pairs + [(conjugate(s), 2) for s in mono_grid], seed=seed)
-    brackets = {pt: bracket_norm(M, *pt, seed=seed) for pt in pairs}
-    min_slack = float("inf")
-    ineq = []
-    for p, q in pairs:
-        rb = brackets[(p, q)]
-        for r, s in pairs:
-            lb = brackets[(r, s)]
-            factor = bound_factor(p, q, r, s, M.m, M.n)
-            bound = factor * rb.lower
-            min_slack = min(min_slack, (bound - lb.lower) / max(bound, 1e-300))
-            default = EXACT_EQ_TOL if lb.is_exact and rb.is_exact else ESTIMATED_EQ_TOL
-            tol = args.tol if args.tol is not None else default
-            ineq.append(_at_most((lb.lower,) * 2, (bound, factor * rb.upper), tol))
-    report_all("inequality-grid", ineq, min_slack)
+    ineq, min_slack = inequality_grid_check(M, grid, tol=args.tol, seed=seed)
+    report_all("inequality-grid", [ineq], min_slack)
     dual = [duality_check(M, p, q, tol=args.tol, seed=seed) for p, q in dual_pairs]
     report_all("adjoint-norm-identity", dual)
     mono = [
@@ -371,7 +356,7 @@ def cmd_verify(args) -> int:
         monotonicity_check_in_s(M, 2, mono_grid, tol=args.tol, seed=seed),
     ]
     report_all("norm-monotonicity", mono)
-    w = brackets[(grid[1], grid[1])].result.witness  # (2, 2)
+    w = best_norm(M, 2, 2, seed=seed).witness
     try:
         eig_ok = maximizer_eigencheck(M, w, 2, 2, tol=1e-6)
         report("maximizer-eigencheck", eig_ok)

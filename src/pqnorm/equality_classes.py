@@ -38,8 +38,6 @@ more sign patterns than the enumeration allows.
 from __future__ import annotations
 
 import enum
-import functools
-import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -212,32 +210,24 @@ def _verdict(member, conditions, certificate=None, certainty="exact") -> ClassVe
     return ClassVerdict(member, list(conditions), certificate, certainty)
 
 
-def _scale_free(decide: Callable, cls: Optional[ClassId] = None) -> Callable:
-    """The one entry of every decider.  decide is declared with its public
-    signature, A, two exponents, tol and the keyword seed, which
-    functools.wraps reports and arguments given by name are bound to.  The
-    entry checks tol, converts A and the exponents, takes A / 2^e where
+def _scale_free(
+    decide: Callable, A: MatrixLike, p: IndexLike, q: IndexLike, tol: float, seed: int, cls=None
+) -> ClassVerdict:
+    """The one entry of every decider, called with its public arguments:
+    checks tol, converts A and the exponents, takes A / 2^e where
     bounds._in_range rescales A (the evidence is then measured there, and
     a first condition says so), and for a class cls answers
-    _zero_or_trivial's early outs; only then does decide run."""
-    signature = inspect.signature(decide)
-
-    @functools.wraps(decide)
-    def wrapped(*args, **kwargs) -> ClassVerdict:
-        if not (3 <= len(args) <= 4 and kwargs.keys() <= {"seed"}):  # given by name
-            args = signature.bind(*args, **kwargs).args
-        A, p, q, tol = (*args, DEFAULT_TOL)[:4]
-        as_tol(tol)
-        S, e = _in_range(as_matrix(A))
-        p, q = as_index(p), as_index(q)
-        early = _zero_or_trivial(S, p, q, cls) if cls else None
-        verdict = early or decide(S, p, q, tol, seed=kwargs.get("seed", 0))
-        if e == 0:
-            return verdict
-        conds = [Condition("rescaled-to-normal-range", True, {"e": e}), *verdict.conditions]
-        return ClassVerdict(verdict.member, conds, verdict.certificate, verdict.certainty)
-
-    return wrapped
+    _zero_or_trivial's early outs; only then does decide(S, p, q, tol,
+    seed) run."""
+    as_tol(tol)
+    S, e = _in_range(as_matrix(A))
+    p, q = as_index(p), as_index(q)
+    early = _zero_or_trivial(S, p, q, cls) if cls else None
+    verdict = early or decide(S, p, q, tol, seed)
+    if e == 0:
+        return verdict
+    conds = [Condition("rescaled-to-normal-range", True, {"e": e}), *verdict.conditions]
+    return ClassVerdict(verdict.member, conds, verdict.certificate, verdict.certainty)
 
 
 def _zero_or_trivial(
@@ -250,15 +240,28 @@ def _zero_or_trivial(
     required strict inequalities exists), membership is vacuous.
     """
     if not M.entries.any():
-        note = {"note": "0 = factor * 0 at every (r,s)"}
-        return _verdict("yes", [Condition("zero-matrix", True, note)])
+        return _verdict(
+            "yes",
+            [Condition("zero-matrix", True, {"note": "0 = factor * 0 at every (r,s)"})],
+        )
     sig_r, sig_s = cls.sign_signature
     r_empty = (sig_r > 0 and p.value == 1.0) or (sig_r < 0 and p.is_inf)
     s_empty = (sig_s > 0 and q.value == 1.0) or (sig_s < 0 and q.is_inf)
     if r_empty or s_empty:
-        note = "no (r,s) satisfies the quadrant constraints at this (p,q)"
-        measured = {"note": note, "p": index_str(p), "q": index_str(q)}
-        return _verdict("yes", [Condition("class-trivial", True, measured)])
+        return _verdict(
+            "yes",
+            [
+                Condition(
+                    "class-trivial",
+                    True,
+                    {
+                        "note": "no (r,s) satisfies the quadrant constraints at this (p,q)",
+                        "p": index_str(p),
+                        "q": index_str(q),
+                    },
+                )
+            ],
+        )
     return None
 
 
@@ -297,7 +300,6 @@ def _isolated_extremal_entries(arr: np.ndarray, tol: float):
     return bool(alone[mask].all()), mask, rho
 
 
-@functools.partial(_scale_free, cls=ClassId.E_1INF)
 def check_E1inf(
     A: MatrixLike,
     p: IndexLike,
@@ -321,6 +323,10 @@ def check_E1inf(
     settles a no.  For p > q: membership holds exactly when at most one
     entry is nonzero.
     """
+    return _scale_free(_decide_e1inf, A, p, q, tol, seed, ClassId.E_1INF)
+
+
+def _decide_e1inf(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: int) -> ClassVerdict:
     arr = A.entries
     a = np.abs(arr)
     rho = float(a.max())
@@ -396,7 +402,6 @@ def _column_conditions(arr: np.ndarray, tol: float):
         return ok_i, ok_ii, float(np.ldexp(col_l1.max(), e)), mask
 
 
-@functools.partial(_scale_free, cls=ClassId.E_11)
 def check_E11(
     A: MatrixLike,
     p: IndexLike,
@@ -413,6 +418,10 @@ def check_E11(
     is certified through a norm bracket.  For p > 2 the class collapses to
     matrices with exactly one nonzero, constant-modulus column.
     """
+    return _scale_free(_decide_e11, A, p, q, tol, seed, ClassId.E_11)
+
+
+def _decide_e11(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: int) -> ClassVerdict:
     arr = A.entries
     n, m = arr.shape
     a = np.abs(arr)
@@ -749,7 +758,6 @@ def _unimodular_vectors(
     return blocks(), exhaustive
 
 
-@functools.partial(_scale_free, cls=ClassId.E_INF1)
 def check_Einf1(
     A: MatrixLike,
     p: IndexLike,
@@ -779,6 +787,10 @@ def check_Einf1(
     exact unless a group's search was not exhaustive.  The norm bracket is
     formed only once a candidate needs it.
     """
+    return _scale_free(_decide_einf1, A, p, q, tol, seed, ClassId.E_INF1)
+
+
+def _decide_einf1(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: int) -> ClassVerdict:
     arr = A.entries
     n, m = arr.shape
     scaled, e = _normalized(A)
@@ -892,7 +904,6 @@ def _svd_with_first_vector(
     return cand
 
 
-@_scale_free
 def check_svd_equality(
     A: MatrixLike,
     r: IndexLike,
@@ -916,6 +927,10 @@ def check_svd_equality(
     that can end undetermined.  The certificate is a full factorization in
     the required form.
     """
+    return _scale_free(_decide_svd, A, r, s, tol, seed)
+
+
+def _decide_svd(A: MatrixValue, r: ExtIndex, s: ExtIndex, tol: float, seed: int) -> ClassVerdict:
     f = svd(A)
     if not A.entries.any():
         return _verdict(

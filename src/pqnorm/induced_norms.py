@@ -221,21 +221,23 @@ def _ldexp(x, e: int):
     return np.ldexp(x, e)
 
 
-def _pow2_normalized(arr: np.ndarray) -> tuple:
-    """(arr / 2^e, e) for e the exponent of the largest modulus: exact, and
-    safe to square or multiply at any scale of arr.  A complex modulus may
-    pass the float range while both its parts are finite; e is then one
-    above the largest part's exponent, so every modulus of arr / 2^e is
-    still below 1."""
+def _peak_exponent(arr: np.ndarray) -> int:
+    """e with every modulus of arr below 2^e, the exponent of the largest
+    (0 for a zero array).  A complex modulus may pass the float range while
+    both its parts are finite; e is then one above the largest part's."""
     if arr.dtype.kind != "c":
-        e = math.frexp(np.abs(arr).max())[1]
-    else:
-        with np.errstate(over="ignore"):
-            peak = np.abs(arr).max()
-        if peak < math.inf:
-            e = math.frexp(peak)[1]
-        else:
-            e = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1] + 1
+        return math.frexp(np.abs(arr).max())[1]
+    with np.errstate(over="ignore"):
+        peak = np.abs(arr).max()
+    if peak < math.inf:
+        return math.frexp(peak)[1]
+    return math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1] + 1
+
+
+def _pow2_normalized(arr: np.ndarray) -> tuple:
+    """(arr / 2^e, e) for e = _peak_exponent(arr): exact, every modulus
+    below 1, and safe to square or multiply at any scale of arr."""
+    e = _peak_exponent(arr)
     return _ldexp(arr, -e), e
 
 

@@ -22,6 +22,7 @@ from pqnorm import (
     decide_equality,
     duality_check,
     gen_hadamard,
+    inequality_grid_check,
     gen_tensor_product,
     monotonicity_check,
     monotonicity_check_in_s,
@@ -282,7 +283,7 @@ class TestCheckInequality:
         assert math.isclose(rep.lhs, 2.0, rel_tol=1e-9)
         assert math.isclose(rep.bound, 2.0 * math.sqrt(2.0), rel_tol=1e-9)
         assert rep.slack >= 0.0
-        assert not rep.equality
+        assert rep.equality is False
 
     def test_full_grid_nonnegative_slack(self):
         for i in range(6):
@@ -316,6 +317,35 @@ class TestCheckInequality:
         assert rep.equality is None and rep.factor == 1.0 and rep.slack > 0.0
         lb, rb = bracket_norm(A, 1.5, 3), bracket_norm(A, 1.5, 2)
         assert (rep.lhs, rep.rhs_norm) == (lb.lower, rb.lower)
+
+
+class TestInequalityGrid:
+    def test_three_states(self, monkeypatch):
+        # every estimate lowered to 0.99 of itself is still a lower bound:
+        # the crossed lower ends settle nothing, and the slack reads them
+        import pqnorm.induced_norms as ind
+
+        A = np.random.default_rng(1).standard_normal((3, 4))
+        verdict, slack = inequality_grid_check(A, [1, 2, "inf"])
+        assert verdict is True and -1e-4 <= slack <= 0.0  # 0 where (r,s) = (p,q)
+        estimates = ind._estimates
+
+        def lowered(M, pairs, seed):
+            return [NormResult(0.99 * r.value, r.witness, r.certainty)
+                    for r in estimates(M, pairs, seed)]
+
+        monkeypatch.setattr(ind, "_estimates", lowered)
+        verdict, slack = inequality_grid_check(as_matrix(A), [1, 2, "inf"])
+        assert verdict is None and slack < -1e-4
+        assert inequality_grid_check(as_matrix(A), [1, 2, "inf"], tol=0.02)[0] is True
+
+    def test_certified_crossing_is_false(self):
+        # a lower end at (2,2) above the certified bound sqrt(2) ||B||_{1,1}
+        M = as_matrix(B)
+        best_norm(M, 2, 2)  # the memo entry the check reads back
+        key = (as_index(2), as_index(2), 0, None)
+        M._memo[key] = NormResult(3.0, M._memo[key].witness, Certainty.ESTIMATE)
+        assert inequality_grid_check(M, [1, 2])[0] is False
 
 
 class TestDuality:

@@ -1266,8 +1266,8 @@ class TestExtremalStats:
         assert st.tau is None  # no probe vector supplied
 
 
-# every decider enters through _scale_free, whose wrapper functools.wraps
-# hides: the signatures it reports and binds are the deciders' own
+# every decider enters through _scale_free from a public function whose
+# signature, pinned here, is the one callers bind to
 _CLASS_SIGNATURE = (
     "(A: 'MatrixLike', p: 'IndexLike', q: 'IndexLike', tol: 'float' = 1e-08, *, "
     "seed: 'int' = 0) -> 'ClassVerdict'"
