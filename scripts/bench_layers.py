@@ -16,6 +16,10 @@ reused):
                     own work), median of 5 x reps runs; also for the
                     Sylvester Hadamard matrix of order 16 (row h16)
 
+The sweep and verify cells read a file of their own on every run, written
+before timing starts: a command on the file read last, unchanged, would
+reuse that matrix and its memo (load_matrix), and time a memo hit.
+
 Two more rows time the complex (inf, 1) bracket and extreme-point search:
 
   inf1_complex      bracket_norm at (inf, 1) on a fresh complex Gaussian
@@ -39,6 +43,14 @@ One row times the matrix-file writer:
   save_matrix       save_matrix to a file (dumps_matrix plus the write) of
                     a real and a complex Gaussian n x n (seed 0) for n = 32
                     and 128, median of 5 x reps runs
+
+One row times the commands the grid-shared benchmark workload sends to each
+of its files, in-process and in its order, on a fresh file per run:
+
+  cli_session       verify, sweep over the grid, check of the four classes
+                    and of (1.5, 3) at (2, 2), norm at (inf, 1), and for
+                    n <= 8 norm at (1.5, 3) with --budget 10000, for r8,
+                    c8, c16 and c32: one run is the whole sequence
 
 One row times the certified upper bound:
 
@@ -142,6 +154,7 @@ INF1_COMPLEX_SIZES = [4, 8, 16, 32]
 INF1_REAL_SIZES = [13, 16, 18, 20, 24]
 PEAK_SHAPES = [("real", 16), ("complex", 16), ("real", 32), ("complex", 32)]
 SMALL_SHAPES = [("real", 4), ("complex", 4), ("real", 8), ("complex", 8)]
+SESSION_SHAPES = [("real", 8), ("complex", 8), ("complex", 16), ("complex", 32)]
 SAVE_SHAPES = [(kind, n) for n in (32, 128) for kind in ("real", "complex")]
 DECIDE_ARGS = (3, 1.5, 1.5, 3)  # (p, q, r, s): both sides estimated
 EINF1_DFT_ORDERS = [2, 4, 8]
@@ -168,13 +181,26 @@ def _einf1_cells(M: MatrixValue) -> dict:
     return cells
 
 
-def shape_cells(kind: str, n: int, workdir: str) -> dict:
+def _fresh_files(kind: str, n: int, workdir: str, name: str, count: int):
+    """An iterator over count paths, each holding the shape's matrix in a
+    file of its own, all written now."""
+    M = MatrixValue(_matrix(kind, n), kind)
+    paths = [os.path.join(workdir, f"{name}_{kind}{n}_{i}.json") for i in range(count)]
+    for path in paths:
+        save_matrix(M, path)
+    return iter(paths)
+
+
+def _sweep_argv(path: str) -> list:
+    return ["sweep", path, "-", "-p", "2", "-q", "2", "--r-grid", GRID_ARG, "--s-grid", GRID_ARG]
+
+
+def shape_cells(kind: str, n: int, workdir: str, reps: int) -> dict:
     """The timed cells of one shape: name -> (callable, runs per pass)."""
     A = _matrix(kind, n)
     pairs = [(p, q) for p in GRID for q in GRID]
-    path = os.path.join(workdir, f"{kind}{n}.json")
-    save_matrix(MatrixValue(A, kind), path)
-    sweep = ["sweep", path, "-", "-p", "2", "-q", "2", "--r-grid", GRID_ARG, "--s-grid", GRID_ARG]
+    sweeps = _fresh_files(kind, n, workdir, "sweep", reps)
+    verifies = _fresh_files(kind, n, workdir, "verify", reps)
     cells = {
         "best_norm_1.5_3": (lambda: best_norm(MatrixValue(A, kind), 1.5, 3), 1),
         "grid_pointwise": (
@@ -182,11 +208,29 @@ def shape_cells(kind: str, n: int, workdir: str) -> dict:
             1,
         ),
         "grid_stacked": (lambda: best_norms(MatrixValue(A, kind), pairs), 1),
-        "sweep": (lambda: _cli(sweep), 1),
-        "verify": (lambda: _cli(["verify", path]), 1),
+        "sweep": (lambda: _cli(_sweep_argv(next(sweeps))), 1),
+        "verify": (lambda: _cli(["verify", next(verifies)]), 1),
     }
     cells.update(_einf1_cells(MatrixValue(A, kind)))
     return cells
+
+
+def _session_cell(kind: str, n: int, workdir: str, reps: int) -> tuple:
+    files = _fresh_files(kind, n, workdir, "session", reps)
+
+    def session():
+        path = next(files)
+        argvs = [["verify", path], _sweep_argv(path)]
+        for cls in ("E_1inf", "E_11", "E_infinf", "E_inf1"):
+            argvs.append(["check", path, cls, "-p", "2", "-q", "2"])
+        argvs.append(["check", path, "1.5,3", "-p", "2", "-q", "2", "--json"])
+        argvs.append(["norm", path, "-p", "inf", "-q", "1"])
+        if n <= 8:
+            argvs.append(["norm", path, "-p", "1.5", "-q", "3", "--budget", "10000"])
+        for argv in argvs:
+            _cli(argv)
+
+    return (session, 1)
 
 
 def _upper_bound_cell(kind: str, n: int) -> tuple:
@@ -366,7 +410,7 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=5)
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        rows = {f"{kind[0]}{n}": shape_cells(kind, n, workdir) for kind, n in SHAPES}
+        rows = {f"{kind[0]}{n}": shape_cells(kind, n, workdir, args.reps) for kind, n in SHAPES}
         rows["h16"] = _einf1_cells(gen_hadamard(16))
         rows["inf1_complex"] = {
             f"c{n}": (lambda n=n: bracket_norm(MatrixValue(_matrix("complex", n), "complex"), "inf", 1), 1)
@@ -379,6 +423,9 @@ def main() -> None:
         rows["inf1_real"]["h16"] = (lambda: norm_infty_one_exact(gen_hadamard(16)), 1)
         rows["inf1_real"]["id24"] = (lambda: norm_infty_one_exact(MatrixValue(np.eye(24), "real")), 1)
         rows["save_matrix"] = {f"{kind[0]}{n}": _save_cell(kind, n, workdir) for kind, n in SAVE_SHAPES}
+        rows["cli_session"] = {
+            f"{kind[0]}{n}": _session_cell(kind, n, workdir, args.reps) for kind, n in SESSION_SHAPES
+        }
         rows["upper_bound"] = {f"{kind[0]}{n}": _upper_bound_cell(kind, n) for kind, n in SHAPES}
         rows["best_norm_inf_2"] = {f"{kind[0]}{n}": _inf2_cell(kind, n) for kind, n in SMALL_SHAPES}
         rows["decide_equality"] = {f"{kind[0]}{n}": _decide_cell(kind, n) for kind, n in SMALL_SHAPES}

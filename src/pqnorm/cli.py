@@ -20,7 +20,10 @@ matrix together (best_norms).  The THREADS environment variable is accepted
 for compatibility and ignored.  The norm comparisons of verify, all but
 --assert-norm, are taken in bounds by its one three-state rule: a check
 whose estimates disagree without crossing a certified bound prints
-UNDETERMINED and does not fail.
+UNDETERMINED and does not fail.  In one process, a command on the file read
+last, its bytes unchanged, reuses its matrix and memo (load_matrix), so an
+estimate keeps the last bits of the command that first computed it; separate
+processes are unchanged.
 """
 
 from __future__ import annotations

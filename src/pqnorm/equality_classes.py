@@ -67,7 +67,6 @@ from .induced_norms import (
     _ldexp,
     _normalized,
     _phase,
-    _pow2_normalized,
     _sign_images,
     as_matrix,
     best_norm,
@@ -198,7 +197,7 @@ class ExtremalStats:
 
 def extremal_stats(A: MatrixLike, v=None, tol: float = DEFAULT_TOL) -> ExtremalStats:
     as_tol(tol)
-    arr, e = _pow2_normalized(as_matrix(A).entries)
+    arr, e = _normalized(as_matrix(A))
     a = np.abs(arr)
     tau = None if v is None else _constant_modulus(arr @ np.asarray(v).reshape(-1), tol)
     stats = (a.max(), a.sum(axis=0).max(), a.sum(axis=1).max(), tau)
@@ -386,9 +385,9 @@ def sufficient_e1inf(
 # ---------------------------------------------------------------------------
 
 
-def _column_conditions(arr: np.ndarray, tol: float):
+def _column_conditions(M: MatrixValue, tol: float):
     """Extremal-column structure: (cond_i_ok, cond_ii_ok, sigma, mask)."""
-    arr, e = _pow2_normalized(arr)
+    arr, e = _normalized(M)
     a = np.abs(arr)
     col_l1 = a.sum(axis=0)
     mask = col_l1 >= col_l1.max() * (1.0 - tol)
@@ -435,7 +434,7 @@ def _decide_e11(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: int)
             Condition("column-constant-modulus", const if single else None, {}),
         ]
         return _verdict("yes" if (single and const) else "no", conds)
-    ok_i, ok_ii, sigma, mask = _column_conditions(arr, tol)
+    ok_i, ok_ii, sigma, mask = _column_conditions(A, tol)
     cond_i = Condition(
         "extremal-columns-constant-modulus",
         ok_i,
@@ -520,7 +519,7 @@ def sufficient_e11(
     arr = M.entries
     if not arr.any():
         return True
-    ok_i, ok_ii, sigma, mask = _column_conditions(arr, tol)
+    ok_i, ok_ii, sigma, mask = _column_conditions(M, tol)
     if not ok_i or not ok_ii or pi.value > 2.0 or sign_between(qi, pi) > 0:
         return False  # p <= 2 and q <= p are required
     C = arr.copy()
@@ -1064,7 +1063,7 @@ def maximizer_eigencheck(
         raise PreconditionError("vector length does not match the column count")
     if not vec.any():
         raise PreconditionError("the zero vector cannot be a maximizer")
-    arr, e = _pow2_normalized(M.entries)
+    arr, e = _normalized(M)
     for x, name in ((vec, "v"), (arr @ vec, "A v")):
         a = np.abs(x)
         peak = float(a.max())
@@ -1108,7 +1107,7 @@ def dav_normal_form(A: MatrixLike, v, tol: float = DEFAULT_TOL) -> DavReport:
     as_tol(tol)
     M = as_matrix(A)
     vec = np.asarray(v).reshape(-1).astype(complex if M.is_complex else float)
-    arr, e = _pow2_normalized(M.entries)  # sums are formed on A / 2^e, then scaled back
+    arr, e = _normalized(M)  # sums are formed on A / 2^e, then scaled back
     n, m = arr.shape
     if vec.shape[0] != m:
         raise ValueError("vector length does not match the column count")

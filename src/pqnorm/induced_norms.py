@@ -984,9 +984,9 @@ def best_norm(
     """Strongest available route for ||A||_{p,q}.
 
     Closed form when one exists, sign enumeration for real (inf, 1) within
-    the dimension cap, otherwise the ascent estimate (optionally topped up
-    with a brute-force pass when a budget is given).  Memoised on the
-    matrix per (p, q, seed, budget); the witness is read-only.
+    the dimension cap, otherwise the ascent estimate (the memoised one,
+    topped up with a brute-force pass when a budget is given).  Memoised on
+    the matrix per (p, q, seed, budget); the witness is read-only.
     """
     return best_norms(A, [(p, q)], seed=seed, budget=budget)[0]
 
@@ -1021,7 +1021,8 @@ def best_norms(
         else:
             found[key] = res
     if todo:
-        estimates = _estimates(M, list(todo.values()), seed)
+        pairs = list(todo.values())
+        estimates = _estimates(M, pairs, seed) if budget is None else best_norms(M, pairs, seed=seed)
         for (key, (pi, qi)), res in zip(todo.items(), estimates):
             if budget is not None:
                 other = norm_bruteforce(M, pi, qi, budget=budget, seed=seed)

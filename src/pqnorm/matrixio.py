@@ -20,6 +20,7 @@ import enum
 import itertools
 import json
 import math
+import os
 import re
 from dataclasses import fields as dc_fields, is_dataclass
 from typing import IO, Union
@@ -231,11 +232,25 @@ def save_matrix(M: MatrixValue, path: Union[str, IO[str]]) -> None:
             fp.write(text)
 
 
+_last_file = None  # (resolved path, text, matrix) of the last file parsed
+
+
 def load_matrix(path: Union[str, IO[str]]) -> MatrixValue:
+    """The matrix in a file.  A file whose resolved path and text are those of
+    the last one parsed returns that same (immutable) MatrixValue, memo and
+    all; any other read, a file-like one too, parses anew and replaces the
+    entry, and a read that fails leaves none."""
+    global _last_file
     if hasattr(path, "read"):
+        _last_file = None
         return loads_matrix(path.read())
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            return loads_matrix(fp.read())
+            key = (os.path.realpath(path), fp.read())
     except OSError as e:
         raise MatrixFileError(f"cannot read {path}: {e}") from None
+    last = _last_file
+    if last is None or last[:2] != key:
+        _last_file = None
+        last = _last_file = (*key, loads_matrix(key[1]))
+    return last[2]

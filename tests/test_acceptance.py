@@ -273,10 +273,14 @@ def test_criterion_10_cli_determinism(tmp_path):
     save_matrix(as_matrix(B, field="real"), br)
     sweep_args = ["-p", "2", "-q", "2", "--r-grid", "2,3,inf",
                   "--s-grid", "1,1.5,2", "--seed", "7"]
+    # the second run reads a copy, so it estimates afresh rather than reuse
+    # the first run's matrix
+    bc2 = tmp_path / "bc2.json"
+    bc2.write_bytes(bc.read_bytes())
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     if main(["sweep", str(bc), str(out1)] + sweep_args) != EXIT_OK:
         failures.append(("sweep run 1",))
-    if main(["sweep", str(bc), str(out2)] + sweep_args) != EXIT_OK:
+    if main(["sweep", str(bc2), str(out2)] + sweep_args) != EXIT_OK:
         failures.append(("sweep run 2",))
     if out1.read_bytes() != out2.read_bytes():
         failures.append(("sweep not byte-identical",))

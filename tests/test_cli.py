@@ -168,16 +168,52 @@ class TestSweepCommand:
         assert out.startswith("r,s,norm_rs,factor,bound,ratio,certainty")
 
     def test_byte_identical_reruns(self, b_complex, tmp_path):
+        # the second run reads a copy, so it estimates afresh rather than
+        # reuse the first run's matrix
+        copy = tmp_path / "copy.json"
+        save_matrix(as_matrix(B, field="complex"), copy)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", b_complex, str(a)] + self.ARGS) == EXIT_OK
-        assert main(["sweep", b_complex, str(b)] + self.ARGS) == EXIT_OK
+        assert main(["sweep", str(copy), str(b)] + self.ARGS) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reuses_the_matrix_of_verify(self, tmp_path, capsys, monkeypatch):
+        # sweep after verify on one file reads verify's estimates from the
+        # matrix's memo; a copy at another path is parsed and estimated
+        # afresh.  300 rows put each point in an ascent of its own.
+        from pqnorm import induced_norms
+
+        ascent, calls = induced_norms._ascent, []
+        monkeypatch.setattr(
+            induced_norms, "_ascent", lambda *a, **kw: calls.append(1) or ascent(*a, **kw)
+        )
+        path, copy = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(as_matrix(np.random.default_rng(3).standard_normal((300, 3))), path)
+        copy.write_bytes(path.read_bytes())
+        grid = ["--r-grid", "1,1.5,2,3,inf", "--s-grid", "1,1.5,2,3,inf"]
+        assert main(["verify", str(path)]) == EXIT_OK
+        runs = []
+        for f in (path, copy):
+            capsys.readouterr()
+            calls.clear()
+            code = main(["sweep", str(f), "-", "-p", "2", "-q", "2"] + grid)
+            rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+            runs.append((code, len(calls), rows))
+        (code, reused, rows), (code0, fresh, rows0) = runs
+        assert code == code0 == EXIT_OK
+        assert reused < fresh
+        assert [r[:2] + r[-1:] for r in rows] == [r[:2] + r[-1:] for r in rows0]
+        for r, r0 in zip(rows, rows0):
+            for x, x0 in zip(map(float, r[2:6]), map(float, r0[2:6])):
+                assert abs(x - x0) <= 1e-12 * abs(x0), (r, r0)
+
     def test_threads_env_same_bytes(self, b_complex, tmp_path, monkeypatch):
+        copy = tmp_path / "copy.json"
+        save_matrix(as_matrix(B, field="complex"), copy)
         a, b = tmp_path / "a.csv", tmp_path / "t.csv"
         assert main(["sweep", b_complex, str(a)] + self.ARGS) == EXIT_OK
         monkeypatch.setenv("THREADS", "4")
-        assert main(["sweep", b_complex, str(b)] + self.ARGS) == EXIT_OK
+        assert main(["sweep", str(copy), str(b)] + self.ARGS) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
     def test_rows_match_norm_command(self, tmp_path, capsys):
@@ -195,9 +231,13 @@ class TestSweepCommand:
             assert main(["sweep", path, "-"] + args) == EXIT_OK
             rows = capsys.readouterr().out.strip().splitlines()[1:]
             assert len(rows) == 25
+            # a copy of the file, so each norm command estimates its point
+            # alone rather than read the sweep's estimates
+            copy = str(tmp_path / f"{field}-copy.json")
+            save_matrix(as_matrix(A, field=field), copy)
             for row in rows:
                 rr, ss, value, *_ = row.split(",")
-                assert main(["norm", path, "-p", rr, "-q", ss]) == EXIT_OK
+                assert main(["norm", copy, "-p", rr, "-q", ss]) == EXIT_OK
                 single = float(capsys.readouterr().out.split()[0])
                 assert abs(float(value) - single) <= 1e-12 * single, (field, rr, ss)
 

@@ -50,7 +50,7 @@ from pqnorm import (
 )
 from pqnorm import equality_classes
 from pqnorm.core import DEFAULT_TOL
-from pqnorm.induced_norms import BLOCK, _sign_cols, _sign_images
+from pqnorm.induced_norms import BLOCK, _pow2_normalized, _sign_cols, _sign_images
 
 from conftest import EDGE_IDS, EDGE_MATRICES, at_scale, make_corpus, make_curated
 
@@ -218,11 +218,11 @@ class TestE11:
         Ac = samples[1] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, 3)))
         for A in samples + [Ac]:
             for arr in (A, A.conj().T):
-                want = equality_classes._column_conditions(arr, DEFAULT_TOL)
+                want = equality_classes._column_conditions(as_matrix(arr), DEFAULT_TOL)
                 for k in (-1000, 1000):
                     S = np.ldexp(arr.real, k) + 1j * np.ldexp(arr.imag, k)
                     got = equality_classes._column_conditions(
-                        S if np.iscomplexobj(arr) else S.real, DEFAULT_TOL
+                        as_matrix(S if np.iscomplexobj(arr) else S.real), DEFAULT_TOL
                     )
                     assert got[:2] == want[:2] and np.array_equal(got[3], want[3])
                     assert got[2] == math.ldexp(want[2], k)
@@ -374,7 +374,7 @@ def _reference_einf1_real(M, p, q, tol=DEFAULT_TOL, seed=0):
     if early is not None:
         return early.member, early.certainty, []
     arr = M.entries
-    scaled, e = equality_classes._pow2_normalized(arr)
+    scaled, e = _pow2_normalized(arr)
     ab = bracket_norm(M, pi, qi, seed=seed)
     certainty = "exact" if ab.is_exact else "estimate-backed"
     candidates = []
@@ -1192,7 +1192,7 @@ class TestFloatRangeEdges:
     @pytest.mark.parametrize("end", ["top", -1010, -1071, -1074])
     def test_decide_equality(self, A, end):
         X = as_matrix(at_scale(A, end))
-        S = as_matrix(equality_classes._pow2_normalized(X.entries)[0])
+        S = as_matrix(_pow2_normalized(X.entries)[0])
         for p, q, r, s in itertools.product(SVD_INDICES, repeat=4):
             assert decide_equality(X, p, q, r, s)[0] == decide_equality(S, p, q, r, s)[0]
 
@@ -1200,7 +1200,7 @@ class TestFloatRangeEdges:
     @pytest.mark.parametrize("end", ["top", -1010, -1071, -1074])
     def test_class_verdicts(self, A, end):
         X = as_matrix(at_scale(A, end))
-        S = as_matrix(equality_classes._pow2_normalized(X.entries)[0])
+        S = as_matrix(_pow2_normalized(X.entries)[0])
         for p, q in itertools.product(SVD_INDICES, repeat=2):
             pairs = [(check_class(Y, cls, p, q) for Y in (X, S)) for cls in ClassId]
             pairs.append(check_svd_equality(Y, p, q) for Y in (X, S))
@@ -1213,7 +1213,7 @@ class TestFloatRangeEdges:
         # the equality flag compared raw values with slack tol * max(bound,
         # 1e-300): at 2^-1010 every comparison was absolute, at the top inf
         X = as_matrix(at_scale(A, end))
-        S = as_matrix(equality_classes._pow2_normalized(X.entries)[0])
+        S = as_matrix(_pow2_normalized(X.entries)[0])
         for p, q, r, s in itertools.product(SVD_INDICES, repeat=4):
             flag = check_inequality(X, p, q, r, s).equality
             assert flag == check_inequality(S, p, q, r, s).equality, (p, q, r, s)
@@ -1225,7 +1225,7 @@ class TestFloatRangeEdges:
         # read inf, and it answered True where A / 2^e answers False and
         # check_E1inf says "no"
         X = as_matrix(at_scale(A, end))
-        S = as_matrix(equality_classes._pow2_normalized(X.entries)[0])
+        S = as_matrix(_pow2_normalized(X.entries)[0])
         for p, q in itertools.product(SVD_INDICES, repeat=2):
             for test in (sufficient_e1inf, sufficient_e11, sufficient_einfinf):
                 assert test(X, p, q) == test(S, p, q), (test.__name__, p, q)

@@ -216,6 +216,21 @@ class TestMemo:
         assert best_norm(C, 1.7, 2.3, seed=1) is not a
         assert svd(C) is not svd(M)
 
+    def test_budget_tops_up_the_memoised_estimate(self, monkeypatch):
+        # the budget-free estimate is read from the memo: the only ascent
+        # left is the brute force's own polish
+        from pqnorm import induced_norms
+
+        M = rand_matrix(15, 3, 3)
+        plain = best_norm(M, 1.5, 3)
+        ascent, calls = induced_norms._ascent, []
+        monkeypatch.setattr(
+            induced_norms, "_ascent", lambda *a, **kw: calls.append(1) or ascent(*a, **kw)
+        )
+        topped = best_norm(M, 1.5, 3, budget=10000)
+        assert len(calls) == 1
+        assert topped.value >= plain.value
+
     def test_cached_arrays_read_only(self):
         M = rand_matrix(14, 3, 2)
         f = svd(M)

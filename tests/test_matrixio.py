@@ -142,6 +142,60 @@ class TestFileRoundTrip:
         assert again.entries[0, 0] == 2.3
 
 
+class TestReuse:
+    """load_matrix returns the matrix of the last file it read while that
+    file's resolved path and text are unchanged."""
+
+    M = as_matrix(np.array([[1.0, -2.0], [0.5, 3.0]]))
+
+    def test_same_path_same_bytes(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(self.M, path)
+        first = load_matrix(path)
+        assert load_matrix(str(path)) is first
+        assert load_matrix(tmp_path / "." / "m.json") is first
+
+    def test_rewritten_text(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(self.M, path)
+        first = load_matrix(path)
+        save_matrix(as_matrix(2.0 * self.M.entries), path)
+        again = load_matrix(path)
+        assert again is not first
+        assert np.array_equal(again.entries, 2.0 * self.M.entries)
+
+    def test_second_path_is_distinct(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(self.M, a)
+        save_matrix(self.M, b)
+        first = load_matrix(a)
+        assert load_matrix(b) is not first
+        assert load_matrix(a) is not first  # b's read replaced the entry
+
+    def test_file_object_not_reused(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(self.M, path)
+        with open(path, encoding="utf-8") as fp:
+            first = load_matrix(fp)
+        with open(path, encoding="utf-8") as fp:
+            assert load_matrix(fp) is not first
+        assert load_matrix(path) is not first
+
+    def test_failed_parse_not_cached(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix(self.M, path)
+        text = path.read_text(encoding="utf-8")
+        first = load_matrix(path)
+        path.write_text(text.replace('"real"', '"quaternion"'), encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(MatrixFileError):
+                load_matrix(path)
+        path.write_text(text, encoding="utf-8")
+        again = load_matrix(path)
+        assert again is not first
+        assert np.array_equal(again.entries, self.M.entries)
+
+
 def _per_entry_dumps_matrix(M) -> str:
     """The reference writer: every entry a Python float, formatted one at a
     time at 17 significant digits, complex ones as [re, im] pairs."""
