@@ -68,9 +68,18 @@ c4, r8 and c8:
                     against the factor times ||M||_{3,1.5}: an equality
                     decision whose two sides are both estimated
 
+One row times the sampling oracle on a fresh Gaussian (seed 0) for r4, c4,
+r8 and c8:
+
+  bruteforce        norm_bruteforce(M, 1.5, 3, budget=10000): 10^4 columns
+                    of the ascent's start block, their (1.5, 3) ratios and
+                    the polish of the ten best
+
 The reps are interleaved: each pass runs every cell once (five times for
 the check_einf1 cells) before the next pass starts, so a slow spell of a
-shared host spreads over all cells instead of landing on one.
+shared host spreads over all cells instead of landing on one.  Beside the
+medians, `spread` holds each timed cell's quartiles [q1, q3] over the same
+runs, so a cell that moves by a third between runs shows as such.
 
 Five rows are deterministic figures, not timings:
 
@@ -137,6 +146,7 @@ from pqnorm import (  # noqa: E402
     decide_equality,
     gen_dft,
     gen_hadamard,
+    norm_bruteforce,
     norm_infty_one_exact,
     norm_upper_bound,
     save_matrix,
@@ -260,6 +270,11 @@ def _decide_cell(kind: str, n: int) -> tuple:
     return (lambda: decide_equality(MatrixValue(A, kind), *DECIDE_ARGS), 1)
 
 
+def _bruteforce_cell(kind: str, n: int) -> tuple:
+    A = _matrix(kind, n)
+    return (lambda: norm_bruteforce(MatrixValue(A, kind), 1.5, 3, budget=10_000), 1)
+
+
 def ascent_calls(kind: str, n: int) -> int:
     """Ascents run by one decide_equality call of the decide_equality row."""
     ascent, calls = induced_norms._ascent, []
@@ -293,10 +308,11 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def interleaved_medians(rows: dict, reps: int, faults=()) -> dict:
-    """{row: {cell: median seconds}} over reps passes, each pass running
-    every cell of every row (a cell `runs` times in a row); the rows named
-    in faults also get {cell_minflt: median minor page faults per run}."""
+def interleaved_medians(rows: dict, reps: int, faults=()) -> tuple:
+    """({row: {cell: median seconds}}, {row: {cell: [q1, q3] seconds}}) over
+    reps passes, each pass running every cell of every row (a cell `runs`
+    times in a row); the rows named in faults also get {cell_minflt: median
+    minor page faults per run} among the medians."""
     times = {row: {cell: [] for cell in cells} for row, cells in rows.items()}
     flts = {row: {cell: [] for cell in rows[row]} for row in faults}
     for _ in range(reps):
@@ -309,9 +325,13 @@ def interleaved_medians(rows: dict, reps: int, faults=()) -> dict:
                     if row in flts:
                         flts[row][cell].append(_minflt() - f0)
     out = {row: {cell: statistics.median(ts) for cell, ts in cells.items()} for row, cells in times.items()}
+    spread = {
+        row: {cell: np.percentile(ts, [25, 75]).tolist() for cell, ts in cells.items()}
+        for row, cells in times.items()
+    }
     for row, cells in flts.items():
         out[row].update({f"{cell}_minflt": statistics.median(fs) for cell, fs in cells.items()})
-    return out
+    return out, spread
 
 
 def ascent_iterations(kind: str, n: int) -> dict:
@@ -429,12 +449,13 @@ def main() -> None:
         rows["upper_bound"] = {f"{kind[0]}{n}": _upper_bound_cell(kind, n) for kind, n in SHAPES}
         rows["best_norm_inf_2"] = {f"{kind[0]}{n}": _inf2_cell(kind, n) for kind, n in SMALL_SHAPES}
         rows["decide_equality"] = {f"{kind[0]}{n}": _decide_cell(kind, n) for kind, n in SMALL_SHAPES}
+        rows["bruteforce"] = {f"{kind[0]}{n}": _bruteforce_cell(kind, n) for kind, n in SMALL_SHAPES}
         rows["check_einf1_dft"] = {}
         for k in EINF1_DFT_ORDERS:
             M = gen_dft(k)
             check_Einf1(M, 2, 2)  # memoises the bracket and the SVD
             rows["check_einf1_dft"][f"dft{k}"] = (lambda M=M: check_Einf1(M, 2, 2), 5)
-        results = interleaved_medians(rows, args.reps, faults=("inf1_real",))
+        results, spread = interleaved_medians(rows, args.reps, faults=("inf1_real",))
         results["verify_calls"] = {
             f"{kind[0]}{n}": verify_calls(kind, n, workdir) for kind, n in SHAPES
         }
@@ -453,12 +474,14 @@ def main() -> None:
     payload = {
         "unit": (
             "s (median of reps), grid_speedup is pointwise / stacked; *_minflt, ascent_iters, "
-            "verify_calls, ascent_calls, map_rescales are counts; grid_peak_mb is MB"
+            "verify_calls, ascent_calls, map_rescales are counts; grid_peak_mb is MB; "
+            "spread is each timed cell's [q1, q3] in s"
         ),
         "reps": args.reps,
         "seed": 0,
         "environment": environment(),
         "results": results,
+        "spread": spread,
     }
     with open(args.out, "w", encoding="utf-8") as fp:
         json.dump(payload, fp, indent=2)

@@ -401,7 +401,8 @@ def build_parser() -> _Parser:
     add_pq(sp)
     sp.add_argument("--exact-only", action="store_true", help="exit 2 unless an exact route exists")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=None, help="extra brute-force samples")
+    budget_help = "also sample N >= 100 ascent starts, polish the ten best, keep the larger value"
+    sp.add_argument("--budget", type=int, default=None, help=budget_help)
 
     sp = sub.add_parser("check", help="equality-class or pointwise equality verdict")
     sp.add_argument("file")

@@ -551,27 +551,22 @@ def _ascent(
         return _Ascent(best, np.ldexp(vals_out, e), X_out, iters, stop)
 
 
-def _random_cols(rng: np.random.Generator, m: int, count: int, field: str) -> np.ndarray:
-    if count <= 0:
-        return np.zeros((m, 0), dtype=complex if field == COMPLEX else float)
-    if field == COMPLEX:
-        return rng.standard_normal((m, count)) + 1j * rng.standard_normal((m, count))
-    return rng.standard_normal((m, count))
-
-
 @functools.lru_cache(maxsize=32)
 def _start_block(m: int, field: str, restarts: int, seed: int) -> np.ndarray:
     """The ascent's start columns for an m-column matrix of the field: the
     coordinate vectors, the all-ones vector, over the complex field one
     non-real constant-modulus vector, then seeded random columns, at least
-    2, up to restarts columns in all; built once and shared read-only."""
+    2, up to restarts columns in all; built once and shared read-only
+    (norm_bruteforce builds its budget-sized block uncached, by __wrapped__)."""
     dtype = complex if field == COMPLEX else float
     fixed = [np.eye(m, dtype=dtype), np.ones((m, 1), dtype=dtype)]
     if field == COMPLEX:
         # one deterministic non-real constant-modulus start helps at (inf, 1)
         fixed.append(np.exp(2j * np.pi * np.arange(m) / max(m + 1, 3)).reshape(m, 1))
-    n_fixed = sum(b.shape[1] for b in fixed)
-    fixed.append(_random_cols(np.random.default_rng(seed), m, max(restarts - n_fixed, 2), field))
+    rng = np.random.default_rng(seed)
+    shape = (m, max(restarts - sum(b.shape[1] for b in fixed), 2))
+    R = rng.standard_normal(shape)
+    fixed.append(R + 1j * rng.standard_normal(shape) if field == COMPLEX else R)
     X0 = np.hstack(fixed)
     X0.setflags(write=False)
     return X0
@@ -909,15 +904,9 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
     return NormResult(_scaled_back(best, e), witness, Certainty.ENUMERATION)
 
 
-def _lattice_side(m: int, budget: int) -> int:
-    """Points per axis of the real brute-force lattice (at most 9), or 0 to
-    skip it when even its 2^m corners would exceed half the budget."""
-    if 2**m > budget // 2:
-        return 0
-    k = 2
-    while (k + 1) ** m <= budget // 2 and k < 9:
-        k += 1
-    return k
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 100:
+        raise ValueError("budget too small to be meaningful")
 
 
 def norm_bruteforce(
@@ -929,40 +918,16 @@ def norm_bruteforce(
 ) -> NormResult:
     """Sampled lower bound on ||A||_{p,q}, independent of the closed forms.
 
-    Spends the budget on structured candidates (coordinate vectors, sign or
-    phase patterns, a coarse lattice while its 2^m corners fit in half the
-    budget) plus random directions, then polishes the ten best by ascent.
-    Deterministic for a fixed seed.
+    Samples budget columns of the ascent's start block (coordinate vectors,
+    the all-ones vector, over the complex field a constant-modulus vector,
+    then seeded random directions), built afresh rather than cached, and
+    polishes the ten best by ascent.  Deterministic for a fixed seed.
     """
-    if budget < 100:
-        raise ValueError("budget too small to be meaningful")
+    _check_budget(budget)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     arr = M.entries
-    m = M.m
-    dtype = complex if M.is_complex else float
-    rng = np.random.default_rng(seed)
-    blocks = [np.eye(m, dtype=dtype), np.ones((m, 1), dtype=dtype)]
-    if not M.is_complex:
-        k = _lattice_side(m, budget)
-        if k:
-            axis = np.linspace(-1.0, 1.0, k)
-            mesh = np.meshgrid(*([axis] * m), indexing="ij")
-            blocks.append(np.stack([g.reshape(-1) for g in mesh]))  # its zero column goes below
-    else:
-        if 4 ** m <= budget // 4:
-            phases = np.array([1, -1, 1j, -1j], dtype=complex)
-            mesh = np.meshgrid(*([phases] * m), indexing="ij")
-            blocks.append(np.stack([g.reshape(-1) for g in mesh]))
-        count = budget // 8
-        moduli = rng.random((m, count))
-        angles = np.exp(2j * np.pi * rng.random((m, count)))
-        blocks.append(moduli * angles)
-    used = sum(b.shape[1] for b in blocks)
-    blocks.append(_random_cols(rng, m, budget - used, M.field))
-    X = np.hstack(blocks)
-    X = X[:, np.abs(X).sum(axis=0) > 0]
-    X = _normalize_cols(X, pi)
+    X = _normalize_cols(_start_block.__wrapped__(M.m, M.field, budget, seed), pi)
     vals = _lp_cols(arr @ X, qi)
     order = _top(vals, 10)
     best = float(vals[order[0]])
@@ -985,8 +950,9 @@ def best_norm(
 
     Closed form when one exists, sign enumeration for real (inf, 1) within
     the dimension cap, otherwise the ascent estimate (the memoised one,
-    topped up with a brute-force pass when a budget is given).  Memoised on
-    the matrix per (p, q, seed, budget); the witness is read-only.
+    topped up with a brute-force pass when a budget is given; a budget below
+    100 raises ValueError on every route).  Memoised on the matrix per
+    (p, q, seed, budget); the witness is read-only.
     """
     return best_norms(A, [(p, q)], seed=seed, budget=budget)[0]
 
@@ -1005,6 +971,7 @@ def best_norms(
     restarts are stacked into as few ascents as the element cap allows, so
     each iteration's fixed cost is paid once for all of them.
     """
+    _check_budget(budget)
     M = as_matrix(A)
     keys = [(as_index(p), as_index(q), seed, budget) for p, q in pairs]
     found, todo = {}, {}

@@ -79,6 +79,14 @@ class TestNormCommand:
     def test_bad_index(self, b_real):
         assert main(["norm", b_real, "-p", "0.5", "-q", "2"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("pq", [["2", "2"], ["inf", "1"], ["1.5", "3"]])
+    @pytest.mark.parametrize("budget", ["5", "-7"])
+    def test_bad_budget_on_every_route(self, b_real, pq, budget, capsys):
+        # closed form, sign enumeration and estimate alike
+        argv = ["norm", b_real, "-p", pq[0], "-q", pq[1], "--budget", budget]
+        assert main(argv) == EXIT_ERROR
+        assert "budget too small" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["norm"]) == EXIT_ERROR
         assert main(["frobnicate"]) == EXIT_ERROR
@@ -468,16 +476,23 @@ def test_frozen_json_bytes(args, out, had4, b_complex, capsys):
 
 
 class TestEntryPoint:
-    def test_repeated_main_same_bytes(self, b_real, capsys):
-        # the parser is built once per process; a second call sees no state
-        # left by the first
+    def test_repeated_main_same_bytes(self, b_real, tmp_path, capsys):
+        # the parser is built once per process; a second call, on a
+        # byte-identical copy at another path (so it parses and computes
+        # afresh rather than reuse the first call's matrix), prints the
+        # same bytes
+        copy = tmp_path / "copy.json"
+        with open(b_real, "rb") as fp:
+            copy.write_bytes(fp.read())
         for argv in (
             ["norm", b_real, "-p", "1.5", "-q", "3"],
+            ["norm", b_real, "-p", "1.5", "-q", "3", "--budget", "500"],
             ["check", b_real, "E_inf1", "-p", "2", "-q", "2"],
             ["norm", b_real, "-p", "0.5", "-q", "2"],
         ):
             first = (main(argv), capsys.readouterr())
-            assert (main(argv), capsys.readouterr()) == first
+            again = [str(copy) if a == b_real else a for a in argv]
+            assert (main(again), capsys.readouterr()) == first
 
     def test_installed_script(self, tmp_path):
         p = tmp_path / "m.json"

@@ -44,7 +44,6 @@ from pqnorm.induced_norms import (
     _TINY,
     _ascent,
     _ascent_map,
-    _lattice_side,
     _ldexp,
     _normalize_cols,
     _peak_free_map,
@@ -457,13 +456,38 @@ class TestBruteforceOracle:
         with pytest.raises(ValueError):
             norm_bruteforce(np.eye(2), 2, 2, budget=10)
 
-    def test_lattice_bounded_by_budget(self):
-        # the real lattice has at least 2^m points; it is planned, not built,
-        # here: at m = 32 it would hold 2^32 columns
-        assert _lattice_side(32, 10_000) == 0
-        assert _lattice_side(13, 10_000) == 0
-        assert [_lattice_side(m, 10_000) for m in (1, 2, 4, 12)] == [9, 9, 8, 2]
-        assert _lattice_side(8, 200) == 0
+    def test_budget_guard_on_every_route(self):
+        # best_norm checks the budget before any route runs, with the
+        # oracle's message: closed form, enumeration and estimate alike
+        R = as_matrix(B, field="real")
+        for p, q in [(2, 2), ("inf", 1), (1.5, 3)]:
+            for budget in (-1, 0, 99):
+                with pytest.raises(ValueError, match="budget too small"):
+                    best_norm(R, p, q, budget=budget)
+        with pytest.raises(ValueError, match="budget too small"):
+            best_norms(np.eye(2), [(2, 2), (1, 1)], budget=-1)
+        assert best_norm(np.eye(2), 2, 2, budget=100).value == 1.0
+
+    @pytest.mark.parametrize("q", [1.5, 3])
+    def test_real_inf_q_meets_sign_enumeration(self, q):
+        # over the reals x -> ||Ax||_q is convex, so ||A||_{inf,q} is the
+        # largest ||Ax||_q over the sign vectors x
+        for i in range(12):
+            n, m = 2 + i % 5, 1 + (7 * i) % 6
+            M = rand_matrix(2200 + i, n, m)
+            signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * m)).reshape(m, -1)
+            exact = max(vector_norm(M.entries @ x, q) for x in signs.T)
+            probe = norm_bruteforce(M, "inf", q, budget=500).value
+            assert probe <= exact * (1.0 + 1e-12)
+            assert probe >= exact * (1.0 - 1e-9), (n, m)
+
+    def test_samples_leave_the_start_caches_alone(self):
+        # the budget-sized block is built uncached: no cache keeps 10^4
+        # columns alive, nor is consulted
+        M = rand_matrix(2300, 6, 5, complex_=True)
+        before = (_start_block.cache_info(), _unit_start_block.cache_info())
+        norm_bruteforce(M, 1.5, 3, budget=10_000, seed=987)
+        assert (_start_block.cache_info(), _unit_start_block.cache_info()) == before
 
     def test_never_exceeds_exact_value(self):
         # the oracle is a max over feasible points: always a valid lower bound
