@@ -24,6 +24,14 @@ past the float range fail the oracle's finiteness checks there, so a
 scaled replay reports oracle failures of its own; the decision of a query
 is recorded from its answer, whatever its check found.
 
+With --isometry, every query runs on D1 P A Q D2 instead of A: P and Q
+are permutations, D1 and D2 diagonal with entries +-1 over the reals and
+unit phases over the complex field, all drawn from a generator seeded by
+the query id, so a rescaled query and its unscaled reference share one
+transform.  Every lp norm is invariant under these maps, so the oracle's
+reference values stay those of A and a diff against the plain replay must
+show no moves.  --isometry and --scale may be combined.
+
 Diff: read two such files and list every yes <-> no flip, apart from them
 every move between a decision and undetermined, and apart from both every
 certainty move (the same decision, but a different certainty or
@@ -38,6 +46,7 @@ Run:
     python3 scripts/replay_verdicts.py --src ../parent/src --seeds 31 -n 4000 -o old.json
     python3 scripts/replay_verdicts.py --diff old.json new.json
     python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --scale 1020 -o big.json
+    python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --isometry -o iso.json
     python3 scripts/replay_verdicts.py --workload grid-shared --seeds 5,77 -n 186 -o grid.json
 """
 
@@ -102,6 +111,23 @@ def _rescale(workloads, K: int) -> None:
     workloads._library_query = scaled
 
 
+def _isometry(workloads) -> None:
+    """Make workloads build every library query on D1 P A Q D2, see --isometry."""
+    build = workloads._library_query
+
+    def moved(qid, call, A, *args, **kwargs):
+        rng = np.random.default_rng(list(qid.encode()))
+        n, m = A.shape
+        if np.iscomplexobj(A):
+            d1, d2 = (np.exp(2j * np.pi * rng.random(k)) for k in (n, m))
+        else:
+            d1, d2 = (rng.choice([-1.0, 1.0], k) for k in (n, m))
+        X = d1[:, None] * A[rng.permutation(n)][:, rng.permutation(m)] * d2
+        return build(qid, call, X, *args, **kwargs)
+
+    workloads._library_query = moved
+
+
 def _stream_answer(workloads, res) -> dict:
     certainty, exact = (None, []) if res is None else _certainty(res)
     decision = None if res is None else workloads._verdict_of(res)
@@ -115,10 +141,13 @@ def _grid_answer(workloads, res) -> dict:
     return {"exit": res[0], "stdout": hashlib.sha256(res[1].encode()).hexdigest()[:16]}
 
 
-def replay(src: str, seeds: list, n: int, scale=None, workload="stream-small", tiny=False) -> list:
+def replay(src: str, seeds: list, n: int, scale=None, workload="stream-small", tiny=False,
+           isometry=False) -> list:
     workloads = _workloads(src)
     if scale is not None:
         _rescale(workloads, scale)
+    if isometry:
+        _isometry(workloads)
     grid = workload == "grid-shared"
     answer = _grid_answer if grid else _stream_answer
     records = []
@@ -200,15 +229,16 @@ def main(argv=None) -> int:
     ap.add_argument("-n", type=int, default=4000, help="queries per seed")
     ap.add_argument("-o", "--out", help="replay file to write")
     ap.add_argument("--scale", type=int, metavar="K", help="run each query on 2^K' A, K' <= K")
+    ap.add_argument("--isometry", action="store_true", help="run each query on D1 P A Q D2")
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
     if not args.out:
         ap.error("a replay needs -o/--out")
-    if args.scale is not None and args.workload == "grid-shared":
-        ap.error("--scale rescales stream-small queries only")
+    if (args.scale is not None or args.isometry) and args.workload == "grid-shared":
+        ap.error("--scale and --isometry map stream-small queries only")
     seeds = [int(s) for s in args.seeds.split(",")]
-    records = replay(args.src, seeds, args.n, args.scale, args.workload, args.tiny)
+    records = replay(args.src, seeds, args.n, args.scale, args.workload, args.tiny, args.isometry)
     with open(args.out, "w", encoding="utf-8") as fp:  # one record per line
         fp.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     failed = sum(1 for r in records if r["failures"])

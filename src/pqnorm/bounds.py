@@ -17,7 +17,7 @@ semidefinite certificate from the estimate's witness, so that equality
 questions are answered soundly (yes / no / undetermined) even on estimated
 paths.  Every such comparison is one rule, _at_most: two lower bounds that
 disagree give None (undetermined), and only a lower bound above a
-certified upper bound gives False.
+certified upper bound gives False, at the one slack _tol gives.
 """
 
 from __future__ import annotations
@@ -66,6 +66,13 @@ __all__ = [
 
 EXACT_EQ_TOL = 1e-8
 ESTIMATED_EQ_TOL = 1e-4
+
+
+def _tol(tol: Optional[float], exact: bool) -> float:
+    """The slack of every comparison between brackets: tol (EXACT_EQ_TOL if
+    None), raised to ESTIMATED_EQ_TOL unless every bracket read is exact."""
+    tol = EXACT_EQ_TOL if tol is None else tol
+    return tol if exact else max(tol, ESTIMATED_EQ_TOL)
 
 
 def bound_factor(
@@ -163,9 +170,9 @@ class NormBracket:
     def is_exact(self) -> bool:
         return self.result.certainty.is_exact
 
-    def le(self, target: float, tol: float) -> Optional[bool]:
-        """Is ||A|| <= target (within relative tol)?  None if undecidable."""
-        return _at_most((self.lower, self.upper), (target, target), tol)
+    def le(self, target: float, tol: Optional[float]) -> Optional[bool]:
+        """Is ||A|| <= target within _tol(tol, is_exact)?  None if undecidable."""
+        return _at_most((self.lower, self.upper), (target, target), _tol(tol, self.is_exact))
 
 
 def bracket_norm(
@@ -273,17 +280,17 @@ def duality_check(
 ) -> Optional[bool]:
     """Does ||A*||_{q*,p*} match ||A||_{p,q}?
 
-    True when the two values agree within tol (default 1e-9 when both are
-    exact, 1e-3 with an estimate involved).  False only when one side's
-    value exceeds the other side's certified upper bound by more than that;
-    two lower bounds that merely disagree give None (undetermined).
+    True when the two values agree within _tol(tol, both exact).  False
+    only when one side's value exceeds the other side's certified upper
+    bound by more than that; two lower bounds that merely disagree give
+    None (undetermined).
     """
     as_tol(tol)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     a = bracket_norm(M, pi, qi, seed=seed)
     b = bracket_norm(M.adjoint(), conjugate(qi), conjugate(pi), seed=seed)
-    t = tol if tol is not None else (1e-9 if a.is_exact and b.is_exact else 1e-3)
+    t = _tol(tol, a.is_exact and b.is_exact)
     return _all([_at_most((x.lower,) * 2, (y.lower, y.upper), t) for x, y in ((a, b), (b, a))])
 
 
@@ -298,10 +305,10 @@ def inequality_grid_check(
     with (p,q) and (r,s) in grid x grid.
 
     Each of these compares the lower end at (r,s) with factor times the
-    bracket at (p,q) within tol (default 1e-8 between exact values and 1e-4
-    otherwise): False only past a certified bound, None when only lower
-    bounds cross (see duality_check).  The slack is (bound - lhs) / bound
-    on the lower ends.  The points are estimated together."""
+    bracket at (p,q) within _tol(tol, both exact): False only past a
+    certified bound, None when only lower bounds cross (see duality_check).
+    The slack is (bound - lhs) / bound on the lower ends.  The points are
+    estimated together."""
     as_tol(tol)
     M = as_matrix(A)
     pairs = [(as_index(a), as_index(b)) for a in grid for b in grid]
@@ -313,8 +320,7 @@ def inequality_grid_check(
             factor = bound_factor(p, q, r, s, M.m, M.n)
             bound = factor * rb.lower
             min_slack = min(min_slack, (bound - lb.lower) / max(bound, 1e-300))
-            default = EXACT_EQ_TOL if lb.is_exact and rb.is_exact else ESTIMATED_EQ_TOL
-            t = tol if tol is not None else default
+            t = _tol(tol, lb.is_exact and rb.is_exact)
             verdicts.append(_at_most((lb.lower,) * 2, (bound, factor * rb.upper), t))
     return _all(verdicts), min_slack
 
@@ -335,23 +341,22 @@ def monotonicity_check(
     seed: int = 0,
 ) -> Optional[bool]:
     """For fixed s and r ascending: ||A||_{r,s} must not decrease and
-    m^{1/r}*||A||_{r,s} must not increase, up to one-sided slack (tol,
-    default 1e-6 between exact values and 1e-3 otherwise).  The points are
+    m^{1/r}*||A||_{r,s} must not increase (the comparison bound between
+    neighbours), up to slack _tol(tol, both exact).  The points are
     estimated together; a violation is False only when certified, and None
     when only lower bounds disagree (see duality_check)."""
     as_tol(tol)
     M = as_matrix(A)
     si = as_index(s_fixed)
     grid = _ascending(r_grid, "r_grid")
-    weights = [float(M.m) ** r.inv for r in grid]
     best_norms(M, [(r, si) for r in grid], seed=seed)  # one stacked ascent, read back
     brackets = [bracket_norm(M, r, si, seed=seed) for r in grid]
     verdicts = []
-    for i, (a, b) in enumerate(zip(brackets, brackets[1:])):
-        t = tol if tol is not None else (1e-6 if a.is_exact and b.is_exact else 1e-3)
+    for r, r2, a, b in zip(grid, grid[1:], brackets, brackets[1:]):
+        t = _tol(tol, a.is_exact and b.is_exact)
+        c = bound_factor(r, si, r2, si, M.m, M.n)
         verdicts.append(_at_most((a.lower,) * 2, (b.lower, b.upper), t))
-        w, c = weights[i + 1] * b.lower, weights[i]
-        verdicts.append(_at_most((w, w), (c * a.lower, c * a.upper), t))
+        verdicts.append(_at_most((b.lower,) * 2, (c * a.lower, c * a.upper), t))
     return _all(verdicts)
 
 
@@ -385,10 +390,7 @@ def transfer_equality(
     Pure sign logic: true iff sgn(p-r2) = sgn(p-r) and sgn(q-s2) = sgn(q-s).
     No norms are computed.
     """
-    pi, qi = as_index(p), as_index(q)
-    return sign_between(pi, as_index(r2)) == sign_between(pi, as_index(r)) and (
-        sign_between(qi, as_index(s2)) == sign_between(qi, as_index(s))
-    )
+    return (sign_between(p, r2), sign_between(q, s2)) == (sign_between(p, r), sign_between(q, s))
 
 
 def decide_equality(
@@ -405,8 +407,8 @@ def decide_equality(
 
     Returns (verdict, details) with verdict in {"yes", "no", "undetermined"}.
     Since the left side never exceeds the bound, equality is bound <= lhs:
-    _at_most of the scaled right bracket against the left one, True "yes"
-    (the bound's upper end within tol of the left lower end), False "no"
+    _at_most of the scaled right bracket against the left one at slack
+    details["tol"] = _tol(tol, both exact), True "yes", False "no"
     (certified), None undetermined; (r, s) = (p, q) is "yes" (factor 1).
     Both sides are estimated together, in one stacked ascent.  The details
     hold A's own brackets; the verdict is read from those of _in_range(A),
@@ -424,8 +426,7 @@ def decide_equality(
     S, _ = _in_range(M)
     slb, srb = (lb, rb) if S is M else brackets(S)
     factor = bound_factor(pi, qi, ri, si, M.m, M.n)
-    if tol is None:
-        tol = EXACT_EQ_TOL if (lb.is_exact and rb.is_exact) else ESTIMATED_EQ_TOL
+    tol = _tol(tol, lb.is_exact and rb.is_exact)
     details = {
         "factor": factor,
         "lhs": lb,

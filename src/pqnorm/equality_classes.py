@@ -73,9 +73,9 @@ from .induced_norms import (
     svd,
 )
 from .bounds import (
-    ESTIMATED_EQ_TOL,
     NormBracket,
     _in_range,
+    _tol,
     bound_factor,
     bracket_norm,
     decide_equality,
@@ -115,12 +115,8 @@ class ClassId(enum.Enum):
 
     @property
     def extremal_pair(self) -> tuple:
-        return {
-            ClassId.E_1INF: (ONE, INF),
-            ClassId.E_11: (ONE, ONE),
-            ClassId.E_INFINF: (INF, INF),
-            ClassId.E_INF1: (INF, ONE),
-        }[self]
+        """(r, s) at the far corner of the quadrant: 1 on a +1 sign, inf on -1."""
+        return tuple(ONE if sig > 0 else INF for sig in self.sign_signature)
 
     @property
     def sign_signature(self) -> tuple:
@@ -136,14 +132,8 @@ class ClassId(enum.Enum):
     def from_quadrant(
         p: IndexLike, q: IndexLike, r: IndexLike, s: IndexLike
     ) -> Optional["ClassId"]:
-        sig = (
-            sign_between(as_index(p), as_index(r)),
-            sign_between(as_index(q), as_index(s)),
-        )
-        for cls in ClassId:
-            if cls.sign_signature == sig:
-                return cls
-        return None
+        by_signature = {cls.sign_signature: cls for cls in ClassId}
+        return by_signature.get((sign_between(p, r), sign_between(q, s)))
 
     @staticmethod
     def parse(token: str) -> "ClassId":
@@ -234,19 +224,17 @@ def _zero_or_trivial(
 ) -> Optional[ClassVerdict]:
     """Degenerate early outs shared by all four deciders.
 
-    The zero matrix attains 0 = factor * 0 everywhere.  And when (p,q) sits
-    on an extreme value that empties the class's quadrant (no (r,s) with the
-    required strict inequalities exists), membership is vacuous.
+    The zero matrix attains 0 = factor * 0 everywhere.  And when p is the
+    class's extremal r or q its extremal s, no (r,s) meets the quadrant's
+    strict inequalities, so membership is vacuous.
     """
     if not M.entries.any():
         return _verdict(
             "yes",
             [Condition("zero-matrix", True, {"note": "0 = factor * 0 at every (r,s)"})],
         )
-    sig_r, sig_s = cls.sign_signature
-    r_empty = (sig_r > 0 and p.value == 1.0) or (sig_r < 0 and p.is_inf)
-    s_empty = (sig_s > 0 and q.value == 1.0) or (sig_s < 0 and q.is_inf)
-    if r_empty or s_empty:
+    r_ext, s_ext = cls.extremal_pair
+    if p == r_ext or q == s_ext:
         return _verdict(
             "yes",
             [
@@ -262,12 +250,6 @@ def _zero_or_trivial(
             ],
         )
     return None
-
-
-def _within(bracket: NormBracket, target: float, tol: float) -> Optional[bool]:
-    """Is the bracketed norm at most target?  NormBracket.le, at tol when
-    the bracket is exact and at no less than ESTIMATED_EQ_TOL otherwise."""
-    return bracket.le(target, tol if bracket.is_exact else max(tol, ESTIMATED_EQ_TOL))
 
 
 def _settle(resolved, conds, bracket: NormBracket, certificate=None) -> ClassVerdict:
@@ -344,10 +326,10 @@ def _decide_e1inf(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: in
     C = arr.copy()
     C[mask] = 0.0
     cb = used = bracket_norm(MatrixValue(C, A.field), p, q, seed=seed)
-    resolved = _within(cb, rho, tol)
+    resolved = cb.le(rho, tol)
     if resolved is None:
         ab = bracket_norm(A, p, q, seed=seed)
-        if (alt := _within(ab, rho, tol)) is not None:
+        if (alt := ab.le(rho, tol)) is not None:
             resolved, used = alt, ab
     measured = {"rho": rho, "residual_bracket": (cb.lower, cb.upper), "residual_exact": cb.is_exact}
     cond_ii = Condition("residual-norm-at-most-rho", resolved, measured)
@@ -445,7 +427,7 @@ def _decide_e11(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: int)
         return _verdict("no", [cond_i, cond_ii])
     target = sigma / bound_factor(p, q, ONE, ONE, m, n)
     ab = bracket_norm(A, p, q, seed=seed)
-    resolved = _within(ab, target, tol)
+    resolved = ab.le(target, tol)
     measured = {
         "sigma": sigma, "norm_target": target,
         "norm_bracket": (ab.lower, ab.upper), "norm_exact": ab.is_exact,
@@ -559,13 +541,7 @@ def sufficient_einfinf(
 
 def _constant_modulus(w: np.ndarray, tol: float) -> Optional[float]:
     """Common modulus of the entries of w, or None if they differ."""
-    a = np.abs(w)
-    peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
-    if peak - float(a.min()) <= tol * peak:
-        return float(a.mean())
-    return None
+    return float(np.abs(w).mean()) if k_class_test(w, KClassId.K1, tol) else None
 
 
 def _eigen_residual_ok(arr: np.ndarray, e: int, v: np.ndarray, tol: float) -> tuple:
@@ -808,7 +784,7 @@ def _decide_einf1(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: in
     # the certified upper bound enclose
     low = svals[0] / bound_factor(p, q, 2, 2, m, n)
     high = norm_upper_bound(A, p, q)
-    btol = tol if low == high else max(tol, ESTIMATED_EQ_TOL)
+    btol = _tol(tol, low == high)
     lo, hi = amp * low * (1.0 - btol), amp * high * (1.0 + btol)
     searched = [g for g in groups if lo <= g[2] <= hi and g[2] > 0]
     measured = {"window": (lo, hi), "singular_values": svals}
@@ -847,7 +823,7 @@ def _decide_einf1(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: in
                 continue
             # the ratio at w is a lower bound on the norm: does the norm exceed it?
             ab = ab or bracket_norm(A, p, q, seed=seed)
-            res = _within(ab, vector_norm(arr @ w, q) / vector_norm(w, p), tol)
+            res = ab.le(vector_norm(arr @ w, q) / vector_norm(w, p), tol)
             if res is True:
                 measured = {"lambda": lam, "tau": tau}
                 conds.append(Condition("eigenvector-with-matching-amplitude", True, measured))
@@ -997,7 +973,7 @@ def _decide_svd(A: MatrixValue, r: ExtIndex, s: ExtIndex, tol: float, seed: int)
         return _verdict("no", conds)
     # direct equality fallback: the spectral anchor upper bound coincides
     # with the claimed value, so an estimate reaching it certifies equality
-    verdict, details = decide_equality(A, 2, 2, r, s, max(tol, ESTIMATED_EQ_TOL), seed=seed)
+    verdict, details = decide_equality(A, 2, 2, r, s, tol, seed=seed)
     lb, target = details["lhs"], details["factor"] * details["rhs"].upper
     if verdict == "undetermined":
         note = {"note": "heuristic subspace search inconclusive", "target": target}
@@ -1059,6 +1035,8 @@ def maximizer_eigencheck(
     M = as_matrix(A)
     pi = as_index(p)
     vec = np.asarray(v).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise PreconditionError("v must have finite entries")
     if vec.shape[0] != M.m:
         raise PreconditionError("vector length does not match the column count")
     if not vec.any():
@@ -1107,6 +1085,8 @@ def dav_normal_form(A: MatrixLike, v, tol: float = DEFAULT_TOL) -> DavReport:
     as_tol(tol)
     M = as_matrix(A)
     vec = np.asarray(v).reshape(-1).astype(complex if M.is_complex else float)
+    if not np.isfinite(vec).all():
+        raise ValueError("v must have finite entries")
     arr, e = _normalized(M)  # sums are formed on A / 2^e, then scaled back
     n, m = arr.shape
     if vec.shape[0] != m:

@@ -54,11 +54,8 @@ def unitary_with_first_column(c) -> np.ndarray:
     e1 = np.zeros(d, dtype=dtype)
     e1[0] = 1.0
     w = vec - alpha * e1
-    wn2 = float(np.vdot(w, w).real)
-    if wn2 <= 1e-30:
-        H = np.eye(d, dtype=dtype)
-    else:
-        H = np.eye(d, dtype=dtype) - 2.0 * np.outer(w, w.conj()) / wn2
+    wn2 = float(np.vdot(w, w).real)  # at least 1: |w[0]| = |c0| + 1, or 1 at c0 = 0
+    H = np.eye(d, dtype=dtype) - 2.0 * np.outer(w, w.conj()) / wn2
     U = H.copy()
     U[:, 0] = H[:, 0] * alpha
     return U

@@ -182,6 +182,8 @@ def norm_ratio(A: MatrixLike, x, p: IndexLike, q: IndexLike) -> float:
     """||Ax||_q / ||x||_p, the quantity every witness certifies."""
     M = as_matrix(A)
     vec = np.asarray(x).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ValueError("witness must have finite entries")
     den = vector_norm(vec, p)
     if den == 0.0:
         raise ValueError("witness must be nonzero")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqnorm import (
+    ESTIMATED_EQ_TOL,
+    EXACT_EQ_TOL,
     BoundReport,
     Certainty,
     NormResult,
@@ -32,7 +34,7 @@ from pqnorm import (
     norm_upper_bound,
     transfer_equality,
 )
-from pqnorm.bounds import _at_most, _inf_one_certificate
+from pqnorm.bounds import _at_most, _inf_one_certificate, _tol
 from pqnorm.induced_norms import _pow2_normalized, _scaled_back
 
 from conftest import EDGE_IDS, EDGE_MATRICES, at_scale
@@ -173,6 +175,17 @@ class TestNormBracket:
         assert b.le(2.0, 1e-9) is True
         wide = NormBracket(lower=1.0, upper=3.0, result=res)
         assert wide.le(0.5, 1e-9) is False  # lower already beats target
+
+    def test_le_widens_only_estimates(self):
+        # at tol 1e-8 a target 1e-6 below the norm is "above" only for an
+        # estimated bracket, whose slack is at least ESTIMATED_EQ_TOL
+        exact = bracket_norm(gen_hadamard(2), 2, 2)
+        assert exact.le(exact.upper * (1 - 1e-6), 1e-8) is False
+        assert exact.le(exact.upper * (1 - 1e-6), 1e-5) is True
+        r = np.random.default_rng(5)
+        est = bracket_norm(r.standard_normal((4, 3)), 1.5, 3)
+        assert est.le(est.upper * (1 - 1e-6), 1e-8) is True
+        assert est.le(est.lower * (1 - 1e-3), 1e-8) is False
 
     def test_bracket_norm_contains_truth(self):
         for i in range(8):
@@ -348,6 +361,34 @@ class TestInequalityGrid:
         assert inequality_grid_check(M, [1, 2])[0] is False
 
 
+class TestTol:
+    # the one slack rule of every comparison between brackets
+    def test_rule(self):
+        assert _tol(None, True) == EXACT_EQ_TOL
+        assert _tol(None, False) == ESTIMATED_EQ_TOL
+        assert _tol(1e-9, True) == 1e-9 and _tol(0.0, True) == 0.0
+        assert _tol(1e-9, False) == ESTIMATED_EQ_TOL
+        assert _tol(1e-2, True) == _tol(1e-2, False) == 1e-2
+
+    def test_estimates_5e_4_apart_are_undetermined(self):
+        # a planted pair of estimates 5e-4 apart, both inside the other's
+        # certified bracket: read at the estimated slack 1e-4 the two lower
+        # bounds disagree (None); the former defaults of 1e-3 read True
+        r = np.random.default_rng(1280)
+        M = as_matrix(r.standard_normal((3, 3)))
+        v = 0.99 * best_norm(M, 1.5, 3).value
+        _plant(M, 1.5, 3, v)
+        _plant(M.adjoint(), 1.5, 3, v * (1 + 5e-4))  # ||A*||_{q*,p*} at (1.5, 3)
+        assert duality_check(M, 1.5, 3) is None
+        assert duality_check(M, 1.5, 3, tol=1e-3) is True
+        M = as_matrix(r.standard_normal((3, 3)))
+        v = 0.99 * best_norm(M, 1.5, 1.5).value
+        _plant(M, 1.5, 1.5, v * (1 + 5e-4))  # above the (3, 1.5) lower end
+        _plant(M, 3, 1.5, v)
+        assert monotonicity_check(M, 1.5, [1.5, 3]) is None
+        assert monotonicity_check(M, 1.5, [1.5, 3], tol=1e-3) is True
+
+
 class TestDuality:
     def test_exact_routes(self):
         for i in range(5):
@@ -484,6 +525,18 @@ class TestDecideEquality:
         assert details["factor"] == 1.0 and details["tol"] == 1e-4
         assert details["lhs"] == details["rhs"] == bracket_norm(M, 1.5, 3)
         assert details["lhs"].upper > 1.1 * details["lhs"].lower
+
+    def test_explicit_tol_widens_only_estimates(self):
+        # an explicit tol below ESTIMATED_EQ_TOL is raised to it once a side
+        # is estimated, as in the class deciders, and kept between exact sides
+        r = np.random.default_rng(1505)
+        M = as_matrix(r.standard_normal((4, 3)))
+        _, details = decide_equality(M, 2, 2, 1.5, 3, tol=1e-9)
+        assert not details["lhs"].is_exact and details["rhs"].is_exact
+        assert details["tol"] == ESTIMATED_EQ_TOL
+        assert check_inequality(M, 2, 2, 1.5, 3, tol=1e-9).tol == ESTIMATED_EQ_TOL
+        _, details = decide_equality(gen_hadamard(4), 2, 2, 1, 1, tol=1e-9)
+        assert details["tol"] == 1e-9
 
     def test_one_stacked_ascent(self, monkeypatch):
         # both sides estimated: one ascent serves them, and the verdict and

@@ -926,7 +926,7 @@ def _reference_svd_equality(A, r, s, tol=DEFAULT_TOL, seed=0):
         return ev._verdict("no", conds)
     target = bound_factor(2, 2, ri, si, m, n) * s1
     lb = bracket_norm(M, ri, si, seed=seed)
-    margin = 1.0 - max(tol, ev.ESTIMATED_EQ_TOL)
+    margin = 1.0 - max(tol, ESTIMATED_EQ_TOL)
     if lb.lower >= target * margin:
         return ev._verdict("yes", conds, certainty="estimate-backed")
     if lb.upper < target * margin:
@@ -1333,18 +1333,6 @@ class TestSettle:
             und = settle(None, [], bracket, cert)
             assert (und.member, und.certainty) == ("undetermined", "estimate-backed")
             assert und.certificate is None
-
-    def test_within_widens_only_estimates(self):
-        # at tol 1e-8 a target 1e-6 below the norm is "above" only for an
-        # estimated bracket, whose slack is at least ESTIMATED_EQ_TOL
-        within = equality_classes._within
-        exact = bracket_norm(gen_hadamard(2), 2, 2)
-        assert within(exact, exact.upper * (1 - 1e-6), 1e-8) is False
-        assert within(exact, exact.upper * (1 - 1e-6), 1e-5) is True
-        r = np.random.default_rng(5)
-        est = bracket_norm(r.standard_normal((4, 3)), 1.5, 3)
-        assert within(est, est.upper * (1 - 1e-6), 1e-8) is True
-        assert within(est, est.lower * (1 - 1e-3), 1e-8) is False
 
 
 _V4 = np.ones(4)

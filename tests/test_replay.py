@@ -1,5 +1,6 @@
 """scripts/replay_verdicts.py: a replay diffed against itself shows no moves,
-planted flips and moves are listed, and nothing is written under bench/."""
+planted flips and moves are listed, rescaled and isometric replays move
+nothing, and nothing is written under bench/."""
 
 import json
 import pathlib
@@ -62,6 +63,24 @@ def test_scaled_replay_moves_nothing(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "RuntimeWarning" not in done.stderr
     done = _run("--diff", str(plain), str(big))
+    assert done.returncode == 0, done.stdout
+    assert "yes <-> no flips: 0\n" in done.stdout
+    assert "decided <-> undetermined moves: 0\n" in done.stdout
+    assert "certainty moves: 0\n" in done.stdout
+
+
+def test_isometry_replay_moves_nothing(tmp_path):
+    # the same queries on D1 P A Q D2 (seeded permutations, signs or unit
+    # phases): every lp norm is invariant, so the oracle passes every query
+    # against A's reference values and no decision or certainty moves
+    plain, moved = tmp_path / "plain.json", tmp_path / "moved.json"
+    assert _run("--seeds", "31", "-n", "40", "-o", str(plain)).returncode == 0
+    done = _run("--seeds", "31", "-n", "40", "--isometry", "-o", str(moved))
+    assert done.returncode == 0, done.stderr
+    assert "oracle failures 0," in done.stdout
+    # the map is applied: some bracket widths move in their last bits
+    assert json.loads(plain.read_text()) != json.loads(moved.read_text())
+    done = _run("--diff", str(plain), str(moved))
     assert done.returncode == 0, done.stdout
     assert "yes <-> no flips: 0\n" in done.stdout
     assert "decided <-> undetermined moves: 0\n" in done.stdout
