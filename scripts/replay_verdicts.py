@@ -32,6 +32,15 @@ transform.  Every lp norm is invariant under these maps, so the oracle's
 reference values stay those of A and a diff against the plain replay must
 show no moves.  --isometry and --scale may be combined.
 
+With --adjoint, every query runs on A* at the conjugate exponents: a norm
+query at (q*, p*), decide_equality at (q*, p*, s*, r*), check_class at
+(q*, p*) with E_11 and E_inf,inf swapped (E_1inf and E_inf1 are their own
+mirrors), check_svd_equality at (s*, r*).  ||A*||_{q*,p*} = ||A||_{p,q},
+so every answer is the same question; the oracle reads A* with its known
+norms mirrored alike, and each record keeps the original query's
+description, so a diff against the plain replay must show no moves.  It
+combines with --scale and --isometry.
+
 Diff: read two such files and list every yes <-> no flip, apart from them
 every move between a decision and undetermined, and apart from both every
 certainty move (the same decision, but a different certainty or
@@ -47,6 +56,7 @@ Run:
     python3 scripts/replay_verdicts.py --diff old.json new.json
     python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --scale 1020 -o big.json
     python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --isometry -o iso.json
+    python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --adjoint -o adj.json
     python3 scripts/replay_verdicts.py --workload grid-shared --seeds 5,77 -n 186 -o grid.json
 """
 
@@ -128,6 +138,25 @@ def _isometry(workloads) -> None:
     workloads._library_query = moved
 
 
+def _adjoint(workloads) -> None:
+    """Make workloads build every library query on A* at the conjugate
+    exponents, see --adjoint."""
+    build, dual = workloads._library_query, workloads.oracle.dual
+    C = workloads.P.ClassId
+    mirror = {C.E_11: C.E_INFINF, C.E_INFINF: C.E_11}
+
+    def adjoint(qid, call, A, truth, exps, cls, *args, **kwargs):
+        p, q, r, s = exps
+        known = truth.known and (lambda P, Q: truth.known(dual(Q), dual(P)))
+        star = build(qid, call, A.conj().T, workloads.Truth(truth.A.conj().T, truth.k, known),
+                     (dual(q), dual(p), dual(s), dual(r)), mirror.get(cls, cls), *args, **kwargs)
+        # the record keeps the original description, so it diffs against a plain replay
+        star.desc = build(qid, call, A, truth, exps, cls, *args, **kwargs).desc
+        return star
+
+    workloads._library_query = adjoint
+
+
 def _stream_answer(workloads, res) -> dict:
     certainty, exact = (None, []) if res is None else _certainty(res)
     decision = None if res is None else workloads._verdict_of(res)
@@ -142,8 +171,10 @@ def _grid_answer(workloads, res) -> dict:
 
 
 def replay(src: str, seeds: list, n: int, scale=None, workload="stream-small", tiny=False,
-           isometry=False) -> list:
+           isometry=False, adjoint=False) -> list:
     workloads = _workloads(src)
+    if adjoint:  # innermost: --scale pairs queries by their truth.A
+        _adjoint(workloads)
     if scale is not None:
         _rescale(workloads, scale)
     if isometry:
@@ -230,15 +261,17 @@ def main(argv=None) -> int:
     ap.add_argument("-o", "--out", help="replay file to write")
     ap.add_argument("--scale", type=int, metavar="K", help="run each query on 2^K' A, K' <= K")
     ap.add_argument("--isometry", action="store_true", help="run each query on D1 P A Q D2")
+    ap.add_argument("--adjoint", action="store_true", help="run each query on A* at (q*, p*)")
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
     if not args.out:
         ap.error("a replay needs -o/--out")
-    if (args.scale is not None or args.isometry) and args.workload == "grid-shared":
-        ap.error("--scale and --isometry map stream-small queries only")
+    if (args.scale is not None or args.isometry or args.adjoint) and args.workload == "grid-shared":
+        ap.error("--scale, --isometry and --adjoint map stream-small queries only")
     seeds = [int(s) for s in args.seeds.split(",")]
-    records = replay(args.src, seeds, args.n, args.scale, args.workload, args.tiny, args.isometry)
+    records = replay(args.src, seeds, args.n, args.scale, args.workload, args.tiny, args.isometry,
+                     args.adjoint)
     with open(args.out, "w", encoding="utf-8") as fp:  # one record per line
         fp.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     failed = sum(1 for r in records if r["failures"])

@@ -57,6 +57,7 @@ from .equality_classes import (
     ClassId,
     PreconditionError,
     check_class,
+    check_svd_equality,
     maximizer_eigencheck,
 )
 from .generators import GeneratorSpec, build_generator, kclass_unit_vector
@@ -304,7 +305,10 @@ def cmd_generate(args) -> int:
         _print_err(str(e))
         return EXIT_ERROR
     cls = ClassId.parse(args.cls) if args.cls else _DEFAULT_CLASS_FOR_KIND[args.kind]
-    verdict = check_class(M, cls, 2, 2, seed=args.seed)
+    if args.kind == "svd":  # the characterization the generator builds from
+        verdict = check_svd_equality(M, *cls.extremal_pair, seed=args.seed)
+    else:
+        verdict = check_class(M, cls, 2, 2, seed=args.seed)
     _print_err(f"{cls.value} at (2,2): {verdict.member}")
     try:
         save_matrix(M, args.out or sys.stdout)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
 
@@ -64,12 +63,11 @@ from .induced_norms import (
     MatrixLike,
     MatrixValue,
     SvdFactors,
+    _domain_vector,
     _ldexp,
     _normalized,
-    _phase,
     _sign_images,
     as_matrix,
-    best_norm,
     svd,
 )
 from .bounds import (
@@ -81,7 +79,7 @@ from .bounds import (
     decide_equality,
     norm_upper_bound,
 )
-from .generators import extremal_pair_classes
+from .generators import extremal_pair_classes, unitary_with_first_column
 
 __all__ = [
     "ClassId",
@@ -187,9 +185,10 @@ class ExtremalStats:
 
 def extremal_stats(A: MatrixLike, v=None, tol: float = DEFAULT_TOL) -> ExtremalStats:
     as_tol(tol)
-    arr, e = _normalized(as_matrix(A))
+    M = as_matrix(A)
+    arr, e = _normalized(M)
     a = np.abs(arr)
-    tau = None if v is None else _constant_modulus(arr @ np.asarray(v).reshape(-1), tol)
+    tau = None if v is None else _constant_modulus(arr @ _domain_vector(M, v), tol)
     stats = (a.max(), a.sum(axis=0).max(), a.sum(axis=1).max(), tau)
     with np.errstate(over="ignore"):  # sums past the float range read inf
         return ExtremalStats(*(None if x is None else float(np.ldexp(x, e)) for x in stats))
@@ -479,21 +478,25 @@ def _sufficient_11_terms(p: float, mm: int, nn: int, sigma: float, c11: float) -
     return t1 + coef * bracket
 
 
-def sufficient_e11(
-    A: MatrixLike,
-    p: IndexLike,
-    q: IndexLike,
-    tol: float = DEFAULT_TOL,
-    *,
-    seed: int = 0,
-) -> bool:
+def sufficient_e11(A: MatrixLike, p: IndexLike, q: IndexLike, tol: float = DEFAULT_TOL) -> bool:
     """Sufficient test for E_{1,1}(p,q) using only entry arithmetic.
 
-    Requires the two structural column properties, p <= 2 and q <= p.  The
-    test compares the relative weight of the non-extremal columns against a
-    closeness threshold that tightens as p grows toward 2.  Every
-    positive verdict is cross-checked against best_norm, a lower bound on
-    the norm; a contradiction is reported and the verdict withdrawn.
+    Requires the two structural column properties, p <= 2 and q <= p; then
+    the relative weight c11 / sigma of the non-extremal columns must meet
+    the closeness inequality of _sufficient_11_terms.  No norm is computed
+    to confirm a True: a norm above the target would mean a wrong
+    inequality, which the test suite looks for.  Why the test suffices:
+
+    - q drops out.  For q <= p, ||A||_{p,q} <= n^{1/q-1/p} ||A||_{p,p}, and
+      the E_{1,1} target sigma n^{1/q-1} is that same factor times the
+      (p,p) target sigma n^{1/p-1}; so the test reads p only.
+    - p = 2.  The extremal columns are orthogonal to every column, so A*A
+      is block-diagonal and ||A||_2 = max(sigma / sqrt(n), ||C||_2), with
+      ||C||_2 <= ||C||_F <= sqrt(m) c11.  So sqrt(mn) c11 <= sigma is
+      enough; the first term demands sqrt(2mn) c11 <= sigma, and the
+      bracket term is 0 at p = 2.
+    - 1 < p < 2 rests on the closeness inequality itself, the source
+      paper's; its full text is not at hand, so it is cited, not re-derived.
     """
     as_tol(tol)
     M, _ = _in_range(as_matrix(A))
@@ -507,31 +510,13 @@ def sufficient_e11(
     C = arr.copy()
     C[:, mask] = 0.0
     c11 = float(np.abs(C).sum(axis=0).max())
-    verdict = _sufficient_11_terms(pi.value, M.m, M.n, sigma, c11) <= 1.0
-    if verdict:
-        target = sigma / bound_factor(pi, qi, ONE, ONE, M.m, M.n)
-        if best_norm(M, pi, qi, seed=seed).value > target * (1.0 + 1e-6):
-            warnings.warn(
-                "sufficient E_11 test contradicted by a norm lower bound; "
-                "withdrawing the positive verdict",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return False
-    return verdict
+    return _sufficient_11_terms(pi.value, M.m, M.n, sigma, c11) <= 1.0
 
 
-def sufficient_einfinf(
-    A: MatrixLike,
-    p: IndexLike,
-    q: IndexLike,
-    tol: float = DEFAULT_TOL,
-    *,
-    seed: int = 0,
-) -> bool:
+def sufficient_einfinf(A: MatrixLike, p: IndexLike, q: IndexLike, tol: float = DEFAULT_TOL) -> bool:
     """Sufficient test for E_{inf,inf}(p,q): the adjoint mirror of the
     E_{1,1} test, requiring q >= 2 and p >= q."""
-    return sufficient_e11(as_matrix(A).adjoint(), conjugate(q), conjugate(p), tol, seed=seed)
+    return sufficient_e11(as_matrix(A).adjoint(), conjugate(q), conjugate(p), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -855,18 +840,16 @@ def _svd_with_first_vector(
     """Rebuild the factorization so the leading right-singular vector is
     v_new (a unit vector inside the top singular subspace, of dimension k).
 
-    The new basis of that subspace is V_k Q for the Householder QR of its
-    coordinates c = V_k* v_new next to k - 1 unit vectors: Q is unitary
-    whatever their rank, and its first column is c / |c| up to the phase of
-    R[0, 0], which is restored.
+    The new basis of that subspace is V_k Q, for Q the unitary completion
+    (unitary_with_first_column) of its coordinates c = V_k* v_new, scaled
+    to unit length.  The rebuilt factorization must still reproduce A.
     """
     arr = M.entries
     s1 = float(f.s[0])
     dtype = complex if (M.is_complex or np.iscomplexobj(v_new)) else float
     Qv = f.v[:, :k]
-    Q, R = np.linalg.qr(np.column_stack([Qv.conj().T @ v_new, np.eye(k, k - 1)]))
-    Q[:, 0] *= _phase(R[:1, 0])
-    Vt = Qv @ Q
+    c = Qv.conj().T @ v_new
+    Vt = Qv @ unitary_with_first_column(c / np.linalg.norm(c))
     Ut = (arr @ Vt) / s1
     V = f.v.astype(dtype).copy()
     U = f.u.astype(dtype).copy()
@@ -1034,11 +1017,7 @@ def maximizer_eigencheck(
     as_tol(tol)
     M = as_matrix(A)
     pi = as_index(p)
-    vec = np.asarray(v).reshape(-1)
-    if not np.isfinite(vec).all():
-        raise PreconditionError("v must have finite entries")
-    if vec.shape[0] != M.m:
-        raise PreconditionError("vector length does not match the column count")
+    vec = _domain_vector(M, v, error=PreconditionError)
     if not vec.any():
         raise PreconditionError("the zero vector cannot be a maximizer")
     arr, e = _normalized(M)
@@ -1084,13 +1063,9 @@ def dav_normal_form(A: MatrixLike, v, tol: float = DEFAULT_TOL) -> DavReport:
     """
     as_tol(tol)
     M = as_matrix(A)
-    vec = np.asarray(v).reshape(-1).astype(complex if M.is_complex else float)
-    if not np.isfinite(vec).all():
-        raise ValueError("v must have finite entries")
+    vec = _domain_vector(M, v).astype(complex if M.is_complex else float)
     arr, e = _normalized(M)  # sums are formed on A / 2^e, then scaled back
     n, m = arr.shape
-    if vec.shape[0] != m:
-        raise ValueError("vector length does not match the column count")
     w = arr @ vec
     tau = _constant_modulus(w, tol)
     if not (_constant_modulus(vec, tol) and tau):

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import IndexLike, KClassId, vector_equality_class
-from .induced_norms import COMPLEX, REAL, MatrixValue, as_matrix
+from .induced_norms import COMPLEX, REAL, MatrixValue, _phase, as_matrix
 
 __all__ = [
     "unitary_with_first_column",
@@ -30,35 +30,30 @@ __all__ = [
 ]
 
 
+def _qr_completion(c: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    """The Q of the QR factorization of [c, fill], for a unit vector c and
+    len(c) - 1 columns fill: unitary whatever fill's rank, its other
+    columns fill orthonormalised against c, and its first column c once the
+    phase of R[0, 0] is restored."""
+    Q, R = np.linalg.qr(np.column_stack([c, fill]))
+    Q[:, 0] *= _phase(R[:1, 0])
+    return Q
+
+
 def unitary_with_first_column(c) -> np.ndarray:
     """A unitary matrix whose first column is the given unit vector.
 
-    Householder construction: reflect c onto a phase multiple of e1, then
-    undo the phase on the first column.  Exact for c = e1.  Rejects vectors
-    that are zero or not unit-length (within 1e-12).
+    The QR completion of c by the first d - 1 coordinate vectors
+    (_qr_completion), so c = e1 gives the identity, bit for bit.  Rejects
+    vectors that are zero or not unit-length (within 1e-12).
     """
     vec = np.asarray(c).reshape(-1)
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         raise ValueError("zero vector has no unitary completion")
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:  # nan too
         raise ValueError(f"first column must be unit length, got |c| = {nrm!r}")
-    d = vec.shape[0]
-    dtype = complex if np.iscomplexobj(vec) else float
-    vec = vec.astype(dtype)
-    c0 = vec[0]
-    if abs(c0) > 0:
-        alpha = -c0 / abs(c0)
-    else:
-        alpha = dtype(1.0) if dtype is float else 1.0 + 0.0j
-    e1 = np.zeros(d, dtype=dtype)
-    e1[0] = 1.0
-    w = vec - alpha * e1
-    wn2 = float(np.vdot(w, w).real)  # at least 1: |w[0]| = |c0| + 1, or 1 at c0 = 0
-    H = np.eye(d, dtype=dtype) - 2.0 * np.outer(w, w.conj()) / wn2
-    U = H.copy()
-    U[:, 0] = H[:, 0] * alpha
-    return U
+    return _qr_completion(vec, np.eye(vec.shape[0], vec.shape[0] - 1))
 
 
 def kclass_unit_vector(
@@ -94,29 +89,16 @@ def extremal_pair_classes(r: IndexLike, s: IndexLike) -> tuple:
     return vector_equality_class(2, s), vector_equality_class(r, 2)
 
 
-def _random_unitary(dim: int, rng: np.random.Generator, field_tag: str) -> np.ndarray:
-    if dim <= 0:
-        return np.zeros((0, 0), dtype=complex if field_tag == COMPLEX else float)
-    if field_tag == COMPLEX:
-        Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    else:
-        Z = rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(Z)
-    ph = np.diagonal(R).copy()
-    ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
-    return Q * ph.conj()
-
-
 def _completed_unitary(
     first: np.ndarray, rng: np.random.Generator, field_tag: str
 ) -> np.ndarray:
-    dim = first.shape[0]
-    U = unitary_with_first_column(first)
-    if dim > 1:
-        mix = _random_unitary(dim - 1, rng, field_tag)
-        U = U.copy()
-        U[:, 1:] = U[:, 1:] @ mix
-    return U
+    """A unitary with the unit vector `first` as its first column, the rest
+    seeded Gaussian columns of the field orthonormalised against it."""
+    shape = (first.shape[0], first.shape[0] - 1)
+    fill = rng.standard_normal(shape)
+    if field_tag == COMPLEX:
+        fill = fill + 1j * rng.standard_normal(shape)
+    return _qr_completion(first, fill)
 
 
 def gen_svd_extremal(
@@ -133,8 +115,9 @@ def gen_svd_extremal(
     Built as U diag(sigma) V* where the first columns of U and V are placed
     in the K-classes that characterize equality at (r,s) against the (2,2)
     anchor.  sigma must be nonincreasing from a maximal first value; the
-    remaining columns of U and V are completed with a seeded random unitary
-    mix, so results are reproducible per seed.
+    remaining columns of U and V are seeded Gaussian columns orthonormalised
+    against the first (_completed_unitary), so results are reproducible per
+    seed.
     """
     sig = [float(x) for x in sigma]
     if not sig:

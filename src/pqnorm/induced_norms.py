@@ -178,12 +178,21 @@ class NormResult:
     certainty: Certainty
 
 
+def _domain_vector(M: MatrixValue, v, name: str = "v", error=ValueError) -> np.ndarray:
+    """v flattened; raises error unless its entries are finite and it has
+    one per column of M."""
+    vec = np.asarray(v).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise error(f"{name} must have finite entries")
+    if vec.shape[0] != M.m:
+        raise error("vector length does not match the column count")
+    return vec
+
+
 def norm_ratio(A: MatrixLike, x, p: IndexLike, q: IndexLike) -> float:
     """||Ax||_q / ||x||_p, the quantity every witness certifies."""
     M = as_matrix(A)
-    vec = np.asarray(x).reshape(-1)
-    if not np.isfinite(vec).all():
-        raise ValueError("witness must have finite entries")
+    vec = _domain_vector(M, x, "witness")
     den = vector_norm(vec, p)
     if den == 0.0:
         raise ValueError("witness must be nonzero")

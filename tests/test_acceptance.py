@@ -8,7 +8,6 @@ each other; no criterion is weakened to make it pass.
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -248,10 +247,7 @@ def test_criterion_9_sufficient_conditions_sound(curated):
     for name, M in curated:
         for fn, cls in SUFFICIENT_CASES:
             for (p, q) in anchors:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    flag = fn(M, p, q)
-                if flag is not True:
+                if fn(M, p, q) is not True:
                     continue
                 hits += 1
                 verdict = check_class(M, cls, p, q, tol=1e-4)

@@ -291,6 +291,17 @@ class TestGenerateCommand:
         )
         assert rc == EXIT_OK
 
+    def test_svd_kind_checks_the_svd_characterization(self, tmp_path, capsys):
+        # a degenerate top singular value: check_class's complex E_inf1
+        # search is heuristic there, the SVD characterization is not
+        for seed in range(20):
+            rc = main(
+                ["generate", "--kind", "svd", "--class", "E_inf1", "--m", "3", "--n", "3",
+                 "--sigma", "2,2", "--field", "complex", "--seed", str(seed),
+                 "--out", str(tmp_path / "e.json")]
+            )
+            assert (rc, capsys.readouterr().err) == (EXIT_OK, "E_inf1 at (2,2): yes\n"), seed
+
     def test_stdout_matrix(self, capsys):
         rc = main(["generate", "--kind", "single", "--m", "2", "--n", "2", "--rho", "3"])
         assert rc == EXIT_OK

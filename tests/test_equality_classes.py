@@ -1054,8 +1054,7 @@ class TestSufficientConditions:
         # columns orthogonal to it whose largest l1 norm is c11 = 4 eps > 0:
         # the closeness inequality decides, with its bracket term at
         # 1 < p < 2 and its p = 2 limit.  A True is a member: check_E11 never
-        # answers "no", no lower bound passes the E_11 target, and the
-        # runtime cross-check never warns
+        # answers "no", and no lower bound passes the E_11 target
         H = gen_hadamard(4).entries
         rng = np.random.default_rng(11)
         verdicts = set()
@@ -1074,6 +1073,47 @@ class TestSufficientConditions:
                         target = 4.0 / bound_factor(p, q, 1, 1, 3, 4)
                         assert best_norm(A, p, q).value <= target * (1.0 + 1e-6)
         assert verdicts == {True, False}
+
+    def test_e11_and_einfinf_hold_at_the_acceptance_edge(self):
+        # a Hadamard or DFT column (sigma = 4) beside columns orthogonal to
+        # it of largest l1 norm 4 eps, eps bisected to the largest value the
+        # sufficient test accepts: no lower bound, a budgeted one included,
+        # passes the class target there, and the decider never answers "no";
+        # likewise for sufficient_einfinf on the adjoint at (q*, p*)
+        def planted(H, m, eps, rng):
+            W = rng.standard_normal((4, m - 1))
+            if np.iscomplexobj(H):
+                W = W + 1j * rng.standard_normal((4, m - 1))
+            W -= np.outer(H[:, 0], H[:, 0].conj() @ W) / 4.0
+            return np.column_stack([H[:, 0], 4.0 * eps * W / np.abs(W).sum(axis=0).max()])
+
+        def edge(accepts):
+            lo, hi = 0.0, 1.0
+            assert accepts(lo) and not accepts(hi)
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+            return lo
+
+        rng = np.random.default_rng(34)
+        for H in (gen_hadamard(4).entries, gen_dft(4).entries):
+            for m, p in itertools.product((2, 3), (1.25, 1.5, 1.75, 2.0)):
+                for q in (1.1, p):
+                    draw = rng.integers(1 << 31)
+                    A = lambda eps: planted(H, m, eps, np.random.default_rng(draw))
+                    target = 4.0 / bound_factor(p, q, 1, 1, m, 4)
+                    cases = (
+                        (lambda e: A(e), p, q, sufficient_e11, check_E11),
+                        (lambda e: A(e).conj().T, q / (q - 1), p / (p - 1),
+                         sufficient_einfinf, check_Einfinf),
+                    )
+                    for build, r, s, suff, check in cases:
+                        X = build(edge(lambda e: suff(build(e), r, s)))
+                        assert suff(X, r, s)
+                        assert check(X, r, s).member != "no", (suff.__name__, m, p, q)
+                        for budget in (None, 2000):
+                            value = best_norm(X, r, s, budget=budget).value
+                            assert value <= target * (1.0 + 1e-6), (suff.__name__, m, p, q)
 
     def test_e11_terms_at_p_2(self):
         # at p = 2 the bracket term's limit is 0 where
@@ -1103,10 +1143,7 @@ class TestSufficientConditions:
                 (sufficient_e11, check_E11, 1.5, 1.5),
                 (sufficient_einfinf, check_Einfinf, 3, 3),
             ]:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    flag = fn(A, p, q)
-                if flag:
+                if fn(A, p, q):
                     assert chk(A, p, q).member == "yes"
 
 

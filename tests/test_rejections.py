@@ -12,11 +12,13 @@ from pqnorm import (
     PreconditionError,
     build_generator,
     dav_normal_form,
+    extremal_stats,
     gen_svd_extremal,
     k_class_test,
     loads_matrix,
     maximizer_eigencheck,
     norm_ratio,
+    unitary_with_first_column,
     vector_comparison_factor,
     vector_norm,
 )
@@ -38,6 +40,18 @@ REJECTIONS = {
     ),
     "norm_ratio-nan": (
         lambda: norm_ratio(B, [np.nan, 1.0], 2, 2), ValueError, "finite entries"
+    ),
+    "norm_ratio-length": (
+        lambda: norm_ratio(B, [1.0, 1.0, 1.0], 2, 2), ValueError, "vector length"
+    ),
+    "extremal_stats-nan": (
+        lambda: extremal_stats(B, [np.nan, 1.0]), ValueError, "v must have finite entries"
+    ),
+    "extremal_stats-inf": (
+        lambda: extremal_stats(B, [np.inf, 1.0]), ValueError, "v must have finite entries"
+    ),
+    "extremal_stats-length": (
+        lambda: extremal_stats(B, [1.0, 1.0, 1.0]), ValueError, "vector length"
     ),
     "maximizer_eigencheck-length": (
         lambda: maximizer_eigencheck(B, [1.0, 1.0, 1.0], 2, 2), PreconditionError, "vector length"
@@ -62,6 +76,9 @@ REJECTIONS = {
     ),
     "dav_normal_form-nan": (
         lambda: dav_normal_form(B, [np.nan, 1.0]), ValueError, "finite entries"
+    ),
+    "unitary_with_first_column-nan": (
+        lambda: unitary_with_first_column([np.nan, 0.0]), ValueError, "must be unit length"
     ),
     "gen_svd_extremal-increasing": (
         lambda: gen_svd_extremal(3, 3, 2, 2, (2.0, 1.0, 1.5)), ValueError, "nonincreasing"

@@ -1,6 +1,6 @@
 """scripts/replay_verdicts.py: a replay diffed against itself shows no moves,
-planted flips and moves are listed, rescaled and isometric replays move
-nothing, and nothing is written under bench/."""
+planted flips and moves are listed, rescaled, isometric and adjoint replays
+move nothing, and nothing is written under bench/."""
 
 import json
 import pathlib
@@ -85,6 +85,25 @@ def test_isometry_replay_moves_nothing(tmp_path):
     assert "yes <-> no flips: 0\n" in done.stdout
     assert "decided <-> undetermined moves: 0\n" in done.stdout
     assert "certainty moves: 0\n" in done.stdout
+
+
+def test_adjoint_replay_moves_nothing(tmp_path):
+    # the same questions asked of A* at the conjugate exponents, with E_11
+    # and E_inf,inf swapped: the oracle passes every query against A*'s
+    # reference values and no decision or certainty moves
+    plain, star = tmp_path / "plain.json", tmp_path / "star.json"
+    assert _run("--seeds", "31", "-n", "40", "-o", str(plain)).returncode == 0
+    done = _run("--seeds", "31", "-n", "40", "--adjoint", "-o", str(star))
+    assert done.returncode == 0, done.stderr
+    assert "oracle failures 0," in done.stdout
+    assert json.loads(plain.read_text()) != json.loads(star.read_text())
+    done = _run("--diff", str(plain), str(star))
+    assert done.returncode == 0, done.stdout
+    assert "yes <-> no flips: 0\n" in done.stdout
+    assert "decided <-> undetermined moves: 0\n" in done.stdout
+    assert "certainty moves: 0\n" in done.stdout
+    refused = _run("--workload", "grid-shared", "--adjoint", "-o", str(star))
+    assert refused.returncode == 2 and "stream-small queries only" in refused.stderr
 
 
 def test_grid_shared_tiny_replay(tmp_path):
