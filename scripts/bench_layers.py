@@ -58,12 +58,16 @@ One row times the certified upper bound:
                     shape above, with its SVD already memoised and the
                     bound itself not, median of 5 x reps runs
 
-Two rows time small-matrix ascents on a fresh Gaussian (seed 0) for r4,
+Three rows time small-matrix points on a fresh Gaussian (seed 0) for r4,
 c4, r8 and c8:
 
-  best_norm_inf_2   one-point best_norm at (inf, 2), whose forward
-                    half-step is the ascent's peak-free map at exponent
-                    2, W passed on unchanged
+  best_norm_inf_2   one-point best_norm at (inf, 2): over the reals one
+                    sign enumeration (within SIGN_CAP), over the complex
+                    field an ascent whose forward half-step is the
+                    peak-free map at exponent 2, W passed on unchanged
+  best_norm_2_1     one-point best_norm at (2, 1): over the reals the sign
+                    enumeration of ||M^T||_{inf,2}, over the complex field
+                    an ascent
   decide_equality   decide_equality(M, 3, 1.5, 1.5, 3), i.e. ||M||_{1.5,3}
                     against the factor times ||M||_{3,1.5}: an equality
                     decision whose two sides are both estimated
@@ -260,9 +264,9 @@ def _save_cell(kind: str, n: int, workdir: str) -> tuple:
     return (lambda: save_matrix(M, path), 5)
 
 
-def _inf2_cell(kind: str, n: int) -> tuple:
+def _point_cell(kind: str, n: int, p, q) -> tuple:
     A = _matrix(kind, n)
-    return (lambda: best_norm(MatrixValue(A, kind), "inf", 2), 1)
+    return (lambda: best_norm(MatrixValue(A, kind), p, q), 1)
 
 
 def _decide_cell(kind: str, n: int) -> tuple:
@@ -447,7 +451,10 @@ def main() -> None:
             f"{kind[0]}{n}": _session_cell(kind, n, workdir, args.reps) for kind, n in SESSION_SHAPES
         }
         rows["upper_bound"] = {f"{kind[0]}{n}": _upper_bound_cell(kind, n) for kind, n in SHAPES}
-        rows["best_norm_inf_2"] = {f"{kind[0]}{n}": _inf2_cell(kind, n) for kind, n in SMALL_SHAPES}
+        for p, q in (("inf", 2), (2, 1)):
+            rows[f"best_norm_{p}_{q}"] = {
+                f"{kind[0]}{n}": _point_cell(kind, n, p, q) for kind, n in SMALL_SHAPES
+            }
         rows["decide_equality"] = {f"{kind[0]}{n}": _decide_cell(kind, n) for kind, n in SMALL_SHAPES}
         rows["bruteforce"] = {f"{kind[0]}{n}": _bruteforce_cell(kind, n) for kind, n in SMALL_SHAPES}
         rows["check_einf1_dft"] = {}

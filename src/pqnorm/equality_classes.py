@@ -1059,11 +1059,13 @@ def dav_normal_form(A: MatrixLike, v, tol: float = DEFAULT_TOL) -> DavReport:
     Requires v with unit-modulus entries and a constant-modulus image; the
     row sums of D A V then equal tau automatically, while the column-sum
     rule is equivalent to v being an eigenvector of A*A.  Returns the
-    report with the diagonals only when every sum matches.
+    report with the diagonals only when every sum matches.  The algebra is
+    the same in either field: v is complex when it or A is.
     """
     as_tol(tol)
     M = as_matrix(A)
-    vec = _domain_vector(M, v).astype(complex if M.is_complex else float)
+    vec = _domain_vector(M, v)
+    vec = vec.astype(complex if M.is_complex or np.iscomplexobj(vec) else float)
     arr, e = _normalized(M)  # sums are formed on A / 2^e, then scaled back
     n, m = arr.shape
     w = arr @ vec

@@ -3,7 +3,9 @@
 Exact routes exist for p = 1 or one column (column maximum), q = inf or one
 row (row maximum via the dual exponent), (p, q) = (2, 2) (largest singular
 value) and, over the real field, (inf, 1) by incremental sign enumeration,
-pruned by a triangle bound past 16 columns.
+pruned by a triangle bound past 16 columns; in best_norm the same
+enumeration kernel also gives real (inf, q) and (p, 1) exactly while its
+images stay within SIGN_CAP elements.
 Everything else is estimated from below by a duality-map ascent with
 restarts, one fused pass per half-step; results carry a certainty tag so
 callers can tell exact values from estimates.
@@ -674,24 +676,37 @@ def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[Norm
         witness[j] = 1.0
         return NormResult(_scaled_back(colnorms[j], e), witness, Certainty.CLOSED_FORM)
     if qi.is_inf or n == 1:
-        # where p / (p - 1) rounds to 1 (p above about 2^53), conjugate keeps
-        # p* at the least double above 1; the row norm is the 1-norm there
-        pstar = ONE if pi.value / (pi.value - 1.0) == 1.0 else conjugate(pi)
+        pstar = _dual_exponent(pi)
         scaled, e = _normalized(M)
         rownorms = _lp_cols(scaled.T, pstar)
         i = int(rownorms.argmax())
-        row = _pow2_normalized(arr[i, :])[0]
-        if pi.is_inf:
-            witness = np.conj(_phase(row))
-            witness[np.abs(row) == 0] = 1.0
-        else:
-            a = np.abs(row)
-            peak = a.max()
-            witness = np.conj(_phase(row)) * (a / peak) ** (pstar.value - 1.0)
-        witness = witness / vector_norm(witness, pi)
+        witness = _dual_vector(arr[i, :], pi, pstar)
         value = _scaled_back(rownorms[i], e)
         return NormResult(value, witness.astype(dtype), Certainty.CLOSED_FORM)
     return None
+
+
+def _dual_exponent(p: ExtIndex) -> ExtIndex:
+    """p*, read as 1 where p / (p - 1) rounds to 1 (p above about 2^53):
+    conjugate keeps p* at the least double above 1 there, and the dual
+    norm is the 1-norm."""
+    return ONE if p.value / (p.value - 1.0) == 1.0 else conjugate(p)
+
+
+def _dual_vector(z: np.ndarray, p: ExtIndex, pstar: ExtIndex) -> np.ndarray:
+    """The unit-p-norm x with z x = ||z||_{p*} for a nonzero z (a row, or
+    the image A* y of a dual vector y): conj(phase(z)) |z|^(p*-1), at
+    p = inf conj(phase(z)) with 1 where z is 0; formed on z / 2^e so that
+    subnormal entries have a phase."""
+    row = _pow2_normalized(z)[0]
+    if p.is_inf:
+        witness = np.conj(_phase(row))
+        witness[np.abs(row) == 0] = 1.0
+    else:
+        a = np.abs(row)
+        peak = a.max()
+        witness = np.conj(_phase(row)) * (a / peak) ** (pstar.value - 1.0)
+    return witness / vector_norm(witness, p)
 
 
 # columns per block of an exhaustive enumeration; a real one holds the shared
@@ -757,6 +772,37 @@ def _sign_images(B: np.ndarray):
     for start, shift in zip(range(0, 1 << (m - 1), w), _high_images(B)):
         for h, half in halves:
             yield np.add(half, shift[:, None], out=Y), lambda j, s=start + h: _sign_cols(s + j, m)
+
+
+def _sign_enumeration(B: np.ndarray, q: ExtIndex) -> tuple:
+    """(value, witness): the largest ||B x||_q over the sign vectors x
+    (first entry +1), for a finite q, and the first x in index order that
+    attains it, every one evaluated through _sign_images.  Over the reals
+    x -> ||B x||_q is convex, so this is ||B||_{inf,q}.
+
+    B is a matrix over 2^e (_pow2_normalized): its moduli lie below 1, the
+    largest at least 1/2, so every entry of B x is below m in modulus and
+    the value is at least 1/2.  The sums of |B x|^q then stay in the
+    normal range while q log2(2 m) + log2(n) < 1000; they are compared as
+    they are and the largest is rooted once (at q = 1 they are the values).
+    Past that range the columns' peak-scaled q-norms (_lp_cols) are
+    compared."""
+    n, m = B.shape
+    powers = q.value * math.log2(2 * m) + math.log2(n) < 1000
+    best, pick = -math.inf, None
+    for Y, cols in _sign_images(B):
+        a = np.abs(Y, out=Y)
+        if not powers:
+            vals = _lp_cols(a, q)
+        else:
+            if q.value != 1.0:
+                np.power(a, q.value, out=a)
+            vals = a.sum(axis=0)
+        j = int(vals.argmax())
+        if vals[j] > best:
+            best, pick = float(vals[j]), (cols, j)
+    cols, j = pick
+    return (best ** (1.0 / q.value) if powers else best), cols(j)
 
 
 def _top(vals: np.ndarray, k: int) -> np.ndarray:
@@ -885,14 +931,15 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
     an extreme point, over the reals a sign vector: enumerating {-1, +1}^m
     (first entry fixed to +1) is exact, and the witness is the first
     maximum in index order.  Up to 16 columns every sign vector is
-    evaluated (at 16 the column sums a bound needs cost as much as half
-    the enumeration); past that, _pruned_infty_one skips those whose
-    triangle bound lies a rounding margin below the best value known, and
-    returns the same value and witness.  The enumeration runs on A / 2^e
-    and the value is scaled back, so 2^k A has the same witness and 2^k
-    times the value, inf past the float range.  Refuses m beyond
-    MAX_REAL_COLS, and complex-field matrices, whose extreme points are
-    not finitely many (best_norm estimates those by ascent).
+    evaluated by _sign_enumeration at q = 1, the kernel best_norm also
+    runs at real (inf, q) and (p, 1) (at 16 the column sums a bound needs
+    cost as much as half the enumeration); past that, _pruned_infty_one
+    skips those whose triangle bound lies a rounding margin below the best
+    value known, and returns the same value and witness.  The enumeration
+    runs on A / 2^e and the value is scaled back, so 2^k A has the same
+    witness and 2^k times the value, inf past the float range.  Refuses m
+    beyond MAX_REAL_COLS, and complex-field matrices, whose extreme points
+    are not finitely many (best_norm estimates those by ascent).
     """
     M = as_matrix(A)
     if M.is_complex:
@@ -904,15 +951,47 @@ def norm_infty_one_exact(A: MatrixLike) -> NormResult:
         best, i = _pruned_infty_one(B)
         witness = _sign_cols(i, M.m)
     else:
-        best, pick = -math.inf, None
-        for Y, cols in _sign_images(B):
-            vals = np.abs(Y, out=Y).sum(axis=0)
-            j = int(vals.argmax())
-            if vals[j] > best:
-                best, pick = float(vals[j]), (cols, j)
-        cols, j = pick
-        witness = cols(j).copy()
+        best, witness = _sign_enumeration(B, ONE)
     return NormResult(_scaled_back(best, e), witness, Certainty.ENUMERATION)
+
+
+# elements (rows x sign vectors) of a best_norm sign enumeration at real
+# (inf, q) and (p, 1).  On real Gaussians (2-core Xeon) one point alone
+# enumerates faster than the ascent up to about 2^13 elements, but a
+# best_norms grid shares the ascent's cost among its points, and there the
+# crossover is near 2^11: the 25-point grid of a real 9 x 9 (2304 elements
+# at (inf, q) and (p, 1)) takes 2.75 ms enumerating them and 2.64 ms not.
+# Every shape with n, m <= 8 is within the cap
+SIGN_CAP = 1 << 11
+
+
+def _enumerated(M: MatrixValue, p: ExtIndex, q: ExtIndex) -> Optional[NormResult]:
+    """||M||_{p,q} of a real-field M without a closed form by sign
+    enumeration, or None: at (inf, 1) by norm_infty_one_exact up to
+    MAX_REAL_COLS columns; at (inf, q) and, as ||M^T||_{inf,p*}, at (p, 1)
+    by _sign_enumeration when its 2^(k-1) sign vectors of k = m (k = n)
+    entries times the n (m) rows of their images are at most SIGN_CAP
+    elements.  The (p, 1) witness is the dual vector of M^T y at the
+    maximizing y.  The exponents and the cap are tested before anything is
+    built, and the value is formed on M / 2^e and scaled back once."""
+    if p.is_inf and q.value == 1.0:
+        return norm_infty_one_exact(M) if M.m <= MAX_REAL_COLS else None
+    if p.is_inf:
+        k, rows = M.m, M.n
+    elif q.value == 1.0:
+        k, rows = M.n, M.m
+    else:
+        return None
+    if rows << (k - 1) > SIGN_CAP:
+        return None
+    B, e = _normalized(M)
+    if p.is_inf:
+        value, witness = _sign_enumeration(B, q)
+    else:
+        pstar = _dual_exponent(p)
+        value, y = _sign_enumeration(B.T, pstar)
+        witness = _dual_vector(B.T @ y, p, pstar)
+    return NormResult(_scaled_back(value, e), witness, Certainty.ENUMERATION)
 
 
 def _check_budget(budget: Optional[int]) -> None:
@@ -959,11 +1038,13 @@ def best_norm(
 ) -> NormResult:
     """Strongest available route for ||A||_{p,q}.
 
-    Closed form when one exists, sign enumeration for real (inf, 1) within
-    the dimension cap, otherwise the ascent estimate (the memoised one,
-    topped up with a brute-force pass when a budget is given; a budget below
-    100 raises ValueError on every route).  Memoised on the matrix per
-    (p, q, seed, budget); the witness is read-only.
+    Closed form when one exists; over the real field sign enumeration at
+    (inf, 1) within MAX_REAL_COLS columns and at (inf, q) and (p, 1) within
+    SIGN_CAP elements (_enumerated), all exact-enumeration; otherwise the
+    ascent estimate (the memoised one, topped up with a brute-force pass
+    when a budget is given; a budget below 100 raises ValueError on every
+    route).  Memoised on the matrix per (p, q, seed, budget); the witness
+    is read-only.
     """
     return best_norms(A, [(p, q)], seed=seed, budget=budget)[0]
 
@@ -977,10 +1058,13 @@ def best_norms(
 ) -> list:
     """best_norm for each (p, q) in pairs, one NormResult per pair.
 
-    Routes are chosen per pair as best_norm does, and results share its
-    memo.  The pairs left to the ascent are estimated together: their
-    restarts are stacked into as few ascents as the element cap allows, so
-    each iteration's fixed cost is paid once for all of them.
+    Routes are chosen per pair as best_norm does (closed form, then real
+    sign enumeration, then ascent), and results share its memo.  A pair
+    that no enumeration takes (complex field, other exponents, over the
+    cap) is turned away before anything is built.  The pairs left to the
+    ascent are estimated together: their restarts are stacked into as few
+    ascents as the element cap allows, so each iteration's fixed cost is
+    paid once for all of them.
     """
     _check_budget(budget)
     M = as_matrix(A)
@@ -991,9 +1075,8 @@ def best_norms(
             continue
         pi, qi = key[:2]
         res = norm_closed_form(M, pi, qi)
-        if res is None and pi.is_inf and qi.value == 1.0:
-            if not M.is_complex and M.m <= MAX_REAL_COLS:
-                res = norm_infty_one_exact(M)
+        if res is None and not M.is_complex:
+            res = _enumerated(M, pi, qi)
         if res is None:
             todo[key] = (pi, qi)
         else:

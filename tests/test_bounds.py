@@ -335,11 +335,14 @@ class TestCheckInequality:
 class TestInequalityGrid:
     def test_three_states(self, monkeypatch):
         # every estimate lowered to 0.99 of itself is still a lower bound:
-        # the crossed lower ends settle nothing, and the slack reads them
+        # the crossed lower ends settle nothing, and the slack reads them.
+        # The grid holds 3: on {1, 2, inf} sign enumeration makes every
+        # real point exact, and over the complex field no lowered lower end
+        # crosses on these entries
         import pqnorm.induced_norms as ind
 
         A = np.random.default_rng(1).standard_normal((3, 4))
-        verdict, slack = inequality_grid_check(A, [1, 2, "inf"])
+        verdict, slack = inequality_grid_check(A, [1, 2, 3, "inf"])
         assert verdict is True and -1e-4 <= slack <= 0.0  # 0 where (r,s) = (p,q)
         estimates = ind._estimates
 
@@ -348,9 +351,9 @@ class TestInequalityGrid:
                     for r in estimates(M, pairs, seed)]
 
         monkeypatch.setattr(ind, "_estimates", lowered)
-        verdict, slack = inequality_grid_check(as_matrix(A), [1, 2, "inf"])
+        verdict, slack = inequality_grid_check(as_matrix(A), [1, 2, 3, "inf"])
         assert verdict is None and slack < -1e-4
-        assert inequality_grid_check(as_matrix(A), [1, 2, "inf"], tol=0.02)[0] is True
+        assert inequality_grid_check(as_matrix(A), [1, 2, 3, "inf"], tol=0.02)[0] is True
 
     def test_certified_crossing_is_false(self):
         # a lower end at (2,2) above the certified bound sqrt(2) ||B||_{1,1}

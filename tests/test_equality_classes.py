@@ -1293,6 +1293,19 @@ class TestDavNormalForm:
         rep = dav_normal_form(D21, np.array([1.0, 1.0]))
         assert rep.ok is False
 
+    def test_complex_v_on_a_real_matrix(self):
+        # D A V does not depend on A's field marker: a complex v keeps its
+        # imaginary part on the real B, with no ComplexWarning, and the real
+        # and the complex B give the same report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            real = dav_normal_form(B, [1.0, 1j])
+        cplx = dav_normal_form(BC, [1.0, 1j])
+        assert real.ok and cplx.ok and real.tau == cplx.tau
+        for a, b in ((real.row_sums, cplx.row_sums), (real.col_sums, cplx.col_sums),
+                     (real.d, cplx.d), (real.v_diag, cplx.v_diag)):
+            assert np.array_equal(a, b)
+
 
 class TestExtremalStats:
     def test_hand_values(self):

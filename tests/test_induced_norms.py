@@ -6,6 +6,7 @@ which explores the unit sphere directly and does not share the closed-form
 code paths.
 """
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -40,6 +41,7 @@ from pqnorm import (
 from pqnorm.bounds import _inf_one_certificate
 from pqnorm.induced_norms import (
     BLOCK,
+    SIGN_CAP,
     STACK,
     _TINY,
     _ascent,
@@ -1055,10 +1057,12 @@ class TestLinearMap:
         monkeypatch.setattr(mod, "_peak_free_map", spy)
         exponents = (1.01, 1.5, 2, 3, 64)
         pairs = [(p, q) for p in exponents for q in exponents if (p, q) != (2, 2)]
-        pairs += [("inf", 2), (2, 1)]  # one half-step on the phase or top-entry map
+        # one half-step on the phase or top-entry map; over the reals these
+        # two pairs are sign enumerations, with no ascent step to spy on
+        edges = [("inf", 2), (2, 1)]
         for i, (n, m) in enumerate([(4, 4), (5, 3), (3, 7), (8, 8)]):
             A = rand_matrix(1700 + i, n, m, complex_=bool(i % 2)).entries
-            for p, q in pairs:
+            for p, q in pairs + (edges if i % 2 else []):
                 cap = n * max(1.0, m ** (q - 1.0))
                 values = []
                 for k in (-1000, 0, 1000):
@@ -1204,13 +1208,20 @@ def _stacked_samples():
 # by at most 2.1e-16 relative, witnesses in low bits.  Half-steps at
 # exponents other than 1, 2 and inf then took the peak-free map (phi =
 # W |W|^(t-2), no per-column peak), and the entries that moved were frozen
-# again: values by at most 5.9e-16 relative, witnesses in low bits
+# again: values by at most 5.9e-16 relative, witnesses in low bits.  The
+# real (inf, q) and (p, 1) entries of r4x4 and r3x6 then became sign
+# enumerations (within SIGN_CAP; r12x10 is past it): three moved and were
+# frozen again.  r4x4 (inf, 2) fell by one ulp (1.2e-16 relative) with the
+# same witness, r4x4 (2, 1) kept its value with a new witness (the dual
+# vector of A^T y), and r3x6 (2, 1) fell by one ulp (1.7e-16 relative)
+# with a new witness; r4x4 (inf, 1.5), r3x6 (inf, 2) and r3x6 (inf, 1.5)
+# kept their bits
 FROZEN_SINGLE_POINT = {
     ("r4x4", 1.5, 3): ("0x1.834692bee60ebp+1", "f85227442062b793"),
     ("r4x4", 3, 1.5): ("0x1.7c8130e75ba8dp+2", "afe91c84ffa0e91f"),
     ("r4x4", 4, 1.2): ("0x1.ff46820b6f9e4p+2", "637e3e1c3dd33158"),
-    ("r4x4", "inf", 2): ("0x1.d6d4f4a830e88p+2", "76a449f8269ad0c3"),
-    ("r4x4", 2, 1): ("0x1.d9ed408da1386p+2", "f639a5856b322578"),
+    ("r4x4", "inf", 2): ("0x1.d6d4f4a830e87p+2", "76a449f8269ad0c3"),
+    ("r4x4", 2, 1): ("0x1.d9ed408da1386p+2", "a7e62df56573a635"),
     ("r4x4", "inf", 1.5): ("0x1.1ca23512d0a36p+3", "76a449f8269ad0c3"),
     ("r4x4", 1.5, 1.5): ("0x1.100abb9ee83fcp+2", "e5c3854b45d35a6c"),
     ("c5x3", 1.5, 3): ("0x1.09fb48dc3b9c1p+2", "3b2a48c99377fd47"),
@@ -1224,7 +1235,7 @@ FROZEN_SINGLE_POINT = {
     ("r3x6", 3, 1.5): ("0x1.2f24b197c3572p+2", "e853adf313ba3eb2"),
     ("r3x6", 4, 1.2): ("0x1.97722f68520c9p+2", "3a0745e0e02bed26"),
     ("r3x6", "inf", 2): ("0x1.c0924c19e068ap+2", "436979213dbbbdb1"),
-    ("r3x6", 2, 1): ("0x1.4883a8ab5f828p+2", "30092824304117fa"),
+    ("r3x6", 2, 1): ("0x1.4883a8ab5f827p+2", "e90498534d0a6256"),
     ("r3x6", "inf", 1.5): ("0x1.0599ba7bddc87p+3", "436979213dbbbdb1"),
     ("r3x6", 1.5, 1.5): ("0x1.7dd1af262e965p+1", "3f12d242b5e92397"),
     ("c8x8", 1.5, 3): ("0x1.223ce8c263f02p+2", "044533fd04854742"),
@@ -1416,6 +1427,85 @@ class TestSignEnumeration:
                     vals = r.integers(0, hi, size).astype(float)
                     want = np.argsort(-vals, kind="stable")[:k]
                     assert np.array_equal(_top(vals, k), want), (k, size, hi)
+
+
+def _edge_reference(arr, p, q):
+    """Real ||A||_{inf,q}, or ||A||_{p,1} as ||A^T||_{inf,p*}, as the
+    largest vector_norm over every sign vector from itertools: independent
+    of _sign_images and of the route's power sums."""
+    if p == "inf":
+        B, t = arr, q
+    else:
+        B, t = arr.T, conjugate(p)
+    signs = itertools.product((1.0, -1.0), repeat=B.shape[1] - 1)
+    return max(vector_norm(B @ np.array((1.0,) + x), t) for x in signs)
+
+
+class TestEdgeEnumeration:
+    # real (inf, q) and (p, 1) within SIGN_CAP are exact by one sign
+    # enumeration in best_norm
+    EXPONENTS = (1.2, 1.5, 2, 3, 7)
+
+    @staticmethod
+    def _points():
+        r = np.random.default_rng(20261019)
+        for _ in range(24):
+            n, m = (int(k) for k in r.integers(2, 9, size=2))
+            A = r.standard_normal((n, m))
+            for t in TestEdgeEnumeration.EXPONENTS:
+                yield A, "inf", t
+                yield A, t, 1
+
+    def test_exact_values_and_witnesses(self):
+        # the value is the itertools enumeration's, never below the ascent's
+        # estimate beyond rounding (the two form ||Ax||_q with different
+        # roundings: the estimate reads up to 3 ulps above on some points),
+        # and its witness certifies it
+        for A, p, q in self._points():
+            res = best_norm(MatrixValue(A), p, q)
+            assert res.certainty is Certainty.ENUMERATION, (A.shape, p, q)
+            want = _edge_reference(A, p, q)
+            assert abs(res.value - want) <= 1e-12 * want, (A.shape, p, q)
+            est = norm_estimate(A, p, q)
+            assert est.certainty is Certainty.ESTIMATE
+            assert res.value >= est.value * (1.0 - 8 * np.finfo(float).eps), (A.shape, p, q)
+            ratio = norm_ratio(A, res.witness, p, q)
+            assert abs(ratio - res.value) <= 1e-12 * res.value, (A.shape, p, q)
+
+    def test_exact_power_of_two_scaling(self):
+        for A, p, q in itertools.islice(self._points(), 0, None, 7):
+            base = best_norm(MatrixValue(A), p, q)
+            for k in (-1000, 1000):
+                res = best_norm(MatrixValue(np.ldexp(A, k)), p, q)
+                assert res.value == math.ldexp(base.value, k), (A.shape, p, q, k)
+                assert np.array_equal(res.witness, base.witness), (A.shape, p, q, k)
+
+    def test_extreme_exponents(self):
+        # q log2(2m) past the power sums' range: the peak-scaled column norms
+        A = rand_matrix(2710, 8, 8).entries
+        for p, q in (("inf", 400), (1.0025, 1)):
+            res = best_norm(MatrixValue(A), p, q)
+            assert res.certainty is Certainty.ENUMERATION
+            want = _edge_reference(A, p, q)
+            assert abs(res.value - want) <= 1e-12 * want, (p, q)
+            assert abs(norm_ratio(A, res.witness, p, q) - res.value) <= 1e-12 * res.value
+
+    @pytest.mark.parametrize("n, m", [(8, 9), (9, 9), (5, 10)])
+    def test_cap(self, n, m):
+        # 2^(k-1) sign vectors times the rows of their images, at most
+        # SIGN_CAP elements: 8 x 9 sits on the cap, 9 x 9 and 5 x 10 are over
+        within = n << (m - 1) <= SIGN_CAP
+        A = rand_matrix(2720 + n + m, n, m).entries
+        for p, q, B in (("inf", 2, A), (2, 1, A.T)):
+            res = best_norm(MatrixValue(B), p, q)
+            want = Certainty.ENUMERATION if within else Certainty.ESTIMATE
+            assert res.certainty is want, (B.shape, p, q)
+
+    def test_complex_field_never_enumerates(self):
+        A = rand_matrix(2730, 4, 4).entries
+        for M in (MatrixValue(A, "complex"), rand_matrix(2731, 4, 4, complex_=True)):
+            for p, q in (("inf", 2), (2, 1), ("inf", 1.5), (3, 1)):
+                assert best_norm(M, p, q).certainty is Certainty.ESTIMATE, (p, q)
 
 
 def _enumerated_infty_one(arr):
