@@ -792,12 +792,9 @@ def _sign_enumeration(B: np.ndarray, q: ExtIndex) -> tuple:
     best, pick = -math.inf, None
     for Y, cols in _sign_images(B):
         a = np.abs(Y, out=Y)
-        if not powers:
-            vals = _lp_cols(a, q)
-        else:
-            if q.value != 1.0:
-                np.power(a, q.value, out=a)
-            vals = a.sum(axis=0)
+        if powers and q.value != 1.0:
+            np.power(a, q.value, out=a)
+        vals = a.sum(axis=0) if powers else _lp_cols(a, q)
         j = int(vals.argmax())
         if vals[j] > best:
             best, pick = float(vals[j]), (cols, j)
