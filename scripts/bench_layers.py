@@ -83,15 +83,22 @@ The reps are interleaved: each pass runs every cell once (five times for
 the check_einf1 cells) before the next pass starts, so a slow spell of a
 shared host spreads over all cells instead of landing on one.  Beside the
 medians, `spread` holds each timed cell's quartiles [q1, q3] over the same
-runs, so a cell that moves by a third between runs shows as such.
+runs, so a cell that moves by a third between runs shows as such, and
+`cpu` each timed cell's median process CPU time: CPU well below wall
+time means the host was busy elsewhere.
 
 Five rows are deterministic figures, not timings:
 
   ascent_iters      per shape, the iterations of every ascent one
                     best_norms call over the 25-point grid runs, summed
                     over its (p, q) points, with each point's stopping
-                    rule (converged, settled, max_iter) counted; and the
-                    same sum with the settling rule off
+                    rule (converged, settled, max_iter) counted; the
+                    column-iterations (column_iters: block width times
+                    iterations, summed over blocks); the points that ran
+                    a second round of restarts (round1_points: blocks of an
+                    ascent narrower than the call's first one, which only
+                    complex points take); and the iteration sum with the
+                    settling rule off
   grid_peak_mb      per shape r16, c16, r32, c32, the tracemalloc peak (MB)
                     of one best_norms call over the 25-point grid on a
                     fresh matrix: what the stacked ascent's element cap
@@ -110,6 +117,11 @@ Five rows are deterministic figures, not timings:
 Run from the root of a source checkout (pqnorm is imported from ./src):
 
     python3 scripts/bench_layers.py [--out BENCH_layers.json] [--reps 5]
+    python3 scripts/bench_layers.py --cells c32.verify,c32.sweep --out cells.json
+
+--cells ROW.CELL[,ROW.CELL] times only the named cells, with the same
+interleaving, and skips the deterministic rows; scripts/ab.py --layers
+runs it that way.
 
 BLAS runs on one thread, as in bench/run.py.
 """
@@ -313,19 +325,22 @@ def _minflt() -> int:
 
 
 def interleaved_medians(rows: dict, reps: int, faults=()) -> tuple:
-    """({row: {cell: median seconds}}, {row: {cell: [q1, q3] seconds}}) over
-    reps passes, each pass running every cell of every row (a cell `runs`
-    times in a row); the rows named in faults also get {cell_minflt: median
-    minor page faults per run} among the medians."""
+    """({row: {cell: median seconds}}, {row: {cell: [q1, q3] seconds}},
+    {row: {cell: median CPU seconds}}) over reps passes, each pass running
+    every cell of every row (a cell `runs` times in a row); the rows named in
+    faults also get {cell_minflt: median minor page faults per run} among the
+    medians."""
     times = {row: {cell: [] for cell in cells} for row, cells in rows.items()}
-    flts = {row: {cell: [] for cell in rows[row]} for row in faults}
+    cpus = {row: {cell: [] for cell in cells} for row, cells in rows.items()}
+    flts = {row: {cell: [] for cell in rows[row]} for row in faults if row in rows}
     for _ in range(reps):
         for row, cells in rows.items():
             for cell, (fn, runs) in cells.items():
                 for _ in range(runs):
-                    f0, t0 = _minflt(), time.perf_counter()
+                    f0, c0, t0 = _minflt(), time.process_time(), time.perf_counter()
                     fn()
                     times[row][cell].append(time.perf_counter() - t0)
+                    cpus[row][cell].append(time.process_time() - c0)
                     if row in flts:
                         flts[row][cell].append(_minflt() - f0)
     out = {row: {cell: statistics.median(ts) for cell, ts in cells.items()} for row, cells in times.items()}
@@ -333,14 +348,17 @@ def interleaved_medians(rows: dict, reps: int, faults=()) -> tuple:
         row: {cell: np.percentile(ts, [25, 75]).tolist() for cell, ts in cells.items()}
         for row, cells in times.items()
     }
+    cpu = {row: {cell: statistics.median(ts) for cell, ts in cells.items()} for row, cells in cpus.items()}
     for row, cells in flts.items():
         out[row].update({f"{cell}_minflt": statistics.median(fs) for cell, fs in cells.items()})
-    return out, spread
+    return out, spread, cpu
 
 
 def ascent_iterations(kind: str, n: int) -> dict:
     """Iterations of the ascents of one best_norms call over the grid,
-    summed over its points, with and without the settling rule."""
+    summed over its points, with and without the settling rule; the
+    column-iterations, and the points that ran a second round (blocks
+    narrower than the first call's)."""
     pairs = [(p, q) for p in GRID for q in GRID]
     ascent, runs = induced_norms._ascent, []
 
@@ -360,6 +378,9 @@ def ascent_iterations(kind: str, n: int) -> dict:
         if settle:
             stops = [why for run in runs for why in run.stop]
             row.update({why: stops.count(why) for why in ("converged", "settled", "max_iter")})
+            widths = [run.X.shape[1] // len(run.best) for run in runs]
+            row["column_iters"] = sum(k * sum(run.iters) for k, run in zip(widths, runs))
+            row["round1_points"] = sum(len(run.best) for k, run in zip(widths, runs) if k < widths[0])
     return row
 
 
@@ -432,6 +453,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
     ap.add_argument("--reps", type=int, default=5)
+    ap.add_argument("--cells", help="ROW.CELL[,ROW.CELL]: time only these cells, and no deterministic row")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         rows = {f"{kind[0]}{n}": shape_cells(kind, n, workdir, args.reps) for kind, n in SHAPES}
@@ -462,7 +484,14 @@ def main() -> None:
             M = gen_dft(k)
             check_Einf1(M, 2, 2)  # memoises the bracket and the SVD
             rows["check_einf1_dft"][f"dft{k}"] = (lambda M=M: check_Einf1(M, 2, 2), 5)
-        results, spread = interleaved_medians(rows, args.reps, faults=("inf1_real",))
+        if args.cells:
+            rows = only_cells(rows, args.cells, ap)
+        results, spread, cpu = interleaved_medians(rows, args.reps, faults=("inf1_real",))
+        if args.cells:
+            for key, row in results.items():
+                _print_row(key, row)
+            write(args, results, spread, cpu)
+            return
         results["verify_calls"] = {
             f"{kind[0]}{n}": verify_calls(kind, n, workdir) for kind, n in SHAPES
         }
@@ -478,17 +507,33 @@ def main() -> None:
         _print_row(key, row)
     results["grid_peak_mb"] = {f"{kind[0]}{n}": grid_peak_mb(kind, n) for kind, n in PEAK_SHAPES}
     _print_row("grid_peak_mb", results["grid_peak_mb"])
+    write(args, results, spread, cpu)
+
+
+def only_cells(rows: dict, names: str, ap: argparse.ArgumentParser) -> dict:
+    """The cells named ROW.CELL in the comma-separated names, by row."""
+    out = {}
+    for name in names.split(","):
+        row, _, cell = name.partition(".")
+        if cell not in rows.get(row, {}):
+            ap.error(f"no timed cell {name!r}")
+        out.setdefault(row, {})[cell] = rows[row][cell]
+    return out
+
+
+def write(args: argparse.Namespace, results: dict, spread: dict, cpu: dict) -> None:
     payload = {
         "unit": (
             "s (median of reps), grid_speedup is pointwise / stacked; *_minflt, ascent_iters, "
             "verify_calls, ascent_calls, map_rescales are counts; grid_peak_mb is MB; "
-            "spread is each timed cell's [q1, q3] in s"
+            "spread is each timed cell's [q1, q3] in s; cpu is each timed cell's median CPU s"
         ),
         "reps": args.reps,
         "seed": 0,
         "environment": environment(),
         "results": results,
         "spread": spread,
+        "cpu": cpu,
     }
     with open(args.out, "w", encoding="utf-8") as fp:
         json.dump(payload, fp, indent=2)

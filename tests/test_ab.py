@@ -1,6 +1,7 @@
 """scripts/ab.py: one short pair of this checkout against itself prints
-every end-to-end metric, writes nothing under bench/, and its gain rule
-needs both the pair wins and the quartile gap."""
+every end-to-end metric (or, with --layers, every named layer cell),
+writes nothing under bench/ or scripts/, and its gain rule needs both the
+pair wins and the quartile gap."""
 
 import importlib.util
 import json
@@ -34,6 +35,26 @@ def test_one_pair_against_itself():
     for side in ("parent", "change"):
         assert any(line.startswith(f"{side:6s} per run: wall") and ", cpu " in line for line in table)
     assert sorted(p.name for p in (ROOT / "bench").iterdir()) == bench_before
+
+
+def test_layer_cells_against_itself():
+    before = {d: sorted(p.name for p in (ROOT / d).iterdir()) for d in ("bench", "scripts")}
+    cells = ["r4.best_norm_1.5_3", "c4.grid_stacked"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--against", str(ROOT), "--pairs", "1",
+         "--layers", ",".join(cells), "--reps", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    table = done.stdout.splitlines()
+    assert table[0].startswith("pair 1/1 parent first: ")
+    assert "cpu parent -> change" in table[1]
+    for cell in cells:
+        [row] = [line for line in table[2:] if line.startswith(cell + " ")]
+        assert " 0/1 " in row or " 1/1 " in row
+        parent_cpu, change_cpu = row.rsplit(None, 3)[1::2]
+        assert float(parent_cpu) > 0.0 and float(change_cpu) > 0.0
+    assert {d: sorted(p.name for p in (ROOT / d).iterdir()) for d in before} == before
 
 
 def test_gain_rule():
