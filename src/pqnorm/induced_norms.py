@@ -17,7 +17,8 @@ Its width is fixed: a converged restart freezes in place, and a point's
 restarts leave together, so one iteration costs few numpy calls.  Over the
 complex field a point's restarts run in two rounds, about half of them
 first; only the points whose first round did not end with several restarts
-at its best run the rest.  The real field runs every restart in one round.
+at its best run the rest, which settle against the first round's best.  The
+real field runs every restart in one round.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import dataclasses
 import enum
 import functools
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -426,7 +428,7 @@ def _normalize_cols(X: np.ndarray, p: ExtIndex) -> np.ndarray:
 RESTARTS = 32  # ascent starts per (p, q) point, plus m
 MAX_ITER = 200  # iterations an ascent runs at most
 ASCENT_TOL = 1e-10  # relative move in one step at which a restart freezes
-SETTLE_WINDOW = 10  # iterations over which a block's best must keep rising
+SETTLE_WINDOW = 6  # iterations over which a block's best must keep rising (scripts/settle_window.py)
 SETTLE_RTOL = 1e-12  # relative rise below which a block counts as settled
 REDISCOVERIES = 3  # complex restarts that must reach a round's best to skip the next
 REDISCOVERY_RTOL = 1e-6  # relative distance from the best that counts as reaching it
@@ -455,6 +457,7 @@ def _ascent(
     block: Optional[int] = None,
     *,
     settle: bool = True,
+    floor: Optional[Sequence[tuple]] = None,
 ) -> _Ascent:
     """Batched duality-map ascent on the columns of X0, which have unit
     p-norm.
@@ -471,10 +474,15 @@ def _ascent(
     lowest column.  A block stops once all its columns are frozen or, with
     settle, once its best rose by at most SETTLE_RTOL (relative) over the
     last SETTLE_WINDOW iterations (settled); only then do its columns leave
-    the iteration.  Every best is still attained by an iterate, so it stays
-    a lower bound; callers that read every column's terminal iterate turn
-    settle off.  The ascent runs on A / 2^e, which moves no iterate, and the
-    values are scaled back at the end, so no scale of A overflows a step.
+    the iteration.  floor gives, per block, the (best value, iterations) of
+    an earlier round of the same point: that block settles against the
+    larger of its own best and that value, and not before it has run as
+    many iterations, as it would beside that round's columns in one block.
+    Every best is still attained by an iterate of its own block, so it
+    stays a lower bound; callers that read every column's terminal iterate
+    turn settle off.  The ascent runs on A / 2^e, which moves no iterate,
+    and the values are scaled back at the end, so no scale of A overflows a
+    step.
     Both half-steps' maps are chosen once per call (per block drop for
     per-column exponents): the phase and top-entry maps at 1 and inf, and
     the peak-free map at every other exponent, which A / 2^e and the
@@ -498,9 +506,13 @@ def _ascent(
     k = block or X.shape[1]
     nblocks = X.shape[1] // k
     # per running block, in block order: its id, its best value and iterate,
-    # and ring[i][t % W], its best after iteration t for the last W
+    # with floors its floor (value on A / 2^e, the largest float for one
+    # scaled back past the float range; first iteration that may settle),
+    # and ring[i][t % W], its best, or the larger of its best and its floor
+    # value, after iteration t for the last W
     live, best_val = list(range(nblocks)), [-math.inf] * nblocks
     best_vec = [X[:, b * k].copy() for b in live]
+    lows = floor and [(min(math.ldexp(v, -e), sys.float_info.max), n - 1) for v, n in floor]
     ring = [[-math.inf] * SETTLE_WINDOW for _ in live]
     best, iters, stop = [None] * nblocks, [0] * nblocks, ["converged"] * nblocks
 
@@ -523,8 +535,9 @@ def _ascent(
                 if vals[j] > best_val[i]:
                     best_val[i], best_vec[i] = float(vals[j]), X[:, j].copy()
                 if settle:
-                    old, ring[i][t % SETTLE_WINDOW] = ring[i][t % SETTLE_WINDOW], best_val[i]
-                    settled.append(best_val[i] - old <= SETTLE_RTOL * best_val[i])
+                    level = max(best_val[i], lows[i][0]) if lows else best_val[i]
+                    old, ring[i][t % SETTLE_WINDOW] = ring[i][t % SETTLE_WINDOW], level
+                    settled.append(level - old <= SETTLE_RTOL * level and (not lows or t >= lows[i][1]))
             frozen, nf = None, 0
             if prev is not None:  # always set by the time a block can settle
                 frozen = np.abs(vals - prev) <= tol * vals  # a dead column's 0 <= 0
@@ -541,6 +554,8 @@ def _ascent(
                         [x for x, d in zip(s, drop) if not d]
                         for s in (live, best_val, best_vec, ring)
                     )
+                    if lows:
+                        lows = [x for x, d in zip(lows, drop) if not d]
                     if not live:
                         break
                     keep = ~np.repeat(drop, k)
@@ -576,16 +591,20 @@ def _start_block(m: int, field: str, restarts: int, seed: int) -> np.ndarray:
     non-real constant-modulus vector, then seeded random columns, at least
     2, up to restarts columns in all; built once and shared read-only
     (norm_bruteforce builds its budget-sized block uncached, by __wrapped__)."""
-    dtype = complex if field == COMPLEX else float
-    fixed = [np.eye(m, dtype=dtype), np.ones((m, 1), dtype=dtype)]
-    if field == COMPLEX:
+    cplx = field == COMPLEX
+    fixed = m + 1 + cplx
+    X0 = np.zeros((m, fixed + max(restarts - fixed, 2)), dtype=complex if cplx else float)
+    np.fill_diagonal(X0, 1.0)
+    X0[:, m] = 1.0
+    if cplx:
         # one deterministic non-real constant-modulus start helps at (inf, 1)
-        fixed.append(np.exp(2j * np.pi * np.arange(m) / max(m + 1, 3)).reshape(m, 1))
+        X0[:, m + 1] = np.exp(2j * np.pi * np.arange(m) / max(m + 1, 3))
+    # the real parts' normal draws first, then the imaginary parts'
     rng = np.random.default_rng(seed)
-    shape = (m, max(restarts - sum(b.shape[1] for b in fixed), 2))
-    R = rng.standard_normal(shape)
-    fixed.append(R + 1j * rng.standard_normal(shape) if field == COMPLEX else R)
-    X0 = np.hstack(fixed)
+    R = rng.standard_normal((m, X0.shape[1] - fixed))
+    X0.real[:, fixed:] = R
+    if cplx:
+        X0.imag[:, fixed:] = rng.standard_normal(out=R)
     X0.setflags(write=False)
     return X0
 
@@ -643,11 +662,13 @@ def norm_estimate(
 STACK = 1 << 14
 
 
-def _stacked(M: MatrixValue, pairs: list, starts: Callable) -> list:
-    """(best value, witness, terminal values of its block) per pair, from
-    ascents of the pairs' start blocks starts(p) stacked side by side with
-    per-column exponents, in chunks of at most STACK elements; a chunk of
-    one point runs on scalar exponents."""
+def _stacked(M: MatrixValue, pairs: list, starts: Callable, floors: Optional[list] = None) -> list:
+    """(best value, witness, terminal values of its block, iterations) per
+    pair, from ascents of the pairs' start blocks starts(p) stacked side by
+    side with per-column exponents, in chunks of at most STACK elements; a
+    chunk of one point runs on scalar exponents.  floors gives per pair the
+    (best value, iterations) of its earlier round that its block settles
+    against (_ascent)."""
     if not pairs:
         return []
     k = starts(pairs[0][0]).shape[1]
@@ -661,8 +682,11 @@ def _stacked(M: MatrixValue, pairs: list, starts: Callable) -> list:
             p = np.repeat([pi.value for pi, _ in chunk], k)
             q = np.repeat([qi.value for _, qi in chunk], k)
             X = np.hstack([starts(pi) for pi, _ in chunk])
-        run = _ascent(M.entries, p, q, X, MAX_ITER, ASCENT_TOL, k)
-        out.extend((val, vec, run.vals[b * k : (b + 1) * k]) for b, (val, vec) in enumerate(run.best))
+        floor = floors[c : c + per] if floors else None
+        run = _ascent(M.entries, p, q, X, MAX_ITER, ASCENT_TOL, k, floor=floor)
+        out.extend(
+            (val, vec, run.vals[b * k : (b + 1) * k], run.iters[b]) for b, (val, vec) in enumerate(run.best)
+        )
     return out
 
 
@@ -676,8 +700,11 @@ def _estimates(M: MatrixValue, pairs: list, seed: int) -> list:
     ends with at least REDISCOVERIES restarts within REDISCOVERY_RTOL
     (relative) of that round's best is done, and every other point runs the
     rest of the block in a second round and takes the larger best, the
-    first round's on a tie.  So a point that fails the test sees the whole
-    block, and every value is still attained by an iterate.
+    first round's on a tie.  The second round's block settles against the
+    larger of its own best and the first round's, and not before it has run
+    as many iterations as the first round did: so it stops about where the
+    whole block in one round would, and a point that fails the test still
+    sees the whole block.  Every value is attained by an iterate.
     """
     block = (M.m, M.field, RESTARTS + M.m, seed)
     if not M.is_complex:
@@ -686,14 +713,19 @@ def _estimates(M: MatrixValue, pairs: list, seed: int) -> list:
         runs = _stacked(M, pairs, lambda p: _round_start_blocks(*block, p)[0])
         redo = [
             i
-            for i, (val, _, vals) in enumerate(runs)
+            for i, (val, _, vals, _) in enumerate(runs)
             if np.count_nonzero(vals >= (1.0 - REDISCOVERY_RTOL) * val) < REDISCOVERIES
         ]
-        again = _stacked(M, [pairs[i] for i in redo], lambda p: _round_start_blocks(*block, p)[1])
+        again = _stacked(
+            M,
+            [pairs[i] for i in redo],
+            lambda p: _round_start_blocks(*block, p)[1],
+            [(runs[i][0], runs[i][3]) for i in redo],
+        )
         for i, run in zip(redo, again):
             if run[0] > runs[i][0]:
                 runs[i] = run
-    return [NormResult(val, vec, Certainty.ESTIMATE) for val, vec, _ in runs]
+    return [NormResult(val, vec, Certainty.ESTIMATE) for val, vec, *_ in runs]
 
 
 def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[NormResult]:

@@ -46,6 +46,8 @@ from pqnorm.induced_norms import (
     REDISCOVERIES,
     REDISCOVERY_RTOL,
     RESTARTS,
+    SETTLE_RTOL,
+    SETTLE_WINDOW,
     SIGN_CAP,
     STACK,
     _TINY,
@@ -631,6 +633,20 @@ def _ascent_all_columns(arr, p, q, X0, max_iter, tol):
     return best_val
 
 
+def _settle_iters(arr, p, q, X0, iters, floor=(-math.inf, 0)):
+    """The iteration count at which one block of X0 settles by the rule, or
+    None if it does not within iters: the first t with t >= the floor's
+    iterations whose level, the larger of the floor value and the best of
+    the run without the rule cut at t iterations, rose by at most
+    SETTLE_RTOL (relative) since t - SETTLE_WINDOW."""
+    pi, qi = as_index(p), as_index(q)
+    level = [max(floor[0], _ascent(arr, pi, qi, X0, t, 1e-10, settle=False).best[0][0]) for t in range(1, iters + 1)]
+    for t in range(SETTLE_WINDOW + 1, iters + 1):
+        if t >= floor[1] and level[t - 1] - level[t - 1 - SETTLE_WINDOW] <= SETTLE_RTOL * level[t - 1]:
+            return t
+    return None
+
+
 class TestAscent:
     PAIRS = [(1.5, 1.5), (1.5, 3), (3, 1.5), (4, 1.2), ("inf", 3), (3, 1)]
 
@@ -717,7 +733,9 @@ class TestAscent:
 
     def test_settling_truncates_the_run(self):
         # a settled block reports exactly what the run without the rule has
-        # seen by the same iteration; per block when points are stacked
+        # seen by the same iteration, and it is the first iteration at which
+        # its best rose by at most SETTLE_RTOL over the last SETTLE_WINDOW;
+        # per block when points are stacked
         for i, (n, m) in enumerate([(8, 8), (6, 3), (16, 16)]):
             M = rand_matrix(1200 + i, n, m, complex_=bool(i % 2))
             for p, q in self.PAIRS:
@@ -727,6 +745,8 @@ class TestAscent:
                 cut = _ascent(M.entries, pi, qi, X0, run.iters[0], 1e-10, settle=False)
                 assert run.best[0][0] == cut.best[0][0], (i, p, q)
                 assert np.array_equal(run.best[0][1], cut.best[0][1])
+                settled = run.iters[0] if run.stop == ["settled"] else None
+                assert _settle_iters(M.entries, p, q, X0, run.iters[0]) == settled, (i, p, q)
             k = X0.shape[1]
             ps = np.repeat([1.5, 3.0, 4.0], k)
             qs = np.repeat([3.0, 1.5, 1.2], k)
@@ -739,8 +759,65 @@ class TestAscent:
                 assert abs(run.best[b][0] - one.best[0][0]) <= 1e-12 * one.best[0][0]
                 assert run.stop[b] in ("converged", "settled", "max_iter")
 
+    def test_floored_block_settles_against_its_floor(self):
+        # a complex point's second round with its first round's (best,
+        # iterations) as floor settles by the rule on the larger of its own
+        # best and the floor value, never before the floor's iterations: on
+        # DFT 11 at (3, 1.5) and complex Gaussian 6 x 6 at (3, 1) that holds
+        # the round back past where it settles alone, and on complex Hadamard
+        # 8 at (3, 1.5) it stops the round earlier.  Its best is still its
+        # own, and a floor above every value, inf included, settles it at
+        # exactly the floor's iterations
+        cases = [
+            (gen_dft(11), 3, 1.5, "later"),
+            (rand_matrix(3620, 6, 6, complex_=True), 3, 1, "later"),
+            (MatrixValue(gen_hadamard(8).entries, "complex"), 3, 1.5, "earlier"),
+        ]
+        for M, p, q, effect in cases:
+            pi, qi = as_index(p), as_index(q)
+            first, second = _round_start_blocks(M.m, M.field, RESTARTS + M.m, 0, pi)
+            r0 = _ascent(M.entries, pi, qi, first, MAX_ITER, ASCENT_TOL)
+            alone = _ascent(M.entries, pi, qi, second, MAX_ITER, ASCENT_TOL)
+            floor = (r0.best[0][0], r0.iters[0])
+            run = _ascent(M.entries, pi, qi, second, MAX_ITER, ASCENT_TOL, floor=[floor])
+            assert run.stop == ["settled"] and run.iters[0] >= floor[1], (p, q)
+            assert _settle_iters(M.entries, p, q, second, run.iters[0], floor) == run.iters[0], (p, q)
+            assert (run.iters[0] > alone.iters[0]) == (effect == "later"), (p, q)
+            cut = _ascent(M.entries, pi, qi, second, run.iters[0], ASCENT_TOL, settle=False)
+            assert run.best[0][0] == cut.best[0][0] and np.array_equal(run.best[0][1], cut.best[0][1])
+            for high in (2.0 * floor[0], math.inf):  # inf: a floor scaled back past the float range
+                run = _ascent(M.entries, pi, qi, second, MAX_ITER, ASCENT_TOL, floor=[(high, 20)])
+                assert (run.iters, run.stop) == ([20], ["settled"]), (p, q, high)
+
+
+def _start_block_by_stacking(m, field, restarts, seed):
+    """The start block built from separate pieces joined by np.hstack, the
+    real and imaginary draws summed as R + 1j * I: the reference for the
+    in-place build."""
+    dtype = complex if field == "complex" else float
+    fixed = [np.eye(m, dtype=dtype), np.ones((m, 1), dtype=dtype)]
+    if field == "complex":
+        fixed.append(np.exp(2j * np.pi * np.arange(m) / max(m + 1, 3)).reshape(m, 1))
+    rng = np.random.default_rng(seed)
+    shape = (m, max(restarts - sum(b.shape[1] for b in fixed), 2))
+    R = rng.standard_normal(shape)
+    fixed.append(R + 1j * rng.standard_normal(shape) if field == "complex" else R)
+    return np.hstack(fixed)
+
 
 class TestStartBlock:
+    def test_in_place_build_matches_stacking(self):
+        # the in-place build writes the same bytes as the stacked one in
+        # both fields, also where restarts leave room for only the 2
+        # random columns every block has
+        for field in ("real", "complex"):
+            for m in (1, 2, 8, 33):
+                for restarts in (40, 10_000):
+                    want = _start_block_by_stacking(m, field, restarts, 7)
+                    got = _start_block.__wrapped__(m, field, restarts, 7)
+                    assert got.dtype == want.dtype and got.shape == want.shape, (field, m, restarts)
+                    assert got.tobytes() == want.tobytes(), (field, m, restarts)
+
     def test_matches_default_starts(self):
         # built once per (m, field, restarts, seed), read-only, and the same
         # bytes as a fresh, uncached build for that column count and field
@@ -1252,12 +1329,12 @@ FROZEN_SINGLE_POINT = {
     ("c8x8", 1.5, 3): ("0x1.223ce8c261e26p+2", "abf22cb123a47b20"),
     ("c8x8", 3, 1.5): ("0x1.a8800516248cdp+3", "3d8574eace17435c"),
     ("c8x8", 4, 1.2): ("0x1.5ace5c94c0551p+4", "83e945adae375a63"),
-    ("c8x8", "inf", 2): ("0x1.2a82af0bc44e8p+4", "e4c724d99b6e11f3"),
+    ("c8x8", "inf", 2): ("0x1.2a82af0bb3cbbp+4", "3ce616139e2b9066"),
     ("c8x8", 2, 1): ("0x1.38babd9a1de3dp+4", "6ec3fad8c2f775dc"),
     ("c8x8", "inf", 1.5): ("0x1.96227e8d54f36p+4", "e95bd15fed5ac7ec"),
     ("c8x8", 1.5, 1.5): ("0x1.fcc8bd1efc7f4p+2", "d71515aaa4ce057d"),
     ("c8x8", "inf", 1): ("0x1.8a89969abb132p+5", "2646679626689555"),
-    ("r12x10", 1.5, 3): ("0x1.fadf1b1ae5b22p+1", "b936a5863f34ab82"),
+    ("r12x10", 1.5, 3): ("0x1.fadf1b1ae1ca4p+1", "2726b0373a13b845"),
     ("r12x10", 3, 1.5): ("0x1.8dda22e23f81ap+3", "5ba7fe978a799d10"),
     ("r12x10", 4, 1.2): ("0x1.563699588b7a5p+4", "621b92e78e2f3328"),
     ("r12x10", "inf", 2): ("0x1.182165059f903p+4", "2f4b693cbb42a713"),
@@ -1323,9 +1400,9 @@ class TestStackedAscent:
 
         shapes = []
 
-        def recording(arr, p, q, X0, *args):
+        def recording(arr, p, q, X0, *args, **kwargs):
             shapes.append((arr.shape, X0.shape, not isinstance(p, mod.ExtIndex)))
-            return _ascent(arr, p, q, X0, *args)
+            return _ascent(arr, p, q, X0, *args, **kwargs)
 
         monkeypatch.setattr(mod, "_ascent", recording)
         for n, m in [(32, 32), (20, 12), (3, 3)]:
@@ -1642,7 +1719,7 @@ def _rounds(M, p):
 
 def _recorded_ascents(monkeypatch):
     """A spy on _ascent: per call, the (p, q) of each block, the block width,
-    the start columns and the outcome."""
+    the start columns, the outcome and the blocks' floors."""
     import pqnorm.induced_norms as mod
 
     calls = []
@@ -1654,7 +1731,7 @@ def _recorded_ascents(monkeypatch):
             points = [(p.value, q.value)]
         else:
             points = list(zip(p[::k].tolist(), q[::k].tolist()))
-        calls.append((points, k, X0, run))
+        calls.append((points, k, X0, run, kwargs.get("floor")))
         return run
 
     monkeypatch.setattr(mod, "_ascent", recording)
@@ -1721,8 +1798,8 @@ class TestRestartRounds:
             stacked = best_norms(MatrixValue(arr, "real"), pairs)
             monkeypatch.undo()
             todo = [(pq, res) for pq, res in zip(pairs, stacked) if not res.certainty.is_exact]
-            [(points, k, _, _)] = calls
-            assert k == RESTARTS + m and len(points) == len(todo)
+            [(points, k, _, _, floor)] = calls
+            assert k == RESTARTS + m and len(points) == len(todo) and floor is None
             ps = np.repeat([as_index(p).value for (p, _), _ in todo], k)
             qs = np.repeat([as_index(q).value for (_, q), _ in todo], k)
             X0 = np.hstack([_unit_start_block(m, "real", RESTARTS + m, 0, as_index(p)) for (p, _), _ in todo])
@@ -1731,12 +1808,13 @@ class TestRestartRounds:
                 assert res.value == val and np.array_equal(res.witness, x), (n, m, p, q)
 
     def test_second_round_runs_only_the_points_that_fail(self, monkeypatch):
-        # complex Hadamard 8 sends 6 of its 35 estimated points to a second
-        # round, DFT 16 one; the Gaussian none
+        # complex Hadamard 8 sends 8 of its 35 estimated points to a second
+        # round, DFT 16 two; the Gaussian none.  A second round settles
+        # against its point's first-round best and iterations
         calls = _recorded_ascents(monkeypatch)
         samples = [
-            (MatrixValue(gen_hadamard(8).entries, "complex"), 6),
-            (gen_dft(16), 1),
+            (MatrixValue(gen_hadamard(8).entries, "complex"), 8),
+            (gen_dft(16), 2),
             (rand_matrix(3620, 6, 6, complex_=True), 0),
         ]
         for M, count in samples:
@@ -1746,19 +1824,20 @@ class TestRestartRounds:
             first = [c for c in calls if c[1] == k0]
             second = [c for c in calls if c[1] != k0]
             assert calls[: len(first)] == first  # every first round runs before any second one
-            failed, best = [], {}
-            for points, k, X0, run in first:
-                assert np.array_equal(X0, np.hstack([_rounds(M, p)[0] for p, _ in points]))
+            failed, best, floors = [], {}, {}
+            for points, k, X0, run, floor in first:
+                assert np.array_equal(X0, np.hstack([_rounds(M, p)[0] for p, _ in points])) and floor is None
                 for b, pq in enumerate(points):
-                    best[pq] = run.best[b]
+                    best[pq], floors[pq] = run.best[b], (run.best[b][0], run.iters[b])
                     near = run.vals[b * k : (b + 1) * k] >= (1.0 - REDISCOVERY_RTOL) * best[pq][0]
                     if np.count_nonzero(near) < REDISCOVERIES:
                         failed.append(pq)
             assert len(failed) == count and len(best) == 35
             assert [pq for points, *_ in second for pq in points] == failed
-            for points, k, X0, run in second:
+            for points, k, X0, run, floor in second:
                 assert k == k1
                 assert np.array_equal(X0, np.hstack([_rounds(M, p)[1] for p, _ in points]))
+                assert floor == [floors[pq] for pq in points]
                 for b, pq in enumerate(points):
                     if run.best[b][0] > best[pq][0]:  # the first round wins a tie
                         best[pq] = run.best[b]
