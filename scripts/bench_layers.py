@@ -79,6 +79,14 @@ r8 and c8:
                     of the ascent's start block, their (1.5, 3) ratios and
                     the polish of the ten best
 
+One row times a budget's fresh restart rounds, on a fresh Gaussian (seed 0)
+per run whose budget-free estimates are memoised before timing starts:
+
+  budget            best_norm(M, 1.5, 3, budget=10000) for r4, c4, r8 and
+                    c8, and (cells r32_grid7, c32_grid7) best_norms over
+                    the grid {1, 1.2, 1.5, 2, 3, 4, inf}^2 with budget
+                    10000 at order 32, where some points run many rounds
+
 The reps are interleaved: each pass runs every cell once (five times for
 the check_einf1 cells) before the next pass starts, so a slow spell of a
 shared host spreads over all cells instead of landing on one.  Beside the
@@ -184,6 +192,8 @@ SESSION_SHAPES = [("real", 8), ("complex", 8), ("complex", 16), ("complex", 32)]
 SAVE_SHAPES = [(kind, n) for n in (32, 128) for kind in ("real", "complex")]
 DECIDE_ARGS = (3, 1.5, 1.5, 3)  # (p, q, r, s): both sides estimated
 EINF1_DFT_ORDERS = [2, 4, 8]
+BUDGET_GRID = [1, 1.2, 1.5, 2, 3, 4, "inf"]
+BUDGET_PAIRS = [(p, q) for p in BUDGET_GRID for q in BUDGET_GRID]
 
 
 def _matrix(kind: str, n: int, m: int = 0) -> np.ndarray:
@@ -289,6 +299,17 @@ def _decide_cell(kind: str, n: int) -> tuple:
 def _bruteforce_cell(kind: str, n: int) -> tuple:
     A = _matrix(kind, n)
     return (lambda: norm_bruteforce(MatrixValue(A, kind), 1.5, 3, budget=10_000), 1)
+
+
+def _budget_cell(kind: str, n: int, pairs: list, reps: int) -> tuple:
+    """best_norms(M, pairs, budget=10000), one fresh matrix per run, its
+    budget-free estimates memoised now."""
+    A = _matrix(kind, n)
+    matrices = [MatrixValue(A, kind) for _ in range(reps)]
+    for M in matrices:
+        best_norms(M, pairs)
+    fresh = iter(matrices)
+    return (lambda: best_norms(next(fresh), pairs, budget=10_000), 1)
 
 
 def ascent_calls(kind: str, n: int) -> int:
@@ -479,6 +500,9 @@ def main() -> None:
             }
         rows["decide_equality"] = {f"{kind[0]}{n}": _decide_cell(kind, n) for kind, n in SMALL_SHAPES}
         rows["bruteforce"] = {f"{kind[0]}{n}": _bruteforce_cell(kind, n) for kind, n in SMALL_SHAPES}
+        rows["budget"] = {f"{kind[0]}{n}": _budget_cell(kind, n, [(1.5, 3)], args.reps) for kind, n in SMALL_SHAPES}
+        for kind in ("real", "complex"):
+            rows["budget"][f"{kind[0]}32_grid7"] = _budget_cell(kind, 32, BUDGET_PAIRS, args.reps)
         rows["check_einf1_dft"] = {}
         for k in EINF1_DFT_ORDERS:
             M = gen_dft(k)

@@ -405,8 +405,11 @@ def build_parser() -> _Parser:
     add_pq(sp)
     sp.add_argument("--exact-only", action="store_true", help="exit 2 unless an exact route exists")
     sp.add_argument("--seed", type=int, default=0)
-    budget_help = "also sample N >= 100 ascent starts, polish the ten best, keep the larger value"
-    sp.add_argument("--budget", type=int, default=None, help=budget_help)
+    budget_help = (
+        "top up an estimate with fresh rounds of random restarts until one rediscovers its best,"
+        " within N >= 100 starts in all"
+    )
+    sp.add_argument("--budget", type=int, default=None, metavar="N", help=budget_help)
 
     sp = sub.add_parser("check", help="equality-class or pointwise equality verdict")
     sp.add_argument("file")

@@ -18,7 +18,9 @@ restarts leave together, so one iteration costs few numpy calls.  Over the
 complex field a point's restarts run in two rounds, about half of them
 first; only the points whose first round did not end with several restarts
 at its best run the rest, which settle against the first round's best.  The
-real field runs every restart in one round.
+real field runs every restart in one round.  A budget adds fresh rounds of
+random restarts to a point until that rediscovery test holds or the budget
+is spent.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import dataclasses
 import enum
 import functools
 import math
+import numbers
 import sys
 import weakref
 from dataclasses import dataclass
@@ -590,7 +593,8 @@ def _start_block(m: int, field: str, restarts: int, seed: int) -> np.ndarray:
     coordinate vectors, the all-ones vector, over the complex field one
     non-real constant-modulus vector, then seeded random columns, at least
     2, up to restarts columns in all; built once and shared read-only
-    (norm_bruteforce builds its budget-sized block uncached, by __wrapped__)."""
+    (norm_bruteforce builds its budget-sized block uncached, by __wrapped__;
+    a budget's fresh rounds draw theirs apart, by _fresh_block)."""
     cplx = field == COMPLEX
     fixed = m + 1 + cplx
     X0 = np.zeros((m, fixed + max(restarts - fixed, 2)), dtype=complex if cplx else float)
@@ -726,6 +730,51 @@ def _estimates(M: MatrixValue, pairs: list, seed: int) -> list:
             if run[0] > runs[i][0]:
                 runs[i] = run
     return [NormResult(val, vec, Certainty.ESTIMATE) for val, vec, *_ in runs]
+
+
+def _fresh_block(m: int, field: str, count: int, seed: int, rnd: int) -> np.ndarray:
+    """count random start columns for fresh restart round rnd >= 1, drawn
+    from default_rng([seed, rnd]) (complex Gaussian over the complex field,
+    the real parts first); built uncached, so no budget's rounds stay alive."""
+    rng = np.random.default_rng([seed, rnd])
+    X = rng.standard_normal((m, count))
+    if field == COMPLEX:
+        X = X + 1j * rng.standard_normal((m, count))
+    return X
+
+
+def _fresh_rounds(M: MatrixValue, pairs: list, plain: list, seed: int, budget: int) -> list:
+    """The estimates plain of pairs topped up by fresh restart rounds within
+    budget starts.
+
+    Round rnd = 1, 2, ... gives every open point the same RESTARTS + m
+    random starts (_fresh_block), scaled to its unit p-norm and stacked with
+    the other open points (_stacked); they settle on their own best, with
+    no floor.  A point keeps the larger best, the earlier round's on a tie,
+    and closes after a round that raised its best by at most
+    REDISCOVERY_RTOL (relative) and left at least REDISCOVERIES of its
+    fresh restarts within REDISCOVERY_RTOL of that best, the rediscovery
+    test of multistart search.  It also closes when one more round would
+    take its starts, the plain block's included, past budget.  Every value
+    is attained by an iterate.
+    """
+    k = RESTARTS + M.m
+    best = [(res.value, res.witness) for res in plain]
+    todo, rnd = list(range(len(pairs))), 1
+    while todo and (rnd + 1) * k <= budget:
+        X = _fresh_block(M.m, M.field, k, seed, rnd)
+        starts = functools.cache(lambda p, X=X: _normalize_cols(X, p))  # one scaling per p
+        still = []
+        for i, (val, vec, vals, _) in zip(todo, _stacked(M, [pairs[i] for i in todo], starts)):
+            old = best[i][0]
+            if val > old:
+                best[i] = (val, vec)
+            top = best[i][0]
+            near = np.count_nonzero(vals >= (1.0 - REDISCOVERY_RTOL) * top)
+            if not (top <= (1.0 + REDISCOVERY_RTOL) * old and near >= REDISCOVERIES):
+                still.append(i)
+        todo, rnd = still, rnd + 1
+    return [NormResult(val, vec, Certainty.ESTIMATE) for val, vec in best]
 
 
 def norm_closed_form(A: MatrixLike, p: IndexLike, q: IndexLike) -> Optional[NormResult]:
@@ -1076,7 +1125,11 @@ def _enumerated(M: MatrixValue, p: ExtIndex, q: ExtIndex) -> Optional[NormResult
 
 
 def _check_budget(budget: Optional[int]) -> None:
-    if budget is not None and budget < 100:
+    if budget is None:
+        return
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
+    if budget < 100:
         raise ValueError("budget too small to be meaningful")
 
 
@@ -1092,7 +1145,8 @@ def norm_bruteforce(
     Samples budget columns of the ascent's start block (coordinate vectors,
     the all-ones vector, over the complex field a constant-modulus vector,
     then seeded random directions), built afresh rather than cached, and
-    polishes the ten best by ascent.  Deterministic for a fixed seed.
+    polishes the ten best by ascent.  Deterministic for a fixed seed.  An
+    oracle the tests compare the routes against; best_norm does not call it.
     """
     _check_budget(budget)
     M = as_matrix(A)
@@ -1122,10 +1176,13 @@ def best_norm(
     Closed form when one exists; over the real field sign enumeration at
     (inf, 1) within MAX_REAL_COLS columns and at (inf, q) and (p, 1) within
     SIGN_CAP elements (_enumerated), all exact-enumeration; otherwise the
-    ascent estimate (the memoised one, topped up with a brute-force pass
-    when a budget is given; a budget below 100 raises ValueError on every
-    route).  Memoised on the matrix per (p, q, seed, budget); the witness
-    is read-only.
+    ascent estimate.  With a budget the memoised estimate is topped up by
+    fresh rounds of RESTARTS + m random restarts until a round rediscovers
+    the best or one more would take the starts, the estimate's own block
+    included, past budget (_fresh_rounds), so the value never falls; a
+    budget that is not an integer, or is below 100, raises ValueError on
+    every route.  Memoised on the matrix per (p, q, seed, budget); the
+    witness is read-only.
     """
     return best_norms(A, [(p, q)], seed=seed, budget=budget)[0]
 
@@ -1145,7 +1202,9 @@ def best_norms(
     cap) is turned away before anything is built.  The pairs left to the
     ascent are estimated together: their restarts are stacked into as few
     ascents as the element cap allows, so each iteration's fixed cost is
-    paid once for all of them.
+    paid once for all of them.  With a budget, each such pair takes its
+    memoised budget-free estimate, and the pairs still open run each fresh
+    restart round together (_fresh_rounds).
     """
     _check_budget(budget)
     M = as_matrix(A)
@@ -1164,13 +1223,11 @@ def best_norms(
             found[key] = res
     if todo:
         pairs = list(todo.values())
-        estimates = _estimates(M, pairs, seed) if budget is None else best_norms(M, pairs, seed=seed)
-        for (key, (pi, qi)), res in zip(todo.items(), estimates):
-            if budget is not None:
-                other = norm_bruteforce(M, pi, qi, budget=budget, seed=seed)
-                if other.value > res.value:
-                    res = other
-            found[key] = res
+        if budget is None:
+            estimates = _estimates(M, pairs, seed)
+        else:
+            estimates = _fresh_rounds(M, pairs, best_norms(M, pairs, seed=seed), seed, budget)
+        found.update(zip(todo, estimates))
     for key, res in found.items():
         res.witness.setflags(write=False)
         M._memo[key] = res
