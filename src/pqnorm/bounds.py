@@ -332,6 +332,24 @@ def _ascending(grid: Sequence[IndexLike], name: str) -> list:
     return grid
 
 
+def _chain(A: MatrixLike, points: list, tol: Optional[float], seed: int) -> Optional[bool]:
+    """||A||_{p,q} along the points in order must neither fall nor rise past
+    the comparison bound (bound_factor) from one point to the next, at slack
+    _tol(tol, both exact); estimated together, None where only lower bounds
+    disagree and False only when certified (see duality_check)."""
+    as_tol(tol)
+    M = as_matrix(A)
+    best_norms(M, points, seed=seed)  # one stacked ascent, read back
+    brackets = [bracket_norm(M, *pt, seed=seed) for pt in points]
+    verdicts = []
+    for x, y, a, b in zip(points, points[1:], brackets, brackets[1:]):
+        t = _tol(tol, a.is_exact and b.is_exact)
+        c = bound_factor(*x, *y, M.m, M.n)
+        verdicts.append(_at_most((a.lower,) * 2, (b.lower, b.upper), t))
+        verdicts.append(_at_most((b.lower,) * 2, (c * a.lower, c * a.upper), t))
+    return _all(verdicts)
+
+
 def monotonicity_check(
     A: MatrixLike,
     s_fixed: IndexLike,
@@ -341,23 +359,9 @@ def monotonicity_check(
     seed: int = 0,
 ) -> Optional[bool]:
     """For fixed s and r ascending: ||A||_{r,s} must not decrease and
-    m^{1/r}*||A||_{r,s} must not increase (the comparison bound between
-    neighbours), up to slack _tol(tol, both exact).  The points are
-    estimated together; a violation is False only when certified, and None
-    when only lower bounds disagree (see duality_check)."""
-    as_tol(tol)
-    M = as_matrix(A)
+    m^{1/r}*||A||_{r,s} must not increase; _chain over (r, s), r ascending."""
     si = as_index(s_fixed)
-    grid = _ascending(r_grid, "r_grid")
-    best_norms(M, [(r, si) for r in grid], seed=seed)  # one stacked ascent, read back
-    brackets = [bracket_norm(M, r, si, seed=seed) for r in grid]
-    verdicts = []
-    for r, r2, a, b in zip(grid, grid[1:], brackets, brackets[1:]):
-        t = _tol(tol, a.is_exact and b.is_exact)
-        c = bound_factor(r, si, r2, si, M.m, M.n)
-        verdicts.append(_at_most((a.lower,) * 2, (b.lower, b.upper), t))
-        verdicts.append(_at_most((b.lower,) * 2, (c * a.lower, c * a.upper), t))
-    return _all(verdicts)
+    return _chain(A, [(r, si) for r in _ascending(r_grid, "r_grid")], tol, seed)
 
 
 def monotonicity_check_in_s(
@@ -369,12 +373,9 @@ def monotonicity_check_in_s(
     seed: int = 0,
 ) -> Optional[bool]:
     """For fixed r and s ascending: ||A||_{r,s} must not increase and
-    n^{-1/s}*||A||_{r,s} must not decrease.  Since ||A||_{r,s} =
-    ||A*||_{s*,r*}, this is monotonicity_check on A* at s_fixed = r* over
-    the conjugates s*, which ascend as s descends."""
-    grid = _ascending(s_grid, "s_grid")
-    duals = [conjugate(s) for s in reversed(grid)]
-    return monotonicity_check(as_matrix(A).adjoint(), conjugate(r_fixed), duals, tol, seed=seed)
+    n^{-1/s}*||A||_{r,s} must not decrease; _chain over (r, s), s descending."""
+    ri = as_index(r_fixed)
+    return _chain(A, [(ri, s) for s in reversed(_ascending(s_grid, "s_grid"))], tol, seed)
 
 
 def transfer_equality(

@@ -16,14 +16,14 @@ requested but only an estimate is available; 3 member no; 4 member
 undetermined; 5 a verify property failed.
 
 Sweeps run in one thread; sweep and verify estimate all their points of a
-matrix together (best_norms).  The THREADS environment variable is accepted
-for compatibility and ignored.  The norm comparisons of verify, all but
---assert-norm, are taken in bounds by its one three-state rule: a check
-whose estimates disagree without crossing a certified bound prints
-UNDETERMINED and does not fail.  In one process, a command on the file read
-last, its bytes unchanged, reuses its matrix and memo (load_matrix), so an
-estimate keeps the last bits of the command that first computed it; separate
-processes are unchanged.
+matrix together (best_norms), on the adjoint only verify's duality pairs.
+The THREADS environment variable is accepted and ignored.  The norm
+comparisons of verify, all but --assert-norm, are taken in bounds by its one
+three-state rule: a check whose estimates disagree without crossing a
+certified bound prints UNDETERMINED and does not fail.  In one process, a
+command on the file read last, its bytes unchanged, reuses its matrix and
+memo (load_matrix), so an estimate keeps the last bits of the command that
+first computed it; separate processes are unchanged.
 """
 
 from __future__ import annotations
@@ -348,12 +348,11 @@ def cmd_verify(args) -> int:
     grid = [as_index(1), as_index(2), as_index("inf")]
     dual_pairs = [(1, 1), (1, 2), (2, 2), (2, "inf"), ("inf", 1), (1.5, 3)]
     mono_grid = [1, 1.5, 2, 3, "inf"]
-    # every point the checks below read, estimated together per matrix; the
-    # s-direction monotonicity check reads (s*, 2) on the adjoint
-    pairs = [(a, b) for a in grid for b in grid]
-    best_norms(M, pairs + dual_pairs + [(r, 2) for r in mono_grid], seed=seed)
-    adjoint_pairs = [(conjugate(q), conjugate(p)) for p, q in dual_pairs]
-    best_norms(M.adjoint(), adjoint_pairs + [(conjugate(s), 2) for s in mono_grid], seed=seed)
+    # every point the checks below read, estimated together per matrix: both
+    # monotonicity checks read A's own (r, 2) and (2, s), A* only duality's
+    pairs = [(a, b) for a in grid for b in grid] + dual_pairs
+    best_norms(M, pairs + [(r, 2) for r in mono_grid] + [(2, s) for s in mono_grid], seed=seed)
+    best_norms(M.adjoint(), [(conjugate(q), conjugate(p)) for p, q in dual_pairs], seed=seed)
     ineq, min_slack = inequality_grid_check(M, grid, tol=args.tol, seed=seed)
     report_all("inequality-grid", [ineq], min_slack)
     dual = [duality_check(M, p, q, tol=args.tol, seed=seed) for p, q in dual_pairs]

@@ -21,6 +21,7 @@ from pqnorm import (
     bracket_norm,
     check_class,
     check_inequality,
+    conjugate,
     decide_equality,
     duality_check,
     gen_hadamard,
@@ -457,8 +458,14 @@ class TestCertifiedDisagreement:
         assert monotonicity_check(M, 2, GRID) is False
         M = as_matrix(r.standard_normal((3, 3)))
         assert monotonicity_check_in_s(M, 2, GRID) is True
-        # ||A||_{2,3} = ||A*||_{1.5,2}, read on the adjoint, far above (2, 2)
-        _plant(M.adjoint(), 1.5, 2, 2.0 * best_norm(M, 2, 2).value)
+        # (2, 3) below ||A||_{2,2} / n^{1/2-1/3}: the lower bounds disagree,
+        # but the certified upper bound of (2, 3) does not
+        low = best_norm(M, 2, 2).value / bound_factor(2, 3, 2, 2, M.m, M.n)
+        assert norm_upper_bound(M, 2, 3) > low
+        _plant(M, 2, 3, 0.99 * low)
+        assert monotonicity_check_in_s(M, 2, GRID) is None
+        # (2, 3) far above the exact (2, 2): a contradiction
+        _plant(M, 2, 3, 2.0 * best_norm(M, 2, 2).value)
         assert monotonicity_check_in_s(M, 2, GRID) is False
 
 
@@ -472,6 +479,32 @@ class TestMonotonicity:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             monotonicity_check(B, 2, [2, 1, 3])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        complex_=st.booleans(),
+        r=st.sampled_from(GRID),
+        picks=st.sets(st.integers(0, len(GRID) - 1), min_size=2),
+    )
+    def test_in_s_against_the_adjoint_route(self, seed, complex_, r, picks):
+        # the s-direction read the other way, by ||A||_{r,s} = ||A*||_{s*,r*}:
+        # monotonicity_check on A* at r* over the conjugates of s_grid
+        # reversed, from A*'s own estimates.  Neither verdict is True where
+        # the other is False, and neither moves under exact scaling by 2^k
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        A = rng.standard_normal((n, m)) + (1j * rng.standard_normal((n, m)) if complex_ else 0.0)
+        s_grid = [GRID[i] for i in sorted(picks)]
+        duals = [conjugate(s) for s in reversed(s_grid)]
+        seen = set()
+        for k in (-1000, -3, 0, 5, 1000):
+            M = as_matrix(at_scale(A, k), field="complex" if complex_ else "real")
+            old = monotonicity_check(M.adjoint(), conjugate(r), duals)
+            pair = (monotonicity_check_in_s(M, r, s_grid), old)
+            assert set(pair) != {True, False}, (k, pair)
+            seen.add(pair)
+        assert len(seen) == 1, seen
 
     def test_direction_is_real(self):
         # ||A||_{r,s} grows with r (domain ball grows) and shrinks with s

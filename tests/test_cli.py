@@ -432,6 +432,58 @@ class TestVerifyCommand:
         assert main(["verify", b_real]) == EXIT_VERIFY_FAILED
         assert "FAIL adjoint-norm-identity" in capsys.readouterr().out
 
+    def test_adjoint_estimates_only_duality_and_sweep_reuses_the_rest(self, tmp_path, monkeypatch):
+        # both monotonicity checks read A's own points, so on a complex file
+        # the adjoint estimates only the duality pairs without a closed
+        # form, and duality_check reads those estimates of A* itself; a sweep
+        # after verify on the same file estimates only the points verify did not
+        from pqnorm import best_norm, induced_norms, load_matrix
+
+        estimates, calls = induced_norms._estimates, []
+
+        def spy(M, pairs, seed):
+            out = estimates(M, pairs, seed)
+            calls.append((M, {(p.value, q.value): res for (p, q), res in zip(pairs, out)}))
+            return out
+
+        monkeypatch.setattr(induced_norms, "_estimates", spy)
+        r = np.random.default_rng(39)
+        path = str(tmp_path / "c6.json")
+        save_matrix(as_matrix(r.standard_normal((6, 6)) + 1j * r.standard_normal((6, 6))), path)
+        assert main(["verify", path]) == EXIT_OK
+        M = load_matrix(path)
+        adjoint = [got for X, got in calls if X is M.adjoint()]
+        assert len(adjoint) == 1 and sorted(adjoint[0]) == [(1.5, 3.0), (math.inf, 1.0)]
+        for (p, q), res in adjoint[0].items():
+            assert best_norm(M.adjoint(), p, q) is res
+        assert all(X is M for X, _ in calls if X is not M.adjoint())
+        calls.clear()
+        grid = "1,1.5,2,3,inf"
+        sweep = ["sweep", path, "-", "-p", "2", "-q", "2", "--r-grid", grid, "--s-grid", grid]
+        assert main(sweep) == EXIT_OK
+        rest = [(1.5, 1), (1.5, 1.5), (3, 1), (3, 1.5), (3, 3), (math.inf, 1.5), (math.inf, 3)]
+        assert [(X is M, sorted(got)) for X, got in calls] == [(True, rest)]
+
+    def test_best_norms_calls(self, tmp_path, monkeypatch, capsys):
+        # the README's count: a verify on a real 4x4 matrix makes 37
+        # best_norms calls, best_norm's and the checks' own included
+        import pqnorm.bounds as bounds
+        import pqnorm.cli as cli
+        import pqnorm.induced_norms as ind
+
+        best_norms, calls = ind.best_norms, []
+
+        def spy(*a, **k):
+            calls.append(1)
+            return best_norms(*a, **k)
+
+        for mod in (ind, bounds, cli):
+            monkeypatch.setattr(mod, "best_norms", spy)
+        path = str(tmp_path / "r4.json")
+        save_matrix(as_matrix(np.random.default_rng(0).standard_normal((4, 4))), path)
+        assert main(["verify", path]) == EXIT_OK
+        assert len(calls) == 37
+
     def test_malformed_assertion(self, b_real):
         assert main(["verify", b_real, "--assert-norm", "2,2"]) == EXIT_ERROR
 
