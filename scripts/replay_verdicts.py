@@ -41,6 +41,19 @@ norms mirrored alike, and each record keeps the original query's
 description, so a diff against the plain replay must show no moves.  It
 combines with --scale and --isometry.
 
+With --region, every decide_equality query with (r,s) != (p,q) runs at
+another point of its sign region, the signs of r - p and s - q kept.  It
+goes to the region's exact representative where one exists and differs
+from (r,s): an open quadrant's far corner (r and s each 1 or inf), or on
+an axis the closed-form ends (1, q) and (p, inf), and over the reals the
+enumerated (inf, q), (p, 1) and (inf, 1).  Elsewhere the free exponents
+are drawn from a generator seeded by the query id, so a rescaled query and
+its unscaled reference move alike.  For a fixed A, attainment depends on
+the region alone, so each record keeps the original query's description
+and a diff against the plain replay lists every yes <-> no flip as a
+defect; moves to or from undetermined and certainty moves are expected.
+It combines with the other maps.
+
 Diff: read two such files and list every yes <-> no flip, apart from them
 every move between a decision and undetermined, and apart from both every
 certainty move (the same decision, but a different certainty or
@@ -57,6 +70,7 @@ Run:
     python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --scale 1020 -o big.json
     python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --isometry -o iso.json
     python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --adjoint -o adj.json
+    python3 scripts/replay_verdicts.py --seeds 31 -n 4000 --region -o region.json
     python3 scripts/replay_verdicts.py --workload grid-shared --seeds 5,77 -n 186 -o grid.json
 """
 
@@ -157,6 +171,42 @@ def _adjoint(workloads) -> None:
     workloads._library_query = adjoint
 
 
+def _region_exponent(rng, p: float, r: float) -> float:
+    """An exponent strictly on r's side of p (p itself when r = p), drawn
+    uniformly in 1/r and rounded to two decimals."""
+    if r == p:
+        return p
+    lo, hi = (1.0 / p, 1.0) if r < p else (0.0, 1.0 / p)  # that side's range of 1/r
+    while True:
+        u = rng.uniform(lo, hi)
+        x = math.inf if u == 0.0 else round(1.0 / u, 2)
+        if (x < p) == (r < p) and x != p:
+            return x
+
+
+def _region(workloads) -> None:
+    """Make workloads build every decide_equality query with (r,s) != (p,q)
+    at another point of its sign region, see --region."""
+    build = workloads._library_query
+
+    def moved(qid, call, A, truth, exps, *args, **kwargs):
+        p, q, r, s = exps
+        if call != "decide_equality" or (r, s) == (p, q):
+            return build(qid, call, A, truth, exps, *args, **kwargs)
+        rep = (r if r == p else 1.0 if r < p else math.inf,
+               s if s == q else 1.0 if s < q else math.inf)
+        # (1, .) and (., inf) are closed forms; real (inf, .) and (., 1) enumerate
+        exact = rep[0] == 1.0 or rep[1] == math.inf or not np.iscomplexobj(A)
+        if rep == (r, s) or not exact:
+            rng = np.random.default_rng(list(qid.encode()))
+            rep = (_region_exponent(rng, p, r), _region_exponent(rng, q, s))
+        there = build(qid, call, A, truth, (p, q, *rep), *args, **kwargs)
+        there.desc = build(qid, call, A, truth, exps, *args, **kwargs).desc
+        return there
+
+    workloads._library_query = moved
+
+
 def _stream_answer(workloads, res) -> dict:
     certainty, exact = (None, []) if res is None else _certainty(res)
     decision = None if res is None else workloads._verdict_of(res)
@@ -171,10 +221,12 @@ def _grid_answer(workloads, res) -> dict:
 
 
 def replay(src: str, seeds: list, n: int, scale=None, workload="stream-small", tiny=False,
-           isometry=False, adjoint=False) -> list:
+           isometry=False, adjoint=False, region=False) -> list:
     workloads = _workloads(src)
     if adjoint:  # innermost: --scale pairs queries by their truth.A
         _adjoint(workloads)
+    if region:  # moves the original exponents, before any adjoint mirrors them
+        _region(workloads)
     if scale is not None:
         _rescale(workloads, scale)
     if isometry:
@@ -262,16 +314,19 @@ def main(argv=None) -> int:
     ap.add_argument("--scale", type=int, metavar="K", help="run each query on 2^K' A, K' <= K")
     ap.add_argument("--isometry", action="store_true", help="run each query on D1 P A Q D2")
     ap.add_argument("--adjoint", action="store_true", help="run each query on A* at (q*, p*)")
+    ap.add_argument("--region", action="store_true",
+                    help="run each decide_equality query at another point of its sign region")
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
     if not args.out:
         ap.error("a replay needs -o/--out")
-    if (args.scale is not None or args.isometry or args.adjoint) and args.workload == "grid-shared":
-        ap.error("--scale, --isometry and --adjoint map stream-small queries only")
+    maps = args.scale is not None or args.isometry or args.adjoint or args.region
+    if maps and args.workload == "grid-shared":
+        ap.error("--scale, --isometry, --adjoint and --region map stream-small queries only")
     seeds = [int(s) for s in args.seeds.split(",")]
     records = replay(args.src, seeds, args.n, args.scale, args.workload, args.tiny, args.isometry,
-                     args.adjoint)
+                     args.adjoint, args.region)
     with open(args.out, "w", encoding="utf-8") as fp:  # one record per line
         fp.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     failed = sum(1 for r in records if r["failures"])

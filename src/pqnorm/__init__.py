@@ -50,7 +50,6 @@ from .induced_norms import (
     svd,
 )
 from .bounds import (
-    ESTIMATED_EQ_TOL,
     EXACT_EQ_TOL,
     BoundReport,
     NormBracket,

@@ -61,18 +61,17 @@ __all__ = [
     "bracket_norm",
     "decide_equality",
     "EXACT_EQ_TOL",
-    "ESTIMATED_EQ_TOL",
 ]
 
 EXACT_EQ_TOL = 1e-8
-ESTIMATED_EQ_TOL = 1e-4
 
 
-def _tol(tol: Optional[float], exact: bool) -> float:
-    """The slack of every comparison between brackets: tol (EXACT_EQ_TOL if
-    None), raised to ESTIMATED_EQ_TOL unless every bracket read is exact."""
-    tol = EXACT_EQ_TOL if tol is None else tol
-    return tol if exact else max(tol, ESTIMATED_EQ_TOL)
+def _tol(tol: Optional[float]) -> float:
+    """The slack of every comparison between brackets: tol, or EXACT_EQ_TOL
+    if None, whether the brackets read are exact or estimated.  A "yes"
+    rests on lower ends, which are attained values, and a "no" on certified
+    upper ends, so neither needs a wider slack on an estimate."""
+    return EXACT_EQ_TOL if tol is None else tol
 
 
 def bound_factor(
@@ -171,8 +170,8 @@ class NormBracket:
         return self.result.certainty.is_exact
 
     def le(self, target: float, tol: Optional[float]) -> Optional[bool]:
-        """Is ||A|| <= target within _tol(tol, is_exact)?  None if undecidable."""
-        return _at_most((self.lower, self.upper), (target, target), _tol(tol, self.is_exact))
+        """Is ||A|| <= target within _tol(tol)?  None if undecidable."""
+        return _at_most((self.lower, self.upper), (target, target), _tol(tol))
 
 
 def bracket_norm(
@@ -198,8 +197,9 @@ def bracket_norm(
 @dataclass(frozen=True)
 class BoundReport:
     """The comparison bound at one (p,q,r,s), read from decide_equality:
-    lhs and rhs_norm are the lower ends of its brackets, and equality is
-    its verdict, True "yes", False "no" and None undetermined."""
+    lhs and rhs_norm are the lower ends of its brackets, equality is its
+    verdict, True "yes", False "no" and None undetermined, and tol is the
+    slack it read, the caller's tol or EXACT_EQ_TOL, exact or estimated."""
 
     lhs: float
     factor: float
@@ -230,7 +230,7 @@ def check_inequality(
     seed: int = 0,
 ) -> BoundReport:
     """Evaluate ||A||_{r,s} <= factor * ||A||_{p,q} and flag equality, both
-    through decide_equality (whose tolerance default applies)."""
+    through decide_equality, at its slack _tol(tol)."""
     verdict, details = decide_equality(A, p, q, r, s, tol, seed=seed)
     lb, rb, factor = details["lhs"], details["rhs"], details["factor"]
     return BoundReport(
@@ -280,18 +280,17 @@ def duality_check(
 ) -> Optional[bool]:
     """Does ||A*||_{q*,p*} match ||A||_{p,q}?
 
-    True when the two values agree within _tol(tol, both exact).  False
-    only when one side's value exceeds the other side's certified upper
-    bound by more than that; two lower bounds that merely disagree give
-    None (undetermined).
+    True when the two values agree within _tol(tol).  False only when one
+    side's value exceeds the other side's certified upper bound by more
+    than that; two lower bounds that merely disagree give None
+    (undetermined).
     """
     as_tol(tol)
     M = as_matrix(A)
     pi, qi = as_index(p), as_index(q)
     a = bracket_norm(M, pi, qi, seed=seed)
     b = bracket_norm(M.adjoint(), conjugate(qi), conjugate(pi), seed=seed)
-    t = _tol(tol, a.is_exact and b.is_exact)
-    return _all([_at_most((x.lower,) * 2, (y.lower, y.upper), t) for x, y in ((a, b), (b, a))])
+    return _all([_at_most((x.lower,) * 2, (y.lower, y.upper), _tol(tol)) for x, y in ((a, b), (b, a))])
 
 
 def inequality_grid_check(
@@ -305,22 +304,21 @@ def inequality_grid_check(
     with (p,q) and (r,s) in grid x grid.
 
     Each of these compares the lower end at (r,s) with factor times the
-    bracket at (p,q) within _tol(tol, both exact): False only past a
-    certified bound, None when only lower bounds cross (see duality_check).
-    The slack is (bound - lhs) / bound on the lower ends.  The points are
-    estimated together."""
+    bracket at (p,q) within _tol(tol): False only past a certified bound,
+    None when only lower bounds cross (see duality_check).  The slack is
+    (bound - lhs) / bound on the lower ends.  The points are estimated
+    together."""
     as_tol(tol)
     M = as_matrix(A)
     pairs = [(as_index(a), as_index(b)) for a in grid for b in grid]
     best_norms(M, pairs, seed=seed)  # one stacked ascent, read back
     brackets = [bracket_norm(M, *pt, seed=seed) for pt in pairs]
-    verdicts, min_slack = [], math.inf
+    verdicts, min_slack, t = [], math.inf, _tol(tol)
     for (p, q), rb in zip(pairs, brackets):
         for (r, s), lb in zip(pairs, brackets):
             factor = bound_factor(p, q, r, s, M.m, M.n)
             bound = factor * rb.lower
             min_slack = min(min_slack, (bound - lb.lower) / max(bound, 1e-300))
-            t = _tol(tol, lb.is_exact and rb.is_exact)
             verdicts.append(_at_most((lb.lower,) * 2, (bound, factor * rb.upper), t))
     return _all(verdicts), min_slack
 
@@ -335,15 +333,14 @@ def _ascending(grid: Sequence[IndexLike], name: str) -> list:
 def _chain(A: MatrixLike, points: list, tol: Optional[float], seed: int) -> Optional[bool]:
     """||A||_{p,q} along the points in order must neither fall nor rise past
     the comparison bound (bound_factor) from one point to the next, at slack
-    _tol(tol, both exact); estimated together, None where only lower bounds
-    disagree and False only when certified (see duality_check)."""
+    _tol(tol); estimated together, None where only lower bounds disagree
+    and False only when certified (see duality_check)."""
     as_tol(tol)
     M = as_matrix(A)
     best_norms(M, points, seed=seed)  # one stacked ascent, read back
     brackets = [bracket_norm(M, *pt, seed=seed) for pt in points]
-    verdicts = []
+    verdicts, t = [], _tol(tol)
     for x, y, a, b in zip(points, points[1:], brackets, brackets[1:]):
-        t = _tol(tol, a.is_exact and b.is_exact)
         c = bound_factor(*x, *y, M.m, M.n)
         verdicts.append(_at_most((a.lower,) * 2, (b.lower, b.upper), t))
         verdicts.append(_at_most((b.lower,) * 2, (c * a.lower, c * a.upper), t))
@@ -409,8 +406,10 @@ def decide_equality(
     Returns (verdict, details) with verdict in {"yes", "no", "undetermined"}.
     Since the left side never exceeds the bound, equality is bound <= lhs:
     _at_most of the scaled right bracket against the left one at slack
-    details["tol"] = _tol(tol, both exact), True "yes", False "no"
-    (certified), None undetermined; (r, s) = (p, q) is "yes" (factor 1).
+    details["tol"] = _tol(tol), True "yes", False "no" (certified), None
+    undetermined; (r, s) = (p, q) is "yes" (factor 1).  The slack is the
+    same at exact and estimated points: a "yes" rests on the left lower end,
+    an attained value, and a "no" on the bound's certified upper end.
     Both sides are estimated together, in one stacked ascent.  The details
     hold A's own brackets; the verdict is read from those of _in_range(A),
     which differ only where A's values could leave the normal range.
@@ -427,7 +426,7 @@ def decide_equality(
     S, _ = _in_range(M)
     slb, srb = (lb, rb) if S is M else brackets(S)
     factor = bound_factor(pi, qi, ri, si, M.m, M.n)
-    tol = _tol(tol, lb.is_exact and rb.is_exact)
+    tol = _tol(tol)
     details = {
         "factor": factor,
         "lhs": lb,

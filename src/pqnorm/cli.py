@@ -19,8 +19,9 @@ Sweeps run in one thread; sweep and verify estimate all their points of a
 matrix together (best_norms), on the adjoint only verify's duality pairs.
 The THREADS environment variable is accepted and ignored.  The norm
 comparisons of verify, all but --assert-norm, are taken in bounds by its one
-three-state rule: a check whose estimates disagree without crossing a
-certified bound prints UNDETERMINED and does not fail.  In one process, a
+three-state rule, at --tol (1e-8 by default) on exact and estimated values
+alike: a check whose estimates disagree by more than that without crossing
+a certified bound prints UNDETERMINED and does not fail.  In one process, a
 command on the file read last, its bytes unchanged, reuses its matrix and
 memo (load_matrix), so an estimate keeps the last bits of the command that
 first computed it; separate processes are unchanged.

@@ -73,7 +73,6 @@ from .induced_norms import (
 from .bounds import (
     NormBracket,
     _in_range,
-    _tol,
     bound_factor,
     bracket_norm,
     decide_equality,
@@ -769,8 +768,7 @@ def _decide_einf1(A: MatrixValue, p: ExtIndex, q: ExtIndex, tol: float, seed: in
     # the certified upper bound enclose
     low = svals[0] / bound_factor(p, q, 2, 2, m, n)
     high = norm_upper_bound(A, p, q)
-    btol = _tol(tol, low == high)
-    lo, hi = amp * low * (1.0 - btol), amp * high * (1.0 + btol)
+    lo, hi = amp * low * (1.0 - tol), amp * high * (1.0 + tol)
     searched = [g for g in groups if lo <= g[2] <= hi and g[2] > 0]
     measured = {"window": (lo, hi), "singular_values": svals}
     conds = [Condition("amplitude-compatible-eigenspaces", bool(searched), measured)]

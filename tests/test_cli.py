@@ -116,11 +116,11 @@ class TestCheckCommand:
         assert main(["check", b_real, "inf,1", "-p", "2", "-q", "2"]) == EXIT_NO
 
     def test_tol_is_one_rule_for_classes_and_pairs(self, b_real, capsys):
-        # an explicit --tol is raised to the estimated slack 1e-4 once an
-        # estimated bracket is read, for an (r,s) pair as for a class token
+        # an explicit --tol is the slack of an (r,s) pair as of a class
+        # token, whether the brackets read are exact or estimated
         argv = ["check", b_real, "3,1.5", "-p", "2", "-q", "2", "--tol", "1e-9", "--json"]
         main(argv)
-        assert json.loads(capsys.readouterr().out)["tol"] == 1e-4
+        assert json.loads(capsys.readouterr().out)["tol"] == 1e-9
 
     def test_pointwise_undetermined(self, b_real):
         # estimate lower bound sits strictly inside the spectral upper bound

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqnorm import (
-    ESTIMATED_EQ_TOL,
     ClassId,
     ClassVerdict,
     DavReport,
@@ -394,7 +393,7 @@ def _reference_einf1_real(M, p, q, tol=DEFAULT_TOL, seed=0):
             continue
         eigen.append(v)
         ratio = vector_norm(arr @ v, qi) / vector_norm(v, pi)  # a lower bound on the norm
-        res = ab.le(ratio, tol if ab.is_exact else max(tol, ESTIMATED_EQ_TOL))
+        res = ab.le(ratio, tol)
         if res is True:
             return "yes", certainty, eigen
         if res is None:
@@ -926,7 +925,7 @@ def _reference_svd_equality(A, r, s, tol=DEFAULT_TOL, seed=0):
         return ev._verdict("no", conds)
     target = bound_factor(2, 2, ri, si, m, n) * s1
     lb = bracket_norm(M, ri, si, seed=seed)
-    margin = 1.0 - max(tol, ESTIMATED_EQ_TOL)
+    margin = 1.0 - tol
     if lb.lower >= target * margin:
         return ev._verdict("yes", conds, certainty="estimate-backed")
     if lb.upper < target * margin:

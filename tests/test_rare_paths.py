@@ -1,8 +1,9 @@
 """Behaviours no other test reaches, one test each.
 
 scripts/line_coverage.py lists the statements of src/pqnorm that a pytest
-run never executes; these tests cover the ones that are behaviour rather
-than a safety branch for a failure numpy does not produce on demand.
+run never executes; these tests cover the ones that are behaviour, and two
+safety branches: a LAPACK failure, raised by a patched numpy.linalg.svd,
+and a rebuilt factorization that does not reproduce its matrix.
 """
 
 import json
@@ -10,10 +11,13 @@ import math
 
 import numpy as np
 
+import pytest
+
 from pqnorm import (
     Certainty,
     ClassId,
     ExtIndex,
+    SvdConvergenceError,
     as_index,
     as_matrix,
     check_inequality,
@@ -23,8 +27,10 @@ from pqnorm import (
     save_matrix,
     sufficient_e11,
     sufficient_e1inf,
+    svd,
     vector_norm,
 )
+from pqnorm.equality_classes import _svd_with_first_vector
 from pqnorm.cli import EXIT_ERROR, main
 from pqnorm.matrixio import dumps_json
 
@@ -99,3 +105,23 @@ def test_bound_report_is_exact():
     rep = check_inequality(as_matrix(B, "complex"), 2, 2, 1.5, 3)
     assert rep.rhs_certainty.is_exact and not rep.lhs_certainty.is_exact
     assert rep.is_exact is False
+
+
+def test_svd_reports_lapack_non_convergence(monkeypatch):
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(SvdConvergenceError, match="did not converge") as info:
+        svd(np.eye(2))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_svd_with_first_vector_refuses_a_bad_rebuild():
+    # diag(3, 1) has a simple top singular value: a "top subspace" of
+    # dimension 2 maps its second basis vector to a third of its length,
+    # so the rebuilt U diag(3, 1) V* is not the matrix
+    M = as_matrix(np.diag([3.0, 1.0]))
+    v = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    assert _svd_with_first_vector(M, svd(M), 2, v) is None
+    assert _svd_with_first_vector(M, svd(M), 1, np.array([1.0, 0.0])) is not None

@@ -1,6 +1,7 @@
 """scripts/replay_verdicts.py: a replay diffed against itself shows no moves,
 planted flips and moves are listed, rescaled, isometric and adjoint replays
-move nothing, and nothing is written under bench/."""
+move nothing, a sign-region replay flips nothing, and nothing is written
+under bench/."""
 
 import json
 import pathlib
@@ -134,3 +135,23 @@ def test_grid_shared_tiny_replay(tmp_path):
     assert done.returncode == 1
     assert "exit-code moves: 1\n" in done.stdout
     assert "stdout changes: 1\n" in done.stdout
+
+
+def test_region_replay_flips_nothing(tmp_path):
+    # each decide_equality query moved to another point of its sign region
+    # (an exact representative where one exists): attainment depends on the
+    # region alone, so no decided verdict flips; undetermined moves and
+    # certainty moves are allowed, as the point's brackets change
+    plain, region = tmp_path / "plain.json", tmp_path / "region.json"
+    assert _run("--seeds", "31", "-n", "40", "-o", str(plain)).returncode == 0
+    done = _run("--seeds", "31", "-n", "40", "--region", "-o", str(region))
+    assert done.returncode == 0, done.stderr
+    assert "oracle failures 0," in done.stdout
+    moved = json.loads(region.read_text())
+    assert [r["desc"] for r in json.loads(plain.read_text())] == [r["desc"] for r in moved]
+    assert json.loads(plain.read_text()) != moved
+    done = _run("--diff", str(plain), str(region))
+    assert done.returncode == 0, done.stdout
+    assert "yes <-> no flips: 0\n" in done.stdout
+    refused = _run("--workload", "grid-shared", "--region", "-o", str(region))
+    assert refused.returncode == 2 and "stream-small queries only" in refused.stderr
